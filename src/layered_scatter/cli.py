@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -64,6 +65,8 @@ def _require_keys(obj: dict, allowed: dict, context: str):
 def _as_number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{context} must be a number")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{context} must be finite")
     return float(value)
 
 
@@ -75,7 +78,7 @@ def _as_point(value, context: str):
 
 def _parse_complex(value, context: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_as_number(value, context))
     if isinstance(value, list) and len(value) == 2:
         return complex(_as_number(value[0], context),
                        _as_number(value[1], context))
@@ -92,10 +95,13 @@ def _parse_sources(raw) -> list:
                               "direction": int}, ctx)
         if "kind" not in entry or "position" not in entry:
             raise ConfigurationError(f"{ctx} needs kind and position")
-        out.append(SourceSpec(kind=entry["kind"],
-                              position=_as_point(entry["position"],
-                                                 f"{ctx}.position"),
-                              direction=entry.get("direction", 0)))
+        try:
+            out.append(SourceSpec(kind=entry["kind"],
+                                  position=_as_point(entry["position"],
+                                                     f"{ctx}.position"),
+                                  direction=entry.get("direction", 0)))
+        except ValueError as exc:
+            raise ConfigurationError(f"{ctx}: {exc}") from exc
     return out
 
 
@@ -114,8 +120,10 @@ def _parse_obstacle(raw) -> ObstacleSpec:
     curve = ObstacleCurve(kind=curve_raw["kind"],
                           center=_as_point(curve_raw["center"],
                                            "obstacle.curve.center"),
-                          radius=float(curve_raw.get("radius", 1.0)),
-                          scale=float(curve_raw.get("scale", 1.0)))
+                          radius=_as_number(curve_raw.get("radius", 1.0),
+                                            "obstacle.curve.radius"),
+                          scale=_as_number(curve_raw.get("scale", 1.0),
+                                           "obstacle.curve.scale"))
     kwargs = {}
     if "lambda" in raw:
         kwargs["lam"] = _as_number(raw["lambda"], "obstacle.lambda")
@@ -227,10 +235,14 @@ def parse_config(doc: dict) -> RunConfig:
         doc.get("sources", []))), experiment=experiment)
 
 
+def _reject_constant(name: str):
+    raise ConfigurationError(f"non-finite number {name} in config")
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -382,6 +394,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="layered-scatter",
@@ -396,9 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("green", parents=[common],
                        help="evaluate the flat-interface kernels")
     p.add_argument("config")
-    p.add_argument("--x", type=float, nargs=2, required=True,
+    p.add_argument("--x", type=_finite_float, nargs=2, required=True,
                    metavar=("X1", "X2"))
-    p.add_argument("--xs", type=float, nargs=2, required=True,
+    p.add_argument("--xs", type=_finite_float, nargs=2, required=True,
                    metavar=("XS1", "XS2"))
     p.add_argument("--kind", default="monopole",
                    choices=["monopole", "dipole-1", "dipole-2"])

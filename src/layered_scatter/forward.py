@@ -3,7 +3,10 @@ stages, obstacle correction, near-field data synthesis on the receiver
 line, and the singular-source experiments.
 
 A ForwardSolver builds every mesh, factorization and kernel-column set for
-a scene exactly once; solving for additional sources then reuses them.
+a scene exactly once; solving for additional sources then reuses them.  The
+source-independent rows that carry a solution to its own point sets (the
+receiver line, the obstacle boundary nodes and their normal shifts) are
+built on first use and kept; any other point set gets them for one call.
 Dataset synthesis distributes independent sources over a thread pool and
 merges the rows in source order, so the output is deterministic regardless
 of the worker count.
@@ -12,6 +15,7 @@ of the worker count.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -33,17 +37,21 @@ from .geometry import (
 )
 from .layered_green import MediumParams, PlanarGreen, SourceSpec
 from .ls_volume import (
+    ExtensionRows,
     assemble_B1_operator,
     assemble_B2_operator,
     extend_stage2_many,
+    extension_rows,
     solve_stage2,
 )
 from .obstacle import (
     PenetrableMedium,
     assemble_bie,
+    assemble_neumann_impedance,
     build_rough_kernel_context,
     neumann_impedance_solve,
     penetrable_field,
+    radiation_matrix,
     scattered_from_density,
     solve_density,
     solve_penetrable,
@@ -160,9 +168,11 @@ class FieldEvaluator:
                 and s.config.obstacle.condition == "penetrable":
             out = penetrable_field(self._correction, pts)
         else:
-            out = extend_stage2_many(self._background, pts, s.medium, s.b2)
+            out = extend_stage2_many(self._background, pts, s.medium, s.b2,
+                                     rows=s.extension_rows(pts))
             if self._correction is not None:
-                out = out + scattered_from_density(self._correction, pts)
+                out = out + scattered_from_density(
+                    self._correction, pts, radiation=s.radiation_matrix(pts))
         return complex(out[0]) if single else out
 
     def incident(self, X) -> Union[complex, np.ndarray]:
@@ -182,21 +192,47 @@ class FieldEvaluator:
             out = penetrable_field(self._correction, pts, total=False)
         else:
             out = extend_stage2_many(self._background, pts, s.medium, s.b2,
-                                     total=False)
+                                     total=False, rows=s.extension_rows(pts))
             if self._correction is not None:
-                out = out + scattered_from_density(self._correction, pts)
+                out = out + scattered_from_density(
+                    self._correction, pts, radiation=s.radiation_matrix(pts))
         return complex(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
 # Forward solver
 # ---------------------------------------------------------------------------
+class _PointSetProducts:
+    """Source-independent products of one point set, each built on first
+    use under the set's own lock and kept from then on."""
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        self.built = {}
+        self._lock = threading.Lock()
+
+    def get(self, name: str, build):
+        with self._lock:
+            if name not in self.built:
+                self.built[name] = build(self.points)
+            return self.built[name]
+
+
 class ForwardSolver:
     """Scene-level state: meshes, factorizations, kernel columns.
 
     Building one is the expensive step; solve() per source reuses all of
-    it.  All held state is immutable after construction, so concurrent
-    solve() calls are safe.
+    it.  Meshes, factorizations, kernel columns and the boundary operator
+    of the obstacle condition are built in the constructor and never change
+    afterwards.  The source-independent products at the solver's own point
+    sets are built on first use and then kept: the extension rows at the
+    receiver line, at the boundary nodes and, for the Neumann and impedance
+    conditions, at the nodes' two normal shifts, and the radiation matrix
+    of the boundary density at the receivers.  Each set builds under its
+    own lock, so there are at most four sets.  Products at any other points
+    are built for the call and dropped.  Concurrent solve() calls are
+    therefore safe, and a product has the same bytes whichever thread
+    builds it.
     """
 
     def __init__(self, config: SceneConfig):
@@ -218,21 +254,66 @@ class ForwardSolver:
         self.nodes = None
         self.kernel_ctx = None
         self.bie_operator = None
+        self.neumann_operator = None
         self.pen = None
+        self.point_sets = {}
+        if config.receivers is not None:
+            self._add_point_set("receivers", config.receivers.points())
         spec = config.obstacle
         if spec is not None and spec.condition != "penetrable":
             self.nodes = obstacle_nodes(spec.curve, spec.boundary_M)
             self.kernel_ctx = build_rough_kernel_context(
                 self.nodes, self.b2, self.medium)
+            P = self.nodes.positions
+            self._add_point_set("boundary", P)
             if spec.condition == "sound_soft":
                 self.bie_operator = assemble_bie(
                     self.nodes, self.medium, self.b2,
                     kernel_ctx=self.kernel_ctx)
                 self.bie_operator.factorize()
+            else:
+                lam = spec.lam if spec.condition == "impedance" else 0.0
+                self.neumann_operator = assemble_neumann_impedance(
+                    self.nodes, self.medium, self.b2, lam,
+                    kernel_ctx=self.kernel_ctx)
+                self.neumann_operator.factorize()
+                # the normal derivative of the incident field
+                h = _FD_STEP * spec.curve.diameter()
+                nu = self.nodes.normals
+                self._add_point_set("boundary+", P + h * nu)
+                self._add_point_set("boundary-", P - h * nu)
         elif spec is not None:
             mesh_D = build_region_mesh("D_penetrable", self.scene,
                                        spec.cell_size, config.subsample)
             self.pen = PenetrableMedium(mesh_D, spec.n)
+
+    # -- source-independent products ----------------------------------------
+    def _add_point_set(self, name: str, points: np.ndarray) -> None:
+        points = np.array(points, float)
+        points.flags.writeable = False
+        self.point_sets[name] = _PointSetProducts(points)
+
+    def _products(self, X: np.ndarray) -> _PointSetProducts:
+        """The kept products of X if it is one of the solver's point sets,
+        else a fresh set that the caller drops."""
+        for products in self.point_sets.values():
+            if np.array_equal(products.points, X):
+                return products
+        return _PointSetProducts(X)
+
+    def extension_rows(self, X: np.ndarray) -> ExtensionRows:
+        """Rows of the stage-2 extension formula at X (see
+        extension_rows in ls_volume)."""
+        return self._products(np.asarray(X, float)).get(
+            "extension", lambda P: extension_rows(P, self.medium, self.b2))
+
+    def radiation_matrix(self, X: np.ndarray) -> np.ndarray:
+        """Radiation matrix of the boundary density at X (see
+        radiation_matrix in obstacle)."""
+        ansatz = "combined" if self.bie_operator is not None else "single"
+        return self._products(np.atleast_2d(np.asarray(X, float))).get(
+            "radiation",
+            lambda P: radiation_matrix(self.kernel_ctx, ansatz, P))
 
     # -- per-source solve ---------------------------------------------------
     def solve(self, source: SourceSpec) -> FieldEvaluator:
@@ -245,22 +326,25 @@ class ForwardSolver:
         background = solve_stage2(source, self.b2, self.mesh_B2, self.medium)
         correction = None
         if spec is not None:
-            P = self.nodes.positions
-            inc = extend_stage2_many(background, P, self.medium, self.b2)
+            sets = self.point_sets
+
+            def incident(name):
+                P = sets[name].points
+                return extend_stage2_many(background, P, self.medium, self.b2,
+                                          rows=self.extension_rows(P))
+
+            inc = incident("boundary")
             if spec.condition == "sound_soft":
                 correction = solve_density(self.bie_operator, inc)
             else:
-                nu = self.nodes.normals
                 h = _FD_STEP * spec.curve.diameter()
-                up = extend_stage2_many(background, P + h * nu,
-                                        self.medium, self.b2)
-                um = extend_stage2_many(background, P - h * nu,
-                                        self.medium, self.b2)
-                dinc = (up - um) / (2.0 * h)
-                lam = spec.lam if spec.condition == "impedance" else 0.0
+                dinc = (incident("boundary+") - incident("boundary-")) \
+                    / (2.0 * h)
                 correction = neumann_impedance_solve(
-                    self.nodes, self.medium, self.b2, inc, dinc, lam=lam,
-                    kernel_ctx=self.kernel_ctx)
+                    self.nodes, self.medium, self.b2, inc, dinc,
+                    lam=self.neumann_operator.impedance,
+                    kernel_ctx=self.kernel_ctx,
+                    operator=self.neumann_operator)
         return FieldEvaluator(self, source, background, correction)
 
 

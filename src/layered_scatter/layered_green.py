@@ -59,6 +59,8 @@ class MediumParams:
     def __post_init__(self):
         if not (self.kappa1 > 0.0 and self.kappa2 > 0.0):
             raise ValueError("wavenumbers must be positive")
+        if not (np.isfinite(self.kappa1) and np.isfinite(self.kappa2)):
+            raise ValueError("wavenumbers must be finite")
 
     @property
     def eta(self) -> float:
@@ -90,6 +92,9 @@ class SourceSpec:
             raise ValueError("dipole direction must be 1 or 2")
         if self.kind == "monopole" and self.direction != 0:
             raise ValueError("monopole takes no direction")
+        if np.shape(self.position) != (2,) \
+                or not np.all(np.isfinite(self.position)):
+            raise ValueError("source position must be two finite numbers")
 
     def incident(self, x, kappa: float) -> complex:
         """The free-space field this source radiates, evaluated at x."""

@@ -266,22 +266,17 @@ def _match_centers(X: np.ndarray, centers: np.ndarray):
 def assemble_B1_operator(mesh_B1: RegionMesh, medium: MediumParams,
                          tol: float = 1e-8,
                          green: Optional[PlanarGreen] = None) -> DenseOperator:
-    """Collocation matrix of I + eta*T0 on the B1 mesh.
-
-    The kernel matrix (with cell-averaged diagonal) is retained on the
-    operator for reuse by the extension formulas.
-    """
+    """Collocation matrix of I + eta*T0 on the B1 mesh (kernel with
+    cell-averaged diagonal)."""
     if green is None:
         green = PlanarGreen(medium, tol)
     w = mesh_B1.weights
     if medium.eta == 0.0:
         op = DenseOperator(np.eye(mesh_B1.n, dtype=complex))
-        kernel = None
     else:
         kernel = planar_green_matrix(green, mesh_B1.centers, mesh_B1.centers, w)
         op = DenseOperator(np.eye(mesh_B1.n, dtype=complex)
                            + medium.eta * kernel * w[None, :])
-    op.kernel_matrix = kernel
     op.mesh = mesh_B1
     op.medium = medium
     op.green = green
@@ -310,6 +305,39 @@ def _subtract_incident(values: np.ndarray, points: np.ndarray,
     return out
 
 
+def _stage1_rows(X: np.ndarray, mesh: RegionMesh, medium: MediumParams,
+                 green: PlanarGreen):
+    """(hit, rows) of the stage-1 extension formula at X: the coinciding
+    B1 center of each point (-1 if none) and the kernel rows G(x, c; flat)
+    of the other points (None when the contrast vanishes)."""
+    hit = _match_centers(X, mesh.centers)
+    off = hit < 0
+    rows = None
+    if medium.eta != 0.0 and np.any(off):
+        rows = planar_green_matrix(green, X[off], mesh.centers, mesh.weights)
+    return hit, rows
+
+
+def _extend_stage1(sol: GridSolution, X: np.ndarray, medium: MediumParams,
+                   green: PlanarGreen, total: bool, hit: np.ndarray,
+                   rows: Optional[np.ndarray]) -> np.ndarray:
+    """Stage-1 extension formula with its source-independent rows given."""
+    mesh = sol.mesh
+    out = np.empty(len(X), dtype=complex)
+    on = hit >= 0
+    out[on] = sol.values[hit[on]]
+    if np.any(on) and not total:
+        out[on] = _subtract_incident(out[on], X[on], sol.source, medium)
+    off = ~on
+    if np.any(off):
+        u0 = planar_field_column(green, sol.source, X[off], total=total)
+        if medium.eta == 0.0:
+            out[off] = u0
+        else:
+            out[off] = u0 - medium.eta * rows @ (mesh.weights * sol.values)
+    return out
+
+
 def extend_stage1_many(sol: GridSolution, X: np.ndarray,
                        medium: MediumParams,
                        green: PlanarGreen, total: bool = True) -> np.ndarray:
@@ -321,23 +349,8 @@ def extend_stage1_many(sol: GridSolution, X: np.ndarray,
     finite even at the source position.
     """
     X = np.asarray(X, float)
-    mesh = sol.mesh
-    out = np.empty(len(X), dtype=complex)
-    hit = _match_centers(X, mesh.centers)
-    on = hit >= 0
-    out[on] = sol.values[hit[on]]
-    if np.any(on) and not total:
-        out[on] = _subtract_incident(out[on], X[on], sol.source, medium)
-    off = ~on
-    if np.any(off):
-        Xo = X[off]
-        u0 = planar_field_column(green, sol.source, Xo, total=total)
-        if medium.eta == 0.0:
-            out[off] = u0
-        else:
-            rows = planar_green_matrix(green, Xo, mesh.centers, mesh.weights)
-            out[off] = u0 - medium.eta * rows @ (mesh.weights * sol.values)
-    return out
+    hit, rows = _stage1_rows(X, sol.mesh, medium, green)
+    return _extend_stage1(sol, X, medium, green, total, hit, rows)
 
 
 def extend_stage1(sol: GridSolution, x, medium: MediumParams,
@@ -375,7 +388,6 @@ def assemble_B2_operator(mesh_B2: RegionMesh, medium: MediumParams,
     w2 = mesh_B2.weights
     if medium.eta == 0.0:
         op = DenseOperator(np.eye(mesh_B2.n, dtype=complex))
-        op.kernel_matrix = None
         op.cross_matrix = None
         op.stage1_columns = None
     else:
@@ -387,7 +399,6 @@ def assemble_B2_operator(mesh_B2: RegionMesh, medium: MediumParams,
         GR = G22 - medium.eta * (G12 * w1[None, :]) @ columns
         op = DenseOperator(np.eye(mesh_B2.n, dtype=complex)
                            - medium.eta * GR * w2[None, :])
-        op.kernel_matrix = GR
         op.cross_matrix = G12
         op.stage1_columns = columns
     op.mesh = mesh_B2
@@ -416,39 +427,70 @@ def solve_stage2(source: SourceSpec, b2_operator: DenseOperator,
                         stage="rough", aux={"stage1": sol1, "rhs": rhs})
 
 
+@dataclass(frozen=True)
+class ExtensionRows:
+    """Source-independent part of the stage-2 extension formula at a point
+    set: which points coincide with cell centers, and the kernel rows of the
+    two extension integrals at the others.  Rows are None when the
+    contrast vanishes."""
+
+    hit2: np.ndarray              # coinciding B2 center per point, -1 if none
+    hit1: np.ndarray              # coinciding B1 center per point off B2
+    rows1: Optional[np.ndarray]   # G(x, c^B1; flat), points off both meshes
+    gr_rows: Optional[np.ndarray]  # G_R(x, c^B2), points off B2
+
+
+def extension_rows(X: np.ndarray, medium: MediumParams,
+                   b2_operator: DenseOperator) -> ExtensionRows:
+    """Build the rows extend_stage2_many applies to every source at X."""
+    X = np.asarray(X, float)
+    green = b2_operator.green
+    mesh1 = b2_operator.stage1.mesh
+    mesh2 = b2_operator.mesh
+    hit2 = _match_centers(X, mesh2.centers)
+    Xo = X[hit2 < 0]
+    hit1, rows1 = _stage1_rows(Xo, mesh1, medium, green)
+    gr_rows = None
+    if medium.eta != 0.0 and len(Xo):
+        # the stage-1 rows are reused when no point sits on a B1 center
+        full1 = rows1 if np.all(hit1 < 0) else planar_green_matrix(
+            green, Xo, mesh1.centers, mesh1.weights)
+        rows2 = planar_green_matrix(green, Xo, mesh2.centers, mesh2.weights)
+        gr_rows = rows2 - medium.eta * (full1 * mesh1.weights[None, :]) \
+            @ b2_operator.stage1_columns
+    return ExtensionRows(hit2=hit2, hit1=hit1, rows1=rows1, gr_rows=gr_rows)
+
+
 def extend_stage2_many(sol: GridSolution, X: np.ndarray,
                        medium: MediumParams,
                        b2_operator: DenseOperator,
-                       total: bool = True) -> np.ndarray:
+                       total: bool = True,
+                       rows: Optional[ExtensionRows] = None) -> np.ndarray:
     """Rough-interface field at each point of X.
 
     total=False removes the free-space incident wave (same side only),
-    yielding the scattered/transmitted part directly.
+    yielding the scattered/transmitted part directly.  rows, from
+    extension_rows at the same X, skips rebuilding the source-independent
+    kernel rows; without it they are built for this call only.
     """
     X = np.asarray(X, float)
+    if rows is None:
+        rows = extension_rows(X, medium, b2_operator)
     mesh2 = sol.mesh
     out = np.empty(len(X), dtype=complex)
-    hit = _match_centers(X, mesh2.centers)
-    on = hit >= 0
-    out[on] = sol.values[hit[on]]
+    on = rows.hit2 >= 0
+    out[on] = sol.values[rows.hit2[on]]
     if np.any(on) and not total:
         out[on] = _subtract_incident(out[on], X[on], sol.source, medium)
     off = ~on
     if not np.any(off):
         return out
-    Xo = X[off]
-    green = b2_operator.green
-    sol1 = sol.aux["stage1"]
-    u_arc = extend_stage1_many(sol1, Xo, medium, green, total=total)
+    u_arc = _extend_stage1(sol.aux["stage1"], X[off], medium,
+                           b2_operator.green, total, rows.hit1, rows.rows1)
     if medium.eta == 0.0:
         out[off] = u_arc
         return out
-    mesh1 = b2_operator.stage1.mesh
-    rows1 = planar_green_matrix(green, Xo, mesh1.centers, mesh1.weights)
-    rows2 = planar_green_matrix(green, Xo, mesh2.centers, mesh2.weights)
-    gr_rows = rows2 - medium.eta * (rows1 * mesh1.weights[None, :]) \
-        @ b2_operator.stage1_columns
-    out[off] = u_arc + medium.eta * gr_rows @ (mesh2.weights * sol.values)
+    out[off] = u_arc + medium.eta * rows.gr_rows @ (mesh2.weights * sol.values)
     return out
 
 
@@ -472,8 +514,10 @@ def green_rough_columns(points: np.ndarray, b2_operator: DenseOperator,
     points = np.asarray(points, float)
     sources = np.asarray(sources, float)
     out = np.empty((len(points), len(sources)), dtype=complex)
+    rows = extension_rows(points, medium, b2_operator)
     for j, y in enumerate(sources):
         src = SourceSpec("monopole", (float(y[0]), float(y[1])))
         sol = solve_stage2(src, b2_operator, b2_operator.mesh, medium)
-        out[:, j] = extend_stage2_many(sol, points, medium, b2_operator)
+        out[:, j] = extend_stage2_many(sol, points, medium, b2_operator,
+                                       rows=rows)
     return out

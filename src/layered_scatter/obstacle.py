@@ -73,35 +73,50 @@ class RoughKernel:
                                 * mesh1.weights[None, :]) @ self.g
             self.q = b2_operator.solve(rhs2)
 
-    def smooth_part(self, X: np.ndarray) -> np.ndarray:
-        """G(x_i, y_j; rough) - Phi_k2(x_i, y_j): finite on the diagonal.
+    def volume_rows(self, X: np.ndarray):
+        """Weighted kernel rows at X of the B1 and B2 volume integrals.
 
-        Meaningful when evaluation points share the lower medium with the
-        sources, so the subtracted free-space part is the local singularity.
+        They depend on X and the B2 operator only, so every kernel on the
+        same operator can share them; None when the contrast vanishes.
         """
+        if self.medium.eta == 0.0:
+            return None
         X = np.asarray(X, float)
         green = self.b2.green
-        out = planar_scattered_matrix(green, X, self.sources)
-        if self.medium.eta == 0.0:
-            return out
         mesh1 = self.b2.stage1.mesh
         mesh2 = self.b2.mesh
         row1 = planar_green_matrix(green, X, mesh1.centers, mesh1.weights)
         row2 = planar_green_matrix(green, X, mesh2.centers, mesh2.weights)
-        gr_row = row2 - self.medium.eta * (row1 * mesh1.weights[None, :]) \
-            @ self.b2.stage1_columns
-        out = out - self.medium.eta * (row1 * mesh1.weights[None, :]) @ self.g \
-            + self.medium.eta * (gr_row * mesh2.weights[None, :]) @ self.q
-        return out
+        row1w = row1 * mesh1.weights[None, :]
+        gr_row = row2 - self.medium.eta * row1w @ self.b2.stage1_columns
+        return row1w, gr_row * mesh2.weights[None, :]
 
-    def full(self, X: np.ndarray,
-             y_weights: Optional[np.ndarray] = None) -> np.ndarray:
-        """G(x_i, y_j; rough) including the free-space part (same side).
+    def smooth_part(self, X: np.ndarray, rows=None) -> np.ndarray:
+        """G(x_i, y_j; rough) - Phi_k2(x_i, y_j): finite on the diagonal.
 
-        Coincident pairs are cell-averaged when y_weights is given.
+        Meaningful when evaluation points share the lower medium with the
+        sources, so the subtracted free-space part is the local singularity.
+        rows, from volume_rows at the same X, skips rebuilding them.
         """
         X = np.asarray(X, float)
-        out = self.smooth_part(X)
+        out = planar_scattered_matrix(self.b2.green, X, self.sources)
+        if self.medium.eta == 0.0:
+            return out
+        if rows is None:
+            rows = self.volume_rows(X)
+        row1w, gr_row_w = rows
+        return out - self.medium.eta * row1w @ self.g \
+            + self.medium.eta * gr_row_w @ self.q
+
+    def full(self, X: np.ndarray, y_weights: Optional[np.ndarray] = None,
+             rows=None) -> np.ndarray:
+        """G(x_i, y_j; rough) including the free-space part (same side).
+
+        Coincident pairs are cell-averaged when y_weights is given; rows as
+        in smooth_part.
+        """
+        X = np.asarray(X, float)
+        out = self.smooth_part(X, rows)
         dx = X[:, 0][:, None] - self.sources[None, :, 0]
         dy = X[:, 1][:, None] - self.sources[None, :, 1]
         r = np.hypot(dx, dy)
@@ -229,8 +244,10 @@ def _remainder_blocks(nodes: ObstacleNodes, kernel_ctx):
     """
     center, plus, minus, delta = kernel_ctx
     X = nodes.positions
-    rho = center.smooth_part(X)
-    drho = (plus.smooth_part(X) - minus.smooth_part(X)) / (2.0 * delta)
+    rows = center.volume_rows(X)
+    rho = center.smooth_part(X, rows)
+    drho = (plus.smooth_part(X, rows) - minus.smooth_part(X, rows)) \
+        / (2.0 * delta)
     return rho, drho
 
 
@@ -283,15 +300,15 @@ def solve_density(operator: DenseOperator,
                            ansatz="combined")
 
 
-def neumann_impedance_solve(nodes: ObstacleNodes,
-                            medium: MediumParams, b2_operator,
-                            incident: np.ndarray,
-                            incident_normal: np.ndarray,
-                            lam: Union[float, np.ndarray] = 0.0,
-                            kernel_ctx=None) -> BoundaryDensity:
-    """Single-layer solve of (I - K' - i*lam*S) psi = 2(dU/dnu + i*lam*U).
+def assemble_neumann_impedance(nodes: ObstacleNodes, medium: MediumParams,
+                               b2_operator,
+                               lam: Union[float, np.ndarray] = 0.0,
+                               kernel_ctx=None) -> DenseOperator:
+    """Collocation matrix of I - K' - i*lam*S for the single-layer ansatz.
 
-    lam = 0 is the Neumann condition; lam > 0 the impedance condition.
+    lam = 0 is the Neumann condition; lam > 0 the impedance condition.  The
+    matrix depends on the scene and lam only, so one factorization serves
+    every source.
     """
     lam = np.broadcast_to(np.asarray(lam, float), (nodes.n,))
     if np.any(lam < 0.0):
@@ -299,9 +316,9 @@ def neumann_impedance_solve(nodes: ObstacleNodes,
     if kernel_ctx is None:
         kernel_ctx = build_rough_kernel_context(nodes, b2_operator, medium)
     S, Kp = layer_matrices(nodes, medium.kappa2, adjoint=True)
-    rho, _ = _remainder_blocks(nodes, kernel_ctx)
     # adjoint double layer differentiates in the evaluation point: shift x
     center, plus, minus, delta = kernel_ctx
+    rho = center.smooth_part(nodes.positions)
     nu = nodes.normals
     drho_x = (center.smooth_part(nodes.positions + delta * nu)
               - center.smooth_part(nodes.positions - delta * nu)) \
@@ -317,38 +334,83 @@ def neumann_impedance_solve(nodes: ObstacleNodes,
     op.medium = medium
     op.b2 = b2_operator
     op.ansatz = "single"
+    op.impedance = lam
+    return op
+
+
+def neumann_impedance_solve(nodes: ObstacleNodes,
+                            medium: MediumParams, b2_operator,
+                            incident: np.ndarray,
+                            incident_normal: np.ndarray,
+                            lam: Union[float, np.ndarray] = 0.0,
+                            kernel_ctx=None,
+                            operator: Optional[DenseOperator] = None
+                            ) -> BoundaryDensity:
+    """Single-layer solve of (I - K' - i*lam*S) psi = 2(dU/dnu + i*lam*U).
+
+    lam = 0 is the Neumann condition; lam > 0 the impedance condition.
+    operator is the matrix from assemble_neumann_impedance for the same
+    nodes and lam; without it the matrix is assembled and factorized for
+    this call only.  Either way the density is bit-for-bit the same.
+    """
+    lam = np.broadcast_to(np.asarray(lam, float), (nodes.n,))
+    if np.any(lam < 0.0):
+        raise ConfigurationError("impedance must be nonnegative")
+    if operator is None:
+        operator = assemble_neumann_impedance(nodes, medium, b2_operator,
+                                              lam, kernel_ctx)
+    elif not np.array_equal(operator.impedance, lam):
+        raise ConfigurationError("operator was assembled for another "
+                                 "impedance")
     rhs = 2.0 * (np.asarray(incident_normal, complex)
                  + 1j * lam * np.asarray(incident, complex))
-    psi = op.solve(rhs)
-    return BoundaryDensity(nodes=nodes, psi=psi, operator=op,
+    psi = operator.solve(rhs)
+    return BoundaryDensity(nodes=nodes, psi=psi, operator=operator,
                            ansatz="single", impedance=lam)
 
 
+def radiation_matrix(kernel_ctx, ansatz: str, X: np.ndarray) -> np.ndarray:
+    """Matrix taking the density's quadrature weights to its field at X.
+
+    Combined ansatz: dG/dnu(y) - iG; single-layer ansatz: G.  It depends
+    on the kernel columns and X only, not on the density.
+    """
+    center, plus, minus, delta = kernel_ctx
+    rows = center.volume_rows(X)
+    G = center.full(X, rows=rows)
+    if ansatz == "single":
+        return G
+    dG = (plus.full(X, rows=rows) - minus.full(X, rows=rows)) / (2.0 * delta)
+    return dG - 1j * G
+
+
 def scattered_from_density(density: BoundaryDensity,
-                           X: np.ndarray) -> np.ndarray:
+                           X: np.ndarray,
+                           radiation: Optional[np.ndarray] = None
+                           ) -> np.ndarray:
     """Radiated field of a boundary density at points X away from dD.
 
     Combined ansatz: w = int (dG/dnu(y) - iG) psi ds; single-layer ansatz:
-    w = int G psi ds.  Points closer to dD than the node spacing trigger an
+    w = int G psi ds.  radiation, from radiation_matrix at the same X and
+    with the density's kernel columns and ansatz, skips rebuilding that
+    source-independent matrix; without it the matrix is built for this
+    call only.  Points closer to dD than the node spacing trigger an
     accuracy warning (the trapezoid rule degrades there).
     """
     X = np.atleast_2d(np.asarray(X, float))
     nodes = density.nodes
-    op = density.operator
-    center, plus, minus, delta = op.kernel_ctx
     d = np.hypot(X[:, 0][:, None] - nodes.positions[None, :, 0],
                  X[:, 1][:, None] - nodes.positions[None, :, 1])
     if np.min(d) < nodes.spacing:
         warnings.warn("evaluation point within one node spacing of the "
                       "obstacle boundary; quadrature accuracy degrades",
                       stacklevel=2)
-    G = center.full(X)
+    if radiation is None:
+        radiation = radiation_matrix(density.operator.kernel_ctx,
+                                     density.ansatz, X)
     M = nodes.n // 2
     wts = (np.pi / M) * nodes.jacobians * density.psi
-    if density.ansatz == "single":
-        return G @ wts
-    dG = (plus.full(X) - minus.full(X)) / (2.0 * delta)
-    return (dG - 1j * G) @ wts
+    return radiation @ wts
 
 
 def boundary_total_field(density: BoundaryDensity, t: np.ndarray,
@@ -366,8 +428,10 @@ def boundary_total_field(density: BoundaryDensity, t: np.ndarray,
     center, plus, minus, delta = op.kernel_ctx
     S, K = layer_matrices(nodes, medium.kappa2, t=t)
     X = nodes.curve.point(t)
-    rho = center.smooth_part(X)
-    drho = (plus.smooth_part(X) - minus.smooth_part(X)) / (2.0 * delta)
+    rows = center.volume_rows(X)
+    rho = center.smooth_part(X, rows)
+    drho = (plus.smooth_part(X, rows) - minus.smooth_part(X, rows)) \
+        / (2.0 * delta)
     M = nodes.n // 2
     trap = (np.pi / M) * nodes.jacobians[None, :]
     S = S + 2.0 * rho * trap

@@ -138,7 +138,9 @@ def _adaptive_batch(batch_eval, t_lo, t_hi, transform, tol, budget):
     """Adaptive GL15 with bisection on a mapped segment.
 
     batch_eval(xi) returns an (nrows, len(xi)) array; refinement is driven
-    by the max-over-rows panel error.  Returns (values, error, panels_used).
+    by the max-over-rows panel error.  Every evaluated panel counts against
+    the budget, so a panel that never converges (a NaN integrand, say) ends
+    in AccuracyError.  Returns (values, error, panels_evaluated).
     """
     def panel_values(los, his):
         # nodes for every pending panel in one evaluator call
@@ -161,7 +163,7 @@ def _adaptive_batch(batch_eval, t_lo, t_hi, transform, tol, budget):
     work = [(t_lo, t_hi, coarse[:, 0])]
     acc_vals = []
     while work:
-        if panels > budget:
+        if panels + 2 * len(work) > budget:
             best = np.sum(acc_vals, axis=0) if acc_vals else 0.0
             rest = np.sum([w[2] for w in work], axis=0)
             raise AccuracyError("panel budget exhausted",
@@ -172,6 +174,7 @@ def _adaptive_batch(batch_eval, t_lo, t_hi, transform, tol, budget):
         halves = panel_values(np.concatenate([lo_arr, mid_arr]),
                               np.concatenate([mid_arr, hi_arr]))
         nw = len(work)
+        panels += 2 * nw
         fine = halves[:, :nw] + halves[:, nw:]
         next_work = []
         for i, (lo, hi, cval) in enumerate(work):
@@ -180,7 +183,6 @@ def _adaptive_batch(batch_eval, t_lo, t_hi, transform, tol, budget):
             if err <= local_tol or (hi - lo) < 1e-13 * max(1.0, abs(t_hi)):
                 acc_vals.append(fine[:, i])
                 err_total += err
-                panels += 1
             else:
                 mid = 0.5 * (lo + hi)
                 next_work.append((lo, mid, halves[:, i]))

@@ -103,6 +103,33 @@ def test_load_config_io_errors(tmp_path):
         load_config(str(bad))
 
 
+@pytest.mark.parametrize("text", [
+    '{"medium": {"kappa1": NaN, "kappa2": 1.5}}',
+    '{"medium": {"kappa1": Infinity, "kappa2": 1.5}}',
+    '{"medium": {"kappa1": 1e400, "kappa2": 1.5}}',
+    '{"medium": {"kappa1": 1.0, "kappa2": 1.5},'
+    ' "sources": [{"kind": "monopole", "position": [-Infinity, 1.2]}]}',
+    '{"medium": {"kappa1": 1.0, "kappa2": 1.5},'
+    ' "sources": [{"kind": "monopole", "position": [0.3, 1.2],'
+    ' "direction": 1}]}',
+])
+def test_non_finite_and_invalid_numbers_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigurationError):
+        load_config(str(path))
+    rc = main(["green", str(path), "--x", "0.4", "0.8", "--xs", "0.3", "1.2"])
+    assert rc == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_non_finite_point_argument_exits_2(config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["green", config_path(BASE), "--x", "nan", "0.8",
+              "--xs", "0.3", "1.2"])
+    assert exc.value.code == EXIT_CONFIG
+
+
 # ---------------------------------------------------------------------------
 # Subcommands and exit codes
 # ---------------------------------------------------------------------------

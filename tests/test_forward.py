@@ -200,3 +200,106 @@ def test_mixed_reciprocity_geometry_guards(flat_config, flat_solver):
     with pytest.raises(GeometryError):
         mixed_reciprocity_check(flat_config, (0.8, 1.5), (0.4, -0.001), 1,
                                 eps=1e-2, solver=flat_solver)
+
+
+# ---------------------------------------------------------------------------
+# Source-independent products built once per solver
+# ---------------------------------------------------------------------------
+SOURCES = (SourceSpec("monopole", (0.3, 1.2)),
+           SourceSpec("dipole", (-0.6, 0.9), 1),
+           SourceSpec("dipole", (1.1, 1.4), 2))
+
+
+@pytest.fixture(scope="module")
+def bump_config(bump_profile):
+    return SceneConfig(medium=MediumParams(1.0, 1.5), profile=bump_profile,
+                       arc_radius=2.6, cell_size=0.2,
+                       receivers=ReceiverLine(2.0, 3.0, 11))
+
+
+def _table(records):
+    return np.array([r.value for r in records]).tobytes()
+
+
+def test_bump_products_same_bytes_cold_warm_and_threaded(bump_config):
+    rx = bump_config.receivers.points()
+    cold = ForwardSolver(bump_config)
+    first = cold.solve(SOURCES[2]).scattered(rx)
+    warm = ForwardSolver(bump_config)
+    for src in SOURCES:
+        warm.solve(src).scattered(rx)
+    assert first.tobytes() == warm.solve(SOURCES[2]).scattered(rx).tobytes()
+    # two workers race for the lazy products of a cold solver
+    two = synthesize_dataset(bump_config, SOURCES, threads=2,
+                             solver=ForwardSolver(bump_config))
+    one = synthesize_dataset(bump_config, SOURCES, threads=1, solver=cold)
+    assert _table(one) == _table(two)
+
+
+def test_obstacle_products_same_bytes_cold_warm_and_threaded(
+        layered_obstacle_solver):
+    warm = layered_obstacle_solver
+    config = warm.config
+    rx = config.receivers.points()
+    warm.solve(SourceSpec("monopole", (-1.0, 1.5))).scattered(rx)
+    cold = ForwardSolver(config)
+    first = cold.solve(SOURCES[0]).scattered(rx)
+    assert first.tobytes() == warm.solve(SOURCES[0]).scattered(rx).tobytes()
+    two = synthesize_dataset(config, SOURCES, threads=2, solver=cold)
+    one = synthesize_dataset(config, SOURCES, threads=1, solver=warm)
+    assert _table(one) == _table(two)
+
+
+def test_products_kept_only_for_own_point_sets(layered_obstacle_solver):
+    s = layered_obstacle_solver
+    own = {"receivers", "boundary"}
+    ev = s.solve(SOURCES[1])
+    rng = np.random.default_rng(7)
+    pts = np.column_stack([rng.uniform(-2.0, 2.0, 50),
+                           rng.uniform(0.5, 1.8, 50)])
+    for _ in range(2):
+        ev.total(pts)
+    ev.scattered(s.config.receivers.points())
+    assert set(s.point_sets) == own
+    for products in s.point_sets.values():
+        assert not np.array_equal(products.points, pts)
+    assert set(s.point_sets["receivers"].built) == {"extension", "radiation"}
+    assert set(s.point_sets["boundary"].built) == {"extension"}
+    # products at other points are the same bytes as at a kept set
+    rows = s.extension_rows(pts)
+    again = s.extension_rows(pts.copy())
+    assert rows is not again
+    assert rows.gr_rows.tobytes() == again.gr_rows.tobytes()
+
+
+def test_lazy_products_built_once_under_thread_contention(bump_config,
+                                                          monkeypatch):
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    import layered_scatter.forward as forward
+    builds = []
+    orig = forward.extension_rows
+
+    def counted(*args, **kwargs):
+        builds.append(threading.get_ident())
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "extension_rows", counted)
+    solver = ForwardSolver(bump_config)
+    rx = bump_config.receivers.points()
+    serial = SOURCES[0]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(lambda: solver.solve(serial).scattered(rx))
+                       for _ in range(6)]
+            values = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(f.done() for f in futures)
+    assert len(builds) == 1
+    assert len({v.tobytes() for v in values}) == 1
+    assert set(solver.point_sets["receivers"].built) == {"extension"}

@@ -1,6 +1,8 @@
 """Flat-interface two-layer kernels: branch choice, limits, reciprocity,
 dipole/monopole consistency and the governing equation itself."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,24 @@ def test_medium_params_contrast():
     assert med.kappa_at(0.5) == 1.0 and med.kappa_at(-0.5) == 1.5
     with pytest.raises(ValueError):
         MediumParams(0.0, 1.0)
+
+
+@pytest.mark.parametrize("k1,k2", [(np.inf, 1.0), (1.0, np.inf),
+                                   (np.nan, 1.0)])
+def test_medium_params_reject_non_finite(k1, k2):
+    with pytest.raises(ValueError):
+        MediumParams(k1, k2)
+
+
+def test_non_finite_source_rejected_quickly():
+    t0 = time.perf_counter()
+    for pos in ((np.nan, 1.2), (0.3, np.inf), (0.3, -np.inf)):
+        for kind, ell in (("monopole", 0), ("dipole", 1)):
+            with pytest.raises(ValueError):
+                SourceSpec(kind, pos, ell)
+    with pytest.raises(ValueError):
+        SourceSpec("monopole", (0.3, 1.2, 0.0))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_trivial_contrast_collapse():

@@ -203,3 +203,44 @@ def test_neumann_rejects_negative_impedance(free_circle_solver):
         neumann_impedance_solve(nd, solver.medium, solver.b2,
                                 np.zeros(nd.n), np.zeros(nd.n), lam=-1.0,
                                 kernel_ctx=solver.kernel_ctx)
+
+
+def test_impedance_prebuilt_operator_matches_per_source_assembly(
+        bump_profile):
+    from layered_scatter.forward import (_FD_STEP, ForwardSolver,
+                                         ObstacleSpec, SceneConfig)
+    from layered_scatter.geometry import ReceiverLine
+    from layered_scatter.ls_volume import extend_stage2_many
+    from layered_scatter.obstacle import (neumann_impedance_solve,
+                                          scattered_from_density)
+    curve = ObstacleCurve("circle", (0.0, -1.3), 0.5)
+    config = SceneConfig(
+        medium=MediumParams(1.0, 1.5), profile=bump_profile,
+        arc_radius=2.6, cell_size=0.25, receivers=ReceiverLine(2.0, 3.0, 5),
+        obstacle=ObstacleSpec(curve=curve, condition="impedance", lam=1.0,
+                              boundary_M=16))
+    solver = ForwardSolver(config)
+    rx = config.receivers.points()
+    src = SourceSpec("dipole", (0.3, 1.2), 2)
+    ev = solver.solve(src)
+    prebuilt = ev._correction
+
+    # the same solve with every source-independent product built per call
+    P, nu = solver.nodes.positions, solver.nodes.normals
+    h = _FD_STEP * curve.diameter()
+    bg, med, b2 = ev._background, solver.medium, solver.b2
+    inc = extend_stage2_many(bg, P, med, b2)
+    dinc = (extend_stage2_many(bg, P + h * nu, med, b2)
+            - extend_stage2_many(bg, P - h * nu, med, b2)) / (2.0 * h)
+    fresh = neumann_impedance_solve(solver.nodes, med, b2, inc, dinc,
+                                    lam=1.0, kernel_ctx=solver.kernel_ctx)
+    assert fresh.operator is not solver.neumann_operator
+    assert fresh.psi.tobytes() == prebuilt.psi.tobytes()
+    assert fresh.operator.entries.tobytes() \
+        == solver.neumann_operator.entries.tobytes()
+    direct = extend_stage2_many(bg, rx, med, b2, total=False) \
+        + scattered_from_density(fresh, rx)
+    assert direct.tobytes() == ev.scattered(rx).tobytes()
+    with pytest.raises(ConfigurationError):
+        neumann_impedance_solve(solver.nodes, med, b2, inc, dinc, lam=2.0,
+                                operator=solver.neumann_operator)

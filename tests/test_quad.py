@@ -1,5 +1,7 @@
 """Half-line quadrature engine against closed-form integrals."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from layered_scatter.errors import AccuracyError
 from layered_scatter.quad import (
     DecayClass,
+    _adaptive_batch,
     IntegrandSpec,
     fold_even_odd,
     fold_integrate_batch,
@@ -137,3 +140,28 @@ def test_gaussian_transform_property(a, d):
                                DecayClass.exponential(np.sqrt(a)), 1e-9)[0]
     exact = np.sqrt(np.pi / a) * np.exp(-d * d / (4.0 * a))
     assert abs(val - exact) < 1e-7
+
+
+def test_nonconverging_panel_exhausts_budget_quickly():
+    # a NaN integrand never meets the panel tolerance; every evaluated
+    # panel counts against the budget, so bisection stops there
+    calls = []
+
+    def nan_eval(xi):
+        calls.append(xi.size)
+        return np.full((1, xi.size), np.nan, dtype=complex)
+
+    budget = 40
+    with pytest.raises(AccuracyError):
+        _adaptive_batch(nan_eval, 0.0, 1.0,
+                        lambda t: (t, np.ones_like(t)), 1e-8, budget)
+    assert sum(calls) <= (1 + budget) * 15
+
+
+def test_nan_offset_raises_instead_of_hanging():
+    t0 = time.perf_counter()
+    with pytest.raises(AccuracyError):
+        fold_integrate_batch(lambda x: np.exp(-x * x), "even",
+                             np.array([0.3, np.nan]), (),
+                             DecayClass.exponential(1.0), 1e-8)
+    assert time.perf_counter() - t0 < 1.0
