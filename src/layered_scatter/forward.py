@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, GeometryError
+from .errors import ConfigurationError, GeometryError, SingularityError
 from .geometry import (
     ArcInterface,
     InterfaceProfile,
@@ -37,6 +37,7 @@ from .geometry import (
 )
 from .layered_green import MediumParams, PlanarGreen, SourceSpec
 from .ls_volume import (
+    _COINCIDENT,
     ExtensionRows,
     assemble_B1_operator,
     assemble_B2_operator,
@@ -163,6 +164,10 @@ class FieldEvaluator:
     def total(self, X) -> Union[complex, np.ndarray]:
         """Total field u = background + obstacle correction."""
         pts, single = self._as_points(X)
+        xs = self.source.position
+        if np.any(np.hypot(pts[:, 0] - xs[0], pts[:, 1] - xs[1])
+                  < _COINCIDENT):
+            raise SingularityError("total field requested at the source")
         s = self._solver
         if s.config.obstacle is not None \
                 and s.config.obstacle.condition == "penetrable":
@@ -286,6 +291,25 @@ class ForwardSolver:
             mesh_D = build_region_mesh("D_penetrable", self.scene,
                                        spec.cell_size, config.subsample)
             self.pen = PenetrableMedium(mesh_D, spec.n)
+        self._check_rule()
+
+    def _check_rule(self) -> None:
+        """Check the fixed xi-rules once against the adaptive integrals.
+
+        Every kernel block off the mesh grid pairs one of the solver's
+        off-grid point sets (receivers, boundary nodes and their shifts,
+        the penetrable mesh) with a mesh or another such set, so the check
+        takes its extreme pairs from that product (PlanarGreen.check_rule).
+        """
+        off = [ps.points for ps in self.point_sets.values()]
+        if self.kernel_ctx is not None:
+            off += [kernel.sources for kernel in self.kernel_ctx[1:3]]
+        if self.pen is not None:
+            off.append(self.pen.mesh.centers)
+        if off:
+            Y = np.concatenate(off)
+            self.green.check_rule(np.concatenate(
+                [self.mesh_B1.centers, self.mesh_B2.centers, Y]), Y)
 
     # -- source-independent products ----------------------------------------
     def _add_point_set(self, name: str, points: np.ndarray) -> None:
@@ -317,7 +341,19 @@ class ForwardSolver:
 
     # -- per-source solve ---------------------------------------------------
     def solve(self, source: SourceSpec) -> FieldEvaluator:
-        """Background stages plus obstacle correction for one source."""
+        """Background stages plus obstacle correction for one source.
+
+        The source's medium is read from the side of the flat line x2 = 0
+        it lies on, so a source between that line and the interface graph
+        (under a bump, or above a dip) or on the graph is rejected.
+        """
+        x1, x2 = source.position
+        f = float(self.config.profile(x1))
+        if x2 == f or (x2 > 0.0) != (x2 > f):
+            raise GeometryError(
+                "source (%g, %g) lies on or across the interface graph "
+                "(f = %g) from its side of the flat line x2 = 0"
+                % (x1, x2, f))
         spec = self.config.obstacle
         if spec is not None and spec.condition == "penetrable":
             sol = solve_penetrable(self.medium, self.pen, source, self.b2)

@@ -8,12 +8,19 @@ kernels are, writing d = x1 - xs1 and suppressing e^{i xi d}:
 monopole, both points upper   (i/4pi) (1/b1) (b1-b2)/(b1+b2) e^{i b1 (x2+xs2)}
 monopole, x lower / xs upper  (i/2pi) 1/(b1+b2) e^{i(b1 xs2 - b2 x2)}
 monopole, x upper / xs lower  (i/2pi) 1/(b1+b2) e^{i(b1 x2 - b2 xs2)}
-monopole, both points lower   (i/4pi) (1/b2) (b2-b1)/(b1+b2) e^{-i b1 (x2+xs2)}
+monopole, both points lower   (i/4pi) (1/b2) (b2-b1)/(b1+b2) e^{-i b2 (x2+xs2)}
 
 The horizontal dipole (direction 1) multiplies each kernel by xi and the
 prefactor by 1/i, making the integrand odd (a sine transform).  The
 vertical dipole (direction 2) differentiates the exponential instead,
 trading the 1/beta factor for a beta factor on the cross-side cases.
+
+Each kernel factors as a weight w(xi) times one height factor per point,
+F = e^{i b1 x2} above the interface and e^{-i b2 x2} below, so on one fixed
+xi-rule the cos/sin fold of e^{i xi d} turns a block of point pairs into
+two matrix products: (F_x cos xi x1) diag(w) (F_y cos xi y1)^T plus the same
+with sin (PlanarGreen.matrix).  The adaptive scattered_batch is the
+reference the rules are checked against.
 
 The total field adds the free-space term only when both points lie in the
 same half-plane; the cross-side "scattered" part *is* the transmitted
@@ -29,12 +36,16 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import GeometryError, SingularityError
-from .quad import DecayClass, fold_integrate_batch
+from .errors import AccuracyError, GeometryError, SingularityError
+from .quad import DecayClass, fixed_rule, fold_integrate_batch
 from .specfun import fundamental_solution, fundamental_solution_grad
 
 #: Minimal total vertical separation |x2| + |xs2| for cross-side kernels.
 H_MIN = 1e-6
+
+# Largest (points x nodes) factor block of a fixed-rule evaluation; longer
+# rules are applied in node chunks, which bounds the transient memory.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 def beta(xi, kappa: float):
@@ -104,8 +115,65 @@ class SourceSpec:
                                          self.direction)
 
 
-def _check_heights(x2: float, xs2: float):
-    if x2 == 0.0 or xs2 == 0.0:
+def _height_factor(b1, b2, h: np.ndarray) -> np.ndarray:
+    """Height factors e^{i b1 h} above the interface or e^{-i b2 h} below,
+    one row per height of h; all heights lie on one side."""
+    if h[0] > 0.0:
+        return np.exp(1j * np.multiply.outer(h, b1))
+    return np.exp(-1j * np.multiply.outer(h, b2))
+
+
+def _sides(P: np.ndarray):
+    """Index arrays of the points above and below the interface (empty
+    ones dropped)."""
+    up = P[:, 1] > 0.0
+    return [ix for ix in (np.nonzero(up)[0], np.nonzero(~up)[0]) if ix.size]
+
+
+@dataclass(frozen=True)
+class _FixedRule:
+    """Nodes of one block's rule, the vertical wavenumbers there, and the
+    weights with the kernel weight and prefactor folded in."""
+
+    xi: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+    weights: np.ndarray
+    parity: str
+
+
+def _apply_rule(rule: _FixedRule, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(F_x cos xi x1) diag(w k) (F_y cos xi y1)^T plus the sine term (for
+    an even kernel), or the sin/cos cross terms (odd), where F is the
+    height factor; all points of X share a side, as do those of Y.
+
+    The factors are evaluated at the distinct heights and abscissae only,
+    which on a mesh are far fewer than the points."""
+    out = np.zeros((len(X), len(Y)), dtype=complex)
+    step = max(1, _CHUNK_ELEMENTS // max(len(X), len(Y)))
+    distinct = [[np.unique(P[:, k], return_inverse=True) for k in (0, 1)]
+                for P in (X, Y)]
+
+    def fold(sl, x1, x2):
+        F = _height_factor(rule.b1[sl], rule.b2[sl], x2[0])[x2[1]]
+        phase = np.multiply.outer(x1[0], rule.xi[sl])
+        return F * np.cos(phase)[x1[1]], F * np.sin(phase)[x1[1]]
+
+    for q in range(0, len(rule.xi), step):
+        sl = slice(q, q + step)
+        xc, xs = fold(sl, *distinct[0])
+        yc, ys = fold(sl, *distinct[1])
+        yc *= rule.weights[sl]
+        ys *= rule.weights[sl]
+        if rule.parity == "even":
+            out += xc @ yc.T + xs @ ys.T
+        else:
+            out += xs @ yc.T - xc @ ys.T
+    return out
+
+
+def _check_heights(x2, xs2):
+    if np.any(np.asarray(x2) == 0.0) or np.any(np.asarray(xs2) == 0.0):
         raise GeometryError(
             "evaluation exactly on the flat interface is not defined; "
             "offset the point by at least %g" % H_MIN)
@@ -129,74 +197,61 @@ class PlanarGreen:
     def _case(self, x2: float, xs2: float) -> str:
         return ("u" if x2 > 0.0 else "l") + ("u" if xs2 > 0.0 else "l")
 
+    def _weight(self, kind: str, ell: int, case: str):
+        """(weight(b1, b2, xi), prefactor, parity, tail power) of one side
+        case.  The kernel of a height pair is the weight times the height
+        factor of each point (see _height_factor)."""
+        if case == "uu":
+            def mono(b1, b2):
+                return (b1 - b2) / (b1 * (b1 + b2))
+            pref, power = 0.25j / np.pi, 3.0
+        elif case == "ll":
+            def mono(b1, b2):
+                return (b2 - b1) / (b2 * (b1 + b2))
+            pref, power = 0.25j / np.pi, 3.0
+        else:
+            def mono(b1, b2):
+                return 1.0 / (b1 + b2)
+            pref, power = 0.5j / np.pi, 1.0
+
+        if kind == "monopole":
+            return (lambda b1, b2, xi: mono(b1, b2)), pref, "even", power
+        if ell == 1:
+            return (lambda b1, b2, xi: mono(b1, b2) * xi), pref * 1j, \
+                "odd", power - 1.0
+        # vertical dipole: differentiate the source's height factor and negate
+        if case[1] == "u":
+            return (lambda b1, b2, xi: -1j * b1 * mono(b1, b2)), pref, \
+                "even", power - 1.0
+        return (lambda b1, b2, xi: 1j * b2 * mono(b1, b2)), pref, \
+            "even", power - 1.0
+
     def _kernel(self, kind: str, ell: int, x2: float, xs2: float):
         """(kernel(xi), prefactor, parity, decay) for one height pair."""
         k1, k2 = self.medium.kappa1, self.medium.kappa2
         case = self._case(x2, xs2)
-        s = x2 + xs2
+        rate = abs(x2) + abs(xs2)
+        if case[0] != case[1] and rate < H_MIN:
+            raise GeometryError(
+                "cross-interface evaluation needs |x2| + |xs2| >= %g" % H_MIN)
+        weight, pref, parity, power = self._weight(kind, ell, case)
 
-        if case == "uu":
-            def base(xi):
-                b1, b2 = beta(xi, k1), beta(xi, k2)
-                return (b1 - b2) / (b1 * (b1 + b2)) * np.exp(1j * b1 * s)
-            pref, rate, power = 0.25j / np.pi, s, 3.0
-        elif case == "ll":
-            def base(xi):
-                b1, b2 = beta(xi, k1), beta(xi, k2)
-                return (b2 - b1) / (b2 * (b1 + b2)) * np.exp(-1j * b2 * s)
-            pref, rate, power = 0.25j / np.pi, -s, 3.0
-        else:
-            if case == "lu":
-                phase = lambda b1, b2: np.exp(1j * (b1 * xs2 - b2 * x2))
-            else:
-                phase = lambda b1, b2: np.exp(1j * (b1 * x2 - b2 * xs2))
-
-            def base(xi):
-                b1, b2 = beta(xi, k1), beta(xi, k2)
-                return phase(b1, b2) / (b1 + b2)
-            pref, rate, power = 0.5j / np.pi, abs(x2) + abs(xs2), 1.0
-            if rate < H_MIN:
-                raise GeometryError(
-                    "cross-interface evaluation needs |x2| + |xs2| >= %g"
-                    % H_MIN)
-
-        if kind == "monopole":
-            return base, pref, "even", DecayClass(rate=rate, power=power)
-
-        if ell == 1:
-            def kern(xi):
-                return base(xi) * xi
-            return kern, pref * 1j, "odd", \
-                DecayClass(rate=rate, power=power - 1.0)
-
-        # vertical dipole: differentiate the exponential in xs2 and negate
-        if case == "uu":
-            def kern(xi):
-                b1, b2 = beta(xi, k1), beta(xi, k2)
-                return -1j * (b1 - b2) / (b1 + b2) * np.exp(1j * b1 * s)
-            dec = DecayClass(rate=rate, power=2.0)
-        elif case == "ll":
-            def kern(xi):
-                b1, b2 = beta(xi, k1), beta(xi, k2)
-                return 1j * (b2 - b1) / (b1 + b2) * np.exp(-1j * b2 * s)
-            dec = DecayClass(rate=rate, power=2.0)
-        elif case == "lu":
-            def kern(xi):
-                b1, b2 = beta(xi, k1), beta(xi, k2)
-                return -1j * b1 * phase(b1, b2) / (b1 + b2)
-            dec = DecayClass(rate=rate, power=0.0)
-        else:
-            def kern(xi):
-                b1, b2 = beta(xi, k1), beta(xi, k2)
-                return 1j * b2 * phase(b1, b2) / (b1 + b2)
-            dec = DecayClass(rate=rate, power=0.0)
-        return kern, pref, "even", dec
+        def kern(xi):
+            b1, b2 = beta(xi, k1), beta(xi, k2)
+            # the two height factors e^{i b1 h} (above), e^{-i b2 h} (below)
+            bx = b1 if case[0] == "u" else -b2
+            bs = b1 if case[1] == "u" else -b2
+            return weight(b1, b2, xi) * np.exp(1j * (bx * x2 + bs * xs2))
+        return kern, pref, parity, DecayClass(rate=rate, power=power)
 
     # -- batched evaluation -------------------------------------------------
     def scattered_batch(self, kind: str, ell: int, x2: float, xs2: float,
                         offsets: np.ndarray) -> np.ndarray:
         """Scattered/transmitted values at heights (x2, xs2) for each
-        horizontal offset d = x1 - xs1 in offsets."""
+        horizontal offset d = x1 - xs1 in offsets, by adaptive quadrature.
+
+        This is the reference the fixed rules of matrix() are checked
+        against; the grid x grid operator assembly also uses it."""
         _check_heights(x2, xs2)
         offsets = np.asarray(offsets, dtype=float)
         key = (kind, ell, x2, xs2, offsets.tobytes())
@@ -210,6 +265,85 @@ class PlanarGreen:
                                            self.tol / abs(pref))
         self._cache[key] = vals
         return vals.copy()
+
+    # -- fixed-rule evaluation ------------------------------------------------
+    def matrix(self, kind: str, ell: int, X: np.ndarray,
+               Y: np.ndarray) -> np.ndarray:
+        """Scattered/transmitted values at every pair (x_i, y_j).
+
+        Each side pair (x above or below, y above or below) is one block
+        on its own fixed xi-rule, evaluated as two matrix products.  The
+        rule depends on the block's extreme heights and offsets, so an
+        entry's last bits depend on the other points of X and Y; the same
+        X and Y always give the same bytes."""
+        X = np.asarray(X, float).reshape(-1, 2)
+        Y = np.asarray(Y, float).reshape(-1, 2)
+        _check_heights(X[:, 1], Y[:, 1])
+        out = np.empty((len(X), len(Y)), dtype=complex)
+        for ix in _sides(X):
+            for iy in _sides(Y):
+                Xb, Yb = X[ix], Y[iy]
+                out[np.ix_(ix, iy)] = _apply_rule(
+                    self._rule(kind, ell, Xb, Yb), Xb, Yb)
+        return out
+
+    def _rule(self, kind: str, ell: int, X: np.ndarray, Y: np.ndarray):
+        """Fixed rule of one side-pair block, with the kernel weights and
+        the prefactor folded into the quadrature weights.
+
+        The tail comes from the pair with the smallest height sum (the
+        slowest decay); the panel width from the largest horizontal offset
+        plus the largest height sum."""
+        ax, ay = np.abs(X[:, 1]), np.abs(Y[:, 1])
+        hx, hy = X[np.argmin(ax), 1], Y[np.argmin(ay), 1]
+        kern, pref, parity, decay = self._kernel(kind, ell, hx, hy)
+        weight = self._weight(kind, ell, self._case(hx, hy))[0]
+        rate = max(X[:, 0].max() - Y[:, 0].min(),
+                   Y[:, 0].max() - X[:, 0].min()) + ax.max() + ay.max()
+        k1, k2 = self.medium.kappa1, self.medium.kappa2
+        xi, w = fixed_rule(lambda xi: np.abs(kern(xi)), (k1, k2), decay,
+                           rate, self.tol / abs(pref))
+        b1, b2 = beta(xi, k1), beta(xi, k2)
+        wk = (2.0 if parity == "even" else 2.0j) * pref * w \
+            * weight(b1, b2, xi)
+        return _FixedRule(xi=xi, b1=b1, b2=b2, weights=wk, parity=parity)
+
+    def check_rule(self, X: np.ndarray, Y: np.ndarray) -> None:
+        """Compare the fixed rules with the adaptive integrals at the
+        extreme pairs of X x Y, for the monopole and both dipoles: the pair
+        with the smallest height sum |x2| + |y2| (the slowest decay), and
+        the pair of the same two heights with the largest offset |x1 - y1|
+        (the fastest oscillation at that decay).
+
+        Both are evaluated on the rule of their side-pair block of X x Y.
+        Raises AccuracyError when a value differs by more than tol.
+        """
+        X = np.asarray(X, float).reshape(-1, 2)
+        Y = np.asarray(Y, float).reshape(-1, 2)
+        if not (len(X) and len(Y)):
+            return
+        hsum = np.abs(X[:, 1])[:, None] + np.abs(Y[:, 1])[None, :]
+        i, j = np.unravel_index(np.argmin(hsum), hsum.shape)
+        x2, y2 = X[i, 1], Y[j, 1]
+        x1s, y1s = X[X[:, 1] == x2, 0], Y[Y[:, 1] == y2, 0]
+        dist = np.abs(x1s[:, None] - y1s[None, :])
+        k, m = np.unravel_index(np.argmax(dist), dist.shape)
+        offsets = np.array([X[i, 0] - Y[j, 0], x1s[k] - y1s[m]])
+        Xb = X[(X[:, 1] > 0.0) == (x2 > 0.0)]
+        Yb = Y[(Y[:, 1] > 0.0) == (y2 > 0.0)]
+        for kind, ell in (("monopole", 0), ("dipole", 1), ("dipole", 2)):
+            got = _apply_rule(self._rule(kind, ell, Xb, Yb),
+                              np.column_stack([offsets, [x2, x2]]),
+                              np.array([[0.0, y2]]))[:, 0]
+            ref = self.scattered_batch(kind, ell, float(x2), float(y2),
+                                       offsets)
+            err = float(np.max(np.abs(got - ref)))
+            if err > self.tol:
+                raise AccuracyError(
+                    "fixed xi-rule differs from the adaptive integral by "
+                    "%.3e at heights (%g, %g), offsets %s (%s %d)"
+                    % (err, x2, y2, offsets, kind, ell),
+                    value=got, estimate=err)
 
     # -- scalar evaluation --------------------------------------------------
     def scattered(self, x, xs) -> complex:

@@ -21,10 +21,13 @@ Kernel matrices store this cell average at coincident point pairs, which
 makes the discrete extension formulas exactly consistent with the solved
 values at cell centers.
 
-Assembly cost is kept near O(n) Fourier integrals (not O(n^2)): the
-flat-interface kernel depends only on the two heights and the horizontal
-offset, and on a uniform grid the height pairs collapse to a small set of
-unique values, each integrated against a batch of offsets at once.
+The flat-interface kernel depends only on the two heights and the
+horizontal offset.  The grid x grid operator assembly integrates it
+adaptively: on a uniform grid the height pairs collapse to a small set of
+unique values, each integrated against a batch of offsets at once.  Every
+other kernel matrix or source column pairs a mesh or off-grid point set
+with points of arbitrary height and runs on fixed xi-rules
+(PlanarGreen.matrix), as matrix products.
 """
 
 from __future__ import annotations
@@ -70,11 +73,21 @@ def cell_self_weight(kappa: float, w: float) -> complex:
 # ---------------------------------------------------------------------------
 def planar_scattered_matrix(green: PlanarGreen, X: np.ndarray,
                             Y: np.ndarray) -> np.ndarray:
-    """Matrix of scattered/transmitted flat-interface values G^s(x_i, y_j).
+    """Matrix of scattered/transmitted flat-interface values G^s(x_i, y_j),
+    on one fixed xi-rule per side pair (PlanarGreen.matrix)."""
+    return green.matrix("monopole", 0, X, Y)
 
-    Same-side pairs share a kernel whenever x2 + y2 matches; cross-side
-    pairs whenever the height pair matches.  Each kernel is integrated once
-    against all horizontal offsets that occur with it.
+
+def _grid_scattered_matrix(green: PlanarGreen, X: np.ndarray,
+                           Y: np.ndarray) -> np.ndarray:
+    """planar_scattered_matrix for two mesh grids, by adaptive quadrature.
+
+    On a uniform grid the height pairs collapse to a few unique values:
+    same-side pairs share a kernel whenever x2 + y2 matches, cross-side
+    pairs whenever the height pair matches, and each kernel is integrated
+    once against all horizontal offsets that occur with it.  The smallest
+    grid height sums need long tails, which a fixed rule would pay for at
+    every pair.
     """
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
@@ -108,6 +121,32 @@ def planar_scattered_matrix(green: PlanarGreen, X: np.ndarray,
     return out
 
 
+def _add_free_space(out: np.ndarray, medium: MediumParams, X: np.ndarray,
+                    Y: np.ndarray, y_weights: Optional[np.ndarray],
+                    x_weights: Optional[np.ndarray]) -> np.ndarray:
+    """Add the free-space part on same-side pairs of a scattered matrix,
+    cell-averaged at coincident pairs (see planar_green_matrix)."""
+    dx = X[:, 0][:, None] - Y[None, :, 0]
+    dy = X[:, 1][:, None] - Y[None, :, 1]
+    r = np.hypot(dx, dy)
+    same = (X[:, 1] > 0.0)[:, None] == (Y[:, 1] > 0.0)[None, :]
+    coin = r < _COINCIDENT
+    for side, kappa in ((True, medium.kappa1), (False, medium.kappa2)):
+        m = same & ((Y[:, 1] > 0.0)[None, :] == side) & ~coin
+        if np.any(m):
+            out[m] += phi_matrix(kappa, r[m])
+    if np.any(coin):
+        if y_weights is None and x_weights is None:
+            raise SingularityError(
+                "coincident kernel points need cell weights for averaging")
+        ci, cj = np.nonzero(coin)
+        for i, j in zip(ci, cj):
+            kappa = medium.kappa_at(Y[j, 1])
+            w = y_weights[j] if y_weights is not None else x_weights[i]
+            out[i, j] += cell_self_weight(kappa, w) / w
+    return out
+
+
 def planar_green_matrix(green: PlanarGreen, X: np.ndarray, Y: np.ndarray,
                         y_weights: Optional[np.ndarray] = None,
                         x_weights: Optional[np.ndarray] = None) -> np.ndarray:
@@ -121,27 +160,15 @@ def planar_green_matrix(green: PlanarGreen, X: np.ndarray, Y: np.ndarray,
     """
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
-    med = green.medium
-    out = planar_scattered_matrix(green, X, Y)
-    dx = X[:, 0][:, None] - Y[None, :, 0]
-    dy = X[:, 1][:, None] - Y[None, :, 1]
-    r = np.hypot(dx, dy)
-    same = (X[:, 1] > 0.0)[:, None] == (Y[:, 1] > 0.0)[None, :]
-    coin = r < _COINCIDENT
-    for side, kappa in ((True, med.kappa1), (False, med.kappa2)):
-        m = same & ((Y[:, 1] > 0.0)[None, :] == side) & ~coin
-        if np.any(m):
-            out[m] += phi_matrix(kappa, r[m])
-    if np.any(coin):
-        if y_weights is None and x_weights is None:
-            raise SingularityError(
-                "coincident kernel points need cell weights for averaging")
-        ci, cj = np.nonzero(coin)
-        for i, j in zip(ci, cj):
-            kappa = med.kappa_at(Y[j, 1])
-            w = y_weights[j] if y_weights is not None else x_weights[i]
-            out[i, j] += cell_self_weight(kappa, w) / w
-    return out
+    return _add_free_space(planar_scattered_matrix(green, X, Y), green.medium,
+                           X, Y, y_weights, x_weights)
+
+
+def _grid_green_matrix(green: PlanarGreen, X: np.ndarray, Y: np.ndarray,
+                       y_weights: np.ndarray) -> np.ndarray:
+    """planar_green_matrix between two mesh grids (operator assembly)."""
+    return _add_free_space(_grid_scattered_matrix(green, X, Y), green.medium,
+                           X, Y, y_weights, None)
 
 
 def planar_field_column(green: PlanarGreen, source: SourceSpec,
@@ -155,15 +182,9 @@ def planar_field_column(green: PlanarGreen, source: SourceSpec,
     """
     X = np.asarray(X, float)
     xs = source.position
-    out = np.empty(len(X), dtype=complex)
-    x2 = np.round(X[:, 1], _ROUND)
-    d = np.round(X[:, 0] - xs[0], _ROUND)
     kind = source.kind
-    ell = source.direction
-    for lvl in np.unique(x2):
-        sel = x2 == lvl
-        du, inv = np.unique(d[sel], return_inverse=True)
-        out[sel] = green.scattered_batch(kind, ell, lvl, xs[1], du)[inv]
+    out = green.matrix(kind, source.direction, X,
+                       np.array([xs], float))[:, 0]
 
     if not total:
         return out
@@ -228,13 +249,14 @@ class DenseOperator:
             sol = scipy.linalg.lu_solve(self._lu, rhs)
         scale = float(np.max(np.abs(rhs)))
         if scale > 0.0:
-            self.last_residual = float(
-                np.max(np.abs(self.entries @ sol - rhs))) / scale
-            if self.last_residual > 1e-8:
+            # checked through a local: a concurrent solve may overwrite the
+            # informational last_residual between the write and the test
+            residual = float(np.max(np.abs(self.entries @ sol - rhs))) / scale
+            self.last_residual = residual
+            if residual > 1e-8:
                 raise AccuracyError(
-                    "linear solve residual %.3e exceeds contract"
-                    % self.last_residual, value=sol,
-                    estimate=self.last_residual)
+                    "linear solve residual %.3e exceeds contract" % residual,
+                    value=sol, estimate=residual)
         return sol
 
 
@@ -274,7 +296,8 @@ def assemble_B1_operator(mesh_B1: RegionMesh, medium: MediumParams,
     if medium.eta == 0.0:
         op = DenseOperator(np.eye(mesh_B1.n, dtype=complex))
     else:
-        kernel = planar_green_matrix(green, mesh_B1.centers, mesh_B1.centers, w)
+        kernel = _grid_green_matrix(green, mesh_B1.centers, mesh_B1.centers,
+                                    w)
         op = DenseOperator(np.eye(mesh_B1.n, dtype=complex)
                            + medium.eta * kernel * w[None, :])
     op.mesh = mesh_B1
@@ -393,8 +416,8 @@ def assemble_B2_operator(mesh_B2: RegionMesh, medium: MediumParams,
     else:
         # G12[i, k] = G(c_i^B2, c_k^B1; flat), averaged over the B1 cell at
         # coincident pairs; its transpose is the stage-1 right-hand sides.
-        G12 = planar_green_matrix(green, mesh_B2.centers, mesh_B1.centers, w1)
-        G22 = planar_green_matrix(green, mesh_B2.centers, mesh_B2.centers, w2)
+        G12 = _grid_green_matrix(green, mesh_B2.centers, mesh_B1.centers, w1)
+        G22 = _grid_green_matrix(green, mesh_B2.centers, mesh_B2.centers, w2)
         columns = stage1_operator.solve(np.ascontiguousarray(G12.T))
         GR = G22 - medium.eta * (G12 * w1[None, :]) @ columns
         op = DenseOperator(np.eye(mesh_B2.n, dtype=complex)

@@ -9,6 +9,11 @@ truncated where the declared decay envelope drops below the tolerance.
 A batch mode integrates k(xi) * trig(xi * d) for many offsets d at once
 against a shared panel set; the adaptive refinement is driven by the worst
 offset, so every returned value meets the tolerance.
+
+fixed_rule builds one non-adaptive Gauss rule on the same segments and
+maps for a whole family of integrands, from its slowest decay and fastest
+phase; callers apply it as matrix products and check it against the
+adaptive engine.
 """
 
 from __future__ import annotations
@@ -24,6 +29,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 _MAX_PANELS = 4000
 _TAIL_START_FACTOR = 1.5  # resolve the propagating band before truncating
+
+# Fixed rules: 20-point Gauss panels, each spanning at most _RULE_PHASE
+# radians of the fastest phase, and no more nodes than _MAX_RULE_NODES.
+_RULE_GL_NODES, _RULE_GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_RULE_PHASE = 16.0
+_MAX_RULE_NODES = 200000
 
 
 @dataclass(frozen=True)
@@ -245,6 +256,50 @@ def _integrate_batch(batch_eval, breakpoints, decay, tol):
         total = total + vals
         err += seg_err
     return total, err
+
+
+def fixed_rule(kernel_abs_at: Callable[[np.ndarray], np.ndarray],
+               breakpoints: Sequence[float], decay: DecayClass,
+               rate: float, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of one fixed Gauss rule on [0, X] for a family of
+    integrands k(xi) * g(xi) with |g| <= 1.
+
+    X is where the tail bound of k (the family's slowest-decaying member,
+    with its decay class) drops below a tenth of the tolerance: a fixed
+    rule carries no error estimate, so its truncation stays an order below
+    what the adaptive engine allows itself.  The segments and their
+    sin/cosh branch-point maps are those of the adaptive engine; each
+    segment is cut into equal panels so that no panel spans more than
+    _RULE_PHASE radians of a factor e^{i rate xi}, where rate bounds the
+    xi-derivative of every phase in g (largest horizontal offset plus
+    largest height sum).  A mapped segment scales that bound by its
+    largest |dxi/dt|, which also bounds the t-derivative of the vertical
+    wavenumbers there.  A rule of more than _MAX_RULE_NODES nodes raises
+    AccuracyError before any node is built.
+    """
+    bps = tuple(sorted(set(float(b) for b in breakpoints if b > 0.0)))
+    tail_end, _ = _tail_cutoff(kernel_abs_at, decay, bps, 0.1 * tol)
+    plan = []
+    for seg in _segments(bps, tail_end):
+        t_lo, t_hi, transform = _map_segment(seg)
+        if t_hi <= t_lo:
+            continue
+        mapping = seg[2]
+        speed = 1.0 if mapping is None else \
+            mapping[1] * (np.cosh(t_hi) if mapping[0] == "cosh" else 1.0)
+        panels = max(1, int(np.ceil(speed * rate * (t_hi - t_lo)
+                                    / _RULE_PHASE)))
+        plan.append((t_lo, 0.5 * (t_hi - t_lo) / panels, panels, transform))
+    if len(_RULE_GL_NODES) * sum(p[2] for p in plan) > _MAX_RULE_NODES:
+        raise AccuracyError("fixed rule for this block needs more than %d "
+                            "nodes" % _MAX_RULE_NODES)
+    nodes, weights = [], []
+    for t_lo, half, panels, transform in plan:
+        mids = t_lo + half * (2.0 * np.arange(panels) + 1.0)
+        xi, jac = transform((mids[:, None] + half * _RULE_GL_NODES).ravel())
+        nodes.append(xi)
+        weights.append(half * np.tile(_RULE_GL_WEIGHTS, panels) * jac)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def integrate_halfline(spec: IntegrandSpec, tol: float) -> complex:

@@ -35,6 +35,13 @@ def green(medium):
 
 
 @pytest.fixture(scope="session")
+def reference(medium):
+    """Adaptive flat-interface kernels at the tightest tolerance, the
+    reference for the fixed xi-rules."""
+    return PlanarGreen(medium, tol=1e-12)
+
+
+@pytest.fixture(scope="session")
 def flat_scene():
     """Flat interface, arc radius 1, no obstacle."""
     return SceneGeometry(InterfaceProfile(()), ArcInterface(1.0))

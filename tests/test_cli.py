@@ -9,6 +9,7 @@ import pytest
 from layered_scatter.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     load_config,
     main,
@@ -173,6 +174,28 @@ def test_forward_deterministic_across_threads(config_path, tmp_path, capsys):
     assert main(["forward", path, "--output", a, "--threads", "1"]) == EXIT_OK
     assert main(["forward", path, "--output", b, "--threads", "4"]) == EXIT_OK
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_forward_source_under_the_bump_exits_2(config_path, capsys):
+    doc = dict(BASE)
+    doc["sources"] = [{"kind": "monopole", "position": [0.0, 0.1]}]
+    rc = main(["forward", config_path(doc), "--output", "/dev/null"])
+    assert rc == EXIT_CONFIG
+    assert "interface graph" in capsys.readouterr().err
+
+
+def test_forward_inaccurate_rule_exits_3(config_path, capsys, monkeypatch):
+    import layered_scatter.layered_green as layered_green
+    orig = layered_green.fixed_rule
+
+    def truncated(*args, **kwargs):
+        xi, w = orig(*args, **kwargs)
+        keep = xi < 0.5 * xi.max()
+        return xi[keep], w[keep]
+
+    monkeypatch.setattr(layered_green, "fixed_rule", truncated)
+    rc = main(["forward", config_path(BASE), "--output", "/dev/null"])
+    assert rc == EXIT_NUMERICAL
 
 
 def test_forward_requires_sources(config_path, capsys):

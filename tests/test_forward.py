@@ -303,3 +303,62 @@ def test_lazy_products_built_once_under_thread_contention(bump_config,
     assert len(builds) == 1
     assert len({v.tobytes() for v in values}) == 1
     assert set(solver.point_sets["receivers"].built) == {"extension"}
+
+
+def test_kernel_cache_does_not_grow_per_source(bump_config):
+    # per-source columns run on fixed rules; only the grid x grid assembly
+    # and the solver's rule check reach the adaptive cache
+    solver = ForwardSolver(bump_config)
+    rx = bump_config.receivers.points()
+    size = len(solver.green._cache)
+    rng = np.random.default_rng(11)
+    for k in range(20):
+        pos = (rng.uniform(-1.8, 1.8), rng.uniform(0.5, 1.5))
+        src = SourceSpec("monopole", pos) if k % 3 == 0 \
+            else SourceSpec("dipole", pos, 1 + k % 2)
+        solver.solve(src).scattered(rx)
+    assert len(solver.green._cache) == size
+
+
+@pytest.mark.parametrize("position", [(0.0, 0.1), (0.2, 0.28), (0.0, 0.3)])
+def test_source_under_or_on_the_bump_rejected(bump_config, position):
+    solver = ForwardSolver(bump_config)
+    with pytest.raises(GeometryError):
+        solver.solve(SourceSpec("monopole", position))
+    # just above the graph is fine
+    solver.solve(SourceSpec("monopole", (position[0], 0.31)))
+
+
+def test_source_above_a_dip_rejected():
+    config = SceneConfig(medium=MediumParams(1.0, 1.5),
+                         profile=InterfaceProfile(((0.0, 1.0, -0.3),)),
+                         arc_radius=2.6, cell_size=0.25)
+    solver = ForwardSolver(config)
+    with pytest.raises(GeometryError):
+        solver.solve(SourceSpec("dipole", (0.0, -0.1), 2))
+
+
+def test_total_at_the_source_is_a_singularity(flat_solver):
+    from layered_scatter.errors import SingularityError
+    ev = flat_solver.solve(SRC)
+    with pytest.raises(SingularityError, match="at the source"):
+        ev.total(SRC.position)
+    with pytest.raises(SingularityError, match="at the source"):
+        ev.total(np.array([[0.0, 2.0], list(SRC.position)]))
+    assert np.isfinite(ev.scattered(SRC.position))
+
+
+def test_truncated_rule_tail_fails_the_solver_check(bump_config,
+                                                    monkeypatch):
+    import layered_scatter.layered_green as layered_green
+    from layered_scatter.errors import AccuracyError
+    orig = layered_green.fixed_rule
+
+    def truncated(*args, **kwargs):
+        xi, w = orig(*args, **kwargs)
+        keep = xi < 0.5 * xi.max()
+        return xi[keep], w[keep]
+
+    monkeypatch.setattr(layered_green, "fixed_rule", truncated)
+    with pytest.raises(AccuracyError, match="fixed xi-rule"):
+        ForwardSolver(bump_config)

@@ -191,3 +191,61 @@ def test_beta_branch_property(xi, kappa):
     b = beta(np.array([xi]), kappa)[0]
     assert b.real >= 0.0 and b.imag >= 0.0
     assert abs(b * b - (kappa * kappa - xi * xi)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Fixed xi-rules (PlanarGreen.matrix) against a 1e-12 adaptive reference
+# ---------------------------------------------------------------------------
+KINDS = (("monopole", 0), ("dipole", 1), ("dipole", 2))
+
+
+@pytest.mark.parametrize("kind,ell", KINDS)
+def test_rule_matches_reference_all_side_cases(medium, reference, kind, ell):
+    # heights of the shipped scenes: the lowest mesh rows (+-0.1), the
+    # receiver line (2.0), sources (0.5-1.5) and obstacle nodes (-0.8 to
+    # -1.8); offsets reach 5.5, receiver end to mesh edge
+    X = np.array([(x1, x2) for x1 in (-3.0, 0.4, 3.0)
+                  for x2 in (0.1, 2.0, -0.1, -1.8)])
+    Y = np.array([(y1, y2) for y1 in (-2.5, 0.0, 2.5)
+                  for y2 in (0.5, 1.5, -0.8, -1.8)])
+    green = PlanarGreen(medium, 1e-8)
+    got = green.matrix(kind, ell, X, Y)
+    cases = set()
+    for i, x in enumerate(X):
+        for j, y in enumerate(Y):
+            ref = reference.scattered_batch(kind, ell, x[1], y[1],
+                                            np.array([x[0] - y[0]]))[0]
+            assert abs(got[i, j] - ref) <= green.tol
+            cases.add((x[1] > 0.0, y[1] > 0.0))
+    assert len(cases) == 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(x2=st.floats(0.05, 3.0), y2=st.floats(0.05, 3.0),
+       sx=st.sampled_from((1.0, -1.0)), sy=st.sampled_from((1.0, -1.0)),
+       d=st.floats(-6.0, 6.0), k=st.sampled_from(KINDS))
+def test_rule_property_random_heights_and_offsets(medium, reference, x2, y2,
+                                                  sx, sy, d, k):
+    green = PlanarGreen(medium, 1e-8)
+    X = np.array([[d, sx * x2], [0.5 * d, sx * (x2 + 0.3)]])
+    Y = np.array([[0.0, sy * y2]])
+    got = green.matrix(k[0], k[1], X, Y)[:, 0]
+    for x, g in zip(X, got):
+        ref = reference.scattered_batch(k[0], k[1], x[1], Y[0, 1],
+                                        np.array([x[0]]))[0]
+        assert abs(g - ref) <= green.tol
+
+
+def test_rule_rejects_points_on_the_interface(green):
+    with pytest.raises(GeometryError):
+        green.matrix("monopole", 0, np.array([[0.3, 0.0]]),
+                     np.array([[0.0, 1.0]]))
+
+
+def test_rule_node_budget_raises_quickly(green):
+    from layered_scatter.errors import AccuracyError
+    t0 = time.perf_counter()
+    with pytest.raises(AccuracyError, match="nodes"):
+        green.matrix("monopole", 0, np.array([[-5000.0, 1e-3]]),
+                     np.array([[5000.0, 1e-3]]))
+    assert time.perf_counter() - t0 < 1.0
