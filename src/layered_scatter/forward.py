@@ -296,11 +296,16 @@ class ForwardSolver:
     def _check_rule(self) -> None:
         """Check the fixed xi-rules once against the adaptive integrals.
 
-        Every kernel block off the mesh grid pairs one of the solver's
-        off-grid point sets (receivers, boundary nodes and their shifts,
-        the penetrable mesh) with a mesh or another such set, so the check
-        takes its extreme pairs from that product (PlanarGreen.check_rule).
+        Every kernel block pairs the B1/B2 meshes with themselves (the
+        operator assembly and, at the lowest mesh rows, the smallest height
+        sums a source column meets) or one of the solver's off-grid point
+        sets (receivers, boundary nodes and their shifts, the penetrable
+        mesh) with a mesh or another such set.  Each side-pair block of
+        those three products is checked at its extreme pairs
+        (PlanarGreen.check_rule).
         """
+        mesh = np.concatenate([self.mesh_B1.centers, self.mesh_B2.centers])
+        self.green.check_rule(mesh, mesh)
         off = [ps.points for ps in self.point_sets.values()]
         if self.kernel_ctx is not None:
             off += [kernel.sources for kernel in self.kernel_ctx[1:3]]
@@ -308,8 +313,8 @@ class ForwardSolver:
             off.append(self.pen.mesh.centers)
         if off:
             Y = np.concatenate(off)
-            self.green.check_rule(np.concatenate(
-                [self.mesh_B1.centers, self.mesh_B2.centers, Y]), Y)
+            self.green.check_rule(Y, mesh)
+            self.green.check_rule(Y, Y)
 
     # -- source-independent products ----------------------------------------
     def _add_point_set(self, name: str, points: np.ndarray) -> None:

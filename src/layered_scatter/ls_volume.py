@@ -22,11 +22,8 @@ makes the discrete extension formulas exactly consistent with the solved
 values at cell centers.
 
 The flat-interface kernel depends only on the two heights and the
-horizontal offset.  The grid x grid operator assembly integrates it
-adaptively: on a uniform grid the height pairs collapse to a small set of
-unique values, each integrated against a batch of offsets at once.  Every
-other kernel matrix or source column pairs a mesh or off-grid point set
-with points of arbitrary height and runs on fixed xi-rules
+horizontal offset.  Every kernel matrix and source column, the grid x grid
+operator assembly included, runs on one fixed xi-rule per side pair
 (PlanarGreen.matrix), as matrix products.
 """
 
@@ -45,7 +42,6 @@ from .layered_green import MediumParams, PlanarGreen, SourceSpec
 from .specfun import EULER_GAMMA, phi_matrix
 
 _COINCIDENT = 1e-12
-_ROUND = 9  # decimals for collapsing grid coordinates to unique values
 
 
 # ---------------------------------------------------------------------------
@@ -78,75 +74,6 @@ def planar_scattered_matrix(green: PlanarGreen, X: np.ndarray,
     return green.matrix("monopole", 0, X, Y)
 
 
-def _grid_scattered_matrix(green: PlanarGreen, X: np.ndarray,
-                           Y: np.ndarray) -> np.ndarray:
-    """planar_scattered_matrix for two mesh grids, by adaptive quadrature.
-
-    On a uniform grid the height pairs collapse to a few unique values:
-    same-side pairs share a kernel whenever x2 + y2 matches, cross-side
-    pairs whenever the height pair matches, and each kernel is integrated
-    once against all horizontal offsets that occur with it.  The smallest
-    grid height sums need long tails, which a fixed rule would pay for at
-    every pair.
-    """
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
-    out = np.empty((len(X), len(Y)), dtype=complex)
-    x2 = np.round(X[:, 1], _ROUND)
-    y2 = np.round(Y[:, 1], _ROUND)
-    d = np.abs(np.round(X[:, 0][:, None] - Y[None, :, 0], _ROUND))
-    same = (x2 > 0.0)[:, None] == (y2 > 0.0)[None, :]
-
-    ii, jj = np.nonzero(same)
-    if ii.size:
-        s = x2[ii] + y2[jj]
-        for s_val in np.unique(s):
-            sel = s == s_val
-            di, dj = ii[sel], jj[sel]
-            du, inv = np.unique(d[di, dj], return_inverse=True)
-            vals = green.scattered_batch("monopole", 0, 0.5 * s_val,
-                                         0.5 * s_val, du)
-            out[di, dj] = vals[inv]
-
-    ii, jj = np.nonzero(~same)
-    if ii.size:
-        pairs = np.stack([x2[ii], y2[jj]], axis=1)
-        uniq, inv_pair = np.unique(pairs, axis=0, return_inverse=True)
-        for k, (h_x, h_y) in enumerate(uniq):
-            sel = inv_pair == k
-            di, dj = ii[sel], jj[sel]
-            du, inv = np.unique(d[di, dj], return_inverse=True)
-            vals = green.scattered_batch("monopole", 0, h_x, h_y, du)
-            out[di, dj] = vals[inv]
-    return out
-
-
-def _add_free_space(out: np.ndarray, medium: MediumParams, X: np.ndarray,
-                    Y: np.ndarray, y_weights: Optional[np.ndarray],
-                    x_weights: Optional[np.ndarray]) -> np.ndarray:
-    """Add the free-space part on same-side pairs of a scattered matrix,
-    cell-averaged at coincident pairs (see planar_green_matrix)."""
-    dx = X[:, 0][:, None] - Y[None, :, 0]
-    dy = X[:, 1][:, None] - Y[None, :, 1]
-    r = np.hypot(dx, dy)
-    same = (X[:, 1] > 0.0)[:, None] == (Y[:, 1] > 0.0)[None, :]
-    coin = r < _COINCIDENT
-    for side, kappa in ((True, medium.kappa1), (False, medium.kappa2)):
-        m = same & ((Y[:, 1] > 0.0)[None, :] == side) & ~coin
-        if np.any(m):
-            out[m] += phi_matrix(kappa, r[m])
-    if np.any(coin):
-        if y_weights is None and x_weights is None:
-            raise SingularityError(
-                "coincident kernel points need cell weights for averaging")
-        ci, cj = np.nonzero(coin)
-        for i, j in zip(ci, cj):
-            kappa = medium.kappa_at(Y[j, 1])
-            w = y_weights[j] if y_weights is not None else x_weights[i]
-            out[i, j] += cell_self_weight(kappa, w) / w
-    return out
-
-
 def planar_green_matrix(green: PlanarGreen, X: np.ndarray, Y: np.ndarray,
                         y_weights: Optional[np.ndarray] = None,
                         x_weights: Optional[np.ndarray] = None) -> np.ndarray:
@@ -160,15 +87,27 @@ def planar_green_matrix(green: PlanarGreen, X: np.ndarray, Y: np.ndarray,
     """
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
-    return _add_free_space(planar_scattered_matrix(green, X, Y), green.medium,
-                           X, Y, y_weights, x_weights)
-
-
-def _grid_green_matrix(green: PlanarGreen, X: np.ndarray, Y: np.ndarray,
-                       y_weights: np.ndarray) -> np.ndarray:
-    """planar_green_matrix between two mesh grids (operator assembly)."""
-    return _add_free_space(_grid_scattered_matrix(green, X, Y), green.medium,
-                           X, Y, y_weights, None)
+    med = green.medium
+    out = planar_scattered_matrix(green, X, Y)
+    dx = X[:, 0][:, None] - Y[None, :, 0]
+    dy = X[:, 1][:, None] - Y[None, :, 1]
+    r = np.hypot(dx, dy)
+    same = (X[:, 1] > 0.0)[:, None] == (Y[:, 1] > 0.0)[None, :]
+    coin = r < _COINCIDENT
+    for side, kappa in ((True, med.kappa1), (False, med.kappa2)):
+        m = same & ((Y[:, 1] > 0.0)[None, :] == side) & ~coin
+        if np.any(m):
+            out[m] += phi_matrix(kappa, r[m])
+    if np.any(coin):
+        if y_weights is None and x_weights is None:
+            raise SingularityError(
+                "coincident kernel points need cell weights for averaging")
+        ci, cj = np.nonzero(coin)
+        for i, j in zip(ci, cj):
+            kappa = med.kappa_at(Y[j, 1])
+            w = y_weights[j] if y_weights is not None else x_weights[i]
+            out[i, j] += cell_self_weight(kappa, w) / w
+    return out
 
 
 def planar_field_column(green: PlanarGreen, source: SourceSpec,
@@ -296,8 +235,7 @@ def assemble_B1_operator(mesh_B1: RegionMesh, medium: MediumParams,
     if medium.eta == 0.0:
         op = DenseOperator(np.eye(mesh_B1.n, dtype=complex))
     else:
-        kernel = _grid_green_matrix(green, mesh_B1.centers, mesh_B1.centers,
-                                    w)
+        kernel = planar_green_matrix(green, mesh_B1.centers, mesh_B1.centers, w)
         op = DenseOperator(np.eye(mesh_B1.n, dtype=complex)
                            + medium.eta * kernel * w[None, :])
     op.mesh = mesh_B1
@@ -416,8 +354,8 @@ def assemble_B2_operator(mesh_B2: RegionMesh, medium: MediumParams,
     else:
         # G12[i, k] = G(c_i^B2, c_k^B1; flat), averaged over the B1 cell at
         # coincident pairs; its transpose is the stage-1 right-hand sides.
-        G12 = _grid_green_matrix(green, mesh_B2.centers, mesh_B1.centers, w1)
-        G22 = _grid_green_matrix(green, mesh_B2.centers, mesh_B2.centers, w2)
+        G12 = planar_green_matrix(green, mesh_B2.centers, mesh_B1.centers, w1)
+        G22 = planar_green_matrix(green, mesh_B2.centers, mesh_B2.centers, w2)
         columns = stage1_operator.solve(np.ascontiguousarray(G12.T))
         GR = G22 - medium.eta * (G12 * w1[None, :]) @ columns
         op = DenseOperator(np.eye(mesh_B2.n, dtype=complex)

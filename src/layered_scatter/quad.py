@@ -260,7 +260,8 @@ def _integrate_batch(batch_eval, breakpoints, decay, tol):
 
 def fixed_rule(kernel_abs_at: Callable[[np.ndarray], np.ndarray],
                breakpoints: Sequence[float], decay: DecayClass,
-               rate: float, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+               offset: float, height: float,
+               tol: float) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of one fixed Gauss rule on [0, X] for a family of
     integrands k(xi) * g(xi) with |g| <= 1.
 
@@ -270,12 +271,15 @@ def fixed_rule(kernel_abs_at: Callable[[np.ndarray], np.ndarray],
     what the adaptive engine allows itself.  The segments and their
     sin/cosh branch-point maps are those of the adaptive engine; each
     segment is cut into equal panels so that no panel spans more than
-    _RULE_PHASE radians of a factor e^{i rate xi}, where rate bounds the
-    xi-derivative of every phase in g (largest horizontal offset plus
-    largest height sum).  A mapped segment scales that bound by its
-    largest |dxi/dt|, which also bounds the t-derivative of the vertical
-    wavenumbers there.  A rule of more than _MAX_RULE_NODES nodes raises
-    AccuracyError before any node is built.
+    _RULE_PHASE radians of the fastest phase in g.  On the branch-point
+    segments that phase is e^{i (offset xi + height beta)}, with offset the
+    largest horizontal offset and height the largest height sum; the
+    segment's largest |dxi/dt| scales the bound, and also bounds the
+    t-derivative of the vertical wavenumbers there.  The identity
+    segments lie past every branch point, where the height factors decay
+    without oscillating, so only the offset sets their panels.  A rule of
+    more than _MAX_RULE_NODES nodes raises AccuracyError before any node
+    is built.
     """
     bps = tuple(sorted(set(float(b) for b in breakpoints if b > 0.0)))
     tail_end, _ = _tail_cutoff(kernel_abs_at, decay, bps, 0.1 * tol)
@@ -285,10 +289,12 @@ def fixed_rule(kernel_abs_at: Callable[[np.ndarray], np.ndarray],
         if t_hi <= t_lo:
             continue
         mapping = seg[2]
-        speed = 1.0 if mapping is None else \
-            mapping[1] * (np.cosh(t_hi) if mapping[0] == "cosh" else 1.0)
-        panels = max(1, int(np.ceil(speed * rate * (t_hi - t_lo)
-                                    / _RULE_PHASE)))
+        if mapping is None:
+            phase = offset
+        else:
+            phase = (offset + height) * mapping[1] \
+                * (np.cosh(t_hi) if mapping[0] == "cosh" else 1.0)
+        panels = max(1, int(np.ceil(phase * (t_hi - t_lo) / _RULE_PHASE)))
         plan.append((t_lo, 0.5 * (t_hi - t_lo) / panels, panels, transform))
     if len(_RULE_GL_NODES) * sum(p[2] for p in plan) > _MAX_RULE_NODES:
         raise AccuracyError("fixed rule for this block needs more than %d "

@@ -24,7 +24,7 @@ from layered_scatter.geometry import (
     ObstacleCurve,
     ReceiverLine,
 )
-from layered_scatter.layered_green import MediumParams, SourceSpec
+from layered_scatter.layered_green import MediumParams, PlanarGreen, SourceSpec
 
 SRC = SourceSpec("monopole", (0.3, 1.2))
 
@@ -305,19 +305,19 @@ def test_lazy_products_built_once_under_thread_contention(bump_config,
     assert set(solver.point_sets["receivers"].built) == {"extension"}
 
 
-def test_kernel_cache_does_not_grow_per_source(bump_config):
-    # per-source columns run on fixed rules; only the grid x grid assembly
-    # and the solver's rule check reach the adaptive cache
+def test_kernel_state_does_not_grow_per_source(bump_config):
+    # the kernel evaluator keeps no table between calls, so memory does not
+    # grow with the number of sources solved
     solver = ForwardSolver(bump_config)
     rx = bump_config.receivers.points()
-    size = len(solver.green._cache)
+    state = dict(vars(solver.green))
     rng = np.random.default_rng(11)
     for k in range(20):
         pos = (rng.uniform(-1.8, 1.8), rng.uniform(0.5, 1.5))
         src = SourceSpec("monopole", pos) if k % 3 == 0 \
             else SourceSpec("dipole", pos, 1 + k % 2)
         solver.solve(src).scattered(rx)
-    assert len(solver.green._cache) == size
+    assert vars(solver.green) == state
 
 
 @pytest.mark.parametrize("position", [(0.0, 0.1), (0.2, 0.28), (0.0, 0.3)])
@@ -348,17 +348,74 @@ def test_total_at_the_source_is_a_singularity(flat_solver):
     assert np.isfinite(ev.scattered(SRC.position))
 
 
-def test_truncated_rule_tail_fails_the_solver_check(bump_config,
-                                                    monkeypatch):
+def _truncate_rules(monkeypatch, which):
+    """Make every fixed rule whose decay class satisfies which() drop the
+    upper three quarters of its nodes."""
     import layered_scatter.layered_green as layered_green
-    from layered_scatter.errors import AccuracyError
     orig = layered_green.fixed_rule
 
-    def truncated(*args, **kwargs):
-        xi, w = orig(*args, **kwargs)
-        keep = xi < 0.5 * xi.max()
+    def truncated(kernel_abs_at, breakpoints, decay, *args):
+        xi, w = orig(kernel_abs_at, breakpoints, decay, *args)
+        if not which(decay):
+            return xi, w
+        keep = xi < 0.25 * xi.max()
         return xi[keep], w[keep]
 
     monkeypatch.setattr(layered_green, "fixed_rule", truncated)
+
+
+# same-side kernels decay like xi^-3 (monopole) or xi^-2 (dipoles), the
+# cross-side ones like xi^-1 or xi^0; the check must see each side pair
+@pytest.mark.parametrize("which", [lambda decay: True,
+                                   lambda decay: decay.power >= 2.0,
+                                   lambda decay: decay.power <= 1.0],
+                         ids=["all", "same-side", "cross-side"])
+def test_truncated_rule_tail_fails_the_solver_check(bump_config,
+                                                    monkeypatch, which):
+    from layered_scatter.errors import AccuracyError
+    _truncate_rules(monkeypatch, which)
     with pytest.raises(AccuracyError, match="fixed xi-rule"):
         ForwardSolver(bump_config)
+
+
+def test_solver_check_covers_the_mesh_grid(bump_profile, monkeypatch):
+    from layered_scatter.errors import AccuracyError
+    # no receivers and no obstacle: only the operator assembly and the
+    # source columns use the rules; the lowest mesh rows give height sum 0.2
+    config = SceneConfig(medium=MediumParams(1.0, 1.5), profile=bump_profile,
+                         arc_radius=2.6, cell_size=0.2)
+    ForwardSolver(config)
+    _truncate_rules(monkeypatch, lambda decay: decay.rate < 0.5)
+    with pytest.raises(AccuracyError, match="fixed xi-rule"):
+        ForwardSolver(config)
+
+
+def test_grid_kernel_matches_reference(bump_config):
+    from layered_scatter.ls_volume import planar_scattered_matrix
+    solver = ForwardSolver(bump_config)
+    reference = PlanarGreen(solver.medium, 1e-12)
+    mesh = np.concatenate([solver.mesh_B1.centers, solver.mesh_B2.centers])
+    K = planar_scattered_matrix(solver.green, mesh, mesh)
+    low = np.nonzero(np.abs(mesh[:, 1]) == np.abs(mesh[:, 1]).min())[0]
+    rng = np.random.default_rng(5)
+    # the lowest rows (the slowest decay) against each other and at the
+    # widest offsets, plus random pairs
+    pairs = [(i, j) for i in low for j in low]
+    pairs += [(int(np.argmin(mesh[:, 0])), int(np.argmax(mesh[:, 0])))]
+    pairs += [tuple(rng.integers(len(mesh), size=2)) for _ in range(30)]
+    sides = set()
+    for i, j in pairs:
+        x, y = mesh[i], mesh[j]
+        ref = reference.scattered_batch("monopole", 0, x[1], y[1],
+                                        np.array([x[0] - y[0]]))[0]
+        assert abs(K[i, j] - ref) <= solver.green.tol
+        sides.add((x[1] > 0.0, y[1] > 0.0))
+    assert len(sides) == 4
+
+
+def test_solver_check_at_the_finest_tolerance(bump_config):
+    # at tol 1e-12 the adaptive reference misses its own tolerance next to
+    # the interface while the rules stay at rounding level; the check must
+    # not blame the rules for it
+    import dataclasses
+    ForwardSolver(dataclasses.replace(bump_config, quad_tol=1e-12))
