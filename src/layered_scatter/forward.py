@@ -61,6 +61,7 @@ from .specfun import fundamental_solution, fundamental_solution_grad
 
 _FD_STEP = 1e-4          # first derivatives of smooth evaluated fields
 _TRAPEZOID_POINTS = 64   # nodes on the small circle of the reciprocity check
+_MIN_CELLS_PER_WAVELENGTH = 4   # of the larger wavenumber, on the B1/B2 mesh
 
 
 def default_thread_count() -> int:
@@ -173,18 +174,19 @@ class FieldEvaluator:
                 and s.config.obstacle.condition == "penetrable":
             out = penetrable_field(self._correction, pts)
         else:
+            products = s._products(pts)
             out = extend_stage2_many(self._background, pts, s.medium, s.b2,
-                                     rows=s.extension_rows(pts))
+                                     rows=s._extension(products))
             if self._correction is not None:
                 out = out + scattered_from_density(
-                    self._correction, pts, radiation=s.radiation_matrix(pts))
+                    self._correction, pts, radiation=s._radiation(products))
         return complex(out[0]) if single else out
 
     def incident(self, X) -> Union[complex, np.ndarray]:
         """Free-space incident wave of the source (upper wavenumber)."""
         pts, single = self._as_points(X)
         kappa = self._solver.medium.kappa_at(self.source.position[1])
-        out = np.array([self.source.incident(p, kappa) for p in pts])
+        out = self.source.incident(pts, kappa)
         return complex(out[0]) if single else out
 
     def scattered(self, X) -> Union[complex, np.ndarray]:
@@ -196,11 +198,12 @@ class FieldEvaluator:
                 and s.config.obstacle.condition == "penetrable":
             out = penetrable_field(self._correction, pts, total=False)
         else:
+            products = s._products(pts)
             out = extend_stage2_many(self._background, pts, s.medium, s.b2,
-                                     total=False, rows=s.extension_rows(pts))
+                                     total=False, rows=s._extension(products))
             if self._correction is not None:
                 out = out + scattered_from_density(
-                    self._correction, pts, radiation=s.radiation_matrix(pts))
+                    self._correction, pts, radiation=s._radiation(products))
         return complex(out[0]) if single else out
 
 
@@ -209,12 +212,13 @@ class FieldEvaluator:
 # ---------------------------------------------------------------------------
 class _PointSetProducts:
     """Source-independent products of one point set, each built on first
-    use under the set's own lock and kept from then on."""
+    use under the set's own lock and kept from then on.  The lock is
+    reentrant, so a product may be built from another of the same set."""
 
     def __init__(self, points: np.ndarray):
         self.points = points
         self.built = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def get(self, name: str, build):
         with self._lock:
@@ -241,6 +245,14 @@ class ForwardSolver:
     """
 
     def __init__(self, config: SceneConfig):
+        kappa = max(config.medium.kappa1, config.medium.kappa2)
+        if config.cell_size * kappa * _MIN_CELLS_PER_WAVELENGTH > 2.0 * np.pi:
+            raise ConfigurationError(
+                "cell_size %g resolves a wavelength of kappa = %g with %.2g "
+                "cells; at least %d are needed"
+                % (config.cell_size, kappa,
+                   2.0 * np.pi / (kappa * config.cell_size),
+                   _MIN_CELLS_PER_WAVELENGTH))
         self.config = config
         self.medium = config.medium
         self.scene = config.geometry()
@@ -333,16 +345,27 @@ class ForwardSolver:
     def extension_rows(self, X: np.ndarray) -> ExtensionRows:
         """Rows of the stage-2 extension formula at X (see
         extension_rows in ls_volume)."""
-        return self._products(np.asarray(X, float)).get(
-            "extension", lambda P: extension_rows(P, self.medium, self.b2))
+        return self._extension(self._products(np.asarray(X, float)))
 
     def radiation_matrix(self, X: np.ndarray) -> np.ndarray:
         """Radiation matrix of the boundary density at X (see
         radiation_matrix in obstacle)."""
+        return self._radiation(
+            self._products(np.atleast_2d(np.asarray(X, float))))
+
+    def _extension(self, products: _PointSetProducts) -> ExtensionRows:
+        return products.get(
+            "extension", lambda P: extension_rows(P, self.medium, self.b2))
+
+    def _radiation(self, products: _PointSetProducts) -> np.ndarray:
+        """The radiation matrix, built on the weighted extension rows when
+        they are the kernel's volume rows (no point on a cell center)."""
         ansatz = "combined" if self.bie_operator is not None else "single"
-        return self._products(np.atleast_2d(np.asarray(X, float))).get(
-            "radiation",
-            lambda P: radiation_matrix(self.kernel_ctx, ansatz, P))
+
+        def build(P):
+            rows = self._extension(products).volume_rows(self.b2)
+            return radiation_matrix(self.kernel_ctx, ansatz, P, rows)
+        return products.get("radiation", build)
 
     # -- per-source solve ---------------------------------------------------
     def solve(self, source: SourceSpec) -> FieldEvaluator:

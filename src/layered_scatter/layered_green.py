@@ -19,8 +19,11 @@ Each kernel factors as a weight w(xi) times one height factor per point,
 F = e^{i b1 x2} above the interface and e^{-i b2 x2} below, so on one fixed
 xi-rule the cos/sin fold of e^{i xi d} turns a block of point pairs into
 two matrix products: (F_x cos xi x1) diag(w) (F_y cos xi y1)^T plus the same
-with sin (PlanarGreen.matrix).  The adaptive scattered_batch is the
-reference the rules are checked against.
+with sin (PlanarGreen.matrix).  A single column (one source point) whose
+points lie on a small grid of distinct heights and abscissae, as a mesh or
+a receiver line does, is evaluated on that grid instead, with the source's
+factors folded into the height factors, and then gathered per point.  The
+adaptive scattered_batch is the reference the rules are checked against.
 
 The total field adds the free-space term only when both points lie in the
 same half-plane; the cross-side "scattered" part *is* the transmitted
@@ -38,7 +41,12 @@ import numpy as np
 
 from .errors import AccuracyError, GeometryError, SingularityError
 from .quad import DecayClass, fixed_rule, fold_integrate_batch
-from .specfun import fundamental_solution, fundamental_solution_grad
+from .specfun import (
+    fundamental_solution,
+    fundamental_solution_grad,
+    grad_phi_matrix,
+    phi_matrix,
+)
 
 #: Minimal total vertical separation |x2| + |xs2| for cross-side kernels.
 H_MIN = 1e-6
@@ -107,12 +115,16 @@ class SourceSpec:
                 or not np.all(np.isfinite(self.position)):
             raise ValueError("source position must be two finite numbers")
 
-    def incident(self, x, kappa: float) -> complex:
-        """The free-space field this source radiates, evaluated at x."""
+    def incident(self, x, kappa: float):
+        """The free-space field this source radiates, at a point x or at
+        each row of an (n, 2) array."""
+        d = np.asarray(x, float) - np.asarray(self.position, float)
+        r = np.hypot(d[..., 0], d[..., 1])
         if self.kind == "monopole":
-            return fundamental_solution(kappa, x, self.position)
-        return fundamental_solution_grad(kappa, x, self.position,
-                                         self.direction)
+            out = phi_matrix(kappa, r)
+        else:
+            out = grad_phi_matrix(kappa, d, r)[..., self.direction - 1]
+        return out if out.ndim else complex(out)
 
 
 def _height_factor(b1, b2, h: np.ndarray) -> np.ndarray:
@@ -143,9 +155,49 @@ class _FixedRule:
 
 
 def _apply_rule(rule: _FixedRule, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The block of one side pair on its rule; all points of X share a
+    side, as do those of Y.
+
+    A single column (one point in Y) whose points lie on a tensor grid of
+    distinct heights and abscissae at most twice their number (a mesh, a
+    receiver line) is evaluated on that grid (_apply_grid); any other block
+    as the product of its point factors (_apply_product)."""
+    if len(Y) == 1:
+        h = np.unique(X[:, 1], return_inverse=True)
+        a = np.unique(X[:, 0], return_inverse=True)
+        if len(h[0]) * len(a[0]) <= 2 * len(X):
+            return _apply_grid(rule, h, a, Y[0])[:, None]
+    return _apply_product(rule, X, Y)
+
+
+def _apply_grid(rule: _FixedRule, h, a, y: np.ndarray) -> np.ndarray:
+    """One column on the grid of distinct heights h[0] and abscissae a[0]
+    (np.unique with inverse): V = (F_h g_c) C^T + (F_h g_s) S^T with C, S
+    = cos, sin(xi a) (crossed for an odd kernel), where F_h is the height
+    factor at h and g_c, g_s the source point's weighted factors; returns
+    V[h_i, a_i] for each point."""
+    V = np.zeros((len(h[0]), len(a[0])), dtype=complex)
+    step = max(1, _CHUNK_ELEMENTS // max(len(h[0]), len(a[0])))
+    for q in range(0, len(rule.xi), step):
+        sl = slice(q, q + step)
+        b1, b2, xi = rule.b1[sl], rule.b2[sl], rule.xi[sl]
+        g = _height_factor(b1, b2, y[1:])[0] * rule.weights[sl]
+        F = _height_factor(b1, b2, h[0])
+        Fc, Fs = F * (g * np.cos(xi * y[0])), F * (g * np.sin(xi * y[0]))
+        phase = np.multiply.outer(a[0], xi)
+        C, S = np.cos(phase), np.sin(phase)
+        if rule.parity == "even":
+            V += Fc @ C.T + Fs @ S.T
+        else:
+            V += Fc @ S.T - Fs @ C.T
+    return V[h[1], a[1]]
+
+
+def _apply_product(rule: _FixedRule, X: np.ndarray,
+                   Y: np.ndarray) -> np.ndarray:
     """(F_x cos xi x1) diag(w k) (F_y cos xi y1)^T plus the sine term (for
     an even kernel), or the sin/cos cross terms (odd), where F is the
-    height factor; all points of X share a side, as do those of Y.
+    height factor.
 
     The factors are evaluated at the distinct heights and abscissae only,
     which on a mesh are far fewer than the points."""

@@ -133,11 +133,7 @@ def planar_field_column(green: PlanarGreen, source: SourceSpec,
     kappa = green.medium.kappa_at(xs[1])
     reg = same & ~coin
     if np.any(reg):
-        if kind == "monopole":
-            out[reg] += phi_matrix(kappa, r[reg])
-        else:
-            for i in np.nonzero(reg)[0]:
-                out[i] += source.incident(X[i], kappa)
+        out[reg] += source.incident(X[reg], kappa)
     if np.any(coin):
         if kind != "monopole":
             raise SingularityError("dipole source coincides with a mesh point")
@@ -259,10 +255,8 @@ def _subtract_incident(values: np.ndarray, points: np.ndarray,
     """Remove the free-space incident wave at same-side points."""
     out = values.copy()
     xs2 = source.position[1]
-    kappa = medium.kappa_at(xs2)
     same = (points[:, 1] > 0.0) == (xs2 > 0.0)
-    for i in np.nonzero(same)[0]:
-        out[i] -= source.incident(points[i], kappa)
+    out[same] -= source.incident(points[same], medium.kappa_at(xs2))
     return out
 
 
@@ -399,6 +393,19 @@ class ExtensionRows:
     hit1: np.ndarray              # coinciding B1 center per point off B2
     rows1: Optional[np.ndarray]   # G(x, c^B1; flat), points off both meshes
     gr_rows: Optional[np.ndarray]  # G_R(x, c^B2), points off B2
+
+    def volume_rows(self, b2_operator: DenseOperator):
+        """(rows1 w1, gr_rows w2), the weighted rows of the B1 and B2
+        volume integrals at the same points, when no point sits on a cell
+        center and the contrast does not vanish; else None.
+
+        They are then RoughKernel.volume_rows at these points, from the
+        same operations and so with the same bytes."""
+        if self.rows1 is None or np.any(self.hit2 >= 0) \
+                or np.any(self.hit1 >= 0):
+            return None
+        return (self.rows1 * b2_operator.stage1.mesh.weights[None, :],
+                self.gr_rows * b2_operator.mesh.weights[None, :])
 
 
 def extension_rows(X: np.ndarray, medium: MediumParams,

@@ -369,14 +369,17 @@ def neumann_impedance_solve(nodes: ObstacleNodes,
                            ansatz="single", impedance=lam)
 
 
-def radiation_matrix(kernel_ctx, ansatz: str, X: np.ndarray) -> np.ndarray:
+def radiation_matrix(kernel_ctx, ansatz: str, X: np.ndarray,
+                     rows=None) -> np.ndarray:
     """Matrix taking the density's quadrature weights to its field at X.
 
     Combined ansatz: dG/dnu(y) - iG; single-layer ansatz: G.  It depends
-    on the kernel columns and X only, not on the density.
+    on the kernel columns and X only, not on the density.  rows, from
+    RoughKernel.volume_rows at the same X, skips rebuilding them.
     """
     center, plus, minus, delta = kernel_ctx
-    rows = center.volume_rows(X)
+    if rows is None:
+        rows = center.volume_rows(X)
     G = center.full(X, rows=rows)
     if ansatz == "single":
         return G

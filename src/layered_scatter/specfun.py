@@ -2,88 +2,20 @@
 fundamental solution.
 
 All arguments are real and positive (kappa * r with kappa > 0), so no
-complex-argument Bessel machinery is needed.  Small arguments use the
-ascending series with the standard log terms in Y0/Y1; large arguments
-(x > 12) use the Hankel amplitude/phase asymptotic expansions.  Relative
-accuracy is ~1e-11 on [1e-6, 1e3]; the two branches are validated against
-each other through the Wronskian identity in the test suite.
+complex-argument Bessel machinery is needed: J0, J1, Y0 and Y1 come from
+scipy.special (Cephes), through bessel_j0j1_y0y1_arrays, which also rejects
+x <= 0.  The test suite checks them against mpmath and the Wronskian
+identity.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.special
 
 from .errors import SingularityError
 
 EULER_GAMMA = 0.5772156649015329
-
-_SERIES_TERMS = 42
-_ASYMPTOTIC_TERMS = 12
-_SWITCH = 12.0
-
-
-def _bessel_series(x: np.ndarray):
-    """Ascending-series J0, J1, Y0, Y1 for 0 < x <= 12 (vectorized)."""
-    q = 0.25 * x * x
-    lg = np.log(0.5 * x) + EULER_GAMMA
-
-    # J0 and the harmonic-number sum feeding Y0.
-    term = np.ones_like(x)
-    j0 = term.copy()
-    y0_sum = np.zeros_like(x)
-    hk = 0.0
-    for k in range(1, _SERIES_TERMS):
-        term = term * (-q) / (k * k)
-        j0 = j0 + term
-        hk += 1.0 / k
-        y0_sum = y0_sum + term * hk
-    y0 = (2.0 / np.pi) * (lg * j0 - y0_sum)
-
-    # J1 and the (H_k + H_{k+1}) sum feeding Y1.
-    term = np.ones_like(x)          # q^k / (k! (k+1)!)
-    j1_sum = term.copy()
-    y1_sum = term * 1.0             # H_0 + H_1 = 1
-    hk = 0.0
-    hk1 = 1.0
-    for k in range(1, _SERIES_TERMS):
-        term = term * (-q) / (k * (k + 1))
-        j1_sum = j1_sum + term
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1)
-        y1_sum = y1_sum + term * (hk + hk1)
-    j1 = 0.5 * x * j1_sum
-    y1 = (2.0 / np.pi) * (lg * j1) - 2.0 / (np.pi * x) \
-        - (x / (2.0 * np.pi)) * y1_sum
-    return j0, j1, y0, y1
-
-
-def _amp_phase(x: np.ndarray, nu: int):
-    """Hankel asymptotic P, Q sums for order nu at x > 12."""
-    mu = 4.0 * nu * nu
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    term = np.ones_like(x)
-    inv_x = 1.0 / x
-    for k in range(1, 2 * _ASYMPTOTIC_TERMS):
-        term = term * (mu - (2 * k - 1) ** 2) / (8.0 * k) * inv_x
-        if k % 2 == 1:
-            q = q + term * (-1.0) ** ((k - 1) // 2)
-        else:
-            p = p + term * (-1.0) ** (k // 2)
-    return p, q
-
-
-def _bessel_asymptotic(x: np.ndarray):
-    """Amplitude/phase J0, J1, Y0, Y1 for x > 12 (vectorized)."""
-    amp = np.sqrt(2.0 / (np.pi * x))
-    out = []
-    for nu, chi0 in ((0, 0.25 * np.pi), (1, 0.75 * np.pi)):
-        p, q = _amp_phase(x, nu)
-        chi = x - chi0
-        c, s = np.cos(chi), np.sin(chi)
-        out.append((amp * (p * c - q * s), amp * (p * s + q * c)))
-    (j0, y0), (j1, y1) = out
-    return j0, j1, y0, y1
 
 
 def bessel_j0j1_y0y1_arrays(x: np.ndarray):
@@ -91,17 +23,8 @@ def bessel_j0j1_y0y1_arrays(x: np.ndarray):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise SingularityError("Bessel functions require x > 0")
-    small = x <= _SWITCH
-    j0 = np.empty_like(x)
-    j1 = np.empty_like(x)
-    y0 = np.empty_like(x)
-    y1 = np.empty_like(x)
-    if np.any(small):
-        j0[small], j1[small], y0[small], y1[small] = _bessel_series(x[small])
-    big = ~small
-    if np.any(big):
-        j0[big], j1[big], y0[big], y1[big] = _bessel_asymptotic(x[big])
-    return j0, j1, y0, y1
+    return (scipy.special.j0(x), scipy.special.j1(x), scipy.special.y0(x),
+            scipy.special.y1(x))
 
 
 def bessel_j0j1_y0y1(x: float):

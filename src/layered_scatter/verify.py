@@ -1,8 +1,9 @@
 """Independent verification oracles.
 
 Everything here is deliberately built on code paths that the main solvers
-do not use (scipy's Bessel functions, separation-of-variables series,
-plain finite-difference stencils), so agreement between an oracle and the
+do not use (scipy's general-order jv/hankel1 rather than the order-0/1
+j0/j1/y0/y1 the solver uses, separation-of-variables series, plain
+finite-difference stencils), so agreement between an oracle and the
 pipeline is evidence, not circularity.
 """
 

@@ -240,3 +240,12 @@ def test_verify_flip_beta_negative_control(config_path, capsys):
     report = json.loads(capsys.readouterr().out)
     failed = [c["check"] for c in report["checks"] if not c["pass"]]
     assert "beta_branch" in failed
+
+
+def test_forward_too_few_cells_per_wavelength_exits_2(config_path, capsys):
+    doc = dict(BASE)
+    doc["medium"] = {"kappa1": 20.0, "kappa2": 30.0}
+    doc["mesh"] = {"cell_size": 0.2, "subsample": 4}
+    rc = main(["forward", config_path(doc), "--output", "/dev/null"])
+    assert rc == EXIT_CONFIG
+    assert "cells" in capsys.readouterr().err

@@ -419,3 +419,67 @@ def test_solver_check_at_the_finest_tolerance(bump_config):
     # not blame the rules for it
     import dataclasses
     ForwardSolver(dataclasses.replace(bump_config, quad_tol=1e-12))
+
+
+def test_radiation_matrix_reuses_the_extension_rows(layered_obstacle_solver,
+                                                    monkeypatch):
+    from layered_scatter.obstacle import RoughKernel, radiation_matrix
+    calls = []
+    orig = RoughKernel.volume_rows
+
+    def counted(self, X):
+        calls.append(len(X))
+        return orig(self, X)
+
+    monkeypatch.setattr(RoughKernel, "volume_rows", counted)
+    solver = ForwardSolver(layered_obstacle_solver.config)
+    del calls[:]
+    rx = solver.config.receivers.points()
+    solver.solve(SOURCES[0]).scattered(rx)
+    # no receiver sits on a cell center: the weighted extension rows are
+    # the volume rows, and the matrix has the bytes of one built without
+    assert calls == []
+    alone = radiation_matrix(solver.kernel_ctx, "combined", rx)
+    assert solver.radiation_matrix(rx).tobytes() == alone.tobytes()
+    # a point on a B2 center falls back to the kernel's own volume rows
+    del calls[:]
+    pts = np.vstack([rx[:2], solver.mesh_B2.centers[:1]])
+    again = solver.radiation_matrix(pts)
+    assert calls == [len(pts)]
+    alone = radiation_matrix(solver.kernel_ctx, "combined", pts)
+    assert again.tobytes() == alone.tobytes()
+
+
+def test_incident_field_is_vectorized_for_every_source_kind(flat_solver):
+    from layered_scatter.specfun import (
+        fundamental_solution,
+        fundamental_solution_grad,
+    )
+    pts = np.array([[0.5, 0.9], [-1.2, 1.5], [0.3, 2.0], [1.0, 1.2]])
+    for src in (SRC,) + SOURCES[1:]:
+        ev = flat_solver.solve(src)
+        kappa = flat_solver.medium.kappa1
+        if src.kind == "monopole":
+            scalar = [fundamental_solution(kappa, p, src.position)
+                      for p in pts]
+        else:
+            scalar = [fundamental_solution_grad(kappa, p, src.position,
+                                                src.direction) for p in pts]
+        many = ev.incident(pts)
+        assert many.shape == (len(pts),)
+        assert np.max(np.abs(many - scalar)) <= 1e-14 * np.max(np.abs(many))
+        one = ev.incident(pts[0])
+        assert isinstance(one, complex) and one == many[0]
+        gap = ev.total(pts) - many - ev.scattered(pts)
+        assert np.max(np.abs(gap)) < 1e-12
+
+
+def test_too_few_cells_per_wavelength_rejected():
+    # kappa2 = 30 at cell 0.2: about one cell per wavelength
+    config = SceneConfig(medium=MediumParams(20.0, 30.0), arc_radius=1.0,
+                         cell_size=0.2)
+    with pytest.raises(ConfigurationError, match="cells"):
+        ForwardSolver(config)
+    # four cells per wavelength of the larger wavenumber still pass
+    ForwardSolver(SceneConfig(medium=MediumParams(1.0, 1.5), arc_radius=1.0,
+                              cell_size=0.25 * 2.0 * np.pi / 1.5))

@@ -249,3 +249,73 @@ def test_rule_node_budget_raises_quickly(green):
         green.matrix("monopole", 0, np.array([[-5000.0, 1e-3]]),
                      np.array([[5000.0, 1e-3]]))
     assert time.perf_counter() - t0 < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Single-column blocks on the height x abscissa grid (_apply_grid)
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def bump_point_sets(bump_profile):
+    """The B2 mesh of the shipped bump scene (both sides of the flat line),
+    its receiver line (above) and the 64 nodes of a circle below."""
+    from layered_scatter.geometry import (
+        ArcInterface,
+        ObstacleCurve,
+        ReceiverLine,
+        SceneGeometry,
+        build_region_mesh,
+        obstacle_nodes,
+    )
+    scene = SceneGeometry(bump_profile, ArcInterface(2.6))
+    return {
+        "mesh": build_region_mesh("B2", scene, 0.2).centers,
+        "receivers": ReceiverLine(2.0, 3.0, 11).points(),
+        "nodes": obstacle_nodes(ObstacleCurve("circle", (0.0, -1.3), 0.5),
+                                32).positions,
+    }
+
+
+@pytest.mark.parametrize("kind,ell", KINDS)
+def test_single_column_grid_matches_product_and_reference(
+        medium, reference, bump_point_sets, monkeypatch, kind, ell):
+    import layered_scatter.layered_green as lg
+    grids = []
+    orig = lg._apply_grid
+
+    def spy(rule, h, a, y):
+        grids.append(len(h[1]))
+        return orig(rule, h, a, y)
+
+    monkeypatch.setattr(lg, "_apply_grid", spy)
+    green = PlanarGreen(medium, 1e-8)
+    cases = set()
+    for name, X in bump_point_sets.items():
+        for y in ((0.3, 1.2), (0.2, -0.7)):
+            Y = np.array([y])
+            for ix in lg._sides(X):
+                Xb = X[ix]
+                rule = green._rule(kind, ell, Xb, Y)
+                del grids[:]
+                got = lg._apply_rule(rule, Xb, Y)[:, 0]
+                # meshes and receiver lines take the grid, the boundary
+                # nodes (45 heights x 60 abscissae) the direct product
+                assert grids == ([] if name == "nodes" else [len(Xb)])
+                direct = lg._apply_product(rule, Xb, Y)[:, 0]
+                assert np.max(np.abs(got - direct)) \
+                    <= 1e-13 * np.max(np.abs(direct))
+                cases.add((name, Xb[0, 1] > 0.0, y[1] > 0.0))
+            # against the adaptive reference at the heights nearest to and
+            # farthest from the interface on each side, at all their offsets
+            col = green.matrix(kind, ell, X, Y)[:, 0]
+            for side in (X[:, 1] > 0.0, X[:, 1] < 0.0):
+                if not np.any(side):
+                    continue
+                a = np.abs(X[side, 1])
+                for h in {X[side, 1][np.argmin(a)], X[side, 1][np.argmax(a)]}:
+                    at = np.nonzero(X[:, 1] == h)[0]
+                    ref = reference.scattered_batch(kind, ell, h, y[1],
+                                                    X[at, 0] - y[0])
+                    assert np.max(np.abs(col[at] - ref)) <= green.tol
+    assert {(s, t) for _, s, t in cases} == {(True, True), (True, False),
+                                             (False, True), (False, False)}
+    assert {n for n, _, _ in cases} == set(bump_point_sets)

@@ -1,8 +1,9 @@
-"""Special-function oracles: scipy is the independent reference."""
+"""Special-function oracles: mpmath, at 30 digits, is the independent
+reference (scipy.special is the implementation under test)."""
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,17 +20,28 @@ from layered_scatter.specfun import (
 )
 
 
-def test_bessel_values_against_scipy():
+def _mp(fn, nu, x):
+    """mpmath J_nu or Y_nu (fn = mpmath.besselj / bessely) at 30 digits,
+    elementwise over x, rounded to double."""
+    with mpmath.workdps(30):
+        return np.array([float(fn(nu, mpmath.mpf(float(v)))) for v in x])
+
+
+def _mp_hankel1(nu, x):
+    with mpmath.workdps(30):
+        return complex(mpmath.hankel1(nu, mpmath.mpf(float(x))))
+
+
+def test_bessel_values_against_mpmath():
     x = np.concatenate([np.geomspace(1e-6, 12.0, 200),
                         np.linspace(12.0, 1000.0, 200)])
     j0, j1, y0, y1 = bessel_j0j1_y0y1_arrays(x)
-    assert np.max(np.abs(j0 - sp.j0(x))) < 1e-11
-    assert np.max(np.abs(j1 - sp.j1(x))) < 1e-11
-    # Y0/Y1 grow near zero; compare relative to scipy's magnitude
-    scale0 = np.maximum(np.abs(sp.y0(x)), 1.0)
-    scale1 = np.maximum(np.abs(sp.y1(x)), 1.0)
-    assert np.max(np.abs(y0 - sp.y0(x)) / scale0) < 1e-11
-    assert np.max(np.abs(y1 - sp.y1(x)) / scale1) < 1e-11
+    assert np.max(np.abs(j0 - _mp(mpmath.besselj, 0, x))) < 1e-13
+    assert np.max(np.abs(j1 - _mp(mpmath.besselj, 1, x))) < 1e-13
+    # Y0/Y1 grow near zero; compare relative to their magnitude
+    ref0, ref1 = _mp(mpmath.bessely, 0, x), _mp(mpmath.bessely, 1, x)
+    assert np.max(np.abs(y0 - ref0) / np.maximum(np.abs(ref0), 1.0)) < 1e-13
+    assert np.max(np.abs(y1 - ref1) / np.maximum(np.abs(ref1), 1.0)) < 1e-13
 
 
 def test_wronskian_identity():
@@ -53,8 +65,8 @@ def test_scalar_matches_array():
 
 
 def test_hankel_wrappers():
-    assert hankel1_0(2.0) == pytest.approx(sp.hankel1(0, 2.0), abs=1e-11)
-    assert hankel1_1(2.0) == pytest.approx(sp.hankel1(1, 2.0), abs=1e-11)
+    assert hankel1_0(2.0) == pytest.approx(_mp_hankel1(0, 2.0), abs=1e-11)
+    assert hankel1_1(2.0) == pytest.approx(_mp_hankel1(1, 2.0), abs=1e-11)
 
 
 def test_nonpositive_argument_rejected():
@@ -67,7 +79,7 @@ def test_nonpositive_argument_rejected():
 def test_fundamental_solution_value_and_singularity():
     x, y = (1.0, 2.0), (0.0, 0.5)
     r = np.hypot(1.0, 1.5)
-    expected = 0.25j * sp.hankel1(0, 1.3 * r)
+    expected = 0.25j * _mp_hankel1(0, 1.3 * r)
     assert fundamental_solution(1.3, x, y) == pytest.approx(expected,
                                                             abs=1e-11)
     with pytest.raises(SingularityError):
@@ -102,7 +114,7 @@ def test_phi_matrix_shape_preserved():
     r = np.array([[0.5, 1.0], [2.0, 3.0]])
     out = phi_matrix(1.2, r)
     assert out.shape == r.shape
-    assert out[0, 1] == pytest.approx(0.25j * sp.hankel1(0, 1.2), abs=1e-11)
+    assert out[0, 1] == pytest.approx(0.25j * _mp_hankel1(0, 1.2), abs=1e-11)
 
 
 @settings(max_examples=50, deadline=None)
