@@ -239,9 +239,12 @@ class ForwardSolver:
     conditions, at the nodes' two normal shifts, and the radiation matrix
     of the boundary density at the receivers.  Each set builds under its
     own lock, so there are at most four sets.  Products at any other points
-    are built for the call and dropped.  Concurrent solve() calls are
-    therefore safe, and a product has the same bytes whichever thread
-    builds it.
+    are built for the call and dropped.  The kernel evaluator (green)
+    keeps the fixed xi-rules it builds and the grid splits of the point
+    sets its source columns meet, in bounded maps whose values depend on
+    their keys alone (see PlanarGreen).  Concurrent solve() calls are
+    therefore safe, and a product or a source's field has the same bytes
+    whichever thread builds it and whichever sources came before.
     """
 
     def __init__(self, config: SceneConfig):

@@ -40,7 +40,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import AccuracyError, GeometryError, SingularityError
-from .quad import DecayClass, fixed_rule, fold_integrate_batch
+from .quad import BoundedMemo, DecayClass, fixed_rule, fold_integrate_batch
 from .specfun import (
     fundamental_solution,
     fundamental_solution_grad,
@@ -54,6 +54,12 @@ H_MIN = 1e-6
 # Largest (points x nodes) factor block of a fixed-rule evaluation; longer
 # rules are applied in node chunks, which bounds the transient memory.
 _CHUNK_ELEMENTS = 1 << 16
+
+# What one PlanarGreen keeps: the folded rules, up to this many nodes in
+# all (32 bytes a node with the key), and the grid splits of this many
+# point sets.
+_KEPT_RULE_NODES = 1 << 16
+_KEPT_SPLITS = 16
 
 
 def beta(xi, kappa: float):
@@ -127,12 +133,14 @@ class SourceSpec:
         return out if out.ndim else complex(out)
 
 
-def _height_factor(b1, b2, h: np.ndarray) -> np.ndarray:
-    """Height factors e^{i b1 h} above the interface or e^{-i b2 h} below,
-    one row per height of h; all heights lie on one side."""
+def _height_factor(rule: "_FixedRule", sl: slice, h: np.ndarray):
+    """Height factors e^{i b1 h} above the interface or e^{-i b2 h} below
+    at the nodes sl of rule, one row per height of h; all heights lie on
+    one side."""
+    xi = rule.xi[sl]
     if h[0] > 0.0:
-        return np.exp(1j * np.multiply.outer(h, b1))
-    return np.exp(-1j * np.multiply.outer(h, b2))
+        return np.exp(1j * np.multiply.outer(h, beta(xi, rule.kappa1)))
+    return np.exp(-1j * np.multiply.outer(h, beta(xi, rule.kappa2)))
 
 
 def _sides(P: np.ndarray):
@@ -144,29 +152,45 @@ def _sides(P: np.ndarray):
 
 @dataclass(frozen=True)
 class _FixedRule:
-    """Nodes of one block's rule, the vertical wavenumbers there, and the
-    weights with the kernel weight and prefactor folded in."""
+    """Nodes of one block's rule, the weights with the kernel weight and
+    prefactor folded in, and the wavenumbers of the two media.  The
+    vertical wavenumbers are computed where a height factor needs them:
+    kept, they would triple a rule's memory."""
 
     xi: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
     weights: np.ndarray
     parity: str
+    kappa1: float
+    kappa2: float
 
 
-def _apply_rule(rule: _FixedRule, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _grid_split(X: np.ndarray):
+    """(h, a), np.unique with inverse of X's heights and abscissae, when
+    that grid has at most twice as many entries as X has points; else
+    None."""
+    h = np.unique(X[:, 1], return_inverse=True)
+    a = np.unique(X[:, 0], return_inverse=True)
+    if len(h[0]) * len(a[0]) > 2 * len(X):
+        return None
+    for arr in h + a:
+        arr.flags.writeable = False
+    return h, a
+
+
+def _apply_rule(rule: _FixedRule, X: np.ndarray, Y: np.ndarray,
+                split=_grid_split) -> np.ndarray:
     """The block of one side pair on its rule; all points of X share a
     side, as do those of Y.
 
     A single column (one point in Y) whose points lie on a tensor grid of
     distinct heights and abscissae at most twice their number (a mesh, a
-    receiver line) is evaluated on that grid (_apply_grid); any other block
-    as the product of its point factors (_apply_product)."""
+    receiver line; split(X) finds it) is evaluated on that grid
+    (_apply_grid); any other block as the product of its point factors
+    (_apply_product)."""
     if len(Y) == 1:
-        h = np.unique(X[:, 1], return_inverse=True)
-        a = np.unique(X[:, 0], return_inverse=True)
-        if len(h[0]) * len(a[0]) <= 2 * len(X):
-            return _apply_grid(rule, h, a, Y[0])[:, None]
+        grid = split(X)
+        if grid is not None:
+            return _apply_grid(rule, *grid, Y[0])[:, None]
     return _apply_product(rule, X, Y)
 
 
@@ -180,9 +204,9 @@ def _apply_grid(rule: _FixedRule, h, a, y: np.ndarray) -> np.ndarray:
     step = max(1, _CHUNK_ELEMENTS // max(len(h[0]), len(a[0])))
     for q in range(0, len(rule.xi), step):
         sl = slice(q, q + step)
-        b1, b2, xi = rule.b1[sl], rule.b2[sl], rule.xi[sl]
-        g = _height_factor(b1, b2, y[1:])[0] * rule.weights[sl]
-        F = _height_factor(b1, b2, h[0])
+        xi = rule.xi[sl]
+        g = _height_factor(rule, sl, y[1:])[0] * rule.weights[sl]
+        F = _height_factor(rule, sl, h[0])
         Fc, Fs = F * (g * np.cos(xi * y[0])), F * (g * np.sin(xi * y[0]))
         phase = np.multiply.outer(a[0], xi)
         C, S = np.cos(phase), np.sin(phase)
@@ -207,7 +231,7 @@ def _apply_product(rule: _FixedRule, X: np.ndarray,
                 for P in (X, Y)]
 
     def fold(sl, x1, x2):
-        F = _height_factor(rule.b1[sl], rule.b2[sl], x2[0])[x2[1]]
+        F = _height_factor(rule, sl, x2[0])[x2[1]]
         phase = np.multiply.outer(x1[0], rule.xi[sl])
         return F * np.cos(phase)[x1[1]], F * np.sin(phase)[x1[1]]
 
@@ -238,11 +262,22 @@ class PlanarGreen:
     scattered_batch (one height pair against many horizontal offsets), run
     on adaptive quadrature; matrix() evaluates whole point-set blocks on
     fixed xi-rules, which is what makes dense operator assembly affordable.
+
+    An instance keeps the folded rules it builds, keyed by the kind, the
+    dipole direction, the side case and the bytes of the rule's nodes and
+    weights, and the grid split of the point sets of its recent single
+    columns, keyed by their bytes.  Both are bounded, and each value is a
+    pure function of its key, so a block has the same bytes whether its
+    rule was built for it or kept from another call, in any order and from
+    any thread.
     """
 
     def __init__(self, medium: MediumParams, tol: float = 1e-8):
         self.medium = medium
         self.tol = float(tol)
+        self.rules = BoundedMemo(_KEPT_RULE_NODES,
+                                 lambda rule: len(rule.xi))
+        self.splits = BoundedMemo(_KEPT_SPLITS, lambda split: 1)
 
     # -- kernel construction ------------------------------------------------
     def _case(self, x2: float, xs2: float) -> str:
@@ -329,8 +364,12 @@ class PlanarGreen:
             for iy in _sides(Y):
                 Xb, Yb = X[ix], Y[iy]
                 out[np.ix_(ix, iy)] = _apply_rule(
-                    self._rule(kind, ell, Xb, Yb), Xb, Yb)
+                    self._rule(kind, ell, Xb, Yb), Xb, Yb, self._split)
         return out
+
+    def _split(self, X: np.ndarray):
+        """_grid_split(X), kept by the bytes of X."""
+        return self.splits.get(X.tobytes(), lambda: _grid_split(X))
 
     def _rule(self, kind: str, ell: int, X: np.ndarray, Y: np.ndarray):
         """Fixed rule of one side-pair block, with the kernel weights and
@@ -338,20 +377,29 @@ class PlanarGreen:
 
         The tail comes from the pair with the smallest height sum (the
         slowest decay); the panel widths from the largest horizontal offset
-        and the largest height sum (see quad.fixed_rule)."""
+        and the largest height sum (see quad.fixed_rule).  The folded rule
+        is kept by kind, ell, side case and the bytes of the nodes and
+        weights fixed_rule gives."""
         ax, ay = np.abs(X[:, 1]), np.abs(Y[:, 1])
         hx, hy = X[np.argmin(ax), 1], Y[np.argmin(ay), 1]
         kern, pref, parity, decay = self._kernel(kind, ell, hx, hy)
-        weight = self._weight(kind, ell, self._case(hx, hy))[0]
+        case = self._case(hx, hy)
         offset = max(X[:, 0].max() - Y[:, 0].min(),
                      Y[:, 0].max() - X[:, 0].min())
         k1, k2 = self.medium.kappa1, self.medium.kappa2
         xi, w = fixed_rule(lambda xi: np.abs(kern(xi)), (k1, k2), decay,
                            offset, ax.max() + ay.max(), self.tol / abs(pref))
-        b1, b2 = beta(xi, k1), beta(xi, k2)
-        wk = (2.0 if parity == "even" else 2.0j) * pref * w \
-            * weight(b1, b2, xi)
-        return _FixedRule(xi=xi, b1=b1, b2=b2, weights=wk, parity=parity)
+
+        def fold():
+            weight = self._weight(kind, ell, case)[0]
+            b1, b2 = beta(xi, k1), beta(xi, k2)
+            wk = (2.0 if parity == "even" else 2.0j) * pref * w \
+                * weight(b1, b2, xi)
+            wk.flags.writeable = False
+            return _FixedRule(xi=xi, weights=wk, parity=parity, kappa1=k1,
+                              kappa2=k2)
+        return self.rules.get((kind, ell, case, xi.tobytes(), w.tobytes()),
+                              fold)
 
     def check_rule(self, X: np.ndarray, Y: np.ndarray) -> None:
         """Compare the fixed rule of every side-pair block of X x Y with the

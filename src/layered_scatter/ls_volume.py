@@ -348,13 +348,16 @@ def assemble_B2_operator(mesh_B2: RegionMesh, medium: MediumParams,
     else:
         # G12[i, k] = G(c_i^B2, c_k^B1; flat), averaged over the B1 cell at
         # coincident pairs; its transpose is the stage-1 right-hand sides.
+        # Weighted by the B1 cell areas it is kept as cross_matrix, the
+        # B1 volume integral at the B2 centers of every source.
         G12 = planar_green_matrix(green, mesh_B2.centers, mesh_B1.centers, w1)
         G22 = planar_green_matrix(green, mesh_B2.centers, mesh_B2.centers, w2)
         columns = stage1_operator.solve(np.ascontiguousarray(G12.T))
-        GR = G22 - medium.eta * (G12 * w1[None, :]) @ columns
+        cross = G12 * w1[None, :]
+        GR = G22 - medium.eta * cross @ columns
         op = DenseOperator(np.eye(mesh_B2.n, dtype=complex)
                            - medium.eta * GR * w2[None, :])
-        op.cross_matrix = G12
+        op.cross_matrix = cross
         op.stage1_columns = columns
     op.mesh = mesh_B2
     op.medium = medium
@@ -375,8 +378,7 @@ def solve_stage2(source: SourceSpec, b2_operator: DenseOperator,
     else:
         u0 = planar_field_column(green, source, mesh_B2.centers,
                                  total=True, x_weights=mesh_B2.weights)
-        rhs = u0 - medium.eta * (b2_operator.cross_matrix
-                                 * stage1_op.mesh.weights[None, :]) @ sol1.values
+        rhs = u0 - medium.eta * b2_operator.cross_matrix @ sol1.values
     values = b2_operator.solve(rhs)
     return GridSolution(mesh=mesh_B2, values=values, source=source,
                         stage="rough", aux={"stage1": sol1, "rhs": rhs})

@@ -69,8 +69,7 @@ class RoughKernel:
             self.g = b2_operator.stage1.solve(rhs1)
             rhs2 = planar_green_matrix(green, mesh2.centers, self.sources,
                                        x_weights=mesh2.weights) \
-                - medium.eta * (b2_operator.cross_matrix
-                                * mesh1.weights[None, :]) @ self.g
+                - medium.eta * b2_operator.cross_matrix @ self.g
             self.q = b2_operator.solve(rhs2)
 
     def volume_rows(self, X: np.ndarray):

@@ -13,11 +13,14 @@ offset, so every returned value meets the tolerance.
 fixed_rule builds one non-adaptive Gauss rule on the same segments and
 maps for a whole family of integrands, from its slowest decay and fastest
 phase; callers apply it as matrix products and check it against the
-adaptive engine.
+adaptive engine.  A rule's nodes and weights are a pure function of its
+plan (tail end, segments, panel counts), and are kept per plan.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -29,12 +32,57 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 _MAX_PANELS = 4000
 _TAIL_START_FACTOR = 1.5  # resolve the propagating band before truncating
+_TAIL_STEPS = np.arange(7.0)  # where a tail bound samples [X, 2X], in steps
 
 # Fixed rules: 20-point Gauss panels, each spanning at most _RULE_PHASE
 # radians of the fastest phase, and no more nodes than _MAX_RULE_NODES.
 _RULE_GL_NODES, _RULE_GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _RULE_PHASE = 16.0
 _MAX_RULE_NODES = 200000
+# Nodes of the rules kept by plan (16 bytes each, for nodes and weights).
+_KEPT_RULE_NODES = 1 << 18
+
+
+class BoundedMemo:
+    """Thread-safe map from keys to values that are pure functions of
+    their keys, forgetting the least recently used entries once their
+    sizes add up past budget.
+
+    A value is built outside the lock, so two threads may build the same
+    one; the first stored is kept and returned to both.  Since a value
+    depends on its key alone, what is forgotten is rebuilt with the same
+    bytes, and no value depends on the order or thread of the calls.
+    """
+
+    def __init__(self, budget: int, size: Callable[[object], int]):
+        self.budget = budget
+        self.total = 0
+        self._size = size
+        self._entries = OrderedDict()       # key -> (value, size)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key, build: Callable[[], object]):
+        """The value kept for key, built by build() on a miss."""
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit[0]
+        value = build()
+        n = self._size(value)
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                return hit[0]
+            self._entries[key] = (value, n)
+            self.total += n
+            while self.total > self.budget and len(self._entries) > 1:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.total -= dropped
+        return value
 
 
 @dataclass(frozen=True)
@@ -206,35 +254,47 @@ def _adaptive_batch(batch_eval, t_lo, t_hi, transform, tol, budget):
 def _tail_cutoff(kernel_abs_at, decay, breakpoints, tol):
     """Smallest doubling point X past the breakpoints with tail bound < tol.
 
-    Returns (X, bound).  kernel_abs_at(xi) -> max |k| over the batch rows.
+    Returns (X, bound).  kernel_abs_at(xi) -> max |k| over the batch rows,
+    elementwise in xi.  The doubling ladder start * 2^k, up to its first
+    point past 1e9, is searched in batches of 8, 16 and 32 points, one
+    kernel call per batch.  Each point's bound takes the same operations as
+    on its own, so the first X below tol is the one a point-by-point search
+    finds.
     """
     h, p = decay.rate, decay.power
     start = _TAIL_START_FACTOR * max(list(breakpoints) + [1.0])
+    ladder = [start]
+    while ladder[-1] <= 1e9:
+        ladder.append(2.0 * ladder[-1])
 
-    def bound(X):
+    def bounds(X):
         # |int_X^inf| <= C X^-p e^{-hX}/h  (h>0)  or  C X^{1-p}/(p-1)  (h=0)
-        # several samples so oscillatory zeros cannot fake a small envelope
-        samples = np.linspace(X, 2.0 * X, 7)
-        kabs = kernel_abs_at(samples)
+        # several samples so oscillatory zeros cannot fake a small envelope;
+        # row k is np.linspace(X[k], 2 X[k], 7), by the same operations
+        X = np.asarray(X)
+        samples = _TAIL_STEPS * ((2.0 * X - X) / 6.0)[:, None] + X[:, None]
+        samples[:, -1] = 2.0 * X
+        kabs = kernel_abs_at(samples.ravel()).reshape(samples.shape)
         env = samples ** (-p) * np.exp(-h * np.maximum(samples - start, 0.0))
-        C = float(np.max(np.where(env > 0.0, kabs / np.maximum(env, 1e-300), 0.0)))
-        if h > 0.0:
-            return C * X ** (-p) * np.exp(-h * max(X - start, 0.0)) / h
-        if p > 1.0:
-            return C * X ** (1.0 - p) / (p - 1.0)
-        return np.inf
+        Cs = np.max(np.where(env > 0.0, kabs / np.maximum(env, 1e-300), 0.0),
+                    axis=1)
+        for x, C in zip(X.tolist(), Cs.tolist()):
+            if h > 0.0:
+                yield x, C * x ** (-p) * np.exp(-h * max(x - start, 0.0)) / h
+            elif p > 1.0:
+                yield x, C * x ** (1.0 - p) / (p - 1.0)
+            else:
+                yield x, np.inf
 
-    X = start
-    for _ in range(60):
-        b = bound(X)
-        if b < 0.5 * tol:
-            return X, b
-        if X > 1e9:
-            break
-        X = 2.0 * X
+    lo, size = 0, 8
+    while lo < len(ladder):
+        for X, b in bounds(ladder[lo:lo + size]):
+            if b < 0.5 * tol:
+                return X, b
+        lo, size = lo + size, 2 * size
     raise AccuracyError(
         "tail of half-line integral cannot be truncated at the requested "
-        "tolerance for the declared decay class", estimate=bound(X))
+        "tolerance for the declared decay class", estimate=b)
 
 
 def _integrate_batch(batch_eval, breakpoints, decay, tol):
@@ -283,29 +343,54 @@ def fixed_rule(kernel_abs_at: Callable[[np.ndarray], np.ndarray],
     """
     bps = tuple(sorted(set(float(b) for b in breakpoints if b > 0.0)))
     tail_end, _ = _tail_cutoff(kernel_abs_at, decay, bps, 0.1 * tol)
-    plan = []
-    for seg in _segments(bps, tail_end):
-        t_lo, t_hi, transform = _map_segment(seg)
-        if t_hi <= t_lo:
-            continue
+    panels = []
+    for seg, t_lo, t_hi, _ in _rule_segments(bps, tail_end):
         mapping = seg[2]
         if mapping is None:
             phase = offset
         else:
             phase = (offset + height) * mapping[1] \
                 * (np.cosh(t_hi) if mapping[0] == "cosh" else 1.0)
-        panels = max(1, int(np.ceil(phase * (t_hi - t_lo) / _RULE_PHASE)))
-        plan.append((t_lo, 0.5 * (t_hi - t_lo) / panels, panels, transform))
-    if len(_RULE_GL_NODES) * sum(p[2] for p in plan) > _MAX_RULE_NODES:
+        panels.append(max(1, int(np.ceil(phase * (t_hi - t_lo)
+                                         / _RULE_PHASE))))
+    if len(_RULE_GL_NODES) * sum(panels) > _MAX_RULE_NODES:
         raise AccuracyError("fixed rule for this block needs more than %d "
                             "nodes" % _MAX_RULE_NODES)
+    plan = (bps, tail_end, tuple(panels))
+    return _KEPT_RULES.get(plan, lambda: _rule_nodes(*plan))
+
+
+def _rule_segments(bps, tail_end):
+    """(segment, t_lo, t_hi, transform) of each non-empty segment of a
+    fixed rule."""
+    out = []
+    for seg in _segments(bps, tail_end):
+        t_lo, t_hi, transform = _map_segment(seg)
+        if t_hi > t_lo:
+            out.append((seg, t_lo, t_hi, transform))
+    return out
+
+
+def _rule_nodes(bps, tail_end, panels):
+    """Read-only nodes and weights of the fixed rule of one plan: the
+    segments of bps and tail_end, each cut into its number of equal
+    20-point Gauss panels."""
     nodes, weights = [], []
-    for t_lo, half, panels, transform in plan:
-        mids = t_lo + half * (2.0 * np.arange(panels) + 1.0)
+    for (_, t_lo, t_hi, transform), n in zip(_rule_segments(bps, tail_end),
+                                              panels):
+        half = 0.5 * (t_hi - t_lo) / n
+        mids = t_lo + half * (2.0 * np.arange(n) + 1.0)
         xi, jac = transform((mids[:, None] + half * _RULE_GL_NODES).ravel())
         nodes.append(xi)
-        weights.append(half * np.tile(_RULE_GL_WEIGHTS, panels) * jac)
-    return np.concatenate(nodes), np.concatenate(weights)
+        weights.append(half * np.tile(_RULE_GL_WEIGHTS, n) * jac)
+    xi, w = np.concatenate(nodes), np.concatenate(weights)
+    xi.flags.writeable = False
+    w.flags.writeable = False
+    return xi, w
+
+
+# Nodes and weights of the fixed rules built in this process, by plan.
+_KEPT_RULES = BoundedMemo(_KEPT_RULE_NODES, lambda rule: len(rule[0]))
 
 
 def integrate_halfline(spec: IntegrandSpec, tol: float) -> complex:

@@ -3,9 +3,9 @@ fundamental solution.
 
 All arguments are real and positive (kappa * r with kappa > 0), so no
 complex-argument Bessel machinery is needed: J0, J1, Y0 and Y1 come from
-scipy.special (Cephes), through bessel_j0j1_y0y1_arrays, which also rejects
-x <= 0.  The test suite checks them against mpmath and the Wronskian
-identity.
+scipy.special (Cephes).  hankel1_0 asks for J0 and Y0 only; every entry
+point rejects x <= 0.  The test suite checks them against mpmath and the
+Wronskian identity.
 """
 
 from __future__ import annotations
@@ -35,8 +35,10 @@ def bessel_j0j1_y0y1(x: float):
 
 def hankel1_0(x):
     """H0^(1)(x) = J0(x) + i Y0(x), vectorized over positive x."""
-    j0, _, y0, _ = bessel_j0j1_y0y1_arrays(np.atleast_1d(np.asarray(x, float)))
-    h = j0 + 1j * y0
+    z = np.atleast_1d(np.asarray(x, float))
+    if np.any(z <= 0.0):
+        raise SingularityError("Bessel functions require x > 0")
+    h = scipy.special.j0(z) + 1j * scipy.special.y0(z)
     return h if np.ndim(x) else complex(h[0])
 
 

@@ -306,18 +306,34 @@ def test_lazy_products_built_once_under_thread_contention(bump_config,
 
 
 def test_kernel_state_does_not_grow_per_source(bump_config):
-    # the kernel evaluator keeps no table between calls, so memory does not
-    # grow with the number of sources solved
+    # the kernel evaluator keeps its folded rules and grid splits in bounded
+    # maps whose values depend on their keys alone: solving the same
+    # sources again, in reverse order, adds no entry and repeats every byte
     solver = ForwardSolver(bump_config)
+    green = solver.green
     rx = bump_config.receivers.points()
-    state = dict(vars(solver.green))
     rng = np.random.default_rng(11)
-    for k in range(20):
+    sources = []
+    for k in range(220):
         pos = (rng.uniform(-1.8, 1.8), rng.uniform(0.5, 1.5))
-        src = SourceSpec("monopole", pos) if k % 3 == 0 \
-            else SourceSpec("dipole", pos, 1 + k % 2)
+        sources.append(SourceSpec("monopole", pos) if k % 3 == 0
+                       else SourceSpec("dipole", pos, 1 + k % 2))
+    first = [solver.solve(src).scattered(rx).tobytes()
+             for src in sources[:20]]
+    rules, splits = len(green.rules), len(green.splits)
+    again = [solver.solve(src).scattered(rx).tobytes()
+             for src in reversed(sources[:20])]
+    assert again[::-1] == first
+    assert (len(green.rules), len(green.splits)) == (rules, splits)
+    for src in sources[20:]:
         solver.solve(src).scattered(rx)
-    assert vars(solver.green) == state
+    # 21 rules after set-up, 47 after 20 sources and 64 (16300 nodes, about
+    # 0.5 MB) after 220; the grid splits are those of the three point sets
+    # that take source columns (the 270 lower cells, which B1 and B2 share,
+    # the 8 bump cells of B2 and the receivers), whatever the number of
+    # sources
+    assert len(green.rules) <= 80 and green.rules.total <= 20000
+    assert len(green.splits) == splits <= 4
 
 
 @pytest.mark.parametrize("position", [(0.0, 0.1), (0.2, 0.28), (0.0, 0.3)])

@@ -319,3 +319,63 @@ def test_single_column_grid_matches_product_and_reference(
     assert {(s, t) for _, s, t in cases} == {(True, True), (True, False),
                                              (False, True), (False, False)}
     assert {n for n, _, _ in cases} == set(bump_point_sets)
+
+
+# ---------------------------------------------------------------------------
+# Rules and grid splits kept per PlanarGreen
+# ---------------------------------------------------------------------------
+def test_kept_rule_same_bytes_as_fresh(medium):
+    # mirrored point sets give rules of the same nodes and weights to the
+    # two dipole directions and to mirrored side cases; a kept rule must
+    # still carry the weight of its own kind, direction and side case
+    rng = np.random.default_rng(3)
+    up = np.column_stack([rng.uniform(-1.0, 1.0, 6), rng.uniform(0.2, 1.0, 6)])
+    sets = {"u": up, "l": up * [1.0, -1.0]}
+    blocks = [(kind, ell, a, b, cols) for kind, ell in KINDS
+              for a in "ul" for b in "ul" for cols in (slice(None), [2])]
+    warm = PlanarGreen(medium, 1e-8)
+    kept = []
+    for order in (blocks, blocks[::-1]):
+        for kind, ell, a, b, cols in order:
+            X, Y = sets[a], sets[b][cols]
+            fresh = PlanarGreen(medium, 1e-8).matrix(kind, ell, X, Y)
+            assert warm.matrix(kind, ell, X, Y).tobytes() == fresh.tobytes()
+        kept.append(len(warm.rules))
+    # the second pass, in reverse order, finds every rule kept
+    assert kept[0] == kept[1] <= len(blocks)
+
+
+def test_matrix_same_bytes_cold_warm_shuffled_and_threaded(
+        medium, bump_point_sets):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(17)
+    jobs = []
+    for k in range(24):
+        kind, ell = KINDS[k % 3]
+        y = (rng.uniform(-1.8, 1.8), rng.choice([-1.0, 1.0])
+             * rng.uniform(0.3, 1.5))
+        for X in bump_point_sets.values():
+            jobs.append((kind, ell, X, np.array([y])))
+    cold = [PlanarGreen(medium, 1e-8).matrix(*job).tobytes() for job in jobs]
+    warm = PlanarGreen(medium, 1e-8)
+    assert [warm.matrix(*job).tobytes() for job in jobs] == cold
+    order = rng.permutation(len(jobs))
+    shuffled = PlanarGreen(medium, 1e-8)
+    got = {int(i): shuffled.matrix(*jobs[i]).tobytes() for i in order}
+    assert [got[i] for i in range(len(jobs))] == cold
+    shared = PlanarGreen(medium, 1e-8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(lambda job=job: shared.matrix(*job))
+                       for job in jobs]
+            values = [f.result(timeout=120).tobytes() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(f.done() for f in futures)
+    assert values == cold
+    assert len(shared.rules) == len(warm.rules)
+    assert len(shared.splits) == len(warm.splits)

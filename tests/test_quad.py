@@ -165,3 +165,70 @@ def test_nan_offset_raises_instead_of_hanging():
                              np.array([0.3, np.nan]), (),
                              DecayClass.exponential(1.0), 1e-8)
     assert time.perf_counter() - t0 < 1.0
+
+
+def _tail_one_by_one(kernel_abs_at, decay, breakpoints, tol):
+    """The tail search point by point, as a reference for the batched
+    _tail_cutoff: (X, bound), or None where no ladder point is below."""
+    h, p = decay.rate, decay.power
+    start = 1.5 * max(list(breakpoints) + [1.0])
+
+    def bound(X):
+        samples = np.linspace(X, 2.0 * X, 7)
+        kabs = kernel_abs_at(samples)
+        env = samples ** (-p) * np.exp(-h * np.maximum(samples - start, 0.0))
+        C = float(np.max(np.where(env > 0.0,
+                                  kabs / np.maximum(env, 1e-300), 0.0)))
+        if h > 0.0:
+            return C * X ** (-p) * np.exp(-h * max(X - start, 0.0)) / h
+        if p > 1.0:
+            return C * X ** (1.0 - p) / (p - 1.0)
+        return np.inf
+
+    X = start
+    while True:
+        b = bound(X)
+        if b < 0.5 * tol:
+            return X, b
+        if X > 1e9:
+            return None
+        X = 2.0 * X
+
+
+def test_batched_tail_matches_point_by_point_search(medium):
+    from layered_scatter.layered_green import PlanarGreen
+    from layered_scatter.quad import _tail_cutoff
+    green = PlanarGreen(medium, 1e-8)
+    bps = (medium.kappa1, medium.kappa2)
+    cases = []
+    # the flat-interface kernels: every kind and side case, from heights at
+    # the interface to far above it, at the tolerances of the rules and of
+    # the adaptive engine
+    for kind, ell in (("monopole", 0), ("dipole", 1), ("dipole", 2)):
+        for x2 in (1e-3, 0.05, -0.1, 0.5, -1.3):
+            for y2 in (0.02, -0.3, 1.5, -2.0):
+                kern, pref, _, decay = green._kernel(kind, ell, x2, y2)
+                for tol in (1e-9, 1e-12):
+                    cases.append((lambda xi, k=kern: np.abs(k(xi)), decay,
+                                  bps, tol / abs(pref)))
+    # pure algebraic and exponential envelopes, no breakpoints, and tails
+    # that end past the first batch of ladder points
+    for power in (2.5, 3.0, 4.0):
+        cases.append((lambda xi, q=power: (1.0 + xi) ** -q,
+                      DecayClass.algebraic(power), (), 1e-8))
+    for rate in (1e-3, 0.02, 1.0):
+        cases.append((lambda xi, r=rate: np.exp(-r * xi),
+                      DecayClass.exponential(rate), (3.0,), 1e-12))
+    ends = set()
+    for kernel_abs_at, decay, breakpoints, tol in cases:
+        expected = _tail_one_by_one(kernel_abs_at, decay, breakpoints, tol)
+        assert _tail_cutoff(kernel_abs_at, decay, breakpoints, tol) \
+            == expected
+        ends.add(expected[0])
+    assert len(ends) > 8
+    # nothing below tol on the whole ladder: both give up
+    flat = DecayClass.algebraic(1.0)
+    assert _tail_one_by_one(lambda xi: 1.0 / (1.0 + xi), flat, (), 1e-6) \
+        is None
+    with pytest.raises(AccuracyError):
+        _tail_cutoff(lambda xi: 1.0 / (1.0 + xi), flat, (), 1e-6)

@@ -67,6 +67,9 @@ def test_scalar_matches_array():
 def test_hankel_wrappers():
     assert hankel1_0(2.0) == pytest.approx(_mp_hankel1(0, 2.0), abs=1e-11)
     assert hankel1_1(2.0) == pytest.approx(_mp_hankel1(1, 2.0), abs=1e-11)
+    x = np.geomspace(1e-3, 40.0, 101)
+    j0, _, y0, _ = bessel_j0j1_y0y1_arrays(x)
+    assert hankel1_0(x).tobytes() == (j0 + 1j * y0).tobytes()
 
 
 def test_nonpositive_argument_rejected():
@@ -74,6 +77,9 @@ def test_nonpositive_argument_rejected():
         bessel_j0j1_y0y1(0.0)
     with pytest.raises(SingularityError):
         bessel_j0j1_y0y1_arrays(np.array([1.0, -2.0]))
+    for x in (0.0, np.array([1.0, -2.0])):
+        with pytest.raises(SingularityError):
+            hankel1_0(x)
 
 
 def test_fundamental_solution_value_and_singularity():
