@@ -19,7 +19,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("config", help="JSON scene configuration")
     ap.add_argument("--output", default="nearfield.csv")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=1,
+                    help="dataset worker processes (forked)")
     args = ap.parse_args()
 
     run = load_config(args.config)

@@ -408,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "locally rough interface and an optional obstacle.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (default: "
+                        help="dataset worker processes, forked and "
+                             "sharing the solver copy-on-write; rows are "
+                             "byte-identical for any count (default: "
                              "LAYERED_SCATTER_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,23 +7,31 @@ a scene exactly once; solving for additional sources then reuses them.  The
 source-independent rows that carry a solution to its own point sets (the
 receiver line, the obstacle boundary nodes and their normal shifts) are
 built on first use and kept; any other point set gets them for one call.
-Dataset synthesis distributes independent sources over a thread pool and
-merges the rows in source order, so the output is deterministic regardless
-of the worker count.
+Dataset synthesis cuts the sources into contiguous shares, solves the later
+shares in forked worker processes that share the solver copy-on-write, and
+joins the rows in source order, so the output has the same bytes for any
+worker count.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, GeometryError, SingularityError
+from . import quad
+from .errors import (
+    ConfigurationError,
+    GeometryError,
+    SingularityError,
+    SolverError,
+)
 from .geometry import (
     ArcInterface,
     InterfaceProfile,
@@ -31,6 +39,7 @@ from .geometry import (
     ReceiverLine,
     RegionMesh,
     SceneGeometry,
+    box_cells,
     build_region_mesh,
     default_arc_radius,
     obstacle_nodes,
@@ -62,16 +71,26 @@ from .specfun import fundamental_solution, fundamental_solution_grad
 _FD_STEP = 1e-4          # first derivatives of smooth evaluated fields
 _TRAPEZOID_POINTS = 64   # nodes on the small circle of the reciprocity check
 _MIN_CELLS_PER_WAVELENGTH = 4   # of the larger wavenumber, on the B1/B2 mesh
+_COMPLEX = 16            # bytes of a dense complex entry
 
 
 def default_thread_count() -> int:
-    """Worker count from LAYERED_SCATTER_THREADS, defaulting to 1."""
+    """Number of dataset worker processes from LAYERED_SCATTER_THREADS,
+    defaulting to 1 (see synthesize_dataset)."""
     raw = os.environ.get("LAYERED_SCATTER_THREADS", "")
     try:
         n = int(raw)
     except ValueError:
         return 1
     return max(1, n)
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +156,34 @@ class NearFieldRecord:
     source_position: Tuple[float, float]
     receiver: Tuple[float, float]
     value: complex
+
+
+def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> int:
+    """Bytes of the largest arrays a ForwardSolver of config builds, from
+    the geometry alone, before any mesh exists.
+
+    Counted: the B1 and B2 operators with their LU factors and the B2 x B1
+    blocks; the subsample grids of the meshes; for a boundary condition the
+    boundary operators, the kernel columns of the three rough-kernel
+    contexts on B1 and B2 and the (2M, 2M, M) phase and cosine tensors of
+    the log-singular rule; for a penetrable obstacle its operator and
+    kernel columns.  Cell counts are those of the bounding boxes the
+    meshes are cut from, which bound the meshes from above.
+    """
+    s2 = config.subsample ** 2
+    n1 = box_cells("B1", scene, config.cell_size)
+    n2 = box_cells("B2", scene, config.cell_size)
+    total = _COMPLEX * (2 * n1 * n1 + 2 * n2 * n2 + 2 * n1 * n2
+                        + s2 * (n1 + n2))
+    spec = config.obstacle
+    if spec is None:
+        return total
+    if spec.condition == "penetrable":
+        nd = box_cells("D_penetrable", scene, spec.cell_size)
+        return total + _COMPLEX * (2 * nd * nd + 2 * nd * (n1 + n2) + s2 * nd)
+    m = 2 * spec.boundary_M
+    return total + _COMPLEX * (m * m * (4 + spec.boundary_M)
+                               + 3 * m * (n1 + n2))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +291,14 @@ class ForwardSolver:
     sets its source columns meet, in bounded maps whose values depend on
     their keys alone (see PlanarGreen).  Concurrent solve() calls are
     therefore safe, and a product or a source's field has the same bytes
-    whichever thread builds it and whichever sources came before.
+    whichever thread builds it and whichever sources came before.  The
+    same holds in the worker processes of synthesize_dataset, which share
+    the solver copy-on-write: each is forked with every lock of the solve
+    path held (_locks), so none starts with a lock that it cannot release.
+
+    Before any mesh is built, the bytes of the largest dense arrays are
+    estimated from the geometry (_dense_bytes_estimate); a scene that would
+    not fit in physical memory raises ConfigurationError.
     """
 
     def __init__(self, config: SceneConfig):
@@ -259,6 +313,13 @@ class ForwardSolver:
         self.config = config
         self.medium = config.medium
         self.scene = config.geometry()
+        need = _dense_bytes_estimate(config, self.scene)
+        have = _physical_memory()
+        if have is not None and need > have:
+            raise ConfigurationError(
+                "the scene needs about %.3g GB of dense arrays, more than the "
+                "%.3g GB of physical memory; coarsen cell_size or lower "
+                "boundary_M or subsample" % (need / 1e9, have / 1e9))
         self.green = PlanarGreen(self.medium, config.quad_tol)
         self.mesh_B1 = build_region_mesh("B1", self.scene, config.cell_size,
                                          config.subsample)
@@ -370,6 +431,20 @@ class ForwardSolver:
             return radiation_matrix(self.kernel_ctx, ansatz, P, rows)
         return products.get("radiation", build)
 
+    def _locks(self) -> list:
+        """Every lock a solve can take, in an order that cannot deadlock:
+        first the point sets' reentrant locks (a product is built under
+        one of them and takes leaf locks only), then the leaf locks, under
+        which no other lock is taken: those of the dense operators, of the
+        kernel evaluator's kept rules and grid splits, and of the nodes
+        and weights kept by plan (quad._KEPT_RULES)."""
+        operators = (self.stage1, self.b2, self.bie_operator,
+                     self.neumann_operator)
+        return ([ps._lock for ps in self.point_sets.values()]
+                + [op._lock for op in operators if op is not None]
+                + [self.green.rules._lock, self.green.splits._lock,
+                   quad._KEPT_RULES._lock])
+
     # -- per-source solve ---------------------------------------------------
     def solve(self, source: SourceSpec) -> FieldEvaluator:
         """Background stages plus obstacle correction for one source.
@@ -415,23 +490,6 @@ class ForwardSolver:
         return FieldEvaluator(self, source, background, correction)
 
 
-def forward_solve(config: SceneConfig, source: SourceSpec):
-    """One-shot convenience wrapper: (evaluator, near-field records).
-
-    Records are produced only when the scene has a receiver line.
-    """
-    solver = ForwardSolver(config)
-    evaluator = solver.solve(source)
-    records = []
-    if config.receivers is not None:
-        pts = config.receivers.points()
-        us = evaluator.scattered(pts)
-        records = [NearFieldRecord(0, source.position,
-                                   (float(p[0]), float(p[1])), complex(v))
-                   for p, v in zip(pts, us)]
-    return evaluator, records
-
-
 def synthesize_dataset(config: SceneConfig, sources: Sequence[SourceSpec],
                        receivers: Optional[ReceiverLine] = None,
                        threads: Optional[int] = None,
@@ -439,7 +497,14 @@ def synthesize_dataset(config: SceneConfig, sources: Sequence[SourceSpec],
     """Scattered-field table over all (source, receiver) pairs.
 
     Rows are source-major: all receivers of source 0, then source 1, and so
-    on, independent of the worker count.
+    on.  threads is the number of worker processes (default
+    default_thread_count()), capped by the number of sources and of usable
+    cores.  The sources are cut into contiguous shares: this process solves
+    the first, and each later one is solved in a forked child on its
+    copy-on-write copy of the solver (see _forked_columns).  Every worker
+    runs the same single-source path, so the rows have the same bytes for
+    any worker count, and a failing source raises the error that one worker
+    would raise.  Where os.fork does not exist, one worker runs.
     """
     if receivers is None:
         receivers = config.receivers
@@ -454,9 +519,9 @@ def synthesize_dataset(config: SceneConfig, sources: Sequence[SourceSpec],
     def one(source):
         return solver.solve(source).scattered(pts)
 
-    if threads > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(one, sources))
+    workers = _worker_count(threads, len(sources))
+    if workers > 1:
+        columns = _forked_columns(solver, one, sources, workers)
     else:
         columns = [one(s) for s in sources]
 
@@ -467,6 +532,104 @@ def synthesize_dataset(config: SceneConfig, sources: Sequence[SourceSpec],
                                            (float(p[0]), float(p[1])),
                                            complex(v)))
     return records
+
+
+def _worker_count(threads: int, n_sources: int) -> int:
+    """Worker processes for n_sources: at most threads, one per source and
+    one per core this process may run on; 1 where os.fork does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    return max(1, min(threads, n_sources, cores))
+
+
+def _fork(locks) -> Optional[int]:
+    """os.fork() with every lock of the solve path held, so that no child
+    inherits a lock that another thread holds; both processes release them
+    right after.  None when the system refuses the process."""
+    for lock in locks:
+        lock.acquire()
+    try:
+        return os.fork()
+    except OSError:
+        return None
+    finally:
+        for lock in reversed(locks):
+            lock.release()
+
+
+def _child(fd: int, one, share) -> None:
+    """Solve share in a forked child and send its columns, or the error of
+    its first failing source, through the pipe fd; never returns."""
+    code = 1
+    try:
+        try:
+            result = [one(s) for s in share]
+        except Exception as exc:
+            result = exc
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_columns(solver: ForwardSolver, one, sources, workers: int):
+    """Columns of all sources, cut into workers contiguous shares.
+
+    This process solves the first share while forked children solve the
+    others.  It then reads the children in share order and reaps each
+    one, so the first error met is that of the lowest-index failing
+    source.  A share whose fork the system refuses is solved here, in its
+    turn.  On any error every child still running is killed and reaped.
+    Forked, not spawned: a spawned worker would first rebuild the solver,
+    which takes as long as solving about 50 sources of the shipped scene.
+    """
+    n = len(sources)
+    cuts = [n * k // workers for k in range(workers + 1)]
+    shares = [sources[a:b] for a, b in zip(cuts, cuts[1:])]
+    locks = solver._locks()
+    children = {}        # share index -> (pid, read end of its pipe)
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = _fork(locks)
+            if pid == 0:
+                os.close(r)
+                _child(w, one, shares[k])
+            os.close(w)
+            if pid is None:
+                os.close(r)
+            else:
+                children[k] = (pid, os.fdopen(r, "rb"))
+        columns = []
+        for k, share in enumerate(shares):
+            if k not in children:
+                columns.extend(one(s) for s in share)
+                continue
+            pid, fh = children[k]
+            with fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            del children[k]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise SolverError(
+                    "the worker process of sources %d-%d ended without a "
+                    "result (exit code %d)" % (cuts[k], cuts[k + 1] - 1, code))
+            result = pickle.loads(data)
+            if isinstance(result, Exception):
+                raise result
+            columns.extend(result)
+        return columns
+    finally:
+        for pid, fh in children.values():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------

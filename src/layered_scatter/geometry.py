@@ -386,18 +386,32 @@ def _bounding_box(tag: str, scene: SceneGeometry):
     raise ConfigurationError(f"unknown region tag {tag!r}")
 
 
+def _box_grid(region_tag: str, scene: SceneGeometry, h: float):
+    """Lower-left corner and cell counts (nx, ny) of the region's bounding
+    box at cell size h."""
+    if h <= 0.0:
+        raise ConfigurationError("cell_size must be positive")
+    (x_lo, y_lo), (x_hi, y_hi) = _bounding_box(region_tag, scene)
+    nx = max(1, int(np.ceil((x_hi - x_lo) / h - 1e-12)))
+    ny = max(1, int(np.ceil((y_hi - y_lo) / h - 1e-12)))
+    return x_lo, y_lo, nx, ny
+
+
+def box_cells(region_tag: str, scene: SceneGeometry, cell_size: float) -> int:
+    """Cells of the bounding box that build_region_mesh scans: an upper
+    bound on the size of the mesh, known before it is built."""
+    _, _, nx, ny = _box_grid(region_tag, scene, cell_size)
+    return nx * ny
+
+
 def build_region_mesh(region_tag: str, scene: SceneGeometry, cell_size: float,
                       subsample: int = 4) -> RegionMesh:
     """Uniform Cartesian midpoint mesh of B1, B2 or the penetrable obstacle."""
-    if cell_size <= 0.0:
-        raise ConfigurationError("cell_size must be positive")
     if subsample < 1:
         raise ConfigurationError("subsample must be >= 1")
     inside = _region_indicator(region_tag, scene)
-    (x_lo, y_lo), (x_hi, y_hi) = _bounding_box(region_tag, scene)
+    x_lo, y_lo, nx, ny = _box_grid(region_tag, scene, cell_size)
     h = cell_size
-    nx = max(1, int(np.ceil((x_hi - x_lo) / h - 1e-12)))
-    ny = max(1, int(np.ceil((y_hi - y_lo) / h - 1e-12)))
     cx = x_lo + (np.arange(nx) + 0.5) * h
     cy = y_lo + (np.arange(ny) + 0.5) * h
     X, Y = np.meshgrid(cx, cy, indexing="ij")

@@ -496,21 +496,3 @@ def green_planar_scattered(x, xs, medium: MediumParams,
                            tol: float = 1e-8) -> complex:
     """Scattered (same side) / transmitted (cross side) monopole field."""
     return PlanarGreen(medium, tol).scattered(x, xs)
-
-
-def green_planar_total(x, xs, medium: MediumParams,
-                       tol: float = 1e-8) -> complex:
-    """Total monopole field of the flat two-layer medium."""
-    return PlanarGreen(medium, tol).total(x, xs)
-
-
-def dipole_planar_scattered(x, xs, ell: int, medium: MediumParams,
-                            tol: float = 1e-8) -> complex:
-    """Scattered/transmitted dipole field for direction ell."""
-    return PlanarGreen(medium, tol).dipole_scattered(x, xs, ell)
-
-
-def dipole_planar_total(x, xs, ell: int, medium: MediumParams,
-                        tol: float = 1e-8) -> complex:
-    """Total dipole field of the flat two-layer medium."""
-    return PlanarGreen(medium, tol).dipole_total(x, xs, ell)

@@ -464,13 +464,6 @@ def extend_stage2_many(sol: GridSolution, X: np.ndarray,
     return out
 
 
-def extend_stage2(sol: GridSolution, x, medium: MediumParams,
-                  b2_operator: DenseOperator) -> complex:
-    """Rough-interface field at a single point."""
-    return complex(extend_stage2_many(sol, np.asarray([x], float),
-                                      medium, b2_operator)[0])
-
-
 def green_rough_columns(points: np.ndarray, b2_operator: DenseOperator,
                         medium: MediumParams,
                         sources: np.ndarray) -> np.ndarray:

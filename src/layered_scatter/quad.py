@@ -405,15 +405,6 @@ def integrate_halfline(spec: IntegrandSpec, tol: float) -> complex:
     return complex(total[0])
 
 
-def integrate_halfline_with_error(spec: IntegrandSpec, tol: float):
-    """Like integrate_halfline but also returns the error estimate."""
-    def batch_eval(xi):
-        return np.asarray(spec.evaluator(xi), dtype=complex)[None, :]
-
-    total, err = _integrate_batch(batch_eval, spec.breakpoints, spec.decay, tol)
-    return complex(total[0]), float(err)
-
-
 def fold_integrate_batch(kernel: Callable[[np.ndarray], np.ndarray],
                          parity: str, offsets: np.ndarray,
                          breakpoints: Sequence[float], decay: DecayClass,

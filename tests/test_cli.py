@@ -249,3 +249,11 @@ def test_forward_too_few_cells_per_wavelength_exits_2(config_path, capsys):
     rc = main(["forward", config_path(doc), "--output", "/dev/null"])
     assert rc == EXIT_CONFIG
     assert "cells" in capsys.readouterr().err
+
+
+def test_forward_scene_too_large_for_memory_exits_2(config_path, capsys):
+    doc = dict(BASE)
+    doc["mesh"] = {"cell_size": 1e-4, "subsample": 4}
+    rc = main(["forward", config_path(doc), "--output", "/dev/null"])
+    assert rc == EXIT_CONFIG
+    assert "physical memory" in capsys.readouterr().err

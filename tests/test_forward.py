@@ -1,12 +1,23 @@
-"""Forward pipeline: configuration, evaluators, dataset synthesis,
-the blow-up experiment and the mixed reciprocity identity."""
+"""Forward pipeline: configuration, evaluators, dataset synthesis and its
+worker processes, the blow-up experiment and the mixed reciprocity
+identity."""
 
+import dataclasses
+import errno
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from layered_scatter.errors import ConfigurationError, GeometryError
+from layered_scatter import quad
+from layered_scatter.errors import (
+    AccuracyError,
+    ConfigurationError,
+    GeometryError,
+    SolverError,
+)
 from layered_scatter.forward import (
     BlowupSequenceConfig,
     ForwardSolver,
@@ -15,7 +26,6 @@ from layered_scatter.forward import (
     blowup_experiment,
     blowup_mesh,
     default_thread_count,
-    forward_solve,
     mixed_reciprocity_check,
     synthesize_dataset,
 )
@@ -98,7 +108,9 @@ def test_scattered_finite_at_the_source(flat_solver):
 
 
 def test_forward_solve_produces_records(flat_config):
-    ev, records = forward_solve(flat_config, SRC)
+    solver = ForwardSolver(flat_config)
+    ev = solver.solve(SRC)
+    records = synthesize_dataset(flat_config, [SRC], solver=solver)
     assert len(records) == 5
     pts = flat_config.receivers.points()
     for r, p in zip(records, pts):
@@ -499,3 +511,184 @@ def test_too_few_cells_per_wavelength_rejected():
     # four cells per wavelength of the larger wavenumber still pass
     ForwardSolver(SceneConfig(medium=MediumParams(1.0, 1.5), arc_radius=1.0,
                               cell_size=0.25 * 2.0 * np.pi / 1.5))
+
+
+# ---------------------------------------------------------------------------
+# Dataset worker processes
+# ---------------------------------------------------------------------------
+@pytest.fixture()
+def two_cores(monkeypatch):
+    """Two usable cores whatever the machine has, so that threads=2 forks
+    one child; afterwards no child process may be left, reaped or not."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork: datasets run one worker")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cores", [2, 64])
+def test_worker_count_capped_by_sources_and_cores(flat_config, flat_solver,
+                                                  monkeypatch, two_cores,
+                                                  cores):
+    # every fork is refused, so no process starts; each refused share is
+    # solved in the calling process
+    forks = []
+
+    def refused():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+    many = synthesize_dataset(flat_config, SOURCES, threads=10 ** 6,
+                              solver=flat_solver)
+    assert len(forks) == min(cores, len(SOURCES)) - 1
+    one = synthesize_dataset(flat_config, SOURCES, threads=1,
+                             solver=flat_solver)
+    assert _table(many) == _table(one)
+
+
+def test_worker_counts_and_empty_source_list(flat_config, flat_solver,
+                                             monkeypatch, two_cores):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    one = synthesize_dataset(flat_config, SOURCES, threads=1,
+                             solver=flat_solver)
+    assert forks == []
+    more = synthesize_dataset(flat_config, SOURCES, threads=8,
+                              solver=flat_solver)
+    assert len(forks) == 1 and _table(more) == _table(one)
+    assert synthesize_dataset(flat_config, [], threads=2,
+                              solver=flat_solver) == []
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("case", ["under the bump, own share",
+                                  "under the bump, child's share",
+                                  "accuracy, child's share"])
+def test_worker_error_same_as_one_worker(bump_config, monkeypatch, two_cores,
+                                         case):
+    solver = ForwardSolver(bump_config)
+    sources = list(SOURCES)
+    if case.startswith("under"):
+        bad = 0 if case.endswith("own share") else len(sources) - 1
+        sources[bad] = SourceSpec("monopole", (0.0, 0.1))
+    else:
+        solve = solver.solve
+
+        def failing(src):
+            if src is sources[-1]:
+                raise AccuracyError("linear solve residual too large",
+                                    value=np.arange(3.0), estimate=2.5e-7)
+            return solve(src)
+
+        monkeypatch.setattr(solver, "solve", failing)
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises((GeometryError, AccuracyError)) as info:
+            synthesize_dataset(bump_config, sources, threads=threads,
+                               solver=solver)
+        exc = info.value
+        value = getattr(exc, "value", None)
+        errors.append((type(exc), str(exc), getattr(exc, "estimate", None),
+                       None if value is None else value.tobytes()))
+    assert errors[0] == errors[1]
+
+
+def test_worker_ending_without_a_result_raises(flat_config, flat_solver,
+                                              monkeypatch, two_cores):
+    parent = os.getpid()
+    solve = flat_solver.solve
+
+    def dying(src):
+        if os.getpid() != parent:
+            os._exit(3)
+        return solve(src)
+
+    monkeypatch.setattr(flat_solver, "solve", dying)
+    with pytest.raises(SolverError, match="without a result"):
+        synthesize_dataset(flat_config, SOURCES, threads=2,
+                           solver=flat_solver)
+
+
+@pytest.mark.parametrize("which", ["dense operator", "point set",
+                                   "rules kept by plan"])
+def test_workers_fork_past_a_lock_held_by_another_thread(bump_config,
+                                                         two_cores, which):
+    # a child forked while another thread holds a solver lock would inherit
+    # it held by no thread of its own and wait for it forever
+    solver = ForwardSolver(bump_config)
+    one = synthesize_dataset(bump_config, SOURCES, threads=1, solver=solver)
+    lock = {"dense operator": solver.b2._lock,
+            "point set": solver.point_sets["receivers"]._lock,
+            "rules kept by plan": quad._KEPT_RULES._lock}[which]
+    held = threading.Event()
+
+    def hold():
+        with lock:
+            held.set()
+            time.sleep(0.5)
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    assert held.wait(timeout=10)
+    out = []
+    worker = threading.Thread(
+        target=lambda: out.append(synthesize_dataset(
+            bump_config, SOURCES, threads=2, solver=solver)),
+        daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    holder.join(timeout=10)
+    assert not worker.is_alive() and not holder.is_alive()
+    assert len(out) == 1 and _table(out[0]) == _table(one)
+
+
+# ---------------------------------------------------------------------------
+# Size guard
+# ---------------------------------------------------------------------------
+CIRCLE = ObstacleCurve("circle", (0.0, -1.3), 0.5)
+
+
+@pytest.mark.parametrize("change", [
+    {"cell_size": 1e-4},
+    {"subsample": 10 ** 5},
+    {"obstacle": ObstacleSpec(curve=CIRCLE, boundary_M=10 ** 6)},
+    {"obstacle": ObstacleSpec(curve=CIRCLE, condition="penetrable", n=1.5,
+                              cell_size=1e-5)},
+], ids=["cell_size", "subsample", "boundary_M", "penetrable cell_size"])
+def test_scene_too_large_for_memory_rejected_before_meshing(bump_config,
+                                                            monkeypatch,
+                                                            change):
+    import layered_scatter.forward as forward
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(forward, "build_region_mesh", no_mesh)
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        ForwardSolver(dataclasses.replace(bump_config, **change))
+
+
+def test_size_guard_compares_the_estimate_with_physical_memory(bump_config,
+                                                               monkeypatch):
+    import layered_scatter.forward as forward
+    need = forward._dense_bytes_estimate(bump_config, bump_config.geometry())
+    monkeypatch.setattr(forward, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        ForwardSolver(bump_config)
+    monkeypatch.setattr(forward, "_physical_memory", lambda: need)
+    ForwardSolver(bump_config)
+    # where the system does not say, no scene is rejected
+    monkeypatch.setattr(forward, "_physical_memory", lambda: None)
+    ForwardSolver(bump_config)

@@ -14,7 +14,6 @@ from layered_scatter.ls_volume import (
     assemble_B2_operator,
     cell_self_weight,
     extend_stage1_many,
-    extend_stage2,
     extend_stage2_many,
     green_arc,
     log_integral_square,
@@ -235,6 +234,6 @@ def test_zero_contrast_operators_are_identity(flat_scene):
     sol = solve_stage2(SRC, b2, m2, degenerate)
     # extension reduces to the planar field, which is free space here
     p = (0.5, 0.7)
-    got = extend_stage2(sol, p, degenerate, b2)
+    got = extend_stage2_many(sol, np.array([p]), degenerate, b2)[0]
     free = fundamental_solution(1.5, p, SRC.position)
     assert abs(got - free) < 1e-8
