@@ -47,6 +47,7 @@ from .geometry import (
 from .layered_green import MediumParams, PlanarGreen, SourceSpec
 from .ls_volume import (
     _COINCIDENT,
+    CellUnion,
     ExtensionRows,
     assemble_B1_operator,
     assemble_B2_operator,
@@ -164,9 +165,8 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> int:
 
     Counted: the B1 and B2 operators with their LU factors and the B2 x B1
     blocks; the subsample grids of the meshes; for a boundary condition the
-    boundary operators, the kernel columns of the three rough-kernel
-    contexts on B1 and B2 and the (2M, 2M, M) phase and cosine tensors of
-    the log-singular rule; for a penetrable obstacle its operator and
+    boundary operators and the kernel columns of the three rough-kernel
+    contexts on B1 and B2; for a penetrable obstacle its operator and
     kernel columns.  Cell counts are those of the bounding boxes the
     meshes are cut from, which bound the meshes from above.
     """
@@ -182,8 +182,7 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> int:
         nd = box_cells("D_penetrable", scene, spec.cell_size)
         return total + _COMPLEX * (2 * nd * nd + 2 * nd * (n1 + n2) + s2 * nd)
     m = 2 * spec.boundary_M
-    return total + _COMPLEX * (m * m * (4 + spec.boundary_M)
-                               + 3 * m * (n1 + n2))
+    return total + _COMPLEX * (4 * m * m + 3 * m * (n1 + n2))
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +324,17 @@ class ForwardSolver:
                                          config.subsample)
         self.mesh_B2 = build_region_mesh("B2", self.scene, config.cell_size,
                                          config.subsample)
+        # the flat kernel on the cells of both meshes, evaluated once and
+        # dropped as soon as both operators hold their blocks
+        union = CellUnion(self.mesh_B1, self.mesh_B2)
+        kernel = union.kernel(self.green)
         self.stage1 = assemble_B1_operator(self.mesh_B1, self.medium,
                                            tol=config.quad_tol,
-                                           green=self.green)
-        self.b2 = assemble_B2_operator(self.mesh_B2, self.medium, self.stage1)
+                                           green=self.green, union=union,
+                                           kernel=kernel)
+        self.b2 = assemble_B2_operator(self.mesh_B2, self.medium, self.stage1,
+                                       union=union, kernel=kernel)
+        del kernel
         self.stage1.factorize()
         self.b2.factorize()
 
@@ -372,15 +378,15 @@ class ForwardSolver:
     def _check_rule(self) -> None:
         """Check the fixed xi-rules once against the adaptive integrals.
 
-        Every kernel block pairs the B1/B2 meshes with themselves (the
-        operator assembly and, at the lowest mesh rows, the smallest height
-        sums a source column meets) or one of the solver's off-grid point
-        sets (receivers, boundary nodes and their shifts, the penetrable
-        mesh) with a mesh or another such set.  Each side-pair block of
-        those three products is checked at its extreme pairs
-        (PlanarGreen.check_rule).
+        Every kernel block pairs the union of the B1 and B2 cells with
+        itself (the operator assembly and, at the lowest cells, the
+        smallest height sums a source column meets) or one of the solver's
+        off-grid point sets (receivers, boundary nodes and their shifts,
+        the penetrable mesh) with the union or another such set.  Each
+        side-pair block of those three products is checked at its extreme
+        pairs (PlanarGreen.check_rule).
         """
-        mesh = np.concatenate([self.mesh_B1.centers, self.mesh_B2.centers])
+        mesh = self.b2.union.centers
         self.green.check_rule(mesh, mesh)
         off = [ps.points for ps in self.point_sets.values()]
         if self.kernel_ctx is not None:

@@ -25,6 +25,13 @@ The flat-interface kernel depends only on the two heights and the
 horizontal offset.  Every kernel matrix and source column, the grid x grid
 operator assembly included, runs on one fixed xi-rule per side pair
 (PlanarGreen.matrix), as matrix products.
+
+B1 and B2 are cut from one lattice, so their cells overlap: under a bump
+B1's cells are B2's below x2 = 0.  Every flat-interface kernel block and
+source column is evaluated once on the union of their cells (CellUnion);
+the blocks of each mesh are gathered from it, and only the cell averages
+at coincident pairs, which depend on each mesh's own weights, are formed
+per mesh.
 """
 
 from __future__ import annotations
@@ -36,7 +43,12 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import AccuracyError, SingularityError, SolverError
+from .errors import (
+    AccuracyError,
+    ConfigurationError,
+    SingularityError,
+    SolverError,
+)
 from .geometry import RegionMesh
 from .layered_green import MediumParams, PlanarGreen, SourceSpec
 from .specfun import EULER_GAMMA, phi_matrix
@@ -76,14 +88,17 @@ def planar_scattered_matrix(green: PlanarGreen, X: np.ndarray,
 
 def planar_green_matrix(green: PlanarGreen, X: np.ndarray, Y: np.ndarray,
                         y_weights: Optional[np.ndarray] = None,
-                        x_weights: Optional[np.ndarray] = None) -> np.ndarray:
+                        x_weights: Optional[np.ndarray] = None,
+                        average: bool = True) -> np.ndarray:
     """Matrix of total flat-interface values G(x_i, y_j).
 
     Adds the free-space part on same-side pairs.  Coincident pairs are
     filled with a cell average (requires y_weights, or x_weights as a
     symmetric fallback when the y points carry no cells): self-weight
     integral of the free-space part divided by the cell area, plus the
-    regular scattered value.
+    regular scattered value.  average=False leaves them at the scattered
+    value, for a caller that averages them over cells of its own
+    (CellUnion).
     """
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
@@ -98,26 +113,47 @@ def planar_green_matrix(green: PlanarGreen, X: np.ndarray, Y: np.ndarray,
         m = same & ((Y[:, 1] > 0.0)[None, :] == side) & ~coin
         if np.any(m):
             out[m] += phi_matrix(kappa, r[m])
-    if np.any(coin):
-        if y_weights is None and x_weights is None:
-            raise SingularityError(
-                "coincident kernel points need cell weights for averaging")
-        ci, cj = np.nonzero(coin)
-        for i, j in zip(ci, cj):
-            kappa = med.kappa_at(Y[j, 1])
-            w = y_weights[j] if y_weights is not None else x_weights[i]
-            out[i, j] += cell_self_weight(kappa, w) / w
+    if average:
+        _add_cell_averages(out, coin, Y, med, y_weights, x_weights)
     return out
+
+
+def _coincident(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Pairs of X x Y at the same point, as planar_green_matrix finds them."""
+    return np.hypot(X[:, 0][:, None] - Y[None, :, 0],
+                    X[:, 1][:, None] - Y[None, :, 1]) < _COINCIDENT
+
+
+def _add_cell_averages(out: np.ndarray, coin: np.ndarray, Y: np.ndarray,
+                       medium: MediumParams,
+                       y_weights: Optional[np.ndarray] = None,
+                       x_weights: Optional[np.ndarray] = None) -> None:
+    """Add, at the coincident pairs coin of out (a kernel on X x Y), the
+    free-space self-weight integral over the cell of y_weights (or of
+    x_weights when the y points carry no cells) divided by its area."""
+    if not np.any(coin):
+        return
+    if y_weights is None and x_weights is None:
+        raise SingularityError(
+            "coincident kernel points need cell weights for averaging")
+    ci, cj = np.nonzero(coin)
+    for i, j in zip(ci, cj):
+        kappa = medium.kappa_at(Y[j, 1])
+        w = y_weights[j] if y_weights is not None else x_weights[i]
+        out[i, j] += cell_self_weight(kappa, w) / w
 
 
 def planar_field_column(green: PlanarGreen, source: SourceSpec,
                         X: np.ndarray, total: bool = True,
-                        x_weights: Optional[np.ndarray] = None) -> np.ndarray:
+                        x_weights: Optional[np.ndarray] = None,
+                        average: bool = True) -> np.ndarray:
     """Flat-interface field of a point source at each point of X.
 
     With total=False only the scattered/transmitted part is returned.  If a
     point of X coincides with a monopole source position, the cell-averaged
-    value is used (x_weights required); dipole sources must stay off X.
+    value is used (x_weights required; average=False leaves the scattered
+    value there, as in planar_green_matrix); dipole sources must stay off
+    X.
     """
     X = np.asarray(X, float)
     xs = source.position
@@ -137,12 +173,92 @@ def planar_field_column(green: PlanarGreen, source: SourceSpec,
     if np.any(coin):
         if kind != "monopole":
             raise SingularityError("dipole source coincides with a mesh point")
-        if x_weights is None:
-            raise SingularityError(
-                "source on a mesh point needs cell weights for averaging")
-        for i in np.nonzero(coin)[0]:
-            out[i] += cell_self_weight(kappa, x_weights[i]) / x_weights[i]
+        if average:
+            _add_cell_averages(out[:, None], coin[:, None],
+                               np.array([xs], float), green.medium,
+                               x_weights=x_weights)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The cells of B1 and B2
+# ---------------------------------------------------------------------------
+class CellUnion:
+    """The cells of the B1 and B2 meshes as one point set U, on which each
+    flat-interface kernel block and source column is evaluated once for
+    both meshes.
+
+    build_region_mesh cuts both meshes from one lattice (origin (-R, -R),
+    one cell size), so a cell is known by its lattice index.  U holds each
+    cell once, in lattice order, which is the order of each mesh, and
+    index[k][i] is the position in U of cell i of mesh k (0: B1, 1: B2).
+    Under a bump B1's cells are B2's below x2 = 0, so U is B2: its side
+    blocks, and with them every xi-rule and entry, are the meshes' own.
+
+    Kernels on U leave coincident pairs unaveraged (average=False).  A
+    mesh's block is gathered from U and averaged over that mesh's cells
+    with the operations of planar_green_matrix: a cell cut by the interface
+    has another weight in each mesh.  Gathered blocks are C-contiguous,
+    since a product with a Fortran-ordered gather has other last bits.
+    """
+
+    def __init__(self, mesh_B1: RegionMesh, mesh_B2: RegionMesh):
+        origin = np.asarray(mesh_B1.origin, float)
+        h = mesh_B1.cell_size
+        both = np.concatenate([mesh_B1.centers, mesh_B2.centers])
+        keys = np.rint((both - origin) / h - 0.5).astype(np.int64)
+        cells, where = np.unique(keys, axis=0, return_inverse=True)
+        where = where.reshape(-1)
+        self.centers = np.empty((len(cells), 2))
+        self.centers[where] = both
+        if mesh_B2.cell_size != h \
+                or not np.array_equal(mesh_B2.origin, origin) \
+                or not np.array_equal(self.centers[where], both):
+            raise ConfigurationError(
+                "the B1 and B2 meshes must be cut from one lattice")
+        self.meshes = (mesh_B1, mesh_B2)
+        self.index = (where[:mesh_B1.n], where[mesh_B1.n:])
+
+    def kernel(self, green: PlanarGreen) -> Optional[np.ndarray]:
+        """The flat kernel on U x U, unaveraged on the diagonal; None when
+        the contrast vanishes, where no operator reads it."""
+        if green.medium.eta == 0.0:
+            return None
+        return planar_green_matrix(green, self.centers, self.centers,
+                                   average=False)
+
+    def columns(self, K: np.ndarray, X: np.ndarray, k: int,
+                medium: MediumParams) -> np.ndarray:
+        """Mesh k's columns of K, a kernel on X x U, averaged over its
+        cells at the coincident pairs."""
+        return self._averaged(np.ascontiguousarray(K[:, self.index[k]]), X,
+                              k, medium)
+
+    def rows(self, K: np.ndarray, Y: np.ndarray, k: int,
+             medium: MediumParams) -> np.ndarray:
+        """Mesh k's rows of K, a kernel on U x Y, averaged over its cells
+        at the coincident pairs."""
+        mesh = self.meshes[k]
+        out = K[self.index[k]]
+        _add_cell_averages(out, _coincident(mesh.centers, Y), Y, medium,
+                           x_weights=mesh.weights)
+        return out
+
+    def block(self, K: np.ndarray, a: int, b: int,
+              medium: MediumParams) -> np.ndarray:
+        """Mesh a's rows and mesh b's columns of K, the kernel on U x U,
+        gathered in one copy."""
+        return self._averaged(K[np.ix_(self.index[a], self.index[b])],
+                              self.meshes[a].centers, b, medium)
+
+    def _averaged(self, out: np.ndarray, X: np.ndarray, k: int,
+                  medium: MediumParams) -> np.ndarray:
+        """out, mesh k's columns of a kernel on X x U, with the cell
+        averages over mesh k's cells added at the coincident pairs."""
+        mesh = self.meshes[k]
+        _add_cell_averages(out, _coincident(X, mesh.centers), mesh.centers,
+                           medium, y_weights=mesh.weights)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +338,29 @@ def _match_centers(X: np.ndarray, centers: np.ndarray):
 # ---------------------------------------------------------------------------
 def assemble_B1_operator(mesh_B1: RegionMesh, medium: MediumParams,
                          tol: float = 1e-8,
-                         green: Optional[PlanarGreen] = None) -> DenseOperator:
+                         green: Optional[PlanarGreen] = None,
+                         union: Optional[CellUnion] = None,
+                         kernel: Optional[np.ndarray] = None
+                         ) -> DenseOperator:
     """Collocation matrix of I + eta*T0 on the B1 mesh (kernel with
-    cell-averaged diagonal)."""
+    cell-averaged diagonal).
+
+    The kernel is gathered from union (by default B1's cells alone) and
+    its kernel, union.kernel(green), which a caller that also assembles
+    the B2 operator evaluates once and passes to both."""
     if green is None:
         green = PlanarGreen(medium, tol)
     w = mesh_B1.weights
     if medium.eta == 0.0:
         op = DenseOperator(np.eye(mesh_B1.n, dtype=complex))
     else:
-        kernel = planar_green_matrix(green, mesh_B1.centers, mesh_B1.centers, w)
+        if union is None:
+            union = CellUnion(mesh_B1, mesh_B1)
+        if kernel is None:
+            kernel = union.kernel(green)
+        block = union.block(kernel, 0, 0, medium)
         op = DenseOperator(np.eye(mesh_B1.n, dtype=complex)
-                           + medium.eta * kernel * w[None, :])
+                           + medium.eta * block * w[None, :])
     op.mesh = mesh_B1
     op.medium = medium
     op.green = green
@@ -241,10 +368,14 @@ def assemble_B1_operator(mesh_B1: RegionMesh, medium: MediumParams,
 
 
 def solve_stage1(source: SourceSpec, operator: DenseOperator,
-                 mesh_B1: RegionMesh, medium: MediumParams) -> GridSolution:
-    """Solve the B1 equation for one source; values live at cell centers."""
-    rhs = planar_field_column(operator.green, source, mesh_B1.centers,
-                              total=True, x_weights=mesh_B1.weights)
+                 mesh_B1: RegionMesh, medium: MediumParams,
+                 rhs: Optional[np.ndarray] = None) -> GridSolution:
+    """Solve the B1 equation for one source; values live at cell centers.
+    rhs, the source's field column on the B1 centers, skips evaluating
+    it."""
+    if rhs is None:
+        rhs = planar_field_column(operator.green, source, mesh_B1.centers,
+                                  total=True, x_weights=mesh_B1.weights)
     values = operator.solve(rhs)
     return GridSolution(mesh=mesh_B1, values=values, source=source,
                         stage="arc", aux={"rhs": rhs})
@@ -258,19 +389,6 @@ def _subtract_incident(values: np.ndarray, points: np.ndarray,
     same = (points[:, 1] > 0.0) == (xs2 > 0.0)
     out[same] -= source.incident(points[same], medium.kappa_at(xs2))
     return out
-
-
-def _stage1_rows(X: np.ndarray, mesh: RegionMesh, medium: MediumParams,
-                 green: PlanarGreen):
-    """(hit, rows) of the stage-1 extension formula at X: the coinciding
-    B1 center of each point (-1 if none) and the kernel rows G(x, c; flat)
-    of the other points (None when the contrast vanishes)."""
-    hit = _match_centers(X, mesh.centers)
-    off = hit < 0
-    rows = None
-    if medium.eta != 0.0 and np.any(off):
-        rows = planar_green_matrix(green, X[off], mesh.centers, mesh.weights)
-    return hit, rows
 
 
 def _extend_stage1(sol: GridSolution, X: np.ndarray, medium: MediumParams,
@@ -304,7 +422,12 @@ def extend_stage1_many(sol: GridSolution, X: np.ndarray,
     finite even at the source position.
     """
     X = np.asarray(X, float)
-    hit, rows = _stage1_rows(X, sol.mesh, medium, green)
+    mesh = sol.mesh
+    hit = _match_centers(X, mesh.centers)
+    rows = None
+    if medium.eta != 0.0 and np.any(hit < 0):
+        rows = planar_green_matrix(green, X[hit < 0], mesh.centers,
+                                   mesh.weights)
     return _extend_stage1(sol, X, medium, green, total, hit, rows)
 
 
@@ -330,15 +453,23 @@ def green_arc(x, y, medium: MediumParams,
 # Stage 2: arc -> rough
 # ---------------------------------------------------------------------------
 def assemble_B2_operator(mesh_B2: RegionMesh, medium: MediumParams,
-                         stage1_operator: DenseOperator) -> DenseOperator:
+                         stage1_operator: DenseOperator,
+                         union: Optional[CellUnion] = None,
+                         kernel: Optional[np.ndarray] = None
+                         ) -> DenseOperator:
     """Collocation matrix of I - eta*T_R on the B2 mesh.
 
     The arc-kernel matrix G_R(c_i, c_j) is produced column-wise from the
     stage-1 factorization: each column is a monopole stage-1 solve with the
-    source at c_j, assembled as one dense triple product.
+    source at c_j, assembled as one dense triple product.  The flat-kernel
+    blocks are gathered from union, the cells of both meshes (built here
+    by default), and its kernel (as in assemble_B1_operator).  The union
+    is kept: every later kernel row and source column is evaluated on it.
     """
     green = stage1_operator.green
     mesh_B1 = stage1_operator.mesh
+    if union is None:
+        union = CellUnion(mesh_B1, mesh_B2)
     w1 = mesh_B1.weights
     w2 = mesh_B2.weights
     if medium.eta == 0.0:
@@ -346,15 +477,21 @@ def assemble_B2_operator(mesh_B2: RegionMesh, medium: MediumParams,
         op.cross_matrix = None
         op.stage1_columns = None
     else:
+        if kernel is None:
+            kernel = union.kernel(green)
         # G12[i, k] = G(c_i^B2, c_k^B1; flat), averaged over the B1 cell at
         # coincident pairs; its transpose is the stage-1 right-hand sides.
         # Weighted by the B1 cell areas it is kept as cross_matrix, the
         # B1 volume integral at the B2 centers of every source.
-        G12 = planar_green_matrix(green, mesh_B2.centers, mesh_B1.centers, w1)
-        G22 = planar_green_matrix(green, mesh_B2.centers, mesh_B2.centers, w2)
+        G12 = union.block(kernel, 1, 0, medium)
         columns = stage1_operator.solve(np.ascontiguousarray(G12.T))
         cross = G12 * w1[None, :]
-        GR = G22 - medium.eta * cross @ columns
+        del G12
+        # GR = G22 - eta * cross @ columns, with the same operations in
+        # place: the union's kernel is still alive here, and each
+        # temporary left out keeps the peak memory below the per-mesh one
+        GR = (medium.eta * cross) @ columns
+        np.subtract(union.block(kernel, 1, 1, medium), GR, out=GR)
         op = DenseOperator(np.eye(mesh_B2.n, dtype=complex)
                            - medium.eta * GR * w2[None, :])
         op.cross_matrix = cross
@@ -363,22 +500,26 @@ def assemble_B2_operator(mesh_B2: RegionMesh, medium: MediumParams,
     op.medium = medium
     op.green = green
     op.stage1 = stage1_operator
+    op.union = union
     return op
 
 
 def solve_stage2(source: SourceSpec, b2_operator: DenseOperator,
                  mesh_B2: RegionMesh, medium: MediumParams) -> GridSolution:
-    """Solve the B2 equation; the right-hand side is the stage-1 field."""
+    """Solve the B2 equation (mesh_B2 is the operator's mesh); the
+    right-hand side is the stage-1 field.  The source's flat field is
+    evaluated once on the union of the B1 and B2 cells, and its B1 part
+    is the stage-1 right-hand side."""
     stage1_op = b2_operator.stage1
-    green = b2_operator.green
-    sol1 = solve_stage1(source, stage1_op, stage1_op.mesh, medium)
-    if medium.eta == 0.0:
-        rhs = planar_field_column(green, source, mesh_B2.centers,
-                                  total=True, x_weights=mesh_B2.weights)
-    else:
-        u0 = planar_field_column(green, source, mesh_B2.centers,
-                                 total=True, x_weights=mesh_B2.weights)
-        rhs = u0 - medium.eta * b2_operator.cross_matrix @ sol1.values
+    union = b2_operator.union
+    at = np.array([source.position], float)
+    u = planar_field_column(b2_operator.green, source, union.centers,
+                            total=True, average=False)[:, None]
+    sol1 = solve_stage1(source, stage1_op, stage1_op.mesh, medium,
+                        rhs=union.rows(u, at, 0, medium)[:, 0])
+    rhs = union.rows(u, at, 1, medium)[:, 0]
+    if medium.eta != 0.0:
+        rhs = rhs - medium.eta * b2_operator.cross_matrix @ sol1.values
     values = b2_operator.solve(rhs)
     return GridSolution(mesh=mesh_B2, values=values, source=source,
                         stage="rough", aux={"stage1": sol1, "rhs": rhs})
@@ -414,19 +555,20 @@ def extension_rows(X: np.ndarray, medium: MediumParams,
                    b2_operator: DenseOperator) -> ExtensionRows:
     """Build the rows extend_stage2_many applies to every source at X."""
     X = np.asarray(X, float)
-    green = b2_operator.green
-    mesh1 = b2_operator.stage1.mesh
-    mesh2 = b2_operator.mesh
+    union = b2_operator.union
+    mesh1, mesh2 = union.meshes
     hit2 = _match_centers(X, mesh2.centers)
     Xo = X[hit2 < 0]
-    hit1, rows1 = _stage1_rows(Xo, mesh1, medium, green)
-    gr_rows = None
+    hit1 = _match_centers(Xo, mesh1.centers)
+    rows1 = gr_rows = None
     if medium.eta != 0.0 and len(Xo):
-        # the stage-1 rows are reused when no point sits on a B1 center
-        full1 = rows1 if np.all(hit1 < 0) else planar_green_matrix(
-            green, Xo, mesh1.centers, mesh1.weights)
-        rows2 = planar_green_matrix(green, Xo, mesh2.centers, mesh2.weights)
-        gr_rows = rows2 - medium.eta * (full1 * mesh1.weights[None, :]) \
+        K = planar_green_matrix(b2_operator.green, Xo, union.centers,
+                                average=False)
+        full1 = union.columns(K, Xo, 0, medium)
+        if np.any(hit1 < 0):
+            rows1 = full1 if np.all(hit1 < 0) else full1[hit1 < 0]
+        gr_rows = union.columns(K, Xo, 1, medium) \
+            - medium.eta * (full1 * mesh1.weights[None, :]) \
             @ b2_operator.stage1_columns
     return ExtensionRows(hit2=hit2, hit1=hit1, rows1=rows1, gr_rows=gr_rows)
 

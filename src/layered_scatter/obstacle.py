@@ -32,13 +32,13 @@ from .ls_volume import (
     DenseOperator,
     GridSolution,
     cell_self_weight,
-    planar_field_column,
     planar_green_matrix,
     planar_scattered_matrix,
 )
 from .specfun import bessel_j0j1_y0y1_arrays, phi_matrix, EULER_GAMMA
 
 _FD_STEP_FACTOR = 1e-4  # times diam(D), for smooth-remainder normal derivatives
+_KRESS_BLOCK = 1 << 18  # cosine-tensor entries per kress_log_weights block
 
 
 # ---------------------------------------------------------------------------
@@ -48,27 +48,27 @@ class RoughKernel:
     """Evaluator for G(x, y; rough) with a fixed set of source points y.
 
     One stage-1 and one stage-2 column solve per source, all sharing the
-    two LU factorizations held by the B2 operator.
+    two LU factorizations held by the B2 operator.  The flat-kernel rows
+    and columns are evaluated once on the union of the B1 and B2 cells
+    (the operator's CellUnion) and gathered for each mesh.
     """
 
     def __init__(self, b2_operator, medium: MediumParams, sources: np.ndarray):
         self.b2 = b2_operator
         self.medium = medium
         self.sources = np.asarray(sources, float)
-        green = b2_operator.green
         if medium.eta == 0.0:
             self.g = None
             self.q = None
         else:
-            mesh1 = b2_operator.stage1.mesh
-            mesh2 = b2_operator.mesh
+            union = b2_operator.union
             # sources may land exactly on mesh centers; average over the
             # coinciding cell (the sources themselves carry no cells)
-            rhs1 = planar_green_matrix(green, mesh1.centers, self.sources,
-                                       x_weights=mesh1.weights)
-            self.g = b2_operator.stage1.solve(rhs1)
-            rhs2 = planar_green_matrix(green, mesh2.centers, self.sources,
-                                       x_weights=mesh2.weights) \
+            K = planar_green_matrix(b2_operator.green, union.centers,
+                                    self.sources, average=False)
+            self.g = b2_operator.stage1.solve(
+                union.rows(K, self.sources, 0, medium))
+            rhs2 = union.rows(K, self.sources, 1, medium) \
                 - medium.eta * b2_operator.cross_matrix @ self.g
             self.q = b2_operator.solve(rhs2)
 
@@ -81,13 +81,13 @@ class RoughKernel:
         if self.medium.eta == 0.0:
             return None
         X = np.asarray(X, float)
-        green = self.b2.green
-        mesh1 = self.b2.stage1.mesh
-        mesh2 = self.b2.mesh
-        row1 = planar_green_matrix(green, X, mesh1.centers, mesh1.weights)
-        row2 = planar_green_matrix(green, X, mesh2.centers, mesh2.weights)
-        row1w = row1 * mesh1.weights[None, :]
-        gr_row = row2 - self.medium.eta * row1w @ self.b2.stage1_columns
+        union = self.b2.union
+        mesh1, mesh2 = union.meshes
+        K = planar_green_matrix(self.b2.green, X, union.centers,
+                                average=False)
+        row1w = union.columns(K, X, 0, self.medium) * mesh1.weights[None, :]
+        gr_row = union.columns(K, X, 1, self.medium) \
+            - self.medium.eta * row1w @ self.b2.stage1_columns
         return row1w, gr_row * mesh2.weights[None, :]
 
     def smooth_part(self, X: np.ndarray, rows=None) -> np.ndarray:
@@ -141,13 +141,32 @@ def kress_log_weights(t: np.ndarray, nodes_t: np.ndarray) -> np.ndarray:
     on 2M equispaced nodes, exact for trigonometric polynomials.
 
     Rows correspond to evaluation parameters t (which need not be nodes).
+    A weight depends on t - tau only, so at the nodes themselves the matrix
+    is the circulant of its first row; other rows are summed in blocks
+    that bound the (rows, 2M, M - 1) cosine tensor to _KRESS_BLOCK
+    entries.
     """
-    M = len(nodes_t) // 2
-    s = t[:, None] - nodes_t[None, :]
+    t = np.asarray(t, float)
+    n = len(nodes_t)
+    M = n // 2
     m = np.arange(1, M)
-    out = -(2.0 * np.pi / M) * np.tensordot(
-        np.cos(np.multiply.outer(s, m)), 1.0 / m, axes=([2], [0]))
-    out -= (np.pi / M ** 2) * np.cos(M * s)
+
+    def rows(tb):
+        s = tb[:, None] - nodes_t[None, :]
+        out = -(2.0 * np.pi / M) * np.tensordot(
+            np.cos(np.multiply.outer(s, m)), 1.0 / m, axes=([2], [0]))
+        out -= (np.pi / M ** 2) * np.cos(M * s)
+        return out
+
+    if np.array_equal(t, nodes_t):
+        # R[i, j] = f(t_i - t_j) = f(t_0 - t_{j-i}) on equispaced nodes
+        first = rows(t[:1])[0]
+        k = np.arange(n)
+        return first[(k[None, :] - k[:, None]) % n]
+    out = np.empty((len(t), n))
+    step = max(1, _KRESS_BLOCK // (n * max(1, M - 1)))
+    for i in range(0, len(t), step):
+        out[i:i + step] = rows(t[i:i + step])
     return out
 
 

@@ -1,14 +1,28 @@
-"""Nested volume equations: self-weights, the dense operator contract and
-the flat-scene composition identity (where the exact answer is known)."""
+"""Nested volume equations: self-weights, the dense operator contract, the
+flat-scene composition identity (where the exact answer is known) and the
+kernels evaluated once on the union of the B1 and B2 cells."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.integrate
 
-from layered_scatter.errors import AccuracyError, SingularityError
-from layered_scatter.geometry import SceneGeometry, build_region_mesh
+from layered_scatter.errors import (
+    AccuracyError,
+    ConfigurationError,
+    SingularityError,
+)
+from layered_scatter.forward import ForwardSolver, SceneConfig
+from layered_scatter.geometry import (
+    InterfaceProfile,
+    ReceiverLine,
+    SceneGeometry,
+    build_region_mesh,
+)
 from layered_scatter.layered_green import MediumParams, PlanarGreen, SourceSpec
 from layered_scatter.ls_volume import (
+    CellUnion,
     DenseOperator,
     assemble_B1_operator,
     assemble_B2_operator,
@@ -237,3 +251,172 @@ def test_zero_contrast_operators_are_identity(flat_scene):
     got = extend_stage2_many(sol, np.array([p]), degenerate, b2)[0]
     free = fundamental_solution(1.5, p, SRC.position)
     assert abs(got - free) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Kernels on the union of the B1 and B2 cells
+# ---------------------------------------------------------------------------
+def _per_mesh(solver):
+    """The nested operators from kernels evaluated on each mesh alone."""
+    green, eta = solver.green, solver.medium.eta
+    m1, m2 = solver.mesh_B1, solver.mesh_B2
+    w1, w2 = m1.weights, m2.weights
+    A1 = np.eye(m1.n, dtype=complex) + eta * planar_green_matrix(
+        green, m1.centers, m1.centers, w1) * w1[None, :]
+    G12 = planar_green_matrix(green, m2.centers, m1.centers, w1)
+    G22 = planar_green_matrix(green, m2.centers, m2.centers, w2)
+    op1 = DenseOperator(A1)
+    columns = op1.solve(np.ascontiguousarray(G12.T))
+    cross = G12 * w1[None, :]
+    A2 = np.eye(m2.n, dtype=complex) \
+        - eta * (G22 - eta * cross @ columns) * w2[None, :]
+    return {"op1": op1, "op2": DenseOperator(A2), "cross": cross,
+            "columns": columns}
+
+
+def _per_mesh_rows(solver, ref, X):
+    green, eta = solver.green, solver.medium.eta
+    m1, m2 = solver.mesh_B1, solver.mesh_B2
+    rows1 = planar_green_matrix(green, X, m1.centers, m1.weights)
+    gr = planar_green_matrix(green, X, m2.centers, m2.weights) \
+        - eta * (rows1 * m1.weights[None, :]) @ ref["columns"]
+    return rows1, gr
+
+
+def _per_mesh_scattered(solver, ref, src, X):
+    """Scattered field of src at X through the per-mesh operators."""
+    green, eta = solver.green, solver.medium.eta
+    m1, m2 = solver.mesh_B1, solver.mesh_B2
+    v1 = ref["op1"].solve(planar_field_column(green, src, m1.centers, True,
+                                              m1.weights))
+    v2 = ref["op2"].solve(
+        planar_field_column(green, src, m2.centers, True, m2.weights)
+        - eta * ref["cross"] @ v1)
+    rows1, gr = _per_mesh_rows(solver, ref, X)
+    arc = planar_field_column(green, src, X, total=False) \
+        - eta * rows1 @ (m1.weights * v1)
+    return arc + eta * gr @ (m2.weights * v2)
+
+
+def _scene(*bumps):
+    return SceneConfig(medium=MediumParams(1.0, 1.5),
+                       profile=InterfaceProfile(bumps), arc_radius=2.6,
+                       cell_size=0.2, receivers=ReceiverLine(2.0, 3.0, 11))
+
+
+SOURCES3 = (SourceSpec("monopole", (0.3, 1.2)),
+            SourceSpec("dipole", (-0.7, 0.9), 1),
+            SourceSpec("dipole", (1.1, 0.6), 2))
+
+
+def test_shared_cells_keep_the_bytes_of_per_mesh_evaluation(
+        layered_obstacle_solver):
+    s = layered_obstacle_solver
+    green, eta = s.green, s.medium.eta
+    m1, m2 = s.mesh_B1, s.mesh_B2
+    # under the bump B1's cells are B2's below x2 = 0: the union is B2
+    assert np.array_equal(s.b2.union.centers, m2.centers)
+    ref = _per_mesh(s)
+    assert np.array_equal(s.stage1.entries, ref["op1"].entries)
+    assert np.array_equal(s.b2.cross_matrix, ref["cross"])
+    assert np.array_equal(s.b2.stage1_columns, ref["columns"])
+    assert np.array_equal(s.b2.entries, ref["op2"].entries)
+    rx = s.config.receivers.points()
+    rows = s.extension_rows(rx)
+    rows1, gr = _per_mesh_rows(s, ref, rx)
+    assert np.array_equal(rows.rows1, rows1)
+    assert np.array_equal(rows.gr_rows, gr)
+    for src in SOURCES3:
+        sol = solve_stage2(src, s.b2, m2, s.medium)
+        sol1 = sol.aux["stage1"]
+        assert np.array_equal(sol1.aux["rhs"], planar_field_column(
+            green, src, m1.centers, True, m1.weights))
+        assert np.array_equal(sol.aux["rhs"], planar_field_column(
+            green, src, m2.centers, True, m2.weights)
+            - eta * ref["cross"] @ sol1.values)
+        # the background field at the receivers, obstacle left out
+        assert np.array_equal(
+            extend_stage2_many(sol, rx, s.medium, s.b2, total=False,
+                               rows=rows),
+            _per_mesh_scattered(s, ref, src, rx))
+    center = s.kernel_ctx[0]
+    P = center.sources
+    g = s.stage1.solve(planar_green_matrix(green, m1.centers, P,
+                                           x_weights=m1.weights))
+    assert np.array_equal(center.g, g)
+    q = s.b2.solve(planar_green_matrix(green, m2.centers, P,
+                                       x_weights=m2.weights)
+                   - eta * ref["cross"] @ g)
+    assert np.array_equal(center.q, q)
+
+
+@pytest.mark.parametrize("bumps", [((0.0, 1.0, -0.3),),
+                                   ((-0.9, 0.7, 0.3), (0.9, 0.7, -0.3))],
+                         ids=["dip", "bump and dip"])
+def test_union_agrees_with_per_mesh_evaluation(bumps):
+    s = ForwardSolver(_scene(*bumps))
+    u = s.b2.union
+    assert len(u.centers) > s.mesh_B2.n
+    for k, mesh in enumerate(u.meshes):
+        assert np.array_equal(u.centers[u.index[k]], mesh.centers)
+    ref = _per_mesh(s)
+    for got, want in ((s.stage1.entries, ref["op1"].entries),
+                      (s.b2.entries, ref["op2"].entries)):
+        assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+    rx = s.config.receivers.points()
+    got = s.solve(SOURCES3[1]).scattered(rx)
+    want = _per_mesh_scattered(s, ref, SOURCES3[1], rx)
+    assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+
+
+def test_source_on_a_cut_cell_gets_each_mesh_own_average():
+    s = ForwardSolver(_scene((0.0, 1.0, -0.3)))
+    u = s.b2.union
+    m1, m2 = u.meshes
+    w1 = m1.weights[np.searchsorted(u.index[0], u.index[1])]
+    k2 = int(np.argmax(np.abs(w1 - m2.weights)))
+    assert m2.weights[k2] < w1[k2]        # a cell the dip cuts
+    k1 = int(u.index[1][k2])              # B1 is the union here
+    src = SourceSpec("monopole", tuple(m2.centers[k2]))
+    sol = solve_stage2(src, s.b2, m2, s.medium)
+    rhs1 = sol.aux["stage1"].aux["rhs"]
+    assert np.array_equal(rhs1, planar_field_column(
+        s.green, src, m1.centers, True, m1.weights))
+    u2 = sol.aux["rhs"] + s.medium.eta * s.b2.cross_matrix \
+        @ sol.aux["stage1"].values
+    direct = planar_field_column(s.green, src, m2.centers, True, m2.weights)
+    assert abs(u2[k2] - direct[k2]) < 1e-8 * abs(direct[k2])
+    assert abs(u2[k2] - rhs1[k1]) > 1e-3 * abs(rhs1[k1])
+
+
+def test_set_up_requests_no_cell_pair_twice_and_a_solve_two_columns(
+        monkeypatch):
+    requests = []
+    matrix = PlanarGreen.matrix
+
+    def counted(self, kind, ell, X, Y):
+        requests.append((np.array(X, float), np.array(Y, float)))
+        return matrix(self, kind, ell, X, Y)
+
+    monkeypatch.setattr(PlanarGreen, "matrix", counted)
+    config = _scene((0.0, 1.0, 0.3))
+    s = ForwardSolver(config)
+    rx = config.receivers.points()
+    s.extension_rows(rx)
+    pairs = np.concatenate([
+        np.hstack([np.repeat(X, len(Y), axis=0), np.tile(Y, (len(X), 1))])
+        for X, Y in requests])
+    assert len(np.unique(pairs, axis=0)) == len(pairs)
+    n = len(s.b2.union.centers)
+    for src in SOURCES3[:2]:
+        requests.clear()
+        s.solve(src).scattered(rx)
+        assert [(len(X), len(Y)) for X, Y in requests] == [(n, 1),
+                                                           (len(rx), 1)]
+
+
+def test_meshes_off_one_lattice_rejected(flat_scene):
+    m1 = build_region_mesh("B1", flat_scene, 0.1)
+    m2 = build_region_mesh("B2", flat_scene, 0.125)
+    with pytest.raises(ConfigurationError):
+        CellUnion(m1, m2)

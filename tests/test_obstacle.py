@@ -2,6 +2,8 @@
 oracles, and the free-space obstacle solves against the separation-of-
 variables series."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import hankel1, jv
@@ -50,6 +52,38 @@ def test_kress_rule_off_node_evaluation(nodes):
     vals = R @ np.cos(3.0 * nodes.t)
     exact = -(2.0 * np.pi / 3.0) * np.cos(3.0 * t)
     assert np.max(np.abs(vals - exact)) < 1e-12
+
+
+def _kress_tensor(t, nodes_t):
+    """The weights summed over the full (rows, 2M, M - 1) cosine tensor."""
+    M = len(nodes_t) // 2
+    s = t[:, None] - nodes_t[None, :]
+    m = np.arange(1, M)
+    out = -(2.0 * np.pi / M) * np.tensordot(
+        np.cos(np.multiply.outer(s, m)), 1.0 / m, axes=([2], [0]))
+    return out - (np.pi / M ** 2) * np.cos(M * s)
+
+
+@pytest.mark.parametrize("M", [8, 32, 64])
+def test_kress_weights_match_the_tensor_formula(M):
+    t_nodes = obstacle_nodes(CIRCLE, M).t
+    off = np.linspace(0.01, 6.27, 3 * M + 1)
+    for t in (t_nodes, off):
+        got = kress_log_weights(t, t_nodes)
+        assert got.shape == (len(t), 2 * M)
+        assert np.max(np.abs(got - _kress_tensor(t, t_nodes))) < 1e-13
+
+
+def test_kress_weights_memory_bounded():
+    t_nodes = obstacle_nodes(CIRCLE, 128).t
+    for t in (t_nodes, np.linspace(0.01, 6.27, 300)):
+        tracemalloc.start()
+        try:
+            kress_log_weights(t, t_nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------
