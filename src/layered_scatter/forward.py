@@ -4,13 +4,13 @@ line, and the singular-source experiments.
 
 A ForwardSolver builds every mesh, factorization and kernel-column set for
 a scene exactly once; solving for additional sources then reuses them.  The
-source-independent rows that carry a solution to its own point sets (the
-receiver line, the obstacle boundary nodes and their normal shifts) are
-built on first use and kept; any other point set gets them for one call.
-Dataset synthesis cuts the sources into contiguous shares, solves the later
-shares in forked worker processes that share the solver copy-on-write, and
-joins the rows in source order, so the output has the same bytes for any
-worker count.
+constructor also builds the source-independent rows that carry a solution
+to its own point sets (the receiver line, the obstacle boundary nodes and
+their normal shifts) and the receivers' radiation matrix; any other point
+set gets them for one call.  Dataset synthesis cuts the sources into
+contiguous shares, solves the later shares in forked worker processes that
+share the solver copy-on-write, and joins the rows in source order, so the
+output has the same bytes for any worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
@@ -164,17 +163,20 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> int:
     the geometry alone, before any mesh exists.
 
     Counted: the B1 and B2 operators with their LU factors and the B2 x B1
-    blocks; the subsample grids of the meshes; for a boundary condition the
-    boundary operators and the kernel columns of the three rough-kernel
-    contexts on B1 and B2; for a penetrable obstacle its operator and
-    kernel columns.  Cell counts are those of the bounding boxes the
-    meshes are cut from, which bound the meshes from above.
+    blocks; the subsample grids of the meshes; the volume rows kept at the
+    receivers; for a boundary condition the boundary operators, the kernel
+    columns of the three rough-kernel contexts on B1 and B2, the volume
+    rows kept at the nodes (and their two shifts) and the receivers'
+    radiation matrix; for a penetrable obstacle its operator and kernel
+    columns.  Cell counts are those of the bounding boxes the meshes are
+    cut from, which bound the meshes from above.
     """
     s2 = config.subsample ** 2
     n1 = box_cells("B1", scene, config.cell_size)
     n2 = box_cells("B2", scene, config.cell_size)
+    rx = 0 if config.receivers is None else config.receivers.count
     total = _COMPLEX * (2 * n1 * n1 + 2 * n2 * n2 + 2 * n1 * n2
-                        + s2 * (n1 + n2))
+                        + (s2 + rx) * (n1 + n2))
     spec = config.obstacle
     if spec is None:
         return total
@@ -182,7 +184,9 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> int:
         nd = box_cells("D_penetrable", scene, spec.cell_size)
         return total + _COMPLEX * (2 * nd * nd + 2 * nd * (n1 + n2) + s2 * nd)
     m = 2 * spec.boundary_M
-    return total + _COMPLEX * (4 * m * m + 3 * m * (n1 + n2))
+    sets = 1 if spec.condition == "sound_soft" else 3
+    return total + _COMPLEX * (4 * m * m + (3 + sets) * m * (n1 + n2)
+                               + rx * m)
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +219,7 @@ class FieldEvaluator:
         if np.any(np.hypot(pts[:, 0] - xs[0], pts[:, 1] - xs[1])
                   < _COINCIDENT):
             raise SingularityError("total field requested at the source")
-        s = self._solver
-        if s.config.obstacle is not None \
-                and s.config.obstacle.condition == "penetrable":
-            out = penetrable_field(self._correction, pts)
-        else:
-            products = s._products(pts)
-            out = extend_stage2_many(self._background, pts, s.medium, s.b2,
-                                     rows=s._extension(products))
-            if self._correction is not None:
-                out = out + scattered_from_density(
-                    self._correction, pts, radiation=s._radiation(products))
+        out = self._field(pts, total=True)
         return complex(out[0]) if single else out
 
     def incident(self, X) -> Union[complex, np.ndarray]:
@@ -239,61 +233,51 @@ class FieldEvaluator:
         """u^s = u - u^inc, with the free-space wave cancelled inside the
         extension formulas so points on the source position stay finite."""
         pts, single = self._as_points(X)
-        s = self._solver
-        if s.config.obstacle is not None \
-                and s.config.obstacle.condition == "penetrable":
-            out = penetrable_field(self._correction, pts, total=False)
-        else:
-            products = s._products(pts)
-            out = extend_stage2_many(self._background, pts, s.medium, s.b2,
-                                     total=False, rows=s._extension(products))
-            if self._correction is not None:
-                out = out + scattered_from_density(
-                    self._correction, pts, radiation=s._radiation(products))
+        out = self._field(pts, total=False)
         return complex(out[0]) if single else out
+
+    def _field(self, pts: np.ndarray, total: bool) -> np.ndarray:
+        """The field at pts from the solver's volume rows there (kept at its
+        own point sets), with or without the incident wave."""
+        s = self._solver
+        rows = s.extension_rows(pts)
+        if s.pen is not None:
+            return penetrable_field(self._correction, pts, total=total,
+                                    rows=rows)
+        out = extend_stage2_many(self._background, pts, s.medium, s.b2,
+                                 total=total, rows=rows)
+        if self._correction is not None:
+            out = out + scattered_from_density(
+                self._correction, pts, radiation=s.radiation_matrix(pts, rows))
+        return out
 
 
 # ---------------------------------------------------------------------------
 # Forward solver
 # ---------------------------------------------------------------------------
-class _PointSetProducts:
-    """Source-independent products of one point set, each built on first
-    use under the set's own lock and kept from then on.  The lock is
-    reentrant, so a product may be built from another of the same set."""
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        self.built = {}
-        self._lock = threading.RLock()
-
-    def get(self, name: str, build):
-        with self._lock:
-            if name not in self.built:
-                self.built[name] = build(self.points)
-            return self.built[name]
-
-
 class ForwardSolver:
     """Scene-level state: meshes, factorizations, kernel columns.
 
     Building one is the expensive step; solve() per source reuses all of
-    it.  Meshes, factorizations, kernel columns and the boundary operator
-    of the obstacle condition are built in the constructor and never change
-    afterwards.  The source-independent products at the solver's own point
-    sets are built on first use and then kept: the extension rows at the
-    receiver line, at the boundary nodes and, for the Neumann and impedance
-    conditions, at the nodes' two normal shifts, and the radiation matrix
-    of the boundary density at the receivers.  Each set builds under its
-    own lock, so there are at most four sets.  Products at any other points
-    are built for the call and dropped.  The kernel evaluator (green)
-    keeps the fixed xi-rules it builds and the grid splits of the point
-    sets its source columns meet, in bounded maps whose values depend on
-    their keys alone (see PlanarGreen).  Concurrent solve() calls are
-    therefore safe, and a product or a source's field has the same bytes
-    whichever thread builds it and whichever sources came before.  The
-    same holds in the worker processes of synthesize_dataset, which share
-    the solver copy-on-write: each is forked with every lock of the solve
-    path held (_locks), so none starts with a lock that it cannot release.
+    it.  Everything a solve reads at the solver's own point sets is built
+    in the constructor, before any worker is forked, and never changes
+    afterwards: meshes, factorizations, kernel columns, the boundary
+    operator of the obstacle condition, the volume rows (extension_rows)
+    at the receiver line (point_sets and rows, keyed "receivers"), at the
+    boundary nodes ("boundary") and, for the Neumann and impedance
+    conditions, at the nodes' two normal shifts ("boundary+",
+    "boundary-"), and the radiation matrix of the boundary density at the
+    receivers (radiation).  The BIE assembly reads the rows at the nodes
+    and their shifts too, so each is built once.  Products at any other
+    points are built for the call and dropped.  The kernel evaluator
+    (green) keeps the fixed xi-rules it builds and the grid splits of the
+    point sets its source columns meet, in bounded maps whose values depend
+    on their keys alone (see PlanarGreen).  Concurrent solve() calls are
+    therefore safe, and a source's field has the same bytes whichever
+    thread solves it and whichever sources came before.  The same holds in
+    the worker processes of synthesize_dataset, which share the solver
+    copy-on-write: each is forked with every lock of the solve path held
+    (_locks), so none starts with a lock that it cannot release.
 
     Before any mesh is built, the bytes of the largest dense arrays are
     estimated from the geometry (_dense_bytes_estimate); a scene that would
@@ -344,31 +328,38 @@ class ForwardSolver:
         self.neumann_operator = None
         self.pen = None
         self.point_sets = {}
+        self.rows = {}
+        self.radiation = None
         if config.receivers is not None:
-            self._add_point_set("receivers", config.receivers.points())
+            self._keep("receivers", config.receivers.points())
         spec = config.obstacle
         if spec is not None and spec.condition != "penetrable":
             self.nodes = obstacle_nodes(spec.curve, spec.boundary_M)
             self.kernel_ctx = build_rough_kernel_context(
                 self.nodes, self.b2, self.medium)
             P = self.nodes.positions
-            self._add_point_set("boundary", P)
+            rows = self._keep("boundary", P)
             if spec.condition == "sound_soft":
                 self.bie_operator = assemble_bie(
                     self.nodes, self.medium, self.b2,
-                    kernel_ctx=self.kernel_ctx)
+                    kernel_ctx=self.kernel_ctx, rows=rows)
                 self.bie_operator.factorize()
             else:
+                # the normal derivative of the incident field, on the
+                # shifts of the kernel columns
+                delta = self.kernel_ctx[3]
+                nu = self.nodes.normals
+                rows = (rows, self._keep("boundary+", P + delta * nu),
+                        self._keep("boundary-", P - delta * nu))
                 lam = spec.lam if spec.condition == "impedance" else 0.0
                 self.neumann_operator = assemble_neumann_impedance(
                     self.nodes, self.medium, self.b2, lam,
-                    kernel_ctx=self.kernel_ctx)
+                    kernel_ctx=self.kernel_ctx, rows=rows)
                 self.neumann_operator.factorize()
-                # the normal derivative of the incident field
-                h = _FD_STEP * spec.curve.diameter()
-                nu = self.nodes.normals
-                self._add_point_set("boundary+", P + h * nu)
-                self._add_point_set("boundary-", P - h * nu)
+            if "receivers" in self.rows:
+                self.radiation = self.radiation_matrix(
+                    self.point_sets["receivers"])
+                self.radiation.flags.writeable = False
         elif spec is not None:
             mesh_D = build_region_mesh("D_penetrable", self.scene,
                                        spec.cell_size, config.subsample)
@@ -388,7 +379,7 @@ class ForwardSolver:
         """
         mesh = self.b2.union.centers
         self.green.check_rule(mesh, mesh)
-        off = [ps.points for ps in self.point_sets.values()]
+        off = list(self.point_sets.values())
         if self.kernel_ctx is not None:
             off += [kernel.sources for kernel in self.kernel_ctx[1:3]]
         if self.pen is not None:
@@ -399,55 +390,50 @@ class ForwardSolver:
             self.green.check_rule(Y, Y)
 
     # -- source-independent products ----------------------------------------
-    def _add_point_set(self, name: str, points: np.ndarray) -> None:
+    def _keep(self, name: str, points: np.ndarray) -> ExtensionRows:
+        """Build the volume rows at one of the solver's own point sets and
+        keep both, read-only."""
         points = np.array(points, float)
-        points.flags.writeable = False
-        self.point_sets[name] = _PointSetProducts(points)
-
-    def _products(self, X: np.ndarray) -> _PointSetProducts:
-        """The kept products of X if it is one of the solver's point sets,
-        else a fresh set that the caller drops."""
-        for products in self.point_sets.values():
-            if np.array_equal(products.points, X):
-                return products
-        return _PointSetProducts(X)
+        rows = extension_rows(points, self.medium, self.b2)
+        for array in (points,) + tuple(vars(rows).values()):
+            if array is not None:
+                array.flags.writeable = False
+        self.point_sets[name] = points
+        self.rows[name] = rows
+        return rows
 
     def extension_rows(self, X: np.ndarray) -> ExtensionRows:
-        """Rows of the stage-2 extension formula at X (see
-        extension_rows in ls_volume)."""
-        return self._extension(self._products(np.asarray(X, float)))
+        """Volume rows at X (see extension_rows in ls_volume): the kept
+        ones if X is one of the solver's point sets, else built for the
+        call."""
+        X = np.asarray(X, float)
+        for name, points in self.point_sets.items():
+            if np.array_equal(points, X):
+                return self.rows[name]
+        return extension_rows(X, self.medium, self.b2)
 
-    def radiation_matrix(self, X: np.ndarray) -> np.ndarray:
+    def radiation_matrix(self, X: np.ndarray,
+                         rows: Optional[ExtensionRows] = None) -> np.ndarray:
         """Radiation matrix of the boundary density at X (see
-        radiation_matrix in obstacle)."""
-        return self._radiation(
-            self._products(np.atleast_2d(np.asarray(X, float))))
-
-    def _extension(self, products: _PointSetProducts) -> ExtensionRows:
-        return products.get(
-            "extension", lambda P: extension_rows(P, self.medium, self.b2))
-
-    def _radiation(self, products: _PointSetProducts) -> np.ndarray:
-        """The radiation matrix, built on the weighted extension rows when
-        they are the kernel's volume rows (no point on a cell center)."""
+        radiation_matrix in obstacle): the kept one at the receivers, else
+        built for the call on rows (by default extension_rows(X))."""
+        X = np.atleast_2d(np.asarray(X, float))
+        if self.radiation is not None \
+                and np.array_equal(self.point_sets["receivers"], X):
+            return self.radiation
+        if rows is None:
+            rows = self.extension_rows(X)
         ansatz = "combined" if self.bie_operator is not None else "single"
-
-        def build(P):
-            rows = self._extension(products).volume_rows(self.b2)
-            return radiation_matrix(self.kernel_ctx, ansatz, P, rows)
-        return products.get("radiation", build)
+        return radiation_matrix(self.kernel_ctx, ansatz, X, rows)
 
     def _locks(self) -> list:
-        """Every lock a solve can take, in an order that cannot deadlock:
-        first the point sets' reentrant locks (a product is built under
-        one of them and takes leaf locks only), then the leaf locks, under
-        which no other lock is taken: those of the dense operators, of the
-        kernel evaluator's kept rules and grid splits, and of the nodes
-        and weights kept by plan (quad._KEPT_RULES)."""
+        """Every lock a solve can take, none of which is taken under
+        another: those of the dense operators, of the kernel evaluator's
+        kept rules and grid splits, and of the nodes and weights kept by
+        plan (quad._KEPT_RULES)."""
         operators = (self.stage1, self.b2, self.bie_operator,
                      self.neumann_operator)
-        return ([ps._lock for ps in self.point_sets.values()]
-                + [op._lock for op in operators if op is not None]
+        return ([op._lock for op in operators if op is not None]
                 + [self.green.rules._lock, self.green.splits._lock,
                    quad._KEPT_RULES._lock])
 
@@ -474,20 +460,18 @@ class ForwardSolver:
         background = solve_stage2(source, self.b2, self.mesh_B2, self.medium)
         correction = None
         if spec is not None:
-            sets = self.point_sets
-
             def incident(name):
-                P = sets[name].points
-                return extend_stage2_many(background, P, self.medium, self.b2,
-                                          rows=self.extension_rows(P))
+                return extend_stage2_many(background, self.point_sets[name],
+                                          self.medium, self.b2,
+                                          rows=self.rows[name])
 
             inc = incident("boundary")
             if spec.condition == "sound_soft":
                 correction = solve_density(self.bie_operator, inc)
             else:
-                h = _FD_STEP * spec.curve.diameter()
+                delta = self.kernel_ctx[3]
                 dinc = (incident("boundary+") - incident("boundary-")) \
-                    / (2.0 * h)
+                    / (2.0 * delta)
                 correction = neumann_impedance_solve(
                     self.nodes, self.medium, self.b2, inc, dinc,
                     lam=self.neumann_operator.impedance,

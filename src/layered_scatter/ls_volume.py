@@ -114,33 +114,26 @@ def planar_green_matrix(green: PlanarGreen, X: np.ndarray, Y: np.ndarray,
         if np.any(m):
             out[m] += phi_matrix(kappa, r[m])
     if average:
-        _add_cell_averages(out, coin, Y, med, y_weights, x_weights)
+        _add_cell_averages(out, *np.nonzero(coin), Y, med, y_weights,
+                           x_weights)
     return out
 
 
-def _coincident(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairs of X x Y at the same point, as planar_green_matrix finds them."""
-    return np.hypot(X[:, 0][:, None] - Y[None, :, 0],
-                    X[:, 1][:, None] - Y[None, :, 1]) < _COINCIDENT
-
-
-def _add_cell_averages(out: np.ndarray, coin: np.ndarray, Y: np.ndarray,
-                       medium: MediumParams,
+def _add_cell_averages(out: np.ndarray, ci: np.ndarray, cj: np.ndarray,
+                       Y: np.ndarray, medium: MediumParams,
                        y_weights: Optional[np.ndarray] = None,
                        x_weights: Optional[np.ndarray] = None) -> None:
-    """Add, at the coincident pairs coin of out (a kernel on X x Y), the
-    free-space self-weight integral over the cell of y_weights (or of
+    """Add, at the coincident pairs (ci, cj) of out (a kernel on X x Y),
+    the free-space self-weight integral over the cell of y_weights (or of
     x_weights when the y points carry no cells) divided by its area."""
-    if not np.any(coin):
+    if not len(ci):
         return
     if y_weights is None and x_weights is None:
         raise SingularityError(
             "coincident kernel points need cell weights for averaging")
-    ci, cj = np.nonzero(coin)
-    for i, j in zip(ci, cj):
-        kappa = medium.kappa_at(Y[j, 1])
-        w = y_weights[j] if y_weights is not None else x_weights[i]
-        out[i, j] += cell_self_weight(kappa, w) / w
+    kappa = np.where(Y[cj, 1] > 0.0, medium.kappa1, medium.kappa2)
+    w = y_weights[cj] if y_weights is not None else x_weights[ci]
+    out[ci, cj] += cell_self_weight(kappa, w) / w
 
 
 def planar_field_column(green: PlanarGreen, source: SourceSpec,
@@ -174,7 +167,8 @@ def planar_field_column(green: PlanarGreen, source: SourceSpec,
         if kind != "monopole":
             raise SingularityError("dipole source coincides with a mesh point")
         if average:
-            _add_cell_averages(out[:, None], coin[:, None],
+            ci = np.flatnonzero(coin)
+            _add_cell_averages(out[:, None], ci, np.zeros_like(ci),
                                np.array([xs], float), green.medium,
                                x_weights=x_weights)
     return out
@@ -194,6 +188,9 @@ class CellUnion:
     index[k][i] is the position in U of cell i of mesh k (0: B1, 1: B2).
     Under a bump B1's cells are B2's below x2 = 0, so U is B2: its side
     blocks, and with them every xi-rule and entry, are the meshes' own.
+    The cell center a point coincides with is found from the point's
+    lattice index (hits), so coincident pairs are known without comparing
+    every point with every center.
 
     Kernels on U leave coincident pairs unaveraged (average=False).  A
     mesh's block is gathered from U and averaged over that mesh's cells
@@ -218,6 +215,36 @@ class CellUnion:
                 "the B1 and B2 meshes must be cut from one lattice")
         self.meshes = (mesh_B1, mesh_B2)
         self.index = (where[:mesh_B1.n], where[mesh_B1.n:])
+        # lattice indices relative to the lowest, coded in lattice order
+        self._origin, self._h = origin, h
+        self._low = cells.min(axis=0)
+        self._span = cells.max(axis=0) - self._low + 1
+        self._stride = np.array([self._span[1], 1])
+        self._codes = (cells - self._low) @ self._stride
+        # position in mesh k of each cell of U, -1 where mesh k lacks it
+        self._in_mesh = []
+        for idx in self.index:
+            pos = np.full(len(cells), -1)
+            pos[idx] = np.arange(len(idx))
+            self._in_mesh.append(pos)
+
+    def hits(self, X: np.ndarray, k: int) -> np.ndarray:
+        """The cell of mesh k whose center each point of X coincides with,
+        -1 if none: looked up by the point's lattice index, with no loop
+        over the points and no points x cells temporary."""
+        X = np.asarray(X, float).reshape(-1, 2)
+        near = np.rint((X - self._origin) / self._h - 0.5) - self._low
+        inside = np.flatnonzero(np.all((near >= 0) & (near < self._span),
+                                       axis=1))
+        code = near[inside].astype(np.int64) @ self._stride
+        u = np.minimum(np.searchsorted(self._codes, code),
+                       len(self._codes) - 1)
+        d = X[inside] - self.centers[u]
+        on = (self._codes[u] == code) \
+            & (np.hypot(d[:, 0], d[:, 1]) < _COINCIDENT)
+        out = np.full(len(X), -1)
+        out[inside[on]] = self._in_mesh[k][u[on]]
+        return out
 
     def kernel(self, green: PlanarGreen) -> Optional[np.ndarray]:
         """The flat kernel on U x U, unaveraged on the diagonal; None when
@@ -227,21 +254,22 @@ class CellUnion:
         return planar_green_matrix(green, self.centers, self.centers,
                                    average=False)
 
-    def columns(self, K: np.ndarray, X: np.ndarray, k: int,
+    def columns(self, K: np.ndarray, hit: np.ndarray, k: int,
                 medium: MediumParams) -> np.ndarray:
         """Mesh k's columns of K, a kernel on X x U, averaged over its
-        cells at the coincident pairs."""
-        return self._averaged(np.ascontiguousarray(K[:, self.index[k]]), X,
-                              k, medium)
+        cells at the points of X on them (hit = hits(X, k))."""
+        return self._averaged(np.ascontiguousarray(K[:, self.index[k]]),
+                              hit, k, medium)
 
     def rows(self, K: np.ndarray, Y: np.ndarray, k: int,
              medium: MediumParams) -> np.ndarray:
         """Mesh k's rows of K, a kernel on U x Y, averaged over its cells
         at the coincident pairs."""
-        mesh = self.meshes[k]
         out = K[self.index[k]]
-        _add_cell_averages(out, _coincident(mesh.centers, Y), Y, medium,
-                           x_weights=mesh.weights)
+        hit = self.hits(Y, k)
+        cj = np.flatnonzero(hit >= 0)
+        _add_cell_averages(out, hit[cj], cj, Y, medium,
+                           x_weights=self.meshes[k].weights)
         return out
 
     def block(self, K: np.ndarray, a: int, b: int,
@@ -249,15 +277,17 @@ class CellUnion:
         """Mesh a's rows and mesh b's columns of K, the kernel on U x U,
         gathered in one copy."""
         return self._averaged(K[np.ix_(self.index[a], self.index[b])],
-                              self.meshes[a].centers, b, medium)
+                              self._in_mesh[b][self.index[a]], b, medium)
 
-    def _averaged(self, out: np.ndarray, X: np.ndarray, k: int,
+    def _averaged(self, out: np.ndarray, hit: np.ndarray, k: int,
                   medium: MediumParams) -> np.ndarray:
         """out, mesh k's columns of a kernel on X x U, with the cell
-        averages over mesh k's cells added at the coincident pairs."""
+        averages over mesh k's cells added where hit[i] >= 0, the cell
+        that point i of X sits on."""
         mesh = self.meshes[k]
-        _add_cell_averages(out, _coincident(X, mesh.centers), mesh.centers,
-                           medium, y_weights=mesh.weights)
+        ci = np.flatnonzero(hit >= 0)
+        _add_cell_averages(out, ci, hit[ci], mesh.centers, medium,
+                           y_weights=mesh.weights)
         return out
 
 
@@ -322,17 +352,6 @@ class GridSolution:
     aux: dict = field(default_factory=dict)
 
 
-def _match_centers(X: np.ndarray, centers: np.ndarray):
-    """Index of the coinciding cell center for each row of X (-1 if none)."""
-    idx = np.full(len(X), -1, dtype=int)
-    for i, p in enumerate(X):
-        d = np.abs(centers - p).max(axis=1)
-        j = int(np.argmin(d))
-        if d[j] < _COINCIDENT:
-            idx[i] = j
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # Stage 1: flat -> arc
 # ---------------------------------------------------------------------------
@@ -393,9 +412,10 @@ def _subtract_incident(values: np.ndarray, points: np.ndarray,
 
 def _extend_stage1(sol: GridSolution, X: np.ndarray, medium: MediumParams,
                    green: PlanarGreen, total: bool, hit: np.ndarray,
-                   rows: Optional[np.ndarray]) -> np.ndarray:
-    """Stage-1 extension formula with its source-independent rows given."""
-    mesh = sol.mesh
+                   volume: Optional[np.ndarray]) -> np.ndarray:
+    """Stage-1 extension formula at X, with hit the cell center each point
+    sits on (-1 if none) and volume the B1 volume integral of the solution
+    at the points off the mesh (None when the contrast vanishes)."""
     out = np.empty(len(X), dtype=complex)
     on = hit >= 0
     out[on] = sol.values[hit[on]]
@@ -404,10 +424,7 @@ def _extend_stage1(sol: GridSolution, X: np.ndarray, medium: MediumParams,
     off = ~on
     if np.any(off):
         u0 = planar_field_column(green, sol.source, X[off], total=total)
-        if medium.eta == 0.0:
-            out[off] = u0
-        else:
-            out[off] = u0 - medium.eta * rows @ (mesh.weights * sol.values)
+        out[off] = u0 if volume is None else u0 - medium.eta * volume
     return out
 
 
@@ -423,12 +440,14 @@ def extend_stage1_many(sol: GridSolution, X: np.ndarray,
     """
     X = np.asarray(X, float)
     mesh = sol.mesh
-    hit = _match_centers(X, mesh.centers)
-    rows = None
-    if medium.eta != 0.0 and np.any(hit < 0):
-        rows = planar_green_matrix(green, X[hit < 0], mesh.centers,
-                                   mesh.weights)
-    return _extend_stage1(sol, X, medium, green, total, hit, rows)
+    hit = CellUnion(mesh, mesh).hits(X, 0)
+    off = hit < 0
+    volume = None
+    if medium.eta != 0.0 and np.any(off):
+        volume = planar_green_matrix(green, X[off], mesh.centers,
+                                     mesh.weights) @ (mesh.weights
+                                                      * sol.values)
+    return _extend_stage1(sol, X, medium, green, total, hit, volume)
 
 
 def extend_stage1(sol: GridSolution, x, medium: MediumParams,
@@ -519,7 +538,7 @@ def solve_stage2(source: SourceSpec, b2_operator: DenseOperator,
                         rhs=union.rows(u, at, 0, medium)[:, 0])
     rhs = union.rows(u, at, 1, medium)[:, 0]
     if medium.eta != 0.0:
-        rhs = rhs - medium.eta * b2_operator.cross_matrix @ sol1.values
+        rhs = rhs - medium.eta * (b2_operator.cross_matrix @ sol1.values)
     values = b2_operator.solve(rhs)
     return GridSolution(mesh=mesh_B2, values=values, source=source,
                         stage="rough", aux={"stage1": sol1, "rhs": rhs})
@@ -527,50 +546,38 @@ def solve_stage2(source: SourceSpec, b2_operator: DenseOperator,
 
 @dataclass(frozen=True)
 class ExtensionRows:
-    """Source-independent part of the stage-2 extension formula at a point
-    set: which points coincide with cell centers, and the kernel rows of the
-    two extension integrals at the others.  Rows are None when the
-    contrast vanishes."""
+    """Source-independent rows of the B1 and B2 volume integrals at every
+    point of a set X: the B2 and the B1 cell center each point sits on
+    (-1 if none), and the weighted kernel rows G(x, c^B1; flat) w1 and
+    G_R(x, c^B2) w2, cell-averaged at a point on a center.  The stage-2
+    extension formula reads them at the points off the meshes, the
+    obstacle kernels (RoughKernel.smooth_part, radiation_matrix) at every
+    point.  Rows are None when the contrast vanishes."""
 
-    hit2: np.ndarray              # coinciding B2 center per point, -1 if none
-    hit1: np.ndarray              # coinciding B1 center per point off B2
-    rows1: Optional[np.ndarray]   # G(x, c^B1; flat), points off both meshes
-    gr_rows: Optional[np.ndarray]  # G_R(x, c^B2), points off B2
-
-    def volume_rows(self, b2_operator: DenseOperator):
-        """(rows1 w1, gr_rows w2), the weighted rows of the B1 and B2
-        volume integrals at the same points, when no point sits on a cell
-        center and the contrast does not vanish; else None.
-
-        They are then RoughKernel.volume_rows at these points, from the
-        same operations and so with the same bytes."""
-        if self.rows1 is None or np.any(self.hit2 >= 0) \
-                or np.any(self.hit1 >= 0):
-            return None
-        return (self.rows1 * b2_operator.stage1.mesh.weights[None, :],
-                self.gr_rows * b2_operator.mesh.weights[None, :])
+    hit2: np.ndarray               # coinciding B2 center per point, -1 if none
+    hit1: np.ndarray               # coinciding B1 center per point, -1 if none
+    rows1: Optional[np.ndarray]    # G(x, c^B1; flat) w1
+    rows2: Optional[np.ndarray]    # G_R(x, c^B2) w2
 
 
 def extension_rows(X: np.ndarray, medium: MediumParams,
                    b2_operator: DenseOperator) -> ExtensionRows:
-    """Build the rows extend_stage2_many applies to every source at X."""
+    """The rows of the volume integrals at X that every source shares;
+    the one builder behind extend_stage2_many, RoughKernel.smooth_part and
+    radiation_matrix."""
     X = np.asarray(X, float)
     union = b2_operator.union
     mesh1, mesh2 = union.meshes
-    hit2 = _match_centers(X, mesh2.centers)
-    Xo = X[hit2 < 0]
-    hit1 = _match_centers(Xo, mesh1.centers)
-    rows1 = gr_rows = None
-    if medium.eta != 0.0 and len(Xo):
-        K = planar_green_matrix(b2_operator.green, Xo, union.centers,
+    hit1, hit2 = union.hits(X, 0), union.hits(X, 1)
+    rows1 = rows2 = None
+    if medium.eta != 0.0 and len(X):
+        K = planar_green_matrix(b2_operator.green, X, union.centers,
                                 average=False)
-        full1 = union.columns(K, Xo, 0, medium)
-        if np.any(hit1 < 0):
-            rows1 = full1 if np.all(hit1 < 0) else full1[hit1 < 0]
-        gr_rows = union.columns(K, Xo, 1, medium) \
-            - medium.eta * (full1 * mesh1.weights[None, :]) \
-            @ b2_operator.stage1_columns
-    return ExtensionRows(hit2=hit2, hit1=hit1, rows1=rows1, gr_rows=gr_rows)
+        rows1 = union.columns(K, hit1, 0, medium) * mesh1.weights[None, :]
+        rows2 = (union.columns(K, hit2, 1, medium)
+                 - medium.eta * rows1 @ b2_operator.stage1_columns) \
+            * mesh2.weights[None, :]
+    return ExtensionRows(hit2=hit2, hit1=hit1, rows1=rows1, rows2=rows2)
 
 
 def extend_stage2_many(sol: GridSolution, X: np.ndarray,
@@ -588,7 +595,6 @@ def extend_stage2_many(sol: GridSolution, X: np.ndarray,
     X = np.asarray(X, float)
     if rows is None:
         rows = extension_rows(X, medium, b2_operator)
-    mesh2 = sol.mesh
     out = np.empty(len(X), dtype=complex)
     on = rows.hit2 >= 0
     out[on] = sol.values[rows.hit2[on]]
@@ -597,12 +603,16 @@ def extend_stage2_many(sol: GridSolution, X: np.ndarray,
     off = ~on
     if not np.any(off):
         return out
-    u_arc = _extend_stage1(sol.aux["stage1"], X[off], medium,
-                           b2_operator.green, total, rows.hit1, rows.rows1)
+    sol1 = sol.aux["stage1"]
+    volume = None
+    if medium.eta != 0.0:
+        volume = (rows.rows1 @ sol1.values)[off & (rows.hit1 < 0)]
+    u_arc = _extend_stage1(sol1, X[off], medium, b2_operator.green, total,
+                           rows.hit1[off], volume)
     if medium.eta == 0.0:
         out[off] = u_arc
         return out
-    out[off] = u_arc + medium.eta * rows.gr_rows @ (mesh2.weights * sol.values)
+    out[off] = u_arc + medium.eta * (rows.rows2 @ sol.values)[off]
     return out
 
 

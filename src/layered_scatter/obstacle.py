@@ -30,10 +30,14 @@ from .geometry import ObstacleNodes, RegionMesh
 from .layered_green import MediumParams, SourceSpec
 from .ls_volume import (
     DenseOperator,
+    ExtensionRows,
     GridSolution,
     cell_self_weight,
+    extend_stage2_many,
+    extension_rows,
     planar_green_matrix,
     planar_scattered_matrix,
+    solve_stage2,
 )
 from .specfun import bessel_j0j1_y0y1_arrays, phi_matrix, EULER_GAMMA
 
@@ -50,7 +54,9 @@ class RoughKernel:
     One stage-1 and one stage-2 column solve per source, all sharing the
     two LU factorizations held by the B2 operator.  The flat-kernel rows
     and columns are evaluated once on the union of the B1 and B2 cells
-    (the operator's CellUnion) and gathered for each mesh.
+    (the operator's CellUnion) and gathered for each mesh.  At evaluation
+    points X the kernel reads the weighted volume rows of extension_rows,
+    which every kernel on the same operator shares.
     """
 
     def __init__(self, b2_operator, medium: MediumParams, sources: np.ndarray):
@@ -69,43 +75,25 @@ class RoughKernel:
             self.g = b2_operator.stage1.solve(
                 union.rows(K, self.sources, 0, medium))
             rhs2 = union.rows(K, self.sources, 1, medium) \
-                - medium.eta * b2_operator.cross_matrix @ self.g
+                - medium.eta * (b2_operator.cross_matrix @ self.g)
             self.q = b2_operator.solve(rhs2)
 
-    def volume_rows(self, X: np.ndarray):
-        """Weighted kernel rows at X of the B1 and B2 volume integrals.
-
-        They depend on X and the B2 operator only, so every kernel on the
-        same operator can share them; None when the contrast vanishes.
-        """
-        if self.medium.eta == 0.0:
-            return None
-        X = np.asarray(X, float)
-        union = self.b2.union
-        mesh1, mesh2 = union.meshes
-        K = planar_green_matrix(self.b2.green, X, union.centers,
-                                average=False)
-        row1w = union.columns(K, X, 0, self.medium) * mesh1.weights[None, :]
-        gr_row = union.columns(K, X, 1, self.medium) \
-            - self.medium.eta * row1w @ self.b2.stage1_columns
-        return row1w, gr_row * mesh2.weights[None, :]
-
-    def smooth_part(self, X: np.ndarray, rows=None) -> np.ndarray:
+    def smooth_part(self, X: np.ndarray,
+                    rows: Optional[ExtensionRows] = None) -> np.ndarray:
         """G(x_i, y_j; rough) - Phi_k2(x_i, y_j): finite on the diagonal.
 
         Meaningful when evaluation points share the lower medium with the
         sources, so the subtracted free-space part is the local singularity.
-        rows, from volume_rows at the same X, skips rebuilding them.
+        rows, from extension_rows at the same X, skips rebuilding them.
         """
         X = np.asarray(X, float)
         out = planar_scattered_matrix(self.b2.green, X, self.sources)
         if self.medium.eta == 0.0:
             return out
         if rows is None:
-            rows = self.volume_rows(X)
-        row1w, gr_row_w = rows
-        return out - self.medium.eta * row1w @ self.g \
-            + self.medium.eta * gr_row_w @ self.q
+            rows = extension_rows(X, self.medium, self.b2)
+        return out - self.medium.eta * rows.rows1 @ self.g \
+            + self.medium.eta * rows.rows2 @ self.q
 
     def full(self, X: np.ndarray, y_weights: Optional[np.ndarray] = None,
              rows=None) -> np.ndarray:
@@ -254,15 +242,18 @@ class BoundaryDensity:
     impedance: Optional[np.ndarray] = None
 
 
-def _remainder_blocks(nodes: ObstacleNodes, kernel_ctx):
+def _remainder_blocks(nodes: ObstacleNodes, kernel_ctx,
+                      rows: Optional[ExtensionRows] = None):
     """Smooth-remainder values and normal-derivative values at node pairs.
 
     kernel_ctx holds three RoughKernel column sets: at the nodes and at the
-    nodes shifted by +/- delta along the outward normals.
+    nodes shifted by +/- delta along the outward normals.  rows, from
+    extension_rows at the nodes, skips rebuilding them.
     """
     center, plus, minus, delta = kernel_ctx
     X = nodes.positions
-    rows = center.volume_rows(X)
+    if rows is None:
+        rows = extension_rows(X, center.medium, center.b2)
     rho = center.smooth_part(X, rows)
     drho = (plus.smooth_part(X, rows) - minus.smooth_part(X, rows)) \
         / (2.0 * delta)
@@ -282,12 +273,14 @@ def build_rough_kernel_context(nodes: ObstacleNodes, b2_operator,
 
 
 def assemble_bie(nodes: ObstacleNodes, medium: MediumParams, b2_operator,
-                 kernel_ctx=None) -> DenseOperator:
+                 kernel_ctx=None,
+                 rows: Optional[ExtensionRows] = None) -> DenseOperator:
     """Collocation matrix of I + K - iS for the sound-soft condition.
 
     The free-space parts of S and K use the log-singular rule; the smooth
     remainder of the rough-interface kernel enters through the periodic
-    trapezoid rule, with finite-difference normal derivatives for K.
+    trapezoid rule, with finite-difference normal derivatives for K.  rows,
+    from extension_rows at the nodes, skips rebuilding them.
     """
     if np.any(nodes.positions[:, 1] >= 0.0):
         raise ConfigurationError("obstacle boundary must lie in the lower "
@@ -295,7 +288,7 @@ def assemble_bie(nodes: ObstacleNodes, medium: MediumParams, b2_operator,
     if kernel_ctx is None:
         kernel_ctx = build_rough_kernel_context(nodes, b2_operator, medium)
     S, K = layer_matrices(nodes, medium.kappa2)
-    rho, drho = _remainder_blocks(nodes, kernel_ctx)
+    rho, drho = _remainder_blocks(nodes, kernel_ctx, rows)
     M = nodes.n // 2
     trap = (np.pi / M) * nodes.jacobians[None, :]
     # dG/dnu(y) differentiates in the source point: the FD shift moved y
@@ -321,12 +314,14 @@ def solve_density(operator: DenseOperator,
 def assemble_neumann_impedance(nodes: ObstacleNodes, medium: MediumParams,
                                b2_operator,
                                lam: Union[float, np.ndarray] = 0.0,
-                               kernel_ctx=None) -> DenseOperator:
+                               kernel_ctx=None, rows=None) -> DenseOperator:
     """Collocation matrix of I - K' - i*lam*S for the single-layer ansatz.
 
     lam = 0 is the Neumann condition; lam > 0 the impedance condition.  The
     matrix depends on the scene and lam only, so one factorization serves
-    every source.
+    every source.  rows, from extension_rows at the nodes and at their
+    shifts by +delta and -delta along the normals (in that order), skips
+    rebuilding them.
     """
     lam = np.broadcast_to(np.asarray(lam, float), (nodes.n,))
     if np.any(lam < 0.0):
@@ -336,11 +331,14 @@ def assemble_neumann_impedance(nodes: ObstacleNodes, medium: MediumParams,
     S, Kp = layer_matrices(nodes, medium.kappa2, adjoint=True)
     # adjoint double layer differentiates in the evaluation point: shift x
     center, plus, minus, delta = kernel_ctx
-    rho = center.smooth_part(nodes.positions)
+    P = nodes.positions
     nu = nodes.normals
-    drho_x = (center.smooth_part(nodes.positions + delta * nu)
-              - center.smooth_part(nodes.positions - delta * nu)) \
-        / (2.0 * delta)
+    shifted = (P, P + delta * nu, P - delta * nu)
+    if rows is None:
+        rows = [extension_rows(X, medium, b2_operator) for X in shifted]
+    rho, rho_plus, rho_minus = (center.smooth_part(X, r)
+                                for X, r in zip(shifted, rows))
+    drho_x = (rho_plus - rho_minus) / (2.0 * delta)
     M = nodes.n // 2
     trap = (np.pi / M) * nodes.jacobians[None, :]
     S = S + 2.0 * rho * trap
@@ -388,16 +386,16 @@ def neumann_impedance_solve(nodes: ObstacleNodes,
 
 
 def radiation_matrix(kernel_ctx, ansatz: str, X: np.ndarray,
-                     rows=None) -> np.ndarray:
+                     rows: Optional[ExtensionRows] = None) -> np.ndarray:
     """Matrix taking the density's quadrature weights to its field at X.
 
     Combined ansatz: dG/dnu(y) - iG; single-layer ansatz: G.  It depends
     on the kernel columns and X only, not on the density.  rows, from
-    RoughKernel.volume_rows at the same X, skips rebuilding them.
+    extension_rows at the same X, skips rebuilding them.
     """
     center, plus, minus, delta = kernel_ctx
     if rows is None:
-        rows = center.volume_rows(X)
+        rows = extension_rows(X, center.medium, center.b2)
     G = center.full(X, rows=rows)
     if ansatz == "single":
         return G
@@ -449,7 +447,7 @@ def boundary_total_field(density: BoundaryDensity, t: np.ndarray,
     center, plus, minus, delta = op.kernel_ctx
     S, K = layer_matrices(nodes, medium.kappa2, t=t)
     X = nodes.curve.point(t)
-    rows = center.volume_rows(X)
+    rows = extension_rows(X, medium, center.b2)
     rho = center.smooth_part(X, rows)
     drho = (plus.smooth_part(X, rows) - minus.smooth_part(X, rows)) \
         / (2.0 * delta)
@@ -495,14 +493,15 @@ def solve_penetrable(medium: MediumParams, pen: PenetrableMedium,
     """
     mesh = pen.mesh
     kernel = RoughKernel(b2_operator, medium, mesh.centers)
-    G = kernel.full(mesh.centers, y_weights=mesh.weights)
+    rows = extension_rows(mesh.centers, medium, b2_operator)
+    G = kernel.full(mesh.centers, y_weights=mesh.weights, rows=rows)
     kap2 = medium.kappa2 ** 2
     A = np.eye(mesh.n, dtype=complex) \
         + kap2 * G * (pen.m_values * mesh.weights)[None, :]
     op = DenseOperator(A)
-    from .ls_volume import solve_stage2, extend_stage2_many
     sol_bg = solve_stage2(source, b2_operator, b2_operator.mesh, medium)
-    rhs = extend_stage2_many(sol_bg, mesh.centers, medium, b2_operator)
+    rhs = extend_stage2_many(sol_bg, mesh.centers, medium, b2_operator,
+                             rows=rows)
     values = op.solve(rhs)
     return GridSolution(mesh=mesh, values=values, source=source,
                         stage="rough", aux={"kernel": kernel, "pen": pen,
@@ -511,20 +510,22 @@ def solve_penetrable(medium: MediumParams, pen: PenetrableMedium,
                                             "b2": b2_operator})
 
 
-def penetrable_field(sol: GridSolution, X: np.ndarray,
-                     total: bool = True) -> np.ndarray:
+def penetrable_field(sol: GridSolution, X: np.ndarray, total: bool = True,
+                     rows: Optional[ExtensionRows] = None) -> np.ndarray:
     """Field of the penetrable solve at arbitrary points.
 
     total=False subtracts the free-space incident wave (same side as the
-    source), giving the scattered part.
+    source), giving the scattered part.  rows, from extension_rows at the
+    same X, skips rebuilding them.
     """
-    from .ls_volume import extend_stage2_many
     X = np.atleast_2d(np.asarray(X, float))
     pen = sol.aux["pen"]
     medium = sol.aux["medium"]
     kernel = sol.aux["kernel"]
-    G = kernel.full(X, y_weights=pen.mesh.weights)
+    if rows is None:
+        rows = extension_rows(X, medium, sol.aux["b2"])
+    G = kernel.full(X, y_weights=pen.mesh.weights, rows=rows)
     bg = extend_stage2_many(sol.aux["background"], X, medium, sol.aux["b2"],
-                            total=total)
+                            total=total, rows=rows)
     kap2 = medium.kappa2 ** 2
     return bg - kap2 * G @ (pen.m_values * pen.mesh.weights * sol.values)

@@ -241,7 +241,7 @@ def test_bump_products_same_bytes_cold_warm_and_threaded(bump_config):
     for src in SOURCES:
         warm.solve(src).scattered(rx)
     assert first.tobytes() == warm.solve(SOURCES[2]).scattered(rx).tobytes()
-    # two workers race for the lazy products of a cold solver
+    # two workers on a solver that has solved no source yet
     two = synthesize_dataset(bump_config, SOURCES, threads=2,
                              solver=ForwardSolver(bump_config))
     one = synthesize_dataset(bump_config, SOURCES, threads=1, solver=cold)
@@ -262,7 +262,35 @@ def test_obstacle_products_same_bytes_cold_warm_and_threaded(
     assert _table(one) == _table(two)
 
 
+def _count_builds(monkeypatch, calls, fail=False):
+    """Record every call of the row builder (extension_rows) and of
+    radiation_matrix as (name, points) in calls, in each module that binds
+    them; with fail=True each call raises instead."""
+    import layered_scatter.forward as forward
+    import layered_scatter.ls_volume as ls_volume
+    import layered_scatter.obstacle as obstacle
+    for name, at in (("extension_rows", 0), ("radiation_matrix", 2)):
+        orig = getattr(obstacle, name)
+
+        def counted(*args, _orig=orig, _name=name, _at=at, **kwargs):
+            if fail:
+                raise AssertionError("%s called after construction" % _name)
+            calls.append((_name, np.array(args[_at], float)))
+            return _orig(*args, **kwargs)
+
+        for module in (forward, ls_volume, obstacle):
+            if getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, counted)
+
+
+def _impedance_config(config):
+    spec = dataclasses.replace(config.obstacle, condition="impedance",
+                               lam=1.0)
+    return dataclasses.replace(config, obstacle=spec)
+
+
 def test_products_kept_only_for_own_point_sets(layered_obstacle_solver):
+    from layered_scatter.ls_volume import extension_rows
     s = layered_obstacle_solver
     own = {"receivers", "boundary"}
     ev = s.solve(SOURCES[1])
@@ -271,36 +299,39 @@ def test_products_kept_only_for_own_point_sets(layered_obstacle_solver):
                            rng.uniform(0.5, 1.8, 50)])
     for _ in range(2):
         ev.total(pts)
-    ev.scattered(s.config.receivers.points())
-    assert set(s.point_sets) == own
-    for products in s.point_sets.values():
-        assert not np.array_equal(products.points, pts)
-    assert set(s.point_sets["receivers"].built) == {"extension", "radiation"}
-    assert set(s.point_sets["boundary"].built) == {"extension"}
-    # products at other points are the same bytes as at a kept set
+    rx = s.config.receivers.points()
+    ev.scattered(rx)
+    assert set(s.point_sets) == set(s.rows) == own
+    for points in s.point_sets.values():
+        assert not np.array_equal(points, pts)
+    # kept, read-only, with the bytes of a fresh build
+    kept = s.rows["receivers"]
+    assert s.extension_rows(rx.copy()) is kept
+    assert s.radiation_matrix(rx.copy()) is s.radiation
+    assert not kept.rows2.flags.writeable
+    assert not s.radiation.flags.writeable
+    fresh = extension_rows(rx, s.medium, s.b2)
+    assert kept.rows1.tobytes() == fresh.rows1.tobytes()
+    assert kept.rows2.tobytes() == fresh.rows2.tobytes()
+    # products at other points are the same bytes at every call
     rows = s.extension_rows(pts)
     again = s.extension_rows(pts.copy())
     assert rows is not again
-    assert rows.gr_rows.tobytes() == again.gr_rows.tobytes()
+    assert rows.rows2.tobytes() == again.rows2.tobytes()
 
 
-def test_lazy_products_built_once_under_thread_contention(bump_config,
-                                                          monkeypatch):
+def test_kept_products_built_once_in_the_constructor(bump_config,
+                                                     monkeypatch):
     import sys
-    import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    import layered_scatter.forward as forward
     builds = []
-    orig = forward.extension_rows
-
-    def counted(*args, **kwargs):
-        builds.append(threading.get_ident())
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(forward, "extension_rows", counted)
+    _count_builds(monkeypatch, builds)
     solver = ForwardSolver(bump_config)
     rx = bump_config.receivers.points()
+    assert [name for name, _ in builds] == ["extension_rows"]
+    assert np.array_equal(builds[0][1], rx)
+    del builds[:]
     serial = SOURCES[0]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -312,9 +343,112 @@ def test_lazy_products_built_once_under_thread_contention(bump_config,
     finally:
         sys.setswitchinterval(interval)
     assert all(f.done() for f in futures)
-    assert len(builds) == 1
+    assert builds == []
     assert len({v.tobytes() for v in values}) == 1
-    assert set(solver.point_sets["receivers"].built) == {"extension"}
+
+
+@pytest.mark.parametrize("scene", ["bump", "obstacle-soft", "impedance"])
+def test_a_solve_after_construction_builds_no_kept_product(
+        bump_config, layered_obstacle_solver, monkeypatch, scene):
+    config = {"bump": bump_config,
+              "obstacle-soft": layered_obstacle_solver.config,
+              "impedance": _impedance_config(
+                  layered_obstacle_solver.config)}[scene]
+    builds = []
+    _count_builds(monkeypatch, builds)
+    solver = ForwardSolver(config)
+    # each own point set once, and the radiation matrix at the receivers
+    built = [name for name, _ in builds]
+    assert built.count("extension_rows") == len(solver.point_sets)
+    for points in solver.point_sets.values():
+        assert sum(np.array_equal(points, X) for name, X in builds
+                   if name == "extension_rows") == 1
+    if config.obstacle is None:
+        assert solver.radiation is None
+    else:
+        assert built.count("radiation_matrix") == 1
+        assert np.array_equal(builds[-1][1], solver.point_sets["receivers"])
+    del builds[:]
+    rx = config.receivers.points()
+    for src in SOURCES:
+        solver.solve(src).scattered(rx)
+    assert builds == []
+
+
+@pytest.mark.parametrize("scene", ["obstacle-soft", "impedance"])
+def test_forked_workers_build_no_kept_product(layered_obstacle_solver,
+                                              monkeypatch, two_cores, scene):
+    config = layered_obstacle_solver.config
+    if scene == "impedance":
+        config = _impedance_config(config)
+    solver = ForwardSolver(config)
+    # a build in a worker raises, and the error comes back to this process
+    _count_builds(monkeypatch, [], fail=True)
+    two = synthesize_dataset(config, SOURCES, threads=2, solver=solver)
+    one = synthesize_dataset(config, SOURCES, threads=1, solver=solver)
+    assert _table(one) == _table(two)
+
+
+@pytest.mark.parametrize("scene", ["obstacle-soft", "impedance"])
+def test_bie_assembly_and_boundary_extension_share_one_build(
+        layered_obstacle_solver, monkeypatch, scene):
+    import layered_scatter.forward as forward
+    config = layered_obstacle_solver.config
+    name = "assemble_bie"
+    if scene == "impedance":
+        config = _impedance_config(config)
+        name = "assemble_neumann_impedance"
+    given = []
+    orig = getattr(forward, name)
+
+    def recorded(*args, **kwargs):
+        given.append(kwargs["rows"])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(forward, name, recorded)
+    solver = ForwardSolver(config)
+    kept = [solver.rows[k] for k in ("boundary", "boundary+", "boundary-")
+            if k in solver.rows]
+    assert len(given) == 1
+    rows = given[0]
+    if scene == "obstacle-soft":
+        assert rows is kept[0]
+    else:
+        assert len(rows) == len(kept) == 3
+        assert all(a is b for a, b in zip(rows, kept))
+        delta = solver.kernel_ctx[3]
+        P, nu = solver.nodes.positions, solver.nodes.normals
+        assert np.array_equal(solver.point_sets["boundary+"], P + delta * nu)
+        assert np.array_equal(solver.point_sets["boundary-"], P - delta * nu)
+
+
+def test_boundary_nodes_on_b2_centers_return_the_solved_values(
+        layered_obstacle_solver, monkeypatch):
+    import layered_scatter.ls_volume as ls_volume
+    from layered_scatter.ls_volume import extend_stage2_many, solve_stage2
+    s = layered_obstacle_solver
+    P = s.point_sets["boundary"]
+    rows = s.rows["boundary"]
+    on = rows.hit2 >= 0
+    # the nodes (+-0.5, -1.3) sit on B2 cell centers of the 0.2 lattice
+    assert np.allclose(np.abs(P[on]), [[0.5, 1.3]] * 2, rtol=0, atol=1e-12)
+    assert np.allclose(P[on], s.mesh_B2.centers[rows.hit2[on]], rtol=0,
+                       atol=1e-12)
+    # their kept rows are cell averages, finite like every other row
+    assert np.all(np.isfinite(rows.rows1)) and np.all(np.isfinite(rows.rows2))
+    bg = solve_stage2(SOURCES[0], s.b2, s.mesh_B2, s.medium)
+    flat = []
+    column = ls_volume.planar_field_column
+
+    def recorded(green, source, X, *args, **kwargs):
+        flat.append(len(X))
+        return column(green, source, X, *args, **kwargs)
+
+    monkeypatch.setattr(ls_volume, "planar_field_column", recorded)
+    inc = extend_stage2_many(bg, P, s.medium, s.b2, rows=rows)
+    assert np.array_equal(inc[on], bg.values[rows.hit2[on]])
+    # the source's flat field is evaluated at the other nodes only
+    assert flat == [len(P) - 2]
 
 
 def test_kernel_state_does_not_grow_per_source(bump_config):
@@ -451,31 +585,26 @@ def test_solver_check_at_the_finest_tolerance(bump_config):
 
 def test_radiation_matrix_reuses_the_extension_rows(layered_obstacle_solver,
                                                     monkeypatch):
-    from layered_scatter.obstacle import RoughKernel, radiation_matrix
-    calls = []
-    orig = RoughKernel.volume_rows
-
-    def counted(self, X):
-        calls.append(len(X))
-        return orig(self, X)
-
-    monkeypatch.setattr(RoughKernel, "volume_rows", counted)
-    solver = ForwardSolver(layered_obstacle_solver.config)
-    del calls[:]
+    from layered_scatter.obstacle import radiation_matrix
+    solver = layered_obstacle_solver
     rx = solver.config.receivers.points()
-    solver.solve(SOURCES[0]).scattered(rx)
-    # no receiver sits on a cell center: the weighted extension rows are
-    # the volume rows, and the matrix has the bytes of one built without
-    assert calls == []
+    # the kept matrix has the bytes of one built alone
     alone = radiation_matrix(solver.kernel_ctx, "combined", rx)
     assert solver.radiation_matrix(rx).tobytes() == alone.tobytes()
-    # a point on a B2 center falls back to the kernel's own volume rows
-    del calls[:]
+    # so does one at a set with a point on a B2 center, on one row build
     pts = np.vstack([rx[:2], solver.mesh_B2.centers[:1]])
-    again = solver.radiation_matrix(pts)
-    assert calls == [len(pts)]
     alone = radiation_matrix(solver.kernel_ctx, "combined", pts)
+    calls = []
+    _count_builds(monkeypatch, calls)
+    again = solver.radiation_matrix(pts)
+    assert [name for name, _ in calls] == ["extension_rows",
+                                           "radiation_matrix"]
     assert again.tobytes() == alone.tobytes()
+    # a field at such a set builds its rows once for both integrals
+    del calls[:]
+    solver.solve(SOURCES[0]).scattered(pts)
+    assert [name for name, _ in calls] == ["extension_rows",
+                                           "radiation_matrix"]
 
 
 def test_incident_field_is_vectorized_for_every_source_kind(flat_solver):
@@ -621,7 +750,7 @@ def test_worker_ending_without_a_result_raises(flat_config, flat_solver,
                            solver=flat_solver)
 
 
-@pytest.mark.parametrize("which", ["dense operator", "point set",
+@pytest.mark.parametrize("which", ["dense operator", "grid splits",
                                    "rules kept by plan"])
 def test_workers_fork_past_a_lock_held_by_another_thread(bump_config,
                                                          two_cores, which):
@@ -630,7 +759,7 @@ def test_workers_fork_past_a_lock_held_by_another_thread(bump_config,
     solver = ForwardSolver(bump_config)
     one = synthesize_dataset(bump_config, SOURCES, threads=1, solver=solver)
     lock = {"dense operator": solver.b2._lock,
-            "point set": solver.point_sets["receivers"]._lock,
+            "grid splits": solver.green.splits._lock,
             "rules kept by plan": quad._KEPT_RULES._lock}[which]
     held = threading.Event()
 

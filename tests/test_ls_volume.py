@@ -291,11 +291,11 @@ def _per_mesh_scattered(solver, ref, src, X):
                                               m1.weights))
     v2 = ref["op2"].solve(
         planar_field_column(green, src, m2.centers, True, m2.weights)
-        - eta * ref["cross"] @ v1)
+        - eta * (ref["cross"] @ v1))
     rows1, gr = _per_mesh_rows(solver, ref, X)
     arc = planar_field_column(green, src, X, total=False) \
-        - eta * rows1 @ (m1.weights * v1)
-    return arc + eta * gr @ (m2.weights * v2)
+        - eta * ((rows1 * m1.weights[None, :]) @ v1)
+    return arc + eta * ((gr * m2.weights[None, :]) @ v2)
 
 
 def _scene(*bumps):
@@ -322,10 +322,12 @@ def test_shared_cells_keep_the_bytes_of_per_mesh_evaluation(
     assert np.array_equal(s.b2.stage1_columns, ref["columns"])
     assert np.array_equal(s.b2.entries, ref["op2"].entries)
     rx = s.config.receivers.points()
+    # the kept rows are weighted by the cell areas, as the per-mesh rows
+    # are here with the same operation
     rows = s.extension_rows(rx)
     rows1, gr = _per_mesh_rows(s, ref, rx)
-    assert np.array_equal(rows.rows1, rows1)
-    assert np.array_equal(rows.gr_rows, gr)
+    assert np.array_equal(rows.rows1, rows1 * m1.weights[None, :])
+    assert np.array_equal(rows.rows2, gr * m2.weights[None, :])
     for src in SOURCES3:
         sol = solve_stage2(src, s.b2, m2, s.medium)
         sol1 = sol.aux["stage1"]
@@ -333,7 +335,7 @@ def test_shared_cells_keep_the_bytes_of_per_mesh_evaluation(
             green, src, m1.centers, True, m1.weights))
         assert np.array_equal(sol.aux["rhs"], planar_field_column(
             green, src, m2.centers, True, m2.weights)
-            - eta * ref["cross"] @ sol1.values)
+            - eta * (ref["cross"] @ sol1.values))
         # the background field at the receivers, obstacle left out
         assert np.array_equal(
             extend_stage2_many(sol, rx, s.medium, s.b2, total=False,
@@ -346,7 +348,7 @@ def test_shared_cells_keep_the_bytes_of_per_mesh_evaluation(
     assert np.array_equal(center.g, g)
     q = s.b2.solve(planar_green_matrix(green, m2.centers, P,
                                        x_weights=m2.weights)
-                   - eta * ref["cross"] @ g)
+                   - eta * (ref["cross"] @ g))
     assert np.array_equal(center.q, q)
 
 
@@ -420,3 +422,24 @@ def test_meshes_off_one_lattice_rejected(flat_scene):
     m2 = build_region_mesh("B2", flat_scene, 0.125)
     with pytest.raises(ConfigurationError):
         CellUnion(m1, m2)
+
+
+def test_lattice_hits_match_a_search_over_every_center(
+        layered_obstacle_solver):
+    u = layered_obstacle_solver.b2.union
+    rng = np.random.default_rng(3)
+    centers = np.concatenate([m.centers for m in u.meshes])
+    X = np.concatenate([
+        rng.uniform(-3.0, 3.0, (200, 2)),            # mostly off every center
+        centers[rng.choice(len(centers), 40)],       # on a center
+        centers[:20] + rng.uniform(-1e-13, 1e-13, (20, 2)),
+        centers[:20] + 1e-9,                         # near, not on
+        [[1e300, 0.0], [-np.inf, 0.5], [np.nan, 0.1], [50.0, -50.0]]])
+    for k, mesh in enumerate(u.meshes):
+        want = np.full(len(X), -1)
+        for i, p in enumerate(X):
+            d = np.hypot(*(mesh.centers - p).T)
+            if np.min(d) < 1e-12:
+                want[i] = int(np.argmin(d))
+        assert np.array_equal(u.hits(X, k), want)
+        assert np.count_nonzero(want >= 0) >= 40
