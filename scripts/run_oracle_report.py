@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Compare the solver chain against its independent oracles and print a
-small report: series-solution agreement for a circle in free space,
+small report: series-solution agreement for a circle in free space
+(sound-soft, Neumann and penetrable, with the interior field of the
+last),
 the flat-scene composition identity, and reciprocity at three levels.
 
 All comparisons here are also enforced (with tolerances) by the test
@@ -19,26 +21,34 @@ from layered_scatter.layered_green import (
     SourceSpec,
     green_planar_scattered,
 )
-from layered_scatter.ls_volume import green_arc, green_rough_columns
-from layered_scatter.verify import mie_series_circle
+from layered_scatter.ls_volume import green_arc
+from layered_scatter.obstacle import green_rough_columns
+from layered_scatter.verify import mie_interior_circle, mie_series_circle
 
 
 def mie_comparison() -> None:
     circle = ObstacleCurve("circle", (0.0, -2.0), 0.5)
     src = (2.0, -2.0)
-    for condition in ("sound_soft", "neumann"):
+    n = 1.5 + 0.1j
+    th = np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
+    pts = np.stack([1.4 * np.cos(th), -2.0 + 1.4 * np.sin(th)], axis=-1)
+    for condition in ("sound_soft", "neumann", "penetrable"):
+        index = n if condition == "penetrable" else None
         config = SceneConfig(
             medium=MediumParams(2.0, 2.0), arc_radius=1.0, cell_size=0.25,
             obstacle=ObstacleSpec(curve=circle, condition=condition,
-                                  boundary_M=32))
+                                  boundary_M=32, n=index, cell_size=0.05))
         ev = ForwardSolver(config).solve(SourceSpec("monopole", src))
-        th = np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
-        pts = np.stack([1.4 * np.cos(th), -2.0 + 1.4 * np.sin(th)], axis=-1)
         errs = [abs(v - mie_series_circle(condition, 0.5, 2.0, src,
-                                          tuple(p), center=(0.0, -2.0)))
+                                          tuple(p), n=index,
+                                          center=(0.0, -2.0)))
                 for p, v in zip(pts, ev.scattered(pts))]
         print("circle %-11s vs series: max error %.2e"
               % (condition, max(errs)))
+    q = (0.2, -1.9)
+    err = abs(ev.total(q) - mie_interior_circle(0.5, 2.0, n, src, q,
+                                                center=(0.0, -2.0)))
+    print("circle penetrable  interior field at %s: error %.2e" % (q, err))
 
 
 def composition_identity() -> None:

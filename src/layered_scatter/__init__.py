@@ -35,7 +35,6 @@ from .ls_volume import (
     extend_stage1_many,
     extend_stage2_many,
     green_arc,
-    green_rough_columns,
     solve_stage1,
     solve_stage2,
 )
@@ -43,14 +42,14 @@ from .obstacle import (
     BoundaryDensity,
     PenetrableMedium,
     RoughKernel,
+    VolumeDensity,
     assemble_bie,
     boundary_total_field,
+    green_rough_columns,
     layer_matrices,
     neumann_impedance_solve,
-    penetrable_field,
     scattered_from_density,
     solve_density,
-    solve_penetrable,
 )
 from .forward import (
     BlowupSequenceConfig,
@@ -99,20 +98,19 @@ __all__ = [
     "extend_stage1_many",
     "extend_stage2_many",
     "green_arc",
-    "green_rough_columns",
     "solve_stage1",
     "solve_stage2",
     "BoundaryDensity",
     "PenetrableMedium",
     "RoughKernel",
+    "VolumeDensity",
     "assemble_bie",
     "boundary_total_field",
+    "green_rough_columns",
     "layer_matrices",
     "neumann_impedance_solve",
-    "penetrable_field",
     "scattered_from_density",
     "solve_density",
-    "solve_penetrable",
     "BlowupSequenceConfig",
     "FieldEvaluator",
     "ForwardSolver",

@@ -6,8 +6,10 @@ A ForwardSolver builds every mesh, factorization and kernel-column set for
 a scene exactly once; solving for additional sources then reuses them.  The
 constructor also builds the source-independent rows that carry a solution
 to its own point sets (the receiver line, the obstacle boundary nodes and
-their normal shifts) and the receivers' radiation matrix; any other point
-set gets them for one call.  Dataset synthesis cuts the sources into
+their normal shifts, or a penetrable obstacle's cells) and the receivers'
+radiation matrix; any other point set gets them for one call.  Every
+obstacle condition solves its kept operator, radiated by that matrix.
+Dataset synthesis cuts the sources into
 contiguous shares, solves the later shares in forked worker processes that
 share the solver copy-on-write, and joins the rows in source order, so the
 output has the same bytes for any worker count.
@@ -56,15 +58,16 @@ from .ls_volume import (
 )
 from .obstacle import (
     PenetrableMedium,
+    VolumeDensity,
     assemble_bie,
     assemble_neumann_impedance,
+    assemble_penetrable,
     build_rough_kernel_context,
     neumann_impedance_solve,
-    penetrable_field,
+    penetrable_radiation_matrix,
     radiation_matrix,
     scattered_from_density,
     solve_density,
-    solve_penetrable,
 )
 from .specfun import fundamental_solution, fundamental_solution_grad
 
@@ -167,9 +170,10 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> int:
     receivers; for a boundary condition the boundary operators, the kernel
     columns of the three rough-kernel contexts on B1 and B2, the volume
     rows kept at the nodes (and their two shifts) and the receivers'
-    radiation matrix; for a penetrable obstacle its operator and kernel
-    columns.  Cell counts are those of the bounding boxes the meshes are
-    cut from, which bound the meshes from above.
+    radiation matrix; for a penetrable obstacle its operator, kernel
+    columns, subsample grid, rows kept at its cells and the receivers'
+    radiation matrix.  Cell counts are those of the bounding boxes the
+    meshes are cut from, which bound the meshes from above.
     """
     s2 = config.subsample ** 2
     n1 = box_cells("B1", scene, config.cell_size)
@@ -182,7 +186,7 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> int:
         return total
     if spec.condition == "penetrable":
         nd = box_cells("D_penetrable", scene, spec.cell_size)
-        return total + _COMPLEX * (2 * nd * nd + 2 * nd * (n1 + n2) + s2 * nd)
+        return total + _COMPLEX * nd * (2 * nd + 2 * (n1 + n2) + s2 + rx)
     m = 2 * spec.boundary_M
     sets = 1 if spec.condition == "sound_soft" else 3
     return total + _COMPLEX * (4 * m * m + (3 + sets) * m * (n1 + n2)
@@ -241,9 +245,6 @@ class FieldEvaluator:
         own point sets), with or without the incident wave."""
         s = self._solver
         rows = s.extension_rows(pts)
-        if s.pen is not None:
-            return penetrable_field(self._correction, pts, total=total,
-                                    rows=rows)
         out = extend_stage2_many(self._background, pts, s.medium, s.b2,
                                  total=total, rows=rows)
         if self._correction is not None:
@@ -261,14 +262,15 @@ class ForwardSolver:
     Building one is the expensive step; solve() per source reuses all of
     it.  Everything a solve reads at the solver's own point sets is built
     in the constructor, before any worker is forked, and never changes
-    afterwards: meshes, factorizations, kernel columns, the boundary
-    operator of the obstacle condition, the volume rows (extension_rows)
-    at the receiver line (point_sets and rows, keyed "receivers"), at the
+    afterwards: meshes, factorizations, kernel columns, the operator of
+    the obstacle condition, the volume rows (extension_rows) at the
+    receiver line (point_sets and rows, keyed "receivers"), at the
     boundary nodes ("boundary") and, for the Neumann and impedance
     conditions, at the nodes' two normal shifts ("boundary+",
-    "boundary-"), and the radiation matrix of the boundary density at the
-    receivers (radiation).  The BIE assembly reads the rows at the nodes
-    and their shifts too, so each is built once.  Products at any other
+    "boundary-"), or at a penetrable obstacle's cells ("cells"), and the
+    radiation matrix of the obstacle at the receivers (radiation).  The
+    operator assembly reads those rows too, so each is built once.
+    Products at any other
     points are built for the call and dropped.  The kernel evaluator
     (green) keeps the fixed xi-rules it builds and the grid splits of the
     point sets its source columns meet, in bounded maps whose values depend
@@ -326,7 +328,7 @@ class ForwardSolver:
         self.kernel_ctx = None
         self.bie_operator = None
         self.neumann_operator = None
-        self.pen = None
+        self.penetrable_operator = None
         self.point_sets = {}
         self.rows = {}
         self.radiation = None
@@ -356,14 +358,17 @@ class ForwardSolver:
                     self.nodes, self.medium, self.b2, lam,
                     kernel_ctx=self.kernel_ctx, rows=rows)
                 self.neumann_operator.factorize()
-            if "receivers" in self.rows:
-                self.radiation = self.radiation_matrix(
-                    self.point_sets["receivers"])
-                self.radiation.flags.writeable = False
         elif spec is not None:
             mesh_D = build_region_mesh("D_penetrable", self.scene,
                                        spec.cell_size, config.subsample)
-            self.pen = PenetrableMedium(mesh_D, spec.n)
+            rows = self._keep("cells", mesh_D.centers)
+            self.penetrable_operator = assemble_penetrable(
+                PenetrableMedium(mesh_D, spec.n), self.medium, self.b2, rows)
+            self.penetrable_operator.factorize()
+        if spec is not None and "receivers" in self.rows:
+            self.radiation = self.radiation_matrix(
+                self.point_sets["receivers"])
+            self.radiation.flags.writeable = False
         self._check_rule()
 
     def _check_rule(self) -> None:
@@ -382,8 +387,6 @@ class ForwardSolver:
         off = list(self.point_sets.values())
         if self.kernel_ctx is not None:
             off += [kernel.sources for kernel in self.kernel_ctx[1:3]]
-        if self.pen is not None:
-            off.append(self.pen.mesh.centers)
         if off:
             Y = np.concatenate(off)
             self.green.check_rule(Y, mesh)
@@ -414,7 +417,7 @@ class ForwardSolver:
 
     def radiation_matrix(self, X: np.ndarray,
                          rows: Optional[ExtensionRows] = None) -> np.ndarray:
-        """Radiation matrix of the boundary density at X (see
+        """Radiation matrix of the obstacle at X (see (penetrable_)
         radiation_matrix in obstacle): the kept one at the receivers, else
         built for the call on rows (by default extension_rows(X))."""
         X = np.atleast_2d(np.asarray(X, float))
@@ -423,6 +426,9 @@ class ForwardSolver:
             return self.radiation
         if rows is None:
             rows = self.extension_rows(X)
+        if self.penetrable_operator is not None:
+            return penetrable_radiation_matrix(self.penetrable_operator, X,
+                                               rows)
         ansatz = "combined" if self.bie_operator is not None else "single"
         return radiation_matrix(self.kernel_ctx, ansatz, X, rows)
 
@@ -432,7 +438,7 @@ class ForwardSolver:
         kept rules and grid splits, and of the nodes and weights kept by
         plan (quad._KEPT_RULES)."""
         operators = (self.stage1, self.b2, self.bie_operator,
-                     self.neumann_operator)
+                     self.neumann_operator, self.penetrable_operator)
         return ([op._lock for op in operators if op is not None]
                 + [self.green.rules._lock, self.green.splits._lock,
                    quad._KEPT_RULES._lock])
@@ -453,10 +459,6 @@ class ForwardSolver:
                 "(f = %g) from its side of the flat line x2 = 0"
                 % (x1, x2, f))
         spec = self.config.obstacle
-        if spec is not None and spec.condition == "penetrable":
-            sol = solve_penetrable(self.medium, self.pen, source, self.b2)
-            return FieldEvaluator(self, source, sol.aux["background"], sol)
-
         background = solve_stage2(source, self.b2, self.mesh_B2, self.medium)
         correction = None
         if spec is not None:
@@ -465,10 +467,14 @@ class ForwardSolver:
                                           self.medium, self.b2,
                                           rows=self.rows[name])
 
-            inc = incident("boundary")
-            if spec.condition == "sound_soft":
-                correction = solve_density(self.bie_operator, inc)
+            if spec.condition == "penetrable":
+                op = self.penetrable_operator
+                correction = VolumeDensity(op, op.solve(incident("cells")))
+            elif spec.condition == "sound_soft":
+                correction = solve_density(self.bie_operator,
+                                           incident("boundary"))
             else:
+                inc = incident("boundary")
                 delta = self.kernel_ctx[3]
                 dinc = (incident("boundary+") - incident("boundary-")) \
                     / (2.0 * delta)

@@ -37,7 +37,7 @@ per mesh.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -343,13 +343,15 @@ class DenseOperator:
 
 @dataclass
 class GridSolution:
-    """Solution of one volume equation, sampled at the mesh cell centers."""
+    """Solution of one volume equation, sampled at the mesh cell centers,
+    with the right-hand side it solved and, for stage 2, the stage-1
+    solution it was built on."""
 
     mesh: RegionMesh
     values: np.ndarray
     source: SourceSpec
-    stage: str               # "arc" or "rough"
-    aux: dict = field(default_factory=dict)
+    rhs: np.ndarray
+    stage1: Optional["GridSolution"] = None
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +398,7 @@ def solve_stage1(source: SourceSpec, operator: DenseOperator,
         rhs = planar_field_column(operator.green, source, mesh_B1.centers,
                                   total=True, x_weights=mesh_B1.weights)
     values = operator.solve(rhs)
-    return GridSolution(mesh=mesh_B1, values=values, source=source,
-                        stage="arc", aux={"rhs": rhs})
+    return GridSolution(mesh=mesh_B1, values=values, source=source, rhs=rhs)
 
 
 def _subtract_incident(values: np.ndarray, points: np.ndarray,
@@ -541,7 +542,7 @@ def solve_stage2(source: SourceSpec, b2_operator: DenseOperator,
         rhs = rhs - medium.eta * (b2_operator.cross_matrix @ sol1.values)
     values = b2_operator.solve(rhs)
     return GridSolution(mesh=mesh_B2, values=values, source=source,
-                        stage="rough", aux={"stage1": sol1, "rhs": rhs})
+                        rhs=rhs, stage1=sol1)
 
 
 @dataclass(frozen=True)
@@ -603,7 +604,7 @@ def extend_stage2_many(sol: GridSolution, X: np.ndarray,
     off = ~on
     if not np.any(off):
         return out
-    sol1 = sol.aux["stage1"]
+    sol1 = sol.stage1
     volume = None
     if medium.eta != 0.0:
         volume = (rows.rows1 @ sol1.values)[off & (rows.hit1 < 0)]
@@ -615,24 +616,3 @@ def extend_stage2_many(sol: GridSolution, X: np.ndarray,
     out[off] = u_arc + medium.eta * (rows.rows2 @ sol.values)[off]
     return out
 
-
-def green_rough_columns(points: np.ndarray, b2_operator: DenseOperator,
-                        medium: MediumParams,
-                        sources: np.ndarray) -> np.ndarray:
-    """Matrix of rough-interface Green's values G(x_i, y_j; rough) for
-    evaluation points x_i and monopole source positions y_j.
-
-    Each source needs one stage-1 and one stage-2 column solve; all columns
-    share the two LU factorizations.  Sources must stay off both meshes'
-    cell centers and off the evaluation points.
-    """
-    points = np.asarray(points, float)
-    sources = np.asarray(sources, float)
-    out = np.empty((len(points), len(sources)), dtype=complex)
-    rows = extension_rows(points, medium, b2_operator)
-    for j, y in enumerate(sources):
-        src = SourceSpec("monopole", (float(y[0]), float(y[1])))
-        sol = solve_stage2(src, b2_operator, b2_operator.mesh, medium)
-        out[:, j] = extend_stage2_many(sol, points, medium, b2_operator,
-                                       rows=rows)
-    return out

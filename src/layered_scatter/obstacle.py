@@ -14,7 +14,9 @@ trapezoid rule.  Normal derivatives of the remainder come from central
 finite differences of shifted nested solves.
 
 Penetrable obstacles use one more Lippmann-Schwinger equation, this time
-over a mesh of D with contrast m = 1 - n and kernel G(.,.;rough).
+over a mesh of D with contrast m = 1 - n and kernel G(.,.;rough); like the
+boundary operators, its operator depends on the scene alone.  Either
+solution radiates as a source-independent matrix times its weights.
 """
 
 from __future__ import annotations
@@ -27,17 +29,14 @@ import numpy as np
 
 from .errors import AccuracyError, ConfigurationError
 from .geometry import ObstacleNodes, RegionMesh
-from .layered_green import MediumParams, SourceSpec
+from .layered_green import MediumParams
 from .ls_volume import (
     DenseOperator,
     ExtensionRows,
-    GridSolution,
     cell_self_weight,
-    extend_stage2_many,
     extension_rows,
     planar_green_matrix,
     planar_scattered_matrix,
-    solve_stage2,
 )
 from .specfun import bessel_j0j1_y0y1_arrays, phi_matrix, EULER_GAMMA
 
@@ -80,7 +79,8 @@ class RoughKernel:
 
     def smooth_part(self, X: np.ndarray,
                     rows: Optional[ExtensionRows] = None) -> np.ndarray:
-        """G(x_i, y_j; rough) - Phi_k2(x_i, y_j): finite on the diagonal.
+        """G(x_i, y_j; rough) less the free-space part full adds: finite on
+        the diagonal.
 
         Meaningful when evaluation points share the lower medium with the
         sources, so the subtracted free-space part is the local singularity.
@@ -97,7 +97,8 @@ class RoughKernel:
 
     def full(self, X: np.ndarray, y_weights: Optional[np.ndarray] = None,
              rows=None) -> np.ndarray:
-        """G(x_i, y_j; rough) including the free-space part (same side).
+        """G(x_i, y_j; rough) including the free-space part on same-side
+        pairs, at the wavenumber of the sources' half-plane.
 
         Coincident pairs are cell-averaged when y_weights is given; rows as
         in smooth_part.
@@ -109,16 +110,27 @@ class RoughKernel:
         r = np.hypot(dx, dy)
         same = (X[:, 1] > 0.0)[:, None] == (self.sources[:, 1] > 0.0)[None, :]
         coin = r < 1e-12
-        kappa2 = self.medium.kappa2
+        kappa = np.where(self.sources[:, 1] > 0.0, self.medium.kappa1,
+                         self.medium.kappa2)
         m = same & ~coin
         if np.any(m):
-            out[m] += phi_matrix(kappa2, r[m])
+            out[m] += phi_matrix(np.broadcast_to(kappa, r.shape)[m], r[m])
         ci, cj = np.nonzero(coin)
         for i, j in zip(ci, cj):
             if y_weights is None:
                 raise AccuracyError("kernel evaluated at a source point")
-            out[i, j] += cell_self_weight(kappa2, y_weights[j]) / y_weights[j]
+            out[i, j] += cell_self_weight(kappa[j], y_weights[j]) / y_weights[j]
         return out
+
+
+def green_rough_columns(points: np.ndarray, b2_operator: DenseOperator,
+                        medium: MediumParams,
+                        sources: np.ndarray) -> np.ndarray:
+    """Matrix of rough-interface Green's values G(x_i, y_j; rough) for
+    evaluation points x_i and monopole source positions y_j: one stage-1
+    and one stage-2 column solve per source (RoughKernel.full).  Sources
+    must stay off the evaluation points."""
+    return RoughKernel(b2_operator, medium, sources).full(points)
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +415,27 @@ def radiation_matrix(kernel_ctx, ansatz: str, X: np.ndarray,
     return dG - 1j * G
 
 
-def scattered_from_density(density: BoundaryDensity,
+def scattered_from_density(density: Union[BoundaryDensity, VolumeDensity],
                            X: np.ndarray,
                            radiation: Optional[np.ndarray] = None
                            ) -> np.ndarray:
-    """Radiated field of a boundary density at points X away from dD.
+    """Radiated field of a boundary density at points X away from dD, or
+    of a penetrable obstacle's VolumeDensity.
 
     Combined ansatz: w = int (dG/dnu(y) - iG) psi ds; single-layer ansatz:
-    w = int G psi ds.  radiation, from radiation_matrix at the same X and
-    with the density's kernel columns and ansatz, skips rebuilding that
-    source-independent matrix; without it the matrix is built for this
-    call only.  Points closer to dD than the node spacing trigger an
-    accuracy warning (the trapezoid rule degrades there).
+    w = int G psi ds; penetrable: w = -k2^2 int_D G m u dy.  radiation, from
+    (penetrable_)radiation_matrix at the same X and with the density's
+    kernel columns, skips rebuilding that source-independent matrix;
+    without it the matrix is built for this call only.  Points closer to
+    dD than the node spacing trigger an accuracy warning (the trapezoid
+    rule degrades there).
     """
     X = np.atleast_2d(np.asarray(X, float))
+    if isinstance(density, VolumeDensity):
+        if radiation is None:
+            radiation = penetrable_radiation_matrix(density.operator, X, None)
+        pen = density.operator.pen
+        return radiation @ (pen.m_values * pen.mesh.weights * density.values)
     nodes = density.nodes
     d = np.hypot(X[:, 0][:, None] - nodes.positions[None, :, 0],
                  X[:, 1][:, None] - nodes.positions[None, :, 1])
@@ -484,48 +503,39 @@ class PenetrableMedium:
         return 1.0 - self.n_values
 
 
-def solve_penetrable(medium: MediumParams, pen: PenetrableMedium,
-                     source: SourceSpec, b2_operator) -> GridSolution:
-    """Solve u + k2^2 int_D G(x,y;rough) m(y) u(y) dy = U(x,xs;rough) on D.
+@dataclass
+class VolumeDensity:
+    """Solved total field u of a penetrable obstacle at the cells of D."""
+
+    operator: DenseOperator          # from assemble_penetrable
+    values: np.ndarray
+
+
+def assemble_penetrable(pen: PenetrableMedium, medium: MediumParams,
+                        b2_operator, rows: ExtensionRows) -> DenseOperator:
+    """Collocation matrix of u + k2^2 int_D G(x,y;rough) m(y) u(y) dy on
+    the cells of D, with the kernel columns at the cell centers; rows are
+    the volume rows there (extension_rows).
 
     The kernel's local singularity on D is the free-space k2 kernel, so the
     diagonal uses the same log-extracted cell average as the volume stages.
     """
     mesh = pen.mesh
     kernel = RoughKernel(b2_operator, medium, mesh.centers)
-    rows = extension_rows(mesh.centers, medium, b2_operator)
     G = kernel.full(mesh.centers, y_weights=mesh.weights, rows=rows)
     kap2 = medium.kappa2 ** 2
-    A = np.eye(mesh.n, dtype=complex) \
-        + kap2 * G * (pen.m_values * mesh.weights)[None, :]
-    op = DenseOperator(A)
-    sol_bg = solve_stage2(source, b2_operator, b2_operator.mesh, medium)
-    rhs = extend_stage2_many(sol_bg, mesh.centers, medium, b2_operator,
-                             rows=rows)
-    values = op.solve(rhs)
-    return GridSolution(mesh=mesh, values=values, source=source,
-                        stage="rough", aux={"kernel": kernel, "pen": pen,
-                                            "background": sol_bg,
-                                            "medium": medium,
-                                            "b2": b2_operator})
+    op = DenseOperator(np.eye(mesh.n, dtype=complex)
+                       + kap2 * G * (pen.m_values * mesh.weights)[None, :])
+    op.pen = pen
+    op.kernel = kernel
+    return op
 
 
-def penetrable_field(sol: GridSolution, X: np.ndarray, total: bool = True,
-                     rows: Optional[ExtensionRows] = None) -> np.ndarray:
-    """Field of the penetrable solve at arbitrary points.
-
-    total=False subtracts the free-space incident wave (same side as the
-    source), giving the scattered part.  rows, from extension_rows at the
-    same X, skips rebuilding them.
-    """
-    X = np.atleast_2d(np.asarray(X, float))
-    pen = sol.aux["pen"]
-    medium = sol.aux["medium"]
-    kernel = sol.aux["kernel"]
-    if rows is None:
-        rows = extension_rows(X, medium, sol.aux["b2"])
-    G = kernel.full(X, y_weights=pen.mesh.weights, rows=rows)
-    bg = extend_stage2_many(sol.aux["background"], X, medium, sol.aux["b2"],
-                            total=total, rows=rows)
-    kap2 = medium.kappa2 ** 2
-    return bg - kap2 * G @ (pen.m_values * pen.mesh.weights * sol.values)
+def penetrable_radiation_matrix(operator: DenseOperator, X: np.ndarray,
+                                rows: Optional[ExtensionRows]) -> np.ndarray:
+    """-k2^2 G(x_i, c_j; rough), at the cell centers c_j of the operator
+    from assemble_penetrable; rows (extension_rows at X, or None) as in
+    radiation_matrix."""
+    kernel = operator.kernel
+    G = kernel.full(X, y_weights=operator.pen.mesh.weights, rows=rows)
+    return (-kernel.medium.kappa2 ** 2) * G

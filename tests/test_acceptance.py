@@ -30,11 +30,14 @@ from layered_scatter.layered_green import (
 from layered_scatter.ls_volume import (
     extend_stage1_many,
     extend_stage2_many,
-    green_rough_columns,
     solve_stage1,
     solve_stage2,
 )
-from layered_scatter.obstacle import boundary_total_field
+from layered_scatter.obstacle import (
+    RoughKernel,
+    boundary_total_field,
+    green_rough_columns,
+)
 from layered_scatter.verify import (
     mie_interior_circle,
     mie_series_circle,
@@ -192,6 +195,26 @@ def test_reciprocity_rough(layered_obstacle_solver):
     a = green_rough_columns(x[None, :], s.b2, s.medium, y[None, :])[0, 0]
     b = green_rough_columns(y[None, :], s.b2, s.medium, x[None, :])[0, 0]
     assert abs(a - b) / abs(a) <= 2e-2
+
+
+@pytest.mark.parametrize("points, sources", [
+    ([[0.43, 1.07], [1.3, 0.8]], [[-0.81, 0.63], [-0.2, 1.4]]),
+    ([[0.43, -0.77], [1.3, -1.9]], [[-0.81, -0.63], [-0.2, -2.1]]),
+    ([[0.43, 1.07], [1.3, 0.8]], [[-0.81, -0.63], [-0.2, -2.1]]),
+], ids=["upper", "lower", "across"])
+def test_rough_kernel_matches_one_solve_per_source(layered_obstacle_solver,
+                                                   points, sources):
+    # the oracle: a stage-2 solve for a monopole at each source, extended
+    # to the points (the total field is G(., y; rough))
+    s = layered_obstacle_solver
+    points, sources = np.array(points), np.array(sources)
+    want = np.column_stack([
+        extend_stage2_many(solve_stage2(SourceSpec("monopole", tuple(y)),
+                                        s.b2, s.mesh_B2, s.medium),
+                           points, s.medium, s.b2)
+        for y in sources])
+    got = RoughKernel(s.b2, s.medium, sources).full(points)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -263,13 +263,14 @@ def test_obstacle_products_same_bytes_cold_warm_and_threaded(
 
 
 def _count_builds(monkeypatch, calls, fail=False):
-    """Record every call of the row builder (extension_rows) and of
-    radiation_matrix as (name, points) in calls, in each module that binds
-    them; with fail=True each call raises instead."""
+    """Record every call of the row builder (extension_rows) and of the
+    radiation matrices as (name, points) in calls, in each module that
+    binds them; with fail=True each call raises instead."""
     import layered_scatter.forward as forward
     import layered_scatter.ls_volume as ls_volume
     import layered_scatter.obstacle as obstacle
-    for name, at in (("extension_rows", 0), ("radiation_matrix", 2)):
+    for name, at in (("extension_rows", 0), ("radiation_matrix", 2),
+                     ("penetrable_radiation_matrix", 1)):
         orig = getattr(obstacle, name)
 
         def counted(*args, _orig=orig, _name=name, _at=at, **kwargs):
@@ -287,6 +288,15 @@ def _impedance_config(config):
     spec = dataclasses.replace(config.obstacle, condition="impedance",
                                lam=1.0)
     return dataclasses.replace(config, obstacle=spec)
+
+
+def _penetrable_config(config):
+    spec = dataclasses.replace(config.obstacle, condition="penetrable",
+                               n=1.5 + 0.1j, cell_size=0.1)
+    return dataclasses.replace(config, obstacle=spec)
+
+
+_SCENES = {"impedance": _impedance_config, "penetrable": _penetrable_config}
 
 
 def test_products_kept_only_for_own_point_sets(layered_obstacle_solver):
@@ -375,18 +385,46 @@ def test_a_solve_after_construction_builds_no_kept_product(
     assert builds == []
 
 
-@pytest.mark.parametrize("scene", ["obstacle-soft", "impedance"])
+@pytest.mark.parametrize("scene", ["obstacle-soft", "impedance",
+                                   "penetrable"])
 def test_forked_workers_build_no_kept_product(layered_obstacle_solver,
                                               monkeypatch, two_cores, scene):
     config = layered_obstacle_solver.config
-    if scene == "impedance":
-        config = _impedance_config(config)
+    if scene in _SCENES:
+        config = _SCENES[scene](config)
     solver = ForwardSolver(config)
     # a build in a worker raises, and the error comes back to this process
     _count_builds(monkeypatch, [], fail=True)
     two = synthesize_dataset(config, SOURCES, threads=2, solver=solver)
     one = synthesize_dataset(config, SOURCES, threads=1, solver=solver)
     assert _table(one) == _table(two)
+
+
+def test_a_penetrable_solve_builds_no_kernel_rows_or_factorization(
+        layered_obstacle_solver, monkeypatch):
+    from layered_scatter import ls_volume, obstacle
+    config = _penetrable_config(layered_obstacle_solver.config)
+    solver = ForwardSolver(config)
+    built = []
+    kernel = obstacle.RoughKernel.__init__
+    factorize = ls_volume.DenseOperator.factorize
+
+    def new_kernel(self, *args, **kwargs):
+        built.append("RoughKernel")
+        kernel(self, *args, **kwargs)
+
+    def fresh_lu(self):
+        if self._lu is None:
+            built.append("factorization")
+        factorize(self)
+
+    monkeypatch.setattr(obstacle.RoughKernel, "__init__", new_kernel)
+    monkeypatch.setattr(ls_volume.DenseOperator, "factorize", fresh_lu)
+    _count_builds(monkeypatch, built)
+    rx = config.receivers.points()
+    for src in SOURCES:
+        solver.solve(src).scattered(rx)
+    assert built == []
 
 
 @pytest.mark.parametrize("scene", ["obstacle-soft", "impedance"])
@@ -751,16 +789,21 @@ def test_worker_ending_without_a_result_raises(flat_config, flat_solver,
 
 
 @pytest.mark.parametrize("which", ["dense operator", "grid splits",
-                                   "rules kept by plan"])
-def test_workers_fork_past_a_lock_held_by_another_thread(bump_config,
-                                                         two_cores, which):
+                                   "rules kept by plan",
+                                   "penetrable operator"])
+def test_workers_fork_past_a_lock_held_by_another_thread(
+        bump_config, layered_obstacle_solver, two_cores, which):
     # a child forked while another thread holds a solver lock would inherit
     # it held by no thread of its own and wait for it forever
-    solver = ForwardSolver(bump_config)
-    one = synthesize_dataset(bump_config, SOURCES, threads=1, solver=solver)
-    lock = {"dense operator": solver.b2._lock,
-            "grid splits": solver.green.splits._lock,
-            "rules kept by plan": quad._KEPT_RULES._lock}[which]
+    config = bump_config
+    if which == "penetrable operator":
+        config = _penetrable_config(layered_obstacle_solver.config)
+    solver = ForwardSolver(config)
+    one = synthesize_dataset(config, SOURCES, threads=1, solver=solver)
+    lock = {"dense operator": solver.b2,
+            "penetrable operator": solver.penetrable_operator,
+            "grid splits": solver.green.splits,
+            "rules kept by plan": quad._KEPT_RULES}[which]._lock
     held = threading.Event()
 
     def hold():
@@ -774,7 +817,7 @@ def test_workers_fork_past_a_lock_held_by_another_thread(bump_config,
     out = []
     worker = threading.Thread(
         target=lambda: out.append(synthesize_dataset(
-            bump_config, SOURCES, threads=2, solver=solver)),
+            config, SOURCES, threads=2, solver=solver)),
         daemon=True)
     worker.start()
     worker.join(timeout=60)
@@ -807,6 +850,36 @@ def test_scene_too_large_for_memory_rejected_before_meshing(bump_config,
     monkeypatch.setattr(forward, "build_region_mesh", no_mesh)
     with pytest.raises(ConfigurationError, match="physical memory"):
         ForwardSolver(dataclasses.replace(bump_config, **change))
+
+
+def _held_bytes(obj, seen) -> int:
+    """Bytes of the 2-D arrays reachable from obj through attributes,
+    dicts, lists and tuples, each array counted once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes if obj.ndim == 2 else 0
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return 0
+    return sum(_held_bytes(item, seen) for item in items)
+
+
+@pytest.mark.parametrize("scene", ["bump", "obstacle-soft", "penetrable"])
+def test_size_guard_estimate_bounds_the_arrays_a_solver_holds(
+        bump_config, layered_obstacle_solver, scene):
+    import layered_scatter.forward as forward
+    obstacle = layered_obstacle_solver.config
+    solver = ForwardSolver({"bump": bump_config, "obstacle-soft": obstacle,
+                            "penetrable": _penetrable_config(obstacle)}[scene])
+    need = forward._dense_bytes_estimate(solver.config, solver.scene)
+    assert need >= _held_bytes(solver, set()) > 0
 
 
 def test_size_guard_compares_the_estimate_with_physical_memory(bump_config,

@@ -330,10 +330,10 @@ def test_shared_cells_keep_the_bytes_of_per_mesh_evaluation(
     assert np.array_equal(rows.rows2, gr * m2.weights[None, :])
     for src in SOURCES3:
         sol = solve_stage2(src, s.b2, m2, s.medium)
-        sol1 = sol.aux["stage1"]
-        assert np.array_equal(sol1.aux["rhs"], planar_field_column(
+        sol1 = sol.stage1
+        assert np.array_equal(sol1.rhs, planar_field_column(
             green, src, m1.centers, True, m1.weights))
-        assert np.array_equal(sol.aux["rhs"], planar_field_column(
+        assert np.array_equal(sol.rhs, planar_field_column(
             green, src, m2.centers, True, m2.weights)
             - eta * (ref["cross"] @ sol1.values))
         # the background field at the receivers, obstacle left out
@@ -381,11 +381,10 @@ def test_source_on_a_cut_cell_gets_each_mesh_own_average():
     k1 = int(u.index[1][k2])              # B1 is the union here
     src = SourceSpec("monopole", tuple(m2.centers[k2]))
     sol = solve_stage2(src, s.b2, m2, s.medium)
-    rhs1 = sol.aux["stage1"].aux["rhs"]
+    rhs1 = sol.stage1.rhs
     assert np.array_equal(rhs1, planar_field_column(
         s.green, src, m1.centers, True, m1.weights))
-    u2 = sol.aux["rhs"] + s.medium.eta * s.b2.cross_matrix \
-        @ sol.aux["stage1"].values
+    u2 = sol.rhs + s.medium.eta * s.b2.cross_matrix @ sol.stage1.values
     direct = planar_field_column(s.green, src, m2.centers, True, m2.weights)
     assert abs(u2[k2] - direct[k2]) < 1e-8 * abs(direct[k2])
     assert abs(u2[k2] - rhs1[k1]) > 1e-3 * abs(rhs1[k1])
