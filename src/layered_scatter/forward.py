@@ -372,7 +372,7 @@ class ForwardSolver:
         self._check_rule()
 
     def _check_rule(self) -> None:
-        """Check the fixed xi-rules once against the adaptive integrals.
+        """Check the fixed xi-rules once against the reference integrals.
 
         Every kernel block pairs the union of the B1 and B2 cells with
         itself (the operator assembly and, at the lowest cells, the

@@ -302,16 +302,6 @@ def classify_point(p: Point, scene: SceneGeometry, kappa1: float, kappa2: float)
     return "Gamma", kappa2
 
 
-def classify_point_arc(p: Point, scene: SceneGeometry, kappa1: float, kappa2: float):
-    """Same classification relative to the arc interface."""
-    h = scene.arc.height(p[0])
-    if p[1] > h:
-        return "Omega1R", kappa1
-    if p[1] < h:
-        return "Omega2R", kappa2
-    return "GammaR", kappa2
-
-
 # ---------------------------------------------------------------------------
 # Region meshes
 # ---------------------------------------------------------------------------

@@ -22,8 +22,11 @@ two matrix products: (F_x cos xi x1) diag(w) (F_y cos xi y1)^T plus the same
 with sin (PlanarGreen.matrix).  A single column (one source point) whose
 points lie on a small grid of distinct heights and abscissae, as a mesh or
 a receiver line does, is evaluated on that grid instead, with the source's
-factors folded into the height factors, and then gathered per point.  The
-adaptive scattered_batch is the reference the rules are checked against.
+factors folded into the height factors, and then gathered per point.
+scattered_batch is the reference the rules are checked against: the same
+kernels integrated on a path below the branch points
+(quad.fold_integrate_batch), which shares no node, segment or tail code
+with the rules.
 
 The total field adds the free-space term only when both points lie in the
 same half-plane; the cross-side "scattered" part *is* the transmitted
@@ -67,9 +70,11 @@ def beta(xi, kappa: float):
 
     The principal square root of kappa^2 - xi^2 + 0j lands on the correct
     branch automatically: positive real in the propagating band, positive
-    imaginary in the evanescent band.
+    imaginary in the evanescent band.  Complex xi below the positive real
+    axis, as on the path of the reference integrals, stays on the same
+    branch, continuously.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi = np.asarray(xi, dtype=complex if np.iscomplexobj(xi) else float)
     val = np.sqrt(kappa * kappa - xi * xi + 0.0j)
     return val if val.ndim else complex(val)
 
@@ -260,8 +265,9 @@ class PlanarGreen:
 
     Scalar entry points mirror the mathematical objects and, like
     scattered_batch (one height pair against many horizontal offsets), run
-    on adaptive quadrature; matrix() evaluates whole point-set blocks on
-    fixed xi-rules, which is what makes dense operator assembly affordable.
+    on the reference integrals of quad.fold_integrate_batch; matrix()
+    evaluates whole point-set blocks on fixed xi-rules, which is what makes
+    dense operator assembly affordable.
 
     An instance keeps the folded rules it builds, keyed by the kind, the
     dipole direction, the side case and the bytes of the rule's nodes and
@@ -334,7 +340,8 @@ class PlanarGreen:
     def scattered_batch(self, kind: str, ell: int, x2: float, xs2: float,
                         offsets: np.ndarray) -> np.ndarray:
         """Scattered/transmitted values at heights (x2, xs2) for each
-        horizontal offset d = x1 - xs1 in offsets, by adaptive quadrature.
+        horizontal offset d = x1 - xs1 in offsets, each within tol, on the
+        deformed path of quad.fold_integrate_batch.
 
         This is the reference the fixed rules of matrix() are checked
         against, and the path of the scalar entry points."""
@@ -403,18 +410,16 @@ class PlanarGreen:
 
     def check_rule(self, X: np.ndarray, Y: np.ndarray) -> None:
         """Compare the fixed rule of every side-pair block of X x Y with the
-        adaptive integrals, for the monopole and both dipoles.
+        reference integrals, for the monopole and both dipoles.
 
         Each block's rule is the one matrix(X, Y) builds for it.  It is
         checked at the block's pair with the smallest height sum
         |x2| + |y2| (the slowest decay), at that pair's offset and at the
         block's largest offset |x1 - y1| (the fastest oscillation), with
-        one adaptive call per block and kind.  The adaptive reference runs
-        at a hundredth of tol, but no finer than 1e-12, the finest the
-        adaptive engine takes.  Its error estimate is not a bound (at
-        heights near the interface it was seen to miss 1e-8 by 28 % and
-        1e-12 by a factor of 7), so AccuracyError is raised when a value
-        differs by more than tol plus ten times the reference's tolerance.
+        one scattered_batch call per block and kind.  The reference runs at
+        a hundredth of tol, but no finer than 1e-12, and AccuracyError is
+        raised when a value differs from it by more than tol plus the
+        reference's tolerance.
         """
         X = np.asarray(X, float).reshape(-1, 2)
         Y = np.asarray(Y, float).reshape(-1, 2)
@@ -436,9 +441,9 @@ class PlanarGreen:
                     ref = reference.scattered_batch(kind, ell, float(x[1]),
                                                     float(y[1]), offsets)
                     err = float(np.max(np.abs(got - ref)))
-                    if err > self.tol + 10.0 * reference.tol:
+                    if err > self.tol + reference.tol:
                         raise AccuracyError(
-                            "fixed xi-rule differs from the adaptive "
+                            "fixed xi-rule differs from the reference "
                             "integral by %.3e at heights (%g, %g), offsets "
                             "%s (%s %d)" % (err, x[1], y[1], offsets, kind,
                                             ell),
@@ -475,18 +480,6 @@ class PlanarGreen:
             us += fundamental_solution_grad(self.medium.kappa_at(xs[1]),
                                             x, xs, ell)
         return us
-
-    def source_total(self, source: SourceSpec, x) -> complex:
-        """Total flat-interface field of a SourceSpec evaluated at x."""
-        if source.kind == "monopole":
-            return self.total(x, source.position)
-        return self.dipole_total(x, source.position, source.direction)
-
-    def source_scattered(self, source: SourceSpec, x) -> complex:
-        """Scattered/transmitted flat-interface field of a SourceSpec."""
-        if source.kind == "monopole":
-            return self.scattered(x, source.position)
-        return self.dipole_scattered(x, source.position, source.direction)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,26 @@
-"""Adaptive half-line quadrature for oscillatory integrands with
-square-root branch points.
+"""Quadrature for the Fourier integrals of the flat-interface kernels,
+whose integrands have square-root branch points on the real axis.
 
-Panels are split at the branch points; a panel ending at a breakpoint kappa
-uses the substitution xi = kappa sin t (from below) or xi = kappa cosh t
-(from above), which removes a 1/sqrt singularity exactly.  The tail is
-truncated where the declared decay envelope drops below the tolerance.
+fixed_rule builds one non-adaptive Gauss rule on [0, X] for a whole family
+of integrands, from its slowest decay and fastest phase.  Its segments are
+split at the branch points; a segment ending at a breakpoint kappa uses the
+substitution xi = kappa sin t (from below) or xi = kappa cosh t (from
+above), which removes a 1/sqrt singularity exactly.  X is where the
+declared decay envelope drops below the tolerance.  A rule's nodes and
+weights are a pure function of its plan (tail end, segments, panel
+counts), and are kept per plan.
 
-A batch mode integrates k(xi) * trig(xi * d) for many offsets d at once
-against a shared panel set; the adaptive refinement is driven by the worst
-offset, so every returned value meets the tolerance.
-
-fixed_rule builds one non-adaptive Gauss rule on the same segments and
-maps for a whole family of integrands, from its slowest decay and fastest
-phase; callers apply it as matrix products and check it against the
-adaptive engine.  A rule's nodes and weights are a pure function of its
-plan (tail end, segments, panel counts), and are kept per plan.
+fold_integrate_batch is the independent reference the rules are checked
+against: k(xi) e^{i xi d} for many offsets d on one contour that dips
+below the branch points and returns to the real axis past them (Michalski
+& Mosig, IEEE Trans. Antennas Propag. 45, 1997), followed by a real-axis
+tail ended by an a-priori bound.  It shares no segment, map or tail code
+with fixed_rule.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -28,9 +30,6 @@ import numpy as np
 
 from .errors import AccuracyError
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-
-_MAX_PANELS = 4000
 _TAIL_START_FACTOR = 1.5  # resolve the propagating band before truncating
 _TAIL_STEPS = np.arange(7.0)  # where a tail bound samples [X, 2X], in steps
 
@@ -41,6 +40,12 @@ _RULE_PHASE = 16.0
 _MAX_RULE_NODES = 200000
 # Nodes of the rules kept by plan (16 bytes each, for nodes and weights).
 _KEPT_RULE_NODES = 1 << 18
+
+# Reference integrals: 16-point Gauss panels, each spanning at most pi
+# radians of the fastest phase and half the distance to the nearest branch
+# point, and no more nodes than _MAX_REFERENCE_NODES.
+_REF_GL_NODES, _REF_GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_MAX_REFERENCE_NODES = 1 << 17
 
 
 class BoundedMemo:
@@ -106,44 +111,6 @@ class DecayClass:
         return DecayClass(rate=0.0, power=power)
 
 
-@dataclass
-class IntegrandSpec:
-    """Half-line integrand with breakpoint and tail metadata.
-
-    evaluator maps an array of xi >= 0 to complex values; breakpoints are
-    the (positive) branch points where the integrand may behave like
-    1/sqrt(|xi - kappa|).
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    breakpoints: Tuple[float, ...]
-    decay: DecayClass
-
-
-def fold_even_odd(kernel: Callable[[np.ndarray], np.ndarray], parity: str,
-                  offset: float, breakpoints: Sequence[float],
-                  decay: DecayClass) -> IntegrandSpec:
-    """Fold a two-sided integrand k(xi) e^{i xi d} with definite parity.
-
-    Even kernels fold to 2 k(xi) cos(xi d), odd ones to 2i k(xi) sin(xi d);
-    integrating the folded spec over [0, inf) gives the exact two-sided
-    value.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    d = float(offset)
-    if parity == "even":
-        def evaluator(xi):
-            return 2.0 * kernel(xi) * np.cos(xi * d)
-    else:
-        def evaluator(xi):
-            return 2.0j * kernel(xi) * np.sin(xi * d)
-    return IntegrandSpec(evaluator=evaluator,
-                         breakpoints=tuple(sorted(set(float(b) for b in breakpoints
-                                                      if b > 0.0))),
-                         decay=decay)
-
-
 # ---------------------------------------------------------------------------
 # Panel machinery
 # ---------------------------------------------------------------------------
@@ -193,64 +160,6 @@ def _map_segment(seg):
     return t_lo, t_hi, lambda t: (kappa * np.cosh(t), kappa * np.sinh(t))
 
 
-def _adaptive_batch(batch_eval, t_lo, t_hi, transform, tol, budget):
-    """Adaptive GL15 with bisection on a mapped segment.
-
-    batch_eval(xi) returns an (nrows, len(xi)) array; refinement is driven
-    by the max-over-rows panel error.  Every evaluated panel counts against
-    the budget, so a panel that never converges (a NaN integrand, say) ends
-    in AccuracyError.  Returns (values, error, panels_evaluated).
-    """
-    def panel_values(los, his):
-        # nodes for every pending panel in one evaluator call
-        half = 0.5 * (his - los)[:, None]
-        mid = 0.5 * (his + los)[:, None]
-        t = mid + half * _GL_NODES[None, :]
-        xi, jac = transform(t.ravel())
-        vals = batch_eval(xi)                     # (nrows, npanels*15)
-        nrows = vals.shape[0]
-        vals = vals.reshape(nrows, t.shape[0], 15) * jac.reshape(t.shape)[None, :, :]
-        return np.tensordot(vals, _GL_WEIGHTS, axes=([2], [0])) * half[None, :, 0]
-
-    los = np.array([t_lo])
-    his = np.array([t_hi])
-    coarse = panel_values(los, his)               # (nrows, 1)
-    total = None
-    err_total = 0.0
-    panels = 0
-    # worklist of (lo, hi, coarse_value-column) processed in deterministic order
-    work = [(t_lo, t_hi, coarse[:, 0])]
-    acc_vals = []
-    while work:
-        if panels + 2 * len(work) > budget:
-            best = np.sum(acc_vals, axis=0) if acc_vals else 0.0
-            rest = np.sum([w[2] for w in work], axis=0)
-            raise AccuracyError("panel budget exhausted",
-                                value=best + rest, estimate=err_total + np.inf)
-        lo_arr = np.array([w[0] for w in work])
-        hi_arr = np.array([w[1] for w in work])
-        mid_arr = 0.5 * (lo_arr + hi_arr)
-        halves = panel_values(np.concatenate([lo_arr, mid_arr]),
-                              np.concatenate([mid_arr, hi_arr]))
-        nw = len(work)
-        panels += 2 * nw
-        fine = halves[:, :nw] + halves[:, nw:]
-        next_work = []
-        for i, (lo, hi, cval) in enumerate(work):
-            err = float(np.max(np.abs(fine[:, i] - cval)))
-            local_tol = tol * max((hi - lo) / (t_hi - t_lo), 1e-3)
-            if err <= local_tol or (hi - lo) < 1e-13 * max(1.0, abs(t_hi)):
-                acc_vals.append(fine[:, i])
-                err_total += err
-            else:
-                mid = 0.5 * (lo + hi)
-                next_work.append((lo, mid, halves[:, i]))
-                next_work.append((mid, hi, halves[:, nw + i]))
-        work = next_work
-    total = np.sum(acc_vals, axis=0)
-    return total, err_total, panels
-
-
 def _tail_cutoff(kernel_abs_at, decay, breakpoints, tol):
     """Smallest doubling point X past the breakpoints with tail bound < tol.
 
@@ -297,27 +206,6 @@ def _tail_cutoff(kernel_abs_at, decay, breakpoints, tol):
         "tolerance for the declared decay class", estimate=b)
 
 
-def _integrate_batch(batch_eval, breakpoints, decay, tol):
-    """Core engine shared by the scalar and batched entry points."""
-    def kernel_abs_at(xi):
-        return np.max(np.abs(batch_eval(np.asarray(xi, float))), axis=0)
-
-    tail_end, tail_bound = _tail_cutoff(kernel_abs_at, decay, breakpoints, tol)
-    segs = _segments(breakpoints, tail_end)
-    seg_tol = 0.5 * tol / max(len(segs), 1)
-    total = 0.0
-    err = tail_bound
-    for seg in segs:
-        t_lo, t_hi, transform = _map_segment(seg)
-        if t_hi <= t_lo:
-            continue
-        vals, seg_err, _ = _adaptive_batch(batch_eval, t_lo, t_hi, transform,
-                                           seg_tol, _MAX_PANELS)
-        total = total + vals
-        err += seg_err
-    return total, err
-
-
 def fixed_rule(kernel_abs_at: Callable[[np.ndarray], np.ndarray],
                breakpoints: Sequence[float], decay: DecayClass,
                offset: float, height: float,
@@ -328,9 +216,9 @@ def fixed_rule(kernel_abs_at: Callable[[np.ndarray], np.ndarray],
     X is where the tail bound of k (the family's slowest-decaying member,
     with its decay class) drops below a tenth of the tolerance: a fixed
     rule carries no error estimate, so its truncation stays an order below
-    what the adaptive engine allows itself.  The segments and their
-    sin/cosh branch-point maps are those of the adaptive engine; each
-    segment is cut into equal panels so that no panel spans more than
+    the tolerance.  The segments are split at the branch points, with
+    their sin/cosh maps (_segments, _map_segment); each segment is cut
+    into equal panels so that no panel spans more than
     _RULE_PHASE radians of the fastest phase in g.  On the branch-point
     segments that phase is e^{i (offset xi + height beta)}, with offset the
     largest horizontal offset and height the largest height sum; the
@@ -393,16 +281,6 @@ def _rule_nodes(bps, tail_end, panels):
 _KEPT_RULES = BoundedMemo(_KEPT_RULE_NODES, lambda rule: len(rule[0]))
 
 
-def integrate_halfline(spec: IntegrandSpec, tol: float) -> complex:
-    """Integral of spec.evaluator over [0, inf) with absolute error <= tol."""
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
-
-    def batch_eval(xi):
-        return np.asarray(spec.evaluator(xi), dtype=complex)[None, :]
-
-    total, _err = _integrate_batch(batch_eval, spec.breakpoints, spec.decay, tol)
-    return complex(total[0])
 
 
 def fold_integrate_batch(kernel: Callable[[np.ndarray], np.ndarray],
@@ -412,19 +290,98 @@ def fold_integrate_batch(kernel: Callable[[np.ndarray], np.ndarray],
     """Folded two-sided integrals for many offsets d sharing one kernel.
 
     Returns the array of values of int_{-inf}^{inf} k(xi) e^{i xi d} dxi for
-    each d in offsets, computed as cosine (even kernel) or sine (odd kernel)
-    transforms on a shared adaptively refined panel set.
+    each d in offsets: 2 int_0^inf k(xi) cos(xi d) dxi for an even kernel,
+    2i int_0^inf k(xi) sin(xi d) dxi for an odd one.  kernel must take
+    complex xi and be analytic between the positive real axis and the path
+    below it, as the flat-interface kernels on the branch Im beta >= 0 are.
+
+    On [0, T], T twice the largest breakpoint, the path is
+    xi = t - i a sin(pi t / T) with depth a = min(T/4, 1/max|d|), so that
+    |cos(xi d)| and |sin(xi d)| stay below cosh(1); past T it is the real
+    axis.  Its 16-point Gauss panels span at most pi radians of the phase
+    (max|d| + decay rate) and at most half the distance to the nearest
+    breakpoint, which grades them where the path passes a branch point.
+    The tail ends at the first X where the bound of the decay class,
+    C X^-p e^{-hX} / h, or C X^(1-p) / (p-1) when h = 0, with C measured
+    on the last panel, is below tol/4.  Non-finite offsets or kernel
+    values, a decay class that bounds no tail, and more than
+    _MAX_REFERENCE_NODES nodes raise AccuracyError.
     """
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
     offsets = np.asarray(offsets, dtype=float)
     if offsets.size == 0:
         return np.zeros(0, dtype=complex)
+    if not np.all(np.isfinite(offsets)):
+        raise AccuracyError("reference integral at a non-finite offset")
+    h, p = decay.rate, decay.power
+    if h <= 0.0 and p <= 1.0:
+        raise AccuracyError(
+            "tail of half-line integral cannot be truncated at the requested "
+            "tolerance for the declared decay class")
+    bps = sorted({float(b) for b in breakpoints if b > 0.0})
+    top = bps[-1] if bps else 0.5
+    T = 2.0 * top
+    dmax = float(np.abs(offsets).max())
+    depth = min(0.5 * top, 1.0 / dmax) if dmax > 0.0 else 0.5 * top
+    longest = np.pi / (dmax + h) if dmax + h > 0.0 else np.inf
+    speed = np.hypot(1.0, depth * np.pi / T)
     trig = np.cos if parity == "even" else np.sin
-    factor = 2.0 if parity == "even" else 2.0j
+    left = _MAX_REFERENCE_NODES // len(_REF_GL_NODES)   # panels
 
-    def batch_eval(xi):
-        k = np.asarray(kernel(xi), dtype=complex)[None, :]
-        return k * trig(np.outer(offsets, xi))
+    def panels(t, stop, step):
+        """Gauss nodes (one row per panel) and weights from t to stop."""
+        nonlocal left
+        ends = [t]
+        while ends[-1] < stop:
+            left -= 1
+            if left < 0:
+                raise AccuracyError("reference integral needs more than %d "
+                                    "nodes" % _MAX_REFERENCE_NODES,
+                                    estimate=np.inf)
+            ends.append(min(stop, ends[-1] + step(ends[-1])))
+        ends = np.array(ends)
+        half = 0.5 * np.diff(ends)[:, None]
+        return ends[:-1, None] + half * (1.0 + _REF_GL_NODES), \
+            half * _REF_GL_WEIGHTS
 
-    bps = tuple(sorted(set(float(b) for b in breakpoints if b > 0.0)))
-    total, _err = _integrate_batch(batch_eval, bps, decay, tol)
-    return factor * total
+    def integrate(xi, w):
+        k = np.asarray(kernel(xi.ravel()), dtype=complex)
+        if not np.all(np.isfinite(k)):
+            raise AccuracyError("non-finite kernel value in a reference "
+                                "integral", estimate=np.inf)
+        wk = w.ravel() * k
+        return np.array([np.dot(trig(d * xi.ravel()), wk) for d in offsets]), \
+            np.abs(k[-xi.shape[1]:])
+
+    def path(t):
+        return t - 1j * depth * np.sin(np.pi * t / T)
+
+    def arc_step(t):
+        xi = complex(t, -depth * math.sin(math.pi * t / T))
+        return min([longest] + [0.5 * abs(xi - b) / speed for b in bps])
+
+    t, w = panels(0.0, T, arc_step)
+    total, _ = integrate(path(t), w * (1.0 - 1j * depth * np.pi / T
+                                       * np.cos(np.pi * t / T)))
+    X, stop = T, 2.0 * T
+    while True:
+        t, w = panels(X, stop, lambda x: min(longest, 0.5 * (x - top)))
+        vals, kabs = integrate(t, w)
+        total = total + vals
+        X = stop
+        C = float(np.max(kabs * (t[-1] / X) ** p * np.exp(h * (t[-1] - X))))
+        # int_X^inf of the envelope C (xi/X)^-p e^{-h (xi - X)} is at most
+        # C/h and, for p > 1, C X/(p - 1); else the tail runs on to where
+        # that bound falls to tol/8
+        bound = min(C / h if h > 0.0 else np.inf,
+                    C * X / (p - 1.0) if p > 1.0 else np.inf)
+        if bound < 0.25 * tol:
+            break
+        stop = min(X + np.log(8.0 * C / (h * tol)) / h if h > 0.0 else np.inf,
+                   X * (8.0 * C * X / ((p - 1.0) * tol)) ** (1.0 / (p - 1.0))
+                   if p > 1.0 else np.inf)
+        if not np.isfinite(stop):
+            raise AccuracyError("tail of a reference integral has no finite "
+                                "end", estimate=bound)
+    return (2.0 if parity == "even" else 2.0j) * total

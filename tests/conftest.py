@@ -36,7 +36,7 @@ def green(medium):
 
 @pytest.fixture(scope="session")
 def reference(medium):
-    """Adaptive flat-interface kernels at the tightest tolerance, the
+    """Flat-interface kernels on the reference integrals at 1e-12, the
     reference for the fixed xi-rules."""
     return PlanarGreen(medium, tol=1e-12)
 

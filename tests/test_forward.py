@@ -614,9 +614,8 @@ def test_grid_kernel_matches_reference(bump_config):
 
 
 def test_solver_check_at_the_finest_tolerance(bump_config):
-    # at tol 1e-12 the adaptive reference misses its own tolerance next to
-    # the interface while the rules stay at rounding level; the check must
-    # not blame the rules for it
+    # at tol 1e-12 the reference runs at its finest tolerance, 1e-12, and
+    # the check allows the rules tol plus the reference's tolerance
     import dataclasses
     ForwardSolver(dataclasses.replace(bump_config, quad_tol=1e-12))
 

@@ -160,18 +160,6 @@ def test_batch_matches_scalar(green):
                                   abs=1e-12)
 
 
-def test_source_total_dispatch(green):
-    mono = SourceSpec("monopole", (0.0, 1.0))
-    dip = SourceSpec("dipole", (0.0, 1.0), 2)
-    x = (0.4, 0.8)
-    assert green.source_total(mono, x) == pytest.approx(
-        green.total(x, (0.0, 1.0)), abs=1e-12)
-    assert green.source_total(dip, x) == pytest.approx(
-        green.dipole_total(x, (0.0, 1.0), 2), abs=1e-12)
-    assert green.source_scattered(dip, x) == pytest.approx(
-        green.dipole_scattered(x, (0.0, 1.0), 2), abs=1e-12)
-
-
 def test_functional_wrappers(medium):
     x, xs = (0.3, 0.7), (-0.2, 1.1)
     g = PlanarGreen(medium, 1e-8)
@@ -193,9 +181,124 @@ def test_beta_branch_property(xi, kappa):
 
 
 # ---------------------------------------------------------------------------
-# Fixed xi-rules (PlanarGreen.matrix) against a 1e-12 adaptive reference
+# Reference integrals (scattered_batch) against mpmath at 30 digits
 # ---------------------------------------------------------------------------
 KINDS = (("monopole", 0), ("dipole", 1), ("dipole", 2))
+
+
+def _mp_scattered(kind, ell, x2, xs2, d, kappa1=1.0, kappa2=1.5):
+    """The kernel integral at heights (x2, xs2) and offset d in mpmath:
+    tanh-sinh on the real axis up to X = 2 max(kappa), split at the branch
+    points, and past X each exponential of the fold on its ray of steepest
+    descent, with beta continued analytically as i sqrt(xi^2 - kappa^2)."""
+    import mpmath as mp
+    with mp.workdps(30):
+        k1, k2 = mp.mpf(kappa1), mp.mpf(kappa2)
+        x2, xs2, d = mp.mpf(x2), mp.mpf(xs2), mp.mpf(d)
+        up, sup = x2 > 0, xs2 > 0
+        pref = 1j / ((4 if up == sup else 2) * mp.pi)
+
+        def kernel(b1, b2, xi):
+            if up == sup:
+                m = (b1 - b2) / (b1 * (b1 + b2)) if up \
+                    else (b2 - b1) / (b2 * (b1 + b2))
+            else:
+                m = 1 / (b1 + b2)
+            if kind == "monopole":
+                w = m
+            elif ell == 1:
+                w = m * xi
+            else:
+                w = -1j * b1 * m if sup else 1j * b2 * m
+            return w * mp.exp(1j * ((b1 if up else -b2) * x2
+                                    + (b1 if sup else -b2) * xs2))
+
+        odd = ell == 1
+        trig = mp.sin if odd else mp.cos
+        X = 2 * max(k1, k2)
+        n = max(1, int(mp.ceil(abs(d) * X / 2)))
+        cuts = sorted({mp.mpf(0), k1, k2}
+                      | {X * j / n for j in range(1, n + 1)})
+        head = mp.quad(lambda t: kernel(mp.sqrt(k1 ** 2 - t ** 2),
+                                        mp.sqrt(k2 ** 2 - t ** 2), t)
+                       * trig(t * d), cuts)
+        h = abs(x2) + abs(xs2)
+        tail = 0
+        for s in (1, -1):
+            u = mp.mpc(h, s * d) / abs(mp.mpc(h, s * d))
+
+            def ray(r):
+                xi = X + r * u
+                return kernel(1j * mp.sqrt(xi ** 2 - k1 ** 2),
+                              1j * mp.sqrt(xi ** 2 - k2 ** 2), xi) \
+                    * mp.exp(1j * s * xi * d) * u
+            scale = 1 / abs(mp.mpc(h, d))
+            piece = mp.quad(ray, [0, scale, 10 * scale, mp.inf])
+            tail += s * piece / 2j if odd else piece / 2
+        fold = 2j * 1j if odd else 2
+        return complex(pref * fold * (head + tail))
+
+
+@pytest.mark.parametrize("kind,ell,x2,xs2,d,tol", [
+    # every kind in the four side cases, at height sums 0.025 to 3.3 and
+    # offsets 0 to 12
+    ("monopole", 0, 0.1, 0.1, 12.0, 1e-12),
+    ("monopole", 0, 0.3, -0.9, 1.3, 1e-12),
+    ("monopole", 0, -0.0125, 0.0125, 0.0, 1e-12),
+    ("monopole", 0, -0.7, -0.2, 5.0, 1e-12),
+    ("dipole", 1, 1.5, 1.8, 2.5, 1e-12),
+    ("dipole", 1, 0.0125, -0.0125, 8.0, 1e-12),
+    ("dipole", 1, -0.3, 0.4, 12.0, 1e-12),
+    ("dipole", 1, -0.025, -0.025, 1.3, 1e-12),
+    ("dipole", 2, 0.0125, 0.0125, 5.0, 1e-12),
+    ("dipole", 2, 0.3, -0.9, 0.0, 1e-12),
+    ("dipole", 2, -1.0, 0.5, 3.0, 1e-12),
+    # next to the interface, where the former adaptive engine missed its
+    # tolerance
+    ("monopole", 0, -0.025, -0.025, 0.0, 1e-8),
+    ("dipole", 2, -0.1, -0.1, 5.0, 1e-12),
+])
+def test_reference_matches_mpmath(kind, ell, x2, xs2, d, tol):
+    green = PlanarGreen(MediumParams(1.0, 1.5), tol)
+    got = green.scattered_batch(kind, ell, x2, xs2, np.array([d]))[0]
+    assert abs(got - _mp_scattered(kind, ell, x2, xs2, d)) <= tol
+
+
+def test_scalar_entry_point_at_the_finest_tolerance():
+    # at 1e-13 a node of the former adaptive engine landed on kappa1, where
+    # the upper-upper weight divides by beta1 = 0
+    x, xs = (0.3, 0.7), (-0.2, 1.1)
+    got = PlanarGreen(MediumParams(1.0, 1.5), 1e-13).scattered(x, xs)
+    assert abs(got - _mp_scattered("monopole", 0, 0.7, 1.1, 0.5)) <= 1e-13
+
+
+def test_reference_shares_no_code_with_the_fixed_rules(monkeypatch):
+    import layered_scatter.layered_green as lg
+    import layered_scatter.quad as quad
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the reference called fixed-rule code")
+
+    for name in ("_segments", "_map_segment", "_tail_cutoff", "_rule_nodes",
+                 "fixed_rule"):
+        monkeypatch.setattr(quad, name, forbidden)
+    monkeypatch.setattr(lg, "fixed_rule", forbidden)
+    green = PlanarGreen(MediumParams(1.0, 1.5), 1e-10)
+    offsets = np.array([0.0, 1.7, -4.0])
+    for kind, ell in KINDS:
+        for x2, xs2 in ((0.4, 1.1), (0.4, -0.6), (-0.2, 1.1), (-0.2, -0.6)):
+            vals = green.scattered_batch(kind, ell, x2, xs2, offsets)
+            assert vals.shape == (3,) and np.all(np.isfinite(vals))
+    vals = quad.fold_integrate_batch(lambda x: np.exp(-x * x), "even",
+                                     offsets, (1.0, 1.5),
+                                     quad.DecayClass.exponential(1.0), 1e-10)
+    assert np.max(np.abs(vals - np.sqrt(np.pi) * np.exp(-offsets ** 2 / 4))) \
+        < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Fixed xi-rules (PlanarGreen.matrix) against the 1e-12 reference
+# ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kind,ell", KINDS)
@@ -303,7 +406,7 @@ def test_single_column_grid_matches_product_and_reference(
                 assert np.max(np.abs(got - direct)) \
                     <= 1e-13 * np.max(np.abs(direct))
                 cases.add((name, Xb[0, 1] > 0.0, y[1] > 0.0))
-            # against the adaptive reference at the heights nearest to and
+            # against the reference at the heights nearest to and
             # farthest from the interface on each side, at all their offsets
             col = green.matrix(kind, ell, X, Y)[:, 0]
             for side in (X[:, 1] > 0.0, X[:, 1] < 0.0):

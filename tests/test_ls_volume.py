@@ -84,8 +84,8 @@ def test_cell_self_weight_against_quadrature():
 # Kernel matrices
 # ---------------------------------------------------------------------------
 # The matrices and columns run on fixed xi-rules, the scalar entry points on
-# adaptive quadrature; both must meet the fixture's tolerance, so they are
-# compared with the 1e-12 adaptive reference at that tolerance.
+# the reference integrals; both must meet the fixture's tolerance, so they
+# are compared with the 1e-12 reference at that tolerance.
 def test_scattered_matrix_matches_scalar(green, reference):
     X = np.array([[0.3, 0.6], [-0.5, -0.4]])
     Y = np.array([[0.0, 1.1], [0.7, -0.9]])
