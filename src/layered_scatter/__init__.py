@@ -22,7 +22,6 @@ from .geometry import (
     RegionMesh,
     SceneGeometry,
     build_region_mesh,
-    classify_point,
     obstacle_nodes,
 )
 from .layered_green import MediumParams, PlanarGreen, SourceSpec, beta
@@ -44,7 +43,6 @@ from .obstacle import (
     RoughKernel,
     VolumeDensity,
     assemble_bie,
-    boundary_total_field,
     green_rough_columns,
     layer_matrices,
     neumann_impedance_solve,
@@ -84,7 +82,6 @@ __all__ = [
     "RegionMesh",
     "SceneGeometry",
     "build_region_mesh",
-    "classify_point",
     "obstacle_nodes",
     "MediumParams",
     "PlanarGreen",
@@ -105,7 +102,6 @@ __all__ = [
     "RoughKernel",
     "VolumeDensity",
     "assemble_bie",
-    "boundary_total_field",
     "green_rough_columns",
     "layer_matrices",
     "neumann_impedance_solve",

@@ -146,6 +146,11 @@ class RunConfig:
     experiment: Optional[BlowupSequenceConfig]
 
 
+# quadrature.tol: below 1e-12 the reference that judges the fixed rules
+# (run at a hundredth of tol, but no finer than 1e-12) is coarser than the
+# rule; above 1e-4 the tolerance is no longer small against the fields.
+_TOL_RANGE = (1e-12, 1e-4)
+
 _TOP_LEVEL = {
     "medium": dict, "interface": dict, "arc_radius_R": (int, float),
     "obstacle": dict, "mesh": dict, "quadrature": dict, "solver": dict,
@@ -201,15 +206,23 @@ def parse_config(doc: dict) -> RunConfig:
                                  count=r["count"])
 
     obstacle = _parse_obstacle(doc["obstacle"]) if "obstacle" in doc else None
+    cell_size = _as_number(mesh.get("cell_size", 0.1), "mesh.cell_size")
+    if not cell_size > 0.0:
+        raise ConfigurationError("mesh.cell_size must be positive")
+    subsample = mesh.get("subsample", 4)
+    if subsample < 1:
+        raise ConfigurationError("mesh.subsample must be at least 1")
+    tol = _as_number(quad.get("tol", 1e-8), "quadrature.tol")
+    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
+        raise ConfigurationError("quadrature.tol must lie in [%g, %g]"
+                                 % _TOL_RANGE)
 
     scene = SceneConfig(
         medium=medium, profile=profile,
         arc_radius=(_as_number(doc["arc_radius_R"], "arc_radius_R")
                     if "arc_radius_R" in doc else None),
-        obstacle=obstacle, receivers=receivers,
-        cell_size=_as_number(mesh.get("cell_size", 0.1), "mesh.cell_size"),
-        subsample=mesh.get("subsample", 4),
-        quad_tol=_as_number(quad.get("tol", 1e-8), "quadrature.tol"))
+        obstacle=obstacle, receivers=receivers, cell_size=cell_size,
+        subsample=subsample, quad_tol=tol)
     scene.geometry()   # run all admissibility checks now
 
     experiment = None

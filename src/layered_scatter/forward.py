@@ -26,7 +26,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import quad
 from .errors import (
     ConfigurationError,
     GeometryError,
@@ -434,14 +433,12 @@ class ForwardSolver:
 
     def _locks(self) -> list:
         """Every lock a solve can take, none of which is taken under
-        another: those of the dense operators, of the kernel evaluator's
-        kept rules and grid splits, and of the nodes and weights kept by
-        plan (quad._KEPT_RULES)."""
+        another: those of the dense operators and of the kernel
+        evaluator's kept rules and grid splits."""
         operators = (self.stage1, self.b2, self.bie_operator,
                      self.neumann_operator, self.penetrable_operator)
         return ([op._lock for op in operators if op is not None]
-                + [self.green.rules._lock, self.green.splits._lock,
-                   quad._KEPT_RULES._lock])
+                + [self.green.rules._lock, self.green.splits._lock])
 
     # -- per-source solve ---------------------------------------------------
     def solve(self, source: SourceSpec) -> FieldEvaluator:

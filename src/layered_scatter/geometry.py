@@ -288,20 +288,6 @@ class SceneGeometry:
                 raise ConfigurationError("obstacle must lie strictly below the interface")
 
 
-def classify_point(p: Point, scene: SceneGeometry, kappa1: float, kappa2: float):
-    """Region label and local wavenumber for the rough interface.
-
-    Returns ("Omega1", kappa1) above the graph of f, ("Omega2", kappa2)
-    below, and ("Gamma", kappa2) exactly on it.
-    """
-    f = scene.profile(p[0])
-    if p[1] > f:
-        return "Omega1", kappa1
-    if p[1] < f:
-        return "Omega2", kappa2
-    return "Gamma", kappa2
-
-
 # ---------------------------------------------------------------------------
 # Region meshes
 # ---------------------------------------------------------------------------
@@ -323,10 +309,6 @@ class RegionMesh:
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def _region_indicator(tag: str, scene: SceneGeometry):

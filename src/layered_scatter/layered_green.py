@@ -23,6 +23,8 @@ with sin (PlanarGreen.matrix).  A single column (one source point) whose
 points lie on a small grid of distinct heights and abscissae, as a mesh or
 a receiver line does, is evaluated on that grid instead, with the source's
 factors folded into the height factors, and then gathered per point.
+A rule is planned by quad.fixed_rule and kept, folded, by the PlanarGreen
+that uses it, keyed by its plan.
 scattered_batch is the reference the rules are checked against: the same
 kernels integrated on a path below the branch points
 (quad.fold_integrate_batch), which shares no node, segment or tail code
@@ -37,13 +39,15 @@ decay only through their exponential factor.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import AccuracyError, GeometryError, SingularityError
-from .quad import BoundedMemo, DecayClass, fixed_rule, fold_integrate_batch
+from .quad import DecayClass, fixed_rule, fold_integrate_batch, rule_nodes
 from .specfun import (
     fundamental_solution,
     fundamental_solution_grad,
@@ -59,10 +63,51 @@ H_MIN = 1e-6
 _CHUNK_ELEMENTS = 1 << 16
 
 # What one PlanarGreen keeps: the folded rules, up to this many nodes in
-# all (32 bytes a node with the key), and the grid splits of this many
-# point sets.
+# all (24 bytes a node), and the grid splits of this many point sets.
 _KEPT_RULE_NODES = 1 << 16
 _KEPT_SPLITS = 16
+
+
+class BoundedMemo:
+    """Thread-safe map from keys to values that are pure functions of
+    their keys, forgetting the least recently used entries once their
+    sizes add up past budget.
+
+    A value is built outside the lock, so two threads may build the same
+    one; the first stored is kept and returned to both.  Since a value
+    depends on its key alone, what is forgotten is rebuilt with the same
+    bytes, and no value depends on the order or thread of the calls.
+    """
+
+    def __init__(self, budget: int, size: Callable[[object], int]):
+        self.budget = budget
+        self.total = 0
+        self._size = size
+        self._entries = OrderedDict()       # key -> (value, size)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key, build: Callable[[], object]):
+        """The value kept for key, built by build() on a miss."""
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit[0]
+        value = build()
+        n = self._size(value)
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                return hit[0]
+            self._entries[key] = (value, n)
+            self.total += n
+            while self.total > self.budget and len(self._entries) > 1:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.total -= dropped
+        return value
 
 
 def beta(xi, kappa: float):
@@ -270,12 +315,12 @@ class PlanarGreen:
     dense operator assembly affordable.
 
     An instance keeps the folded rules it builds, keyed by the kind, the
-    dipole direction, the side case and the bytes of the rule's nodes and
-    weights, and the grid split of the point sets of its recent single
-    columns, keyed by their bytes.  Both are bounded, and each value is a
-    pure function of its key, so a block has the same bytes whether its
-    rule was built for it or kept from another call, in any order and from
-    any thread.
+    dipole direction, the side case and the rule's plan (quad.fixed_rule),
+    and the grid split of the point sets of its recent single columns,
+    keyed by their bytes; nothing else keeps rules.  Both maps are bounded,
+    and each value is a pure function of its key, so a block has the same
+    bytes whether its rule was built for it or kept from another call, in
+    any order and from any thread.
     """
 
     def __init__(self, medium: MediumParams, tol: float = 1e-8):
@@ -385,8 +430,15 @@ class PlanarGreen:
         The tail comes from the pair with the smallest height sum (the
         slowest decay); the panel widths from the largest horizontal offset
         and the largest height sum (see quad.fixed_rule).  The folded rule
-        is kept by kind, ell, side case and the bytes of the nodes and
-        weights fixed_rule gives."""
+        is kept by kind, ell, side case and the plan fixed_rule gives.
+
+        fixed_rule's tail bound needs an envelope E >= |k| with
+        xi^p e^{h xi} E(xi) nonincreasing past 1.5 max(kappa1, kappa2).
+        E = |k| serves every kernel but the cross-side vertical
+        dipole, whose weight |beta_j / (beta1 + beta2)|, j the source's
+        medium, grows toward 1/2 when that medium has the larger kappa:
+        its envelope carries the factor (|beta1| + |beta2|) / (2 |beta_j|)
+        where that exceeds one, at most 1.17 past the ladder's start."""
         ax, ay = np.abs(X[:, 1]), np.abs(Y[:, 1])
         hx, hy = X[np.argmin(ax), 1], Y[np.argmin(ay), 1]
         kern, pref, parity, decay = self._kernel(kind, ell, hx, hy)
@@ -394,19 +446,28 @@ class PlanarGreen:
         offset = max(X[:, 0].max() - Y[:, 0].min(),
                      Y[:, 0].max() - X[:, 0].min())
         k1, k2 = self.medium.kappa1, self.medium.kappa2
-        xi, w = fixed_rule(lambda xi: np.abs(kern(xi)), (k1, k2), decay,
-                           offset, ax.max() + ay.max(), self.tol / abs(pref))
+
+        def envelope(xi):
+            kabs = np.abs(kern(xi))
+            if ell != 2 or case[0] == case[1]:
+                return kabs
+            s1, s2 = np.abs(beta(xi, k1)), np.abs(beta(xi, k2))
+            return kabs * np.maximum(1.0, 0.5 * (s1 + s2)
+                                     / (s1 if case[1] == "u" else s2))
+        plan = fixed_rule(envelope, (k1, k2), decay, offset,
+                          ax.max() + ay.max(), self.tol / abs(pref))
 
         def fold():
+            xi, w = rule_nodes(*plan)
             weight = self._weight(kind, ell, case)[0]
             b1, b2 = beta(xi, k1), beta(xi, k2)
             wk = (2.0 if parity == "even" else 2.0j) * pref * w \
                 * weight(b1, b2, xi)
+            xi.flags.writeable = False
             wk.flags.writeable = False
             return _FixedRule(xi=xi, weights=wk, parity=parity, kappa1=k1,
                               kappa2=k2)
-        return self.rules.get((kind, ell, case, xi.tobytes(), w.tobytes()),
-                              fold)
+        return self.rules.get((kind, ell, case, plan), fold)
 
     def check_rule(self, X: np.ndarray, Y: np.ndarray) -> None:
         """Compare the fixed rule of every side-pair block of X x Y with the

@@ -451,37 +451,6 @@ def scattered_from_density(density: Union[BoundaryDensity, VolumeDensity],
     return radiation @ wts
 
 
-def boundary_total_field(density: BoundaryDensity, t: np.ndarray,
-                         background: np.ndarray) -> np.ndarray:
-    """Total field on dD at off-node parameters t (sound-soft check).
-
-    Uses the boundary limit of the combined potential: the singular rule
-    evaluated at arbitrary t plus the trigonometrically interpolated jump
-    term psi(t)/2.
-    """
-    t = np.asarray(t, float)
-    nodes = density.nodes
-    op = density.operator
-    medium = op.medium
-    center, plus, minus, delta = op.kernel_ctx
-    S, K = layer_matrices(nodes, medium.kappa2, t=t)
-    X = nodes.curve.point(t)
-    rows = extension_rows(X, medium, center.b2)
-    rho = center.smooth_part(X, rows)
-    drho = (plus.smooth_part(X, rows) - minus.smooth_part(X, rows)) \
-        / (2.0 * delta)
-    M = nodes.n // 2
-    trap = (np.pi / M) * nodes.jacobians[None, :]
-    S = S + 2.0 * rho * trap
-    K = K + 2.0 * drho * trap
-    # trigonometric interpolation of the density at t
-    coeffs = np.fft.fft(density.psi) / nodes.n
-    k = np.fft.fftfreq(nodes.n, d=1.0 / nodes.n)
-    interp = (np.exp(1j * np.outer(t, k)) @ coeffs)
-    w = 0.5 * (K - 1j * S) @ density.psi + 0.5 * interp
-    return np.asarray(background, complex) + w
-
-
 # ---------------------------------------------------------------------------
 # Penetrable obstacle
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Quadrature for the Fourier integrals of the flat-interface kernels,
 whose integrands have square-root branch points on the real axis.
 
-fixed_rule builds one non-adaptive Gauss rule on [0, X] for a whole family
-of integrands, from its slowest decay and fastest phase.  Its segments are
-split at the branch points; a segment ending at a breakpoint kappa uses the
-substitution xi = kappa sin t (from below) or xi = kappa cosh t (from
-above), which removes a 1/sqrt singularity exactly.  X is where the
-declared decay envelope drops below the tolerance.  A rule's nodes and
-weights are a pure function of its plan (tail end, segments, panel
-counts), and are kept per plan.
+fixed_rule plans one non-adaptive Gauss rule on [0, X] for a whole family
+of integrands, from its slowest decay and fastest phase, and rule_nodes
+builds the plan's nodes and weights.  The segments are split at the branch
+points; a segment ending at a breakpoint kappa uses the substitution
+xi = kappa sin t (from below) or xi = kappa cosh t (from above), which
+removes a 1/sqrt singularity exactly.  X is the first point of a doubling
+ladder where the declared decay envelope bounds the tail below the
+tolerance.  The module keeps no state: a rule is a pure function of its
+plan, and the caller keeps what it reuses.
 
 fold_integrate_batch is the independent reference the rules are checked
 against: k(xi) e^{i xi d} for many offsets d on one contour that dips
@@ -21,73 +22,26 @@ with fixed_rule.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import AccuracyError
 
 _TAIL_START_FACTOR = 1.5  # resolve the propagating band before truncating
-_TAIL_STEPS = np.arange(7.0)  # where a tail bound samples [X, 2X], in steps
 
 # Fixed rules: 20-point Gauss panels, each spanning at most _RULE_PHASE
 # radians of the fastest phase, and no more nodes than _MAX_RULE_NODES.
 _RULE_GL_NODES, _RULE_GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _RULE_PHASE = 16.0
 _MAX_RULE_NODES = 200000
-# Nodes of the rules kept by plan (16 bytes each, for nodes and weights).
-_KEPT_RULE_NODES = 1 << 18
 
 # Reference integrals: 16-point Gauss panels, each spanning at most pi
 # radians of the fastest phase and half the distance to the nearest branch
 # point, and no more nodes than _MAX_REFERENCE_NODES.
 _REF_GL_NODES, _REF_GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_REFERENCE_NODES = 1 << 17
-
-
-class BoundedMemo:
-    """Thread-safe map from keys to values that are pure functions of
-    their keys, forgetting the least recently used entries once their
-    sizes add up past budget.
-
-    A value is built outside the lock, so two threads may build the same
-    one; the first stored is kept and returned to both.  Since a value
-    depends on its key alone, what is forgotten is rebuilt with the same
-    bytes, and no value depends on the order or thread of the calls.
-    """
-
-    def __init__(self, budget: int, size: Callable[[object], int]):
-        self.budget = budget
-        self.total = 0
-        self._size = size
-        self._entries = OrderedDict()       # key -> (value, size)
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key, build: Callable[[], object]):
-        """The value kept for key, built by build() on a miss."""
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-                return hit[0]
-        value = build()
-        n = self._size(value)
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                return hit[0]
-            self._entries[key] = (value, n)
-            self.total += n
-            while self.total > self.budget and len(self._entries) > 1:
-                _, (_, dropped) = self._entries.popitem(last=False)
-                self.total -= dropped
-        return value
 
 
 @dataclass(frozen=True)
@@ -101,14 +55,6 @@ class DecayClass:
 
     rate: float = 0.0
     power: float = 0.0
-
-    @staticmethod
-    def exponential(rate: float) -> "DecayClass":
-        return DecayClass(rate=rate, power=0.0)
-
-    @staticmethod
-    def algebraic(power: float) -> "DecayClass":
-        return DecayClass(rate=0.0, power=power)
 
 
 # ---------------------------------------------------------------------------
@@ -160,77 +106,50 @@ def _map_segment(seg):
     return t_lo, t_hi, lambda t: (kappa * np.cosh(t), kappa * np.sinh(t))
 
 
-def _tail_cutoff(kernel_abs_at, decay, breakpoints, tol):
-    """Smallest doubling point X past the breakpoints with tail bound < tol.
-
-    Returns (X, bound).  kernel_abs_at(xi) -> max |k| over the batch rows,
-    elementwise in xi.  The doubling ladder start * 2^k, up to its first
-    point past 1e9, is searched in batches of 8, 16 and 32 points, one
-    kernel call per batch.  Each point's bound takes the same operations as
-    on its own, so the first X below tol is the one a point-by-point search
-    finds.
-    """
-    h, p = decay.rate, decay.power
-    start = _TAIL_START_FACTOR * max(list(breakpoints) + [1.0])
-    ladder = [start]
-    while ladder[-1] <= 1e9:
-        ladder.append(2.0 * ladder[-1])
-
-    def bounds(X):
-        # |int_X^inf| <= C X^-p e^{-hX}/h  (h>0)  or  C X^{1-p}/(p-1)  (h=0)
-        # several samples so oscillatory zeros cannot fake a small envelope;
-        # row k is np.linspace(X[k], 2 X[k], 7), by the same operations
-        X = np.asarray(X)
-        samples = _TAIL_STEPS * ((2.0 * X - X) / 6.0)[:, None] + X[:, None]
-        samples[:, -1] = 2.0 * X
-        kabs = kernel_abs_at(samples.ravel()).reshape(samples.shape)
-        env = samples ** (-p) * np.exp(-h * np.maximum(samples - start, 0.0))
-        Cs = np.max(np.where(env > 0.0, kabs / np.maximum(env, 1e-300), 0.0),
-                    axis=1)
-        for x, C in zip(X.tolist(), Cs.tolist()):
-            if h > 0.0:
-                yield x, C * x ** (-p) * np.exp(-h * max(x - start, 0.0)) / h
-            elif p > 1.0:
-                yield x, C * x ** (1.0 - p) / (p - 1.0)
-            else:
-                yield x, np.inf
-
-    lo, size = 0, 8
-    while lo < len(ladder):
-        for X, b in bounds(ladder[lo:lo + size]):
-            if b < 0.5 * tol:
-                return X, b
-        lo, size = lo + size, 2 * size
-    raise AccuracyError(
-        "tail of half-line integral cannot be truncated at the requested "
-        "tolerance for the declared decay class", estimate=b)
-
-
 def fixed_rule(kernel_abs_at: Callable[[np.ndarray], np.ndarray],
                breakpoints: Sequence[float], decay: DecayClass,
-               offset: float, height: float,
-               tol: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of one fixed Gauss rule on [0, X] for a family of
-    integrands k(xi) * g(xi) with |g| <= 1.
+               offset: float, height: float, tol: float) -> tuple:
+    """Plan (breakpoints, tail end X, panels per segment) of one fixed
+    Gauss rule on [0, X] for a family of integrands k(xi) * g(xi) with
+    |g| <= 1; rule_nodes(*plan) builds its nodes and weights.
 
-    X is where the tail bound of k (the family's slowest-decaying member,
-    with its decay class) drops below a tenth of the tolerance: a fixed
-    rule carries no error estimate, so its truncation stays an order below
-    the tolerance.  The segments are split at the branch points, with
-    their sin/cosh maps (_segments, _map_segment); each segment is cut
-    into equal panels so that no panel spans more than
-    _RULE_PHASE radians of the fastest phase in g.  On the branch-point
-    segments that phase is e^{i (offset xi + height beta)}, with offset the
-    largest horizontal offset and height the largest height sum; the
-    segment's largest |dxi/dt| scales the bound, and also bounds the
-    t-derivative of the vertical wavenumbers there.  The identity
-    segments lie past every branch point, where the height factors decay
-    without oscillating, so only the offset sets their panels.  A rule of
-    more than _MAX_RULE_NODES nodes raises AccuracyError before any node
-    is built.
+    X is the first point of the ladder 1.5 max(breakpoints, 1) 2^k (up to
+    its first point past 1e9) where the tail bound
+    E(X) min(1/h, X/(p - 1)), with h and p the decay rate and power, drops
+    below a twentieth of the tolerance: a fixed rule carries no error
+    estimate, so its truncation stays an order below the tolerance.
+    kernel_abs_at(xi) -> E(xi), elementwise, is called once on the whole
+    ladder.  The bound holds when E bounds |k| and xi^p e^{h xi} E(xi)
+    does not grow past the ladder's start; the caller owns that contract.
+    The segments are split at the branch points, with their sin/cosh maps
+    (_segments, _map_segment); each segment is cut into equal panels so
+    that no panel spans more than _RULE_PHASE radians of the fastest phase
+    in g.  On the branch-point segments that phase is
+    e^{i (offset xi + height beta)}, with offset the largest horizontal
+    offset and height the largest height sum; the segment's largest
+    |dxi/dt| scales the bound, and also bounds the t-derivative of the
+    vertical wavenumbers there.  The identity segments lie past every
+    branch point, where the height factors decay without oscillating, so
+    only the offset sets their panels.  A decay class that bounds no tail
+    on the ladder, or a rule of more than _MAX_RULE_NODES nodes, raises
+    AccuracyError.
     """
     bps = tuple(sorted(set(float(b) for b in breakpoints if b > 0.0)))
-    tail_end, _ = _tail_cutoff(kernel_abs_at, decay, bps, 0.1 * tol)
+    h, p = decay.rate, decay.power
+    ladder = [_TAIL_START_FACTOR * max(bps + (1.0,))]
+    while ladder[-1] <= 1e9:
+        ladder.append(2.0 * ladder[-1])
+    X = np.array(ladder)
+    # |int_X^inf k| <= E(X) int_X^inf (X/xi)^p e^{-h (xi - X)} dxi
+    reach = np.minimum(1.0 / h if h > 0.0 else np.inf,
+                       X / (p - 1.0) if p > 1.0 else np.inf)
+    bound = kernel_abs_at(X) * reach if h > 0.0 or p > 1.0 else np.inf * X
+    below = np.nonzero(bound < 0.05 * tol)[0]
+    if not below.size:
+        raise AccuracyError(
+            "tail of half-line integral cannot be truncated at the requested "
+            "tolerance for the declared decay class", estimate=np.inf)
+    tail_end = ladder[below[0]]
     panels = []
     for seg, t_lo, t_hi, _ in _rule_segments(bps, tail_end):
         mapping = seg[2]
@@ -244,8 +163,7 @@ def fixed_rule(kernel_abs_at: Callable[[np.ndarray], np.ndarray],
     if len(_RULE_GL_NODES) * sum(panels) > _MAX_RULE_NODES:
         raise AccuracyError("fixed rule for this block needs more than %d "
                             "nodes" % _MAX_RULE_NODES)
-    plan = (bps, tail_end, tuple(panels))
-    return _KEPT_RULES.get(plan, lambda: _rule_nodes(*plan))
+    return bps, tail_end, tuple(panels)
 
 
 def _rule_segments(bps, tail_end):
@@ -259,10 +177,10 @@ def _rule_segments(bps, tail_end):
     return out
 
 
-def _rule_nodes(bps, tail_end, panels):
-    """Read-only nodes and weights of the fixed rule of one plan: the
-    segments of bps and tail_end, each cut into its number of equal
-    20-point Gauss panels."""
+def rule_nodes(bps, tail_end, panels):
+    """Nodes and weights of the fixed rule of one plan: the segments of
+    bps and tail_end, each cut into its number of equal 20-point Gauss
+    panels."""
     nodes, weights = [], []
     for (_, t_lo, t_hi, transform), n in zip(_rule_segments(bps, tail_end),
                                               panels):
@@ -271,16 +189,7 @@ def _rule_nodes(bps, tail_end, panels):
         xi, jac = transform((mids[:, None] + half * _RULE_GL_NODES).ravel())
         nodes.append(xi)
         weights.append(half * np.tile(_RULE_GL_WEIGHTS, n) * jac)
-    xi, w = np.concatenate(nodes), np.concatenate(weights)
-    xi.flags.writeable = False
-    w.flags.writeable = False
-    return xi, w
-
-
-# Nodes and weights of the fixed rules built in this process, by plan.
-_KEPT_RULES = BoundedMemo(_KEPT_RULE_NODES, lambda rule: len(rule[0]))
-
-
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def fold_integrate_batch(kernel: Callable[[np.ndarray], np.ndarray],

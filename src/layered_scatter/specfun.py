@@ -27,12 +27,6 @@ def bessel_j0j1_y0y1_arrays(x: np.ndarray):
             scipy.special.y1(x))
 
 
-def bessel_j0j1_y0y1(x: float):
-    """(J0(x), J1(x), Y0(x), Y1(x)) for a positive real scalar."""
-    j0, j1, y0, y1 = bessel_j0j1_y0y1_arrays(np.asarray([float(x)]))
-    return float(j0[0]), float(j1[0]), float(y0[0]), float(y1[0])
-
-
 def hankel1_0(x):
     """H0^(1)(x) = J0(x) + i Y0(x), vectorized over positive x."""
     z = np.atleast_1d(np.asarray(x, float))

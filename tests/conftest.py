@@ -95,3 +95,42 @@ def layered_obstacle_solver(bump_profile):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260824)
+
+
+def _boundary_total_field(density, t, background):
+    """Total field on dD at off-node parameters t (sound-soft check).
+
+    Uses the boundary limit of the combined potential: the singular rule
+    evaluated at arbitrary t plus the trigonometrically interpolated jump
+    term psi(t)/2.
+    """
+    from layered_scatter.ls_volume import extension_rows
+    from layered_scatter.obstacle import layer_matrices
+    t = np.asarray(t, float)
+    nodes = density.nodes
+    op = density.operator
+    medium = op.medium
+    center, plus, minus, delta = op.kernel_ctx
+    S, K = layer_matrices(nodes, medium.kappa2, t=t)
+    X = nodes.curve.point(t)
+    rows = extension_rows(X, medium, center.b2)
+    rho = center.smooth_part(X, rows)
+    drho = (plus.smooth_part(X, rows) - minus.smooth_part(X, rows)) \
+        / (2.0 * delta)
+    M = nodes.n // 2
+    trap = (np.pi / M) * nodes.jacobians[None, :]
+    S = S + 2.0 * rho * trap
+    K = K + 2.0 * drho * trap
+    # trigonometric interpolation of the density at t
+    coeffs = np.fft.fft(density.psi) / nodes.n
+    k = np.fft.fftfreq(nodes.n, d=1.0 / nodes.n)
+    interp = (np.exp(1j * np.outer(t, k)) @ coeffs)
+    w = 0.5 * (K - 1j * S) @ density.psi + 0.5 * interp
+    return np.asarray(background, complex) + w
+
+
+@pytest.fixture(scope="session")
+def boundary_total_field():
+    """The sound-soft oracle: total field of a boundary density at
+    off-node parameters, from the boundary limit of its potential."""
+    return _boundary_total_field

@@ -35,7 +35,6 @@ from layered_scatter.ls_volume import (
 )
 from layered_scatter.obstacle import (
     RoughKernel,
-    boundary_total_field,
     green_rough_columns,
 )
 from layered_scatter.verify import (
@@ -273,7 +272,8 @@ def test_obstacle_oracle_penetrable():
 # ---------------------------------------------------------------------------
 # 8. Boundary condition in the layered scene
 # ---------------------------------------------------------------------------
-def test_sound_soft_boundary_in_layered_scene(layered_obstacle_solver):
+def test_sound_soft_boundary_in_layered_scene(layered_obstacle_solver,
+                                              boundary_total_field):
     s = layered_obstacle_solver
     ev = s.solve(SRC)
     t = np.linspace(0.0, 2.0 * np.pi, 17)[:-1] + 0.049

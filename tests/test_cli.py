@@ -154,6 +154,26 @@ def test_green_config_error_exit(config_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("quadrature", "tol", 0), ("quadrature", "tol", -1e-8),
+    ("quadrature", "tol", 1e-15), ("quadrature", "tol", 1.0),
+    ("mesh", "subsample", 0), ("mesh", "cell_size", 0),
+    ("mesh", "cell_size", -0.1)])
+def test_out_of_range_setting_exits_2_in_every_subcommand(
+        config_path, tmp_path, capsys, section, key, value):
+    doc = dict(BASE)
+    doc[section] = dict(doc.get(section, {}), **{key: value})
+    path = config_path(doc)
+    out = str(tmp_path / "out.csv")
+    for argv in (["green", path, "--x", "0.4", "0.8", "--xs", "0.3", "1.2"],
+                 ["forward", path, "--output", out], ["verify", path],
+                 ["demo-uniqueness", path, "--output", out]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert f"{section}.{key}" in err
+
+
 def test_forward_subcommand_writes_csv(config_path, tmp_path, capsys):
     out = str(tmp_path / "nf.csv")
     rc = main(["forward", config_path(BASE), "--output", out])
@@ -189,9 +209,8 @@ def test_forward_inaccurate_rule_exits_3(config_path, capsys, monkeypatch):
     orig = layered_green.fixed_rule
 
     def truncated(*args, **kwargs):
-        xi, w = orig(*args, **kwargs)
-        keep = xi < 0.5 * xi.max()
-        return xi[keep], w[keep]
+        bps, tail_end, panels = orig(*args, **kwargs)
+        return bps, 0.5 * tail_end, panels
 
     monkeypatch.setattr(layered_green, "fixed_rule", truncated)
     rc = main(["forward", config_path(BASE), "--output", "/dev/null"])

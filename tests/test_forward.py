@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from layered_scatter import quad
 from layered_scatter.errors import (
     AccuracyError,
     ConfigurationError,
@@ -512,7 +511,7 @@ def test_kernel_state_does_not_grow_per_source(bump_config):
     for src in sources[20:]:
         solver.solve(src).scattered(rx)
     # 21 rules after set-up, 47 after 20 sources and 64 (16300 nodes, about
-    # 0.5 MB) after 220; the grid splits are those of the three point sets
+    # 0.4 MB) after 220; the grid splits are those of the three point sets
     # that take source columns (the 270 lower cells, which B1 and B2 share,
     # the 8 bump cells of B2 and the receivers), whatever the number of
     # sources
@@ -549,17 +548,16 @@ def test_total_at_the_source_is_a_singularity(flat_solver):
 
 
 def _truncate_rules(monkeypatch, which):
-    """Make every fixed rule whose decay class satisfies which() drop the
-    upper three quarters of its nodes."""
+    """Make every fixed rule whose decay class satisfies which() end its
+    tail at a quarter of its planned end."""
     import layered_scatter.layered_green as layered_green
     orig = layered_green.fixed_rule
 
     def truncated(kernel_abs_at, breakpoints, decay, *args):
-        xi, w = orig(kernel_abs_at, breakpoints, decay, *args)
+        bps, tail_end, panels = orig(kernel_abs_at, breakpoints, decay, *args)
         if not which(decay):
-            return xi, w
-        keep = xi < 0.25 * xi.max()
-        return xi[keep], w[keep]
+            return bps, tail_end, panels
+        return bps, 0.25 * tail_end, panels
 
     monkeypatch.setattr(layered_green, "fixed_rule", truncated)
 
@@ -802,7 +800,7 @@ def test_workers_fork_past_a_lock_held_by_another_thread(
     lock = {"dense operator": solver.b2,
             "penetrable operator": solver.penetrable_operator,
             "grid splits": solver.green.splits,
-            "rules kept by plan": quad._KEPT_RULES}[which]._lock
+            "rules kept by plan": solver.green.rules}[which]._lock
     held = threading.Event()
 
     def hold():

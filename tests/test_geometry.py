@@ -13,7 +13,6 @@ from layered_scatter.geometry import (
     ReceiverLine,
     SceneGeometry,
     build_region_mesh,
-    classify_point,
     default_arc_radius,
     obstacle_nodes,
 )
@@ -162,20 +161,13 @@ def test_scene_rejects_receivers_below_interface(bump_profile):
                       receivers=ReceiverLine(0.1, 3.0, 5))
 
 
-def test_classify_point(bump_profile, flat_scene):
-    scene = SceneGeometry(bump_profile, ArcInterface(2.6))
-    assert classify_point((0.0, 1.0), scene, 1.0, 1.5) == ("Omega1", 1.0)
-    assert classify_point((0.0, 0.1), scene, 1.0, 1.5) == ("Omega2", 1.5)
-    assert classify_point((5.0, -1.0), flat_scene, 1.0, 1.5) == ("Omega2", 1.5)
-
-
 # ---------------------------------------------------------------------------
 # Region meshes
 # ---------------------------------------------------------------------------
 def test_b1_mesh_area_converges_to_half_disk(flat_scene):
     exact = 0.5 * np.pi * flat_scene.arc.R ** 2
-    coarse = build_region_mesh("B1", flat_scene, 0.2).total_weight
-    fine = build_region_mesh("B1", flat_scene, 0.05).total_weight
+    coarse = build_region_mesh("B1", flat_scene, 0.2).weights.sum()
+    fine = build_region_mesh("B1", flat_scene, 0.05).weights.sum()
     assert abs(fine - exact) < abs(coarse - exact)
     assert abs(fine - exact) / exact < 1e-2
 
@@ -186,7 +178,7 @@ def test_b2_mesh_extends_above_zero_with_bump(bump_profile):
     assert np.max(mesh.centers[:, 1]) > 0.0
     # B2 strictly contains B1: area of the bump region adds on top
     m1 = build_region_mesh("B1", scene, 0.1)
-    assert mesh.total_weight > m1.total_weight
+    assert mesh.weights.sum() > m1.weights.sum()
 
 
 def test_mesh_centers_stay_off_the_flat_line(flat_scene):
@@ -199,7 +191,7 @@ def test_penetrable_mesh_area(bump_profile):
     curve = ObstacleCurve("circle", (0.0, -1.3), 0.5)
     scene = SceneGeometry(bump_profile, ArcInterface(2.6), obstacle=curve)
     mesh = build_region_mesh("D_penetrable", scene, 0.025)
-    assert abs(mesh.total_weight - np.pi * 0.25) / (np.pi * 0.25) < 1e-2
+    assert abs(mesh.weights.sum() - np.pi * 0.25) / (np.pi * 0.25) < 1e-2
 
 
 def test_mesh_rejects_bad_inputs(flat_scene):

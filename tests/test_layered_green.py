@@ -1,6 +1,7 @@
 """Flat-interface two-layer kernels: branch choice, limits, reciprocity,
 dipole/monopole consistency and the governing equation itself."""
 
+import threading
 import time
 
 import numpy as np
@@ -279,10 +280,16 @@ def test_reference_shares_no_code_with_the_fixed_rules(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the reference called fixed-rule code")
 
-    for name in ("_segments", "_map_segment", "_tail_cutoff", "_rule_nodes",
+    # quad keeps no state: no map of kept values and no lock
+    lock = type(threading.Lock())
+    assert not [name for name, value in vars(quad).items()
+                if isinstance(value, (lg.BoundedMemo, lock))
+                or value is lg.BoundedMemo]
+    for name in ("_segments", "_map_segment", "_rule_segments", "rule_nodes",
                  "fixed_rule"):
         monkeypatch.setattr(quad, name, forbidden)
-    monkeypatch.setattr(lg, "fixed_rule", forbidden)
+    for name in ("rule_nodes", "fixed_rule"):
+        monkeypatch.setattr(lg, name, forbidden)
     green = PlanarGreen(MediumParams(1.0, 1.5), 1e-10)
     offsets = np.array([0.0, 1.7, -4.0])
     for kind, ell in KINDS:
@@ -291,7 +298,7 @@ def test_reference_shares_no_code_with_the_fixed_rules(monkeypatch):
             assert vals.shape == (3,) and np.all(np.isfinite(vals))
     vals = quad.fold_integrate_batch(lambda x: np.exp(-x * x), "even",
                                      offsets, (1.0, 1.5),
-                                     quad.DecayClass.exponential(1.0), 1e-10)
+                                     quad.DecayClass(rate=1.0), 1e-10)
     assert np.max(np.abs(vals - np.sqrt(np.pi) * np.exp(-offsets ** 2 / 4))) \
         < 1e-9
 

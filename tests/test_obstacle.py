@@ -13,7 +13,6 @@ from layered_scatter.geometry import ObstacleCurve, obstacle_nodes
 from layered_scatter.layered_green import MediumParams, SourceSpec
 from layered_scatter.obstacle import (
     PenetrableMedium,
-    boundary_total_field,
     kress_log_weights,
     layer_matrices,
     solve_density,
@@ -131,7 +130,8 @@ def test_sound_soft_circle_matches_series(free_circle_solver):
         assert abs(v - ref) < 1e-6 * max(1.0, abs(ref))
 
 
-def test_sound_soft_boundary_trace_off_nodes(free_circle_solver):
+def test_sound_soft_boundary_trace_off_nodes(free_circle_solver,
+                                            boundary_total_field):
     solver = free_circle_solver
     ev = solver.solve(SourceSpec("monopole", SRC))
     t = np.linspace(0.0, 2.0 * np.pi, 17)[:-1] + 0.05

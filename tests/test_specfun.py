@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from layered_scatter.errors import SingularityError
 from layered_scatter.specfun import (
-    bessel_j0j1_y0y1,
     bessel_j0j1_y0y1_arrays,
     fundamental_solution,
     fundamental_solution_grad,
@@ -53,15 +52,8 @@ def test_wronskian_identity():
 
 
 def test_branch_switch_is_smooth():
-    lo = bessel_j0j1_y0y1(12.0 - 1e-9)
-    hi = bessel_j0j1_y0y1(12.0 + 1e-9)
-    assert np.allclose(lo, hi, atol=1e-9)
-
-
-def test_scalar_matches_array():
-    vals = bessel_j0j1_y0y1(3.7)
-    arr = bessel_j0j1_y0y1_arrays(np.array([3.7]))
-    assert vals == tuple(float(a[0]) for a in arr)
+    vals = bessel_j0j1_y0y1_arrays(np.array([12.0 - 1e-9, 12.0 + 1e-9]))
+    assert np.allclose(*np.transpose(vals), atol=1e-9)
 
 
 def test_hankel_wrappers():
@@ -74,7 +66,7 @@ def test_hankel_wrappers():
 
 def test_nonpositive_argument_rejected():
     with pytest.raises(SingularityError):
-        bessel_j0j1_y0y1(0.0)
+        bessel_j0j1_y0y1_arrays(np.array([0.0]))
     with pytest.raises(SingularityError):
         bessel_j0j1_y0y1_arrays(np.array([1.0, -2.0]))
     for x in (0.0, np.array([1.0, -2.0])):
@@ -126,5 +118,5 @@ def test_phi_matrix_shape_preserved():
 @settings(max_examples=50, deadline=None)
 @given(x=st.floats(min_value=1e-4, max_value=900.0))
 def test_wronskian_property(x):
-    j0, j1, y0, y1 = bessel_j0j1_y0y1(x)
+    j0, j1, y0, y1 = (a[0] for a in bessel_j0j1_y0y1_arrays(np.array([x])))
     assert abs((j1 * y0 - j0 * y1) * np.pi * x / 2.0 - 1.0) < 1e-9
