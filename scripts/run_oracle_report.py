@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compare the solver chain against its independent oracles and print a
 small report: series-solution agreement for a circle in free space
-(sound-soft, Neumann and penetrable, with the interior field of the
-last),
+(sound-soft, Neumann, impedance and penetrable, with the interior field
+of the last),
 the flat-scene composition identity, and reciprocity at three levels.
 
 All comparisons here are also enforced (with tolerances) by the test
@@ -30,18 +30,21 @@ def mie_comparison() -> None:
     circle = ObstacleCurve("circle", (0.0, -2.0), 0.5)
     src = (2.0, -2.0)
     n = 1.5 + 0.1j
+    lam = 2.0
     th = np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
     pts = np.stack([1.4 * np.cos(th), -2.0 + 1.4 * np.sin(th)], axis=-1)
-    for condition in ("sound_soft", "neumann", "penetrable"):
+    for condition in ("sound_soft", "neumann", "impedance", "penetrable"):
         index = n if condition == "penetrable" else None
+        impedance = lam if condition == "impedance" else 0.0
         config = SceneConfig(
             medium=MediumParams(2.0, 2.0), arc_radius=1.0, cell_size=0.25,
             obstacle=ObstacleSpec(curve=circle, condition=condition,
-                                  boundary_M=32, n=index, cell_size=0.05))
+                                  lam=impedance, boundary_M=32, n=index,
+                                  cell_size=0.05))
         ev = ForwardSolver(config).solve(SourceSpec("monopole", src))
         errs = [abs(v - mie_series_circle(condition, 0.5, 2.0, src,
                                           tuple(p), n=index,
-                                          center=(0.0, -2.0)))
+                                          center=(0.0, -2.0), lam=impedance))
                 for p, v in zip(pts, ev.scattered(pts))]
         print("circle %-11s vs series: max error %.2e"
               % (condition, max(errs)))

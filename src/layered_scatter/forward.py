@@ -5,14 +5,13 @@ line, and the singular-source experiments.
 A ForwardSolver builds every mesh, factorization and kernel-column set for
 a scene exactly once; solving for additional sources then reuses them.  The
 constructor also builds the source-independent rows that carry a solution
-to its own point sets (the receiver line, the obstacle boundary nodes and
-their normal shifts, or a penetrable obstacle's cells) and the receivers'
-radiation matrix; any other point set gets them for one call.  Every
-obstacle condition solves its kept operator, radiated by that matrix.
-Dataset synthesis cuts the sources into
-contiguous shares, solves the later shares in forked worker processes that
-share the solver copy-on-write, and joins the rows in source order, so the
-output has the same bytes for any worker count.
+to its own point sets (the receiver line, the obstacle boundary nodes, or
+a penetrable obstacle's cells) and the receivers' radiation matrix; any
+other point set gets them for one call.  Every obstacle condition solves
+its kept operator, radiated by that matrix.  Dataset synthesis cuts the
+sources into contiguous shares, solves the later shares in forked worker
+processes that share the solver copy-on-write, and joins the rows in
+source order, so the output has the same bytes for any worker count.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .obstacle import (
     PenetrableMedium,
     VolumeDensity,
     assemble_bie,
-    assemble_neumann_impedance,
     assemble_penetrable,
     build_rough_kernel_context,
     neumann_impedance_solve,
@@ -166,13 +164,13 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> int:
 
     Counted: the B1 and B2 operators with their LU factors and the B2 x B1
     blocks; the subsample grids of the meshes; the volume rows kept at the
-    receivers; for a boundary condition the boundary operators, the kernel
-    columns of the three rough-kernel contexts on B1 and B2, the volume
-    rows kept at the nodes (and their two shifts) and the receivers'
-    radiation matrix; for a penetrable obstacle its operator, kernel
-    columns, subsample grid, rows kept at its cells and the receivers'
-    radiation matrix.  Cell counts are those of the bounding boxes the
-    meshes are cut from, which bound the meshes from above.
+    receivers; for a boundary condition the boundary operators, the
+    monopole and normal-dipole kernel columns on B1 and B2, the volume
+    rows kept at the nodes and the receivers' radiation matrix; for a
+    penetrable obstacle its operator, kernel columns, subsample grid, rows
+    kept at its cells and the receivers' radiation matrix.  Cell counts
+    are those of the bounding boxes the meshes are cut from, which bound
+    the meshes from above.
     """
     s2 = config.subsample ** 2
     n1 = box_cells("B1", scene, config.cell_size)
@@ -187,9 +185,7 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> int:
         nd = box_cells("D_penetrable", scene, spec.cell_size)
         return total + _COMPLEX * nd * (2 * nd + 2 * (n1 + n2) + s2 + rx)
     m = 2 * spec.boundary_M
-    sets = 1 if spec.condition == "sound_soft" else 3
-    return total + _COMPLEX * (4 * m * m + (3 + sets) * m * (n1 + n2)
-                               + rx * m)
+    return total + _COMPLEX * (4 * m * m + 3 * m * (n1 + n2) + rx * m)
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +260,19 @@ class ForwardSolver:
     afterwards: meshes, factorizations, kernel columns, the operator of
     the obstacle condition, the volume rows (extension_rows) at the
     receiver line (point_sets and rows, keyed "receivers"), at the
-    boundary nodes ("boundary") and, for the Neumann and impedance
-    conditions, at the nodes' two normal shifts ("boundary+",
-    "boundary-"), or at a penetrable obstacle's cells ("cells"), and the
-    radiation matrix of the obstacle at the receivers (radiation).  The
-    operator assembly reads those rows too, so each is built once.
-    Products at any other
-    points are built for the call and dropped.  The kernel evaluator
-    (green) keeps the fixed xi-rules it builds and the grid splits of the
-    point sets its source columns meet, in bounded maps whose values depend
-    on their keys alone (see PlanarGreen).  Concurrent solve() calls are
-    therefore safe, and a source's field has the same bytes whichever
-    thread solves it and whichever sources came before.  The same holds in
-    the worker processes of synthesize_dataset, which share the solver
-    copy-on-write: each is forked with every lock of the solve path held
-    (_locks), so none starts with a lock that it cannot release.
+    boundary nodes ("boundary") or at a penetrable obstacle's cells
+    ("cells"), and the radiation matrix of the obstacle at the receivers
+    (radiation).  The operator assembly reads those rows too, so each is
+    built once.  Products at any other points are built for the call and
+    dropped.  The kernel evaluator (green) keeps the fixed xi-rules it
+    builds and the grid splits of the point sets its source columns meet,
+    in bounded maps whose values depend on their keys alone (see
+    PlanarGreen).  Concurrent solve() calls are therefore safe, and a
+    source's field has the same bytes whichever thread solves it and
+    whichever sources came before.  The same holds in the worker processes
+    of synthesize_dataset, which share the solver copy-on-write: each is
+    forked with every lock of the solve path held (_locks), so none starts
+    with a lock that it cannot release.
 
     Before any mesh is built, the bytes of the largest dense arrays are
     estimated from the geometry (_dense_bytes_estimate); a scene that would
@@ -326,7 +320,6 @@ class ForwardSolver:
         self.nodes = None
         self.kernel_ctx = None
         self.bie_operator = None
-        self.neumann_operator = None
         self.penetrable_operator = None
         self.point_sets = {}
         self.rows = {}
@@ -338,25 +331,12 @@ class ForwardSolver:
             self.nodes = obstacle_nodes(spec.curve, spec.boundary_M)
             self.kernel_ctx = build_rough_kernel_context(
                 self.nodes, self.b2, self.medium)
-            P = self.nodes.positions
-            rows = self._keep("boundary", P)
-            if spec.condition == "sound_soft":
-                self.bie_operator = assemble_bie(
-                    self.nodes, self.medium, self.b2,
-                    kernel_ctx=self.kernel_ctx, rows=rows)
-                self.bie_operator.factorize()
-            else:
-                # the normal derivative of the incident field, on the
-                # shifts of the kernel columns
-                delta = self.kernel_ctx[3]
-                nu = self.nodes.normals
-                rows = (rows, self._keep("boundary+", P + delta * nu),
-                        self._keep("boundary-", P - delta * nu))
-                lam = spec.lam if spec.condition == "impedance" else 0.0
-                self.neumann_operator = assemble_neumann_impedance(
-                    self.nodes, self.medium, self.b2, lam,
-                    kernel_ctx=self.kernel_ctx, rows=rows)
-                self.neumann_operator.factorize()
+            lam = {"sound_soft": None, "neumann": 0.0}.get(spec.condition,
+                                                           spec.lam)
+            self.bie_operator = assemble_bie(
+                self.nodes, self.medium, self.b2, kernel_ctx=self.kernel_ctx,
+                rows=self._keep("boundary", self.nodes.positions), lam=lam)
+            self.bie_operator.factorize()
         elif spec is not None:
             mesh_D = build_region_mesh("D_penetrable", self.scene,
                                        spec.cell_size, config.subsample)
@@ -376,20 +356,21 @@ class ForwardSolver:
         Every kernel block pairs the union of the B1 and B2 cells with
         itself (the operator assembly and, at the lowest cells, the
         smallest height sums a source column meets) or one of the solver's
-        off-grid point sets (receivers, boundary nodes and their shifts,
-        the penetrable mesh) with the union or another such set.  Each
-        side-pair block of those three products is checked at its extreme
-        pairs (PlanarGreen.check_rule).
+        off-grid point sets (receivers, boundary nodes, the penetrable
+        mesh) with the union or another such set.  Each side-pair block of
+        those three products is checked at its extreme pairs
+        (PlanarGreen.check_rule), and so is the union against the boundary
+        nodes: the dipole kernels of the normal-dipole columns are not
+        symmetric in their two points.
         """
         mesh = self.b2.union.centers
         self.green.check_rule(mesh, mesh)
-        off = list(self.point_sets.values())
-        if self.kernel_ctx is not None:
-            off += [kernel.sources for kernel in self.kernel_ctx[1:3]]
-        if off:
-            Y = np.concatenate(off)
+        if self.point_sets:
+            Y = np.concatenate(list(self.point_sets.values()))
             self.green.check_rule(Y, mesh)
             self.green.check_rule(Y, Y)
+        if self.nodes is not None:
+            self.green.check_rule(mesh, self.nodes.positions)
 
     # -- source-independent products ----------------------------------------
     def _keep(self, name: str, points: np.ndarray) -> ExtensionRows:
@@ -428,15 +409,14 @@ class ForwardSolver:
         if self.penetrable_operator is not None:
             return penetrable_radiation_matrix(self.penetrable_operator, X,
                                                rows)
-        ansatz = "combined" if self.bie_operator is not None else "single"
-        return radiation_matrix(self.kernel_ctx, ansatz, X, rows)
+        return radiation_matrix(self.bie_operator, X, rows)
 
     def _locks(self) -> list:
         """Every lock a solve can take, none of which is taken under
         another: those of the dense operators and of the kernel
         evaluator's kept rules and grid splits."""
         operators = (self.stage1, self.b2, self.bie_operator,
-                     self.neumann_operator, self.penetrable_operator)
+                     self.penetrable_operator)
         return ([op._lock for op in operators if op is not None]
                 + [self.green.rules._lock, self.green.splits._lock])
 
@@ -446,7 +426,9 @@ class ForwardSolver:
 
         The source's medium is read from the side of the flat line x2 = 0
         it lies on, so a source between that line and the interface graph
-        (under a bump, or above a dip) or on the graph is rejected.
+        (under a bump, or above a dip) or on the graph is rejected, and so
+        is a source inside an impenetrable obstacle or on its boundary
+        (ObstacleCurve.touches).
         """
         x1, x2 = source.position
         f = float(self.config.profile(x1))
@@ -456,6 +438,9 @@ class ForwardSolver:
                 "(f = %g) from its side of the flat line x2 = 0"
                 % (x1, x2, f))
         spec = self.config.obstacle
+        if self.nodes is not None and spec.curve.touches(source.position):
+            raise GeometryError(
+                "source (%g, %g) lies inside or on the obstacle" % (x1, x2))
         background = solve_stage2(source, self.b2, self.mesh_B2, self.medium)
         correction = None
         if spec is not None:
@@ -471,15 +456,10 @@ class ForwardSolver:
                 correction = solve_density(self.bie_operator,
                                            incident("boundary"))
             else:
-                inc = incident("boundary")
-                delta = self.kernel_ctx[3]
-                dinc = (incident("boundary+") - incident("boundary-")) \
-                    / (2.0 * delta)
                 correction = neumann_impedance_solve(
-                    self.nodes, self.medium, self.b2, inc, dinc,
-                    lam=self.neumann_operator.impedance,
-                    kernel_ctx=self.kernel_ctx,
-                    operator=self.neumann_operator)
+                    self.nodes, self.medium, self.b2, incident("boundary"),
+                    lam=self.bie_operator.impedance,
+                    operator=self.bie_operator)
         return FieldEvaluator(self, source, background, correction)
 
 

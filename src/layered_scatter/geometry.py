@@ -16,6 +16,9 @@ from .errors import ConfigurationError, GeometryError
 
 Point = Tuple[float, float]
 
+# points closer than this coincide
+_COINCIDENT = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # Interface profile
@@ -185,12 +188,6 @@ class ObstacleCurve:
             [self.scale * (-np.cos(t) - 2.6 * np.cos(2 * t)),
              self.scale * 1.5 * -np.sin(t)], axis=-1)
 
-    def diameter(self) -> float:
-        t = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
-        p = self.point(t)
-        return float(np.max(np.hypot(p[:, 0, None] - p[None, :, 0],
-                                     p[:, 1, None] - p[None, :, 1])))
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Even-odd containment test against a dense polygon sample."""
         if self.kind == "circle":
@@ -207,6 +204,34 @@ class ObstacleCurve:
             xint = px[i] + (y - py[i]) / (qy[i] - py[i] + 1e-300) * (qx[i] - px[i])
             inside ^= cond & (x < xint)
         return inside
+
+    def touches(self, point) -> bool:
+        """Whether a point lies inside the curve or within _COINCIDENT of it.
+
+        A point within one sample arc of the nearest of 512 equispaced
+        samples is judged at its foot on the curve, found by Newton's
+        method on (x(s) - point) . x'(s) = 0: it touches when the foot is
+        within _COINCIDENT, or when it lies behind the outward normal
+        (x2', -x1') there.  Any other point is farther from the curve than
+        the sample polygon of contains() strays from it, so contains()
+        decides; off the samples' bounding box it would say no, and is
+        not called (a kite's contains() takes milliseconds).
+        """
+        t = np.linspace(0.0, 2.0 * np.pi, 513)[:-1]
+        x = self.point(t)
+        p = np.asarray(point, float)
+        r = np.hypot(*(x - p).T)
+        arc = np.max(np.hypot(*self.dpoint(t).T)) * (t[1] - t[0])
+        if r.min() > arc:
+            return bool(np.all((x.min(axis=0) <= p) & (p <= x.max(axis=0)))
+                        and self.contains(p[None, :])[0])
+        s = t[np.argmin(r)]
+        for _ in range(6):
+            d, dx, ddx = self.point(s) - p, self.dpoint(s), self.ddpoint(s)
+            s -= (d @ dx) / (dx @ dx + d @ ddx)
+        d, dx = p - self.point(s), self.dpoint(s)
+        return bool(np.hypot(*d) < _COINCIDENT
+                    or d[0] * dx[1] - d[1] * dx[0] < 0.0)
 
 
 @dataclass(frozen=True)

@@ -49,11 +49,9 @@ from .errors import (
     SingularityError,
     SolverError,
 )
-from .geometry import RegionMesh
+from .geometry import _COINCIDENT, RegionMesh
 from .layered_green import MediumParams, PlanarGreen, SourceSpec
 from .specfun import EULER_GAMMA, phi_matrix
-
-_COINCIDENT = 1e-12
 
 
 # ---------------------------------------------------------------------------

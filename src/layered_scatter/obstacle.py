@@ -1,17 +1,22 @@
 """Embedded-obstacle solvers on top of the rough-interface Green's function.
 
-Impenetrable obstacles use a combined double/single-layer ansatz
-w(x) = int_dD (dG/dnu(y) - i G(x,y)) psi(y) ds(y) leading to the
-second-kind system (I + K - iS) psi = -2*U on the boundary for the
-sound-soft case, and a single-layer ansatz with the adjoint double-layer
-operator for Neumann/impedance conditions.
+An impenetrable obstacle radiates w(x) = int_dD (dG/dnu(y) + c G(x,y))
+phi(y) ds(y), and the boundary limit of w gives one second-kind system
+(I + s(K + cS)) phi = -2s U on the boundary for all three conditions:
+
+- sound-soft: the combined ansatz, c = -i and s = 1, so
+  (I + K - iS) psi = -2U for a density psi;
+- Neumann (lam = 0) and impedance (lam > 0): Green's representation of
+  the total field (the direct method), c = i lam and s = -1, so
+  (I - K - i lam S) u = 2U for the boundary total field u itself.
 
 The kernel splits as G(x,y;rough) = Phi_k2(x,y) + smooth remainder: the
 free-space part is discretized with the spectrally accurate log-singular
 trigonometric rule on 2M equispaced parameter nodes, the remainder (a
 composition of the nested volume solves, smooth near D) with the periodic
-trapezoid rule.  Normal derivatives of the remainder come from central
-finite differences of shifted nested solves.
+trapezoid rule.  The normal derivative dG/dnu(y) is exact: it is minus the
+field of a dipole at y along nu, whose columns the volume stages solve
+like the monopole ones.
 
 Penetrable obstacles use one more Lippmann-Schwinger equation, this time
 over a mesh of D with contrast m = 1 - n and kernel G(.,.;rough); like the
@@ -22,7 +27,7 @@ solution radiates as a source-independent matrix times its weights.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -31,6 +36,7 @@ from .errors import AccuracyError, ConfigurationError
 from .geometry import ObstacleNodes, RegionMesh
 from .layered_green import MediumParams
 from .ls_volume import (
+    _COINCIDENT,
     DenseOperator,
     ExtensionRows,
     cell_self_weight,
@@ -38,17 +44,22 @@ from .ls_volume import (
     planar_green_matrix,
     planar_scattered_matrix,
 )
-from .specfun import bessel_j0j1_y0y1_arrays, phi_matrix, EULER_GAMMA
-
-_FD_STEP_FACTOR = 1e-4  # times diam(D), for smooth-remainder normal derivatives
-_KRESS_BLOCK = 1 << 18  # cosine-tensor entries per kress_log_weights block
+from .specfun import (
+    EULER_GAMMA,
+    bessel_j0j1_y0y1_arrays,
+    grad_phi_matrix,
+    phi_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
 # Rough-interface kernel columns
 # ---------------------------------------------------------------------------
 class RoughKernel:
-    """Evaluator for G(x, y; rough) with a fixed set of source points y.
+    """Evaluator for G(x, y; rough) with a fixed set of source points y,
+    or, given unit normals at them, for the fields of the dipoles at y
+    along those normals: -dG/dnu(y), since a dipole's field is the
+    derivative of Phi in the evaluation point (SourceSpec).
 
     One stage-1 and one stage-2 column solve per source, all sharing the
     two LU factorizations held by the B2 operator.  The flat-kernel rows
@@ -58,36 +69,86 @@ class RoughKernel:
     which every kernel on the same operator shares.
     """
 
-    def __init__(self, b2_operator, medium: MediumParams, sources: np.ndarray):
+    def __init__(self, b2_operator, medium: MediumParams, sources: np.ndarray,
+                 normals: Optional[np.ndarray] = None):
         self.b2 = b2_operator
         self.medium = medium
         self.sources = np.asarray(sources, float)
+        self.normals = None if normals is None else np.asarray(normals, float)
         if medium.eta == 0.0:
             self.g = None
             self.q = None
-        else:
-            union = b2_operator.union
+            return
+        union = b2_operator.union
+        if self.normals is None:
             # sources may land exactly on mesh centers; average over the
             # coinciding cell (the sources themselves carry no cells)
             K = planar_green_matrix(b2_operator.green, union.centers,
                                     self.sources, average=False)
-            self.g = b2_operator.stage1.solve(
-                union.rows(K, self.sources, 0, medium))
-            rhs2 = union.rows(K, self.sources, 1, medium) \
-                - medium.eta * (b2_operator.cross_matrix @ self.g)
-            self.q = b2_operator.solve(rhs2)
+            rhs1, rhs2 = (union.rows(K, self.sources, k, medium)
+                          for k in (0, 1))
+        else:
+            # a dipole on a center takes the free-space part's principal
+            # value 0 there, its average over the cell: no cell average
+            K = self._scattered(union.centers) + self._free(union.centers)
+            rhs1, rhs2 = (K[index] for index in union.index)
+        self.g = b2_operator.stage1.solve(rhs1)
+        self.q = b2_operator.solve(
+            rhs2 - medium.eta * (b2_operator.cross_matrix @ self.g))
+
+    def _scattered(self, X: np.ndarray) -> np.ndarray:
+        """Flat-interface scattered/transmitted part at X of the sources'
+        fields."""
+        green = self.b2.green
+        if self.normals is None:
+            return planar_scattered_matrix(green, X, self.sources)
+        nu = self.normals
+        return nu[:, 0] * green.matrix("dipole", 1, X, self.sources) \
+            + nu[:, 1] * green.matrix("dipole", 2, X, self.sources)
+
+    def _free(self, X: np.ndarray,
+              y_weights: Optional[np.ndarray] = None) -> np.ndarray:
+        """Free-space part at X of the sources' fields, on same-side pairs
+        and at the wavenumber of the sources' half-plane.
+
+        At a coincident pair a monopole takes the cell average over
+        y_weights (AccuracyError without them), a dipole the principal
+        value 0."""
+        d = X[:, None, :] - self.sources[None, :, :]
+        r = np.hypot(d[..., 0], d[..., 1])
+        same = (X[:, 1] > 0.0)[:, None] == (self.sources[:, 1] > 0.0)[None, :]
+        coin = r < _COINCIDENT
+        kappa = np.broadcast_to(np.where(self.sources[:, 1] > 0.0,
+                                         self.medium.kappa1,
+                                         self.medium.kappa2), r.shape)
+        out = np.zeros(r.shape, dtype=complex)
+        m = same & ~coin
+        if self.normals is not None:
+            if np.any(m):
+                grad = grad_phi_matrix(kappa[m], d[m], r[m])
+                nu = np.broadcast_to(self.normals, d.shape)[m]
+                out[m] = grad[:, 0] * nu[:, 0] + grad[:, 1] * nu[:, 1]
+            return out
+        if np.any(m):
+            out[m] = phi_matrix(kappa[m], r[m])
+        for i, j in zip(*np.nonzero(coin)):
+            if y_weights is None:
+                raise AccuracyError("kernel evaluated at a source point")
+            out[i, j] = cell_self_weight(kappa[i, j], y_weights[j]) \
+                / y_weights[j]
+        return out
 
     def smooth_part(self, X: np.ndarray,
                     rows: Optional[ExtensionRows] = None) -> np.ndarray:
-        """G(x_i, y_j; rough) less the free-space part full adds: finite on
-        the diagonal.
+        """The kernel at (x_i, y_j) less the free-space part full adds:
+        finite on the diagonal.
 
         Meaningful when evaluation points share the lower medium with the
         sources, so the subtracted free-space part is the local singularity.
         rows, from extension_rows at the same X, skips rebuilding them.
         """
         X = np.asarray(X, float)
-        out = planar_scattered_matrix(self.b2.green, X, self.sources)
+        out = self._scattered(X)
         if self.medium.eta == 0.0:
             return out
         if rows is None:
@@ -97,30 +158,11 @@ class RoughKernel:
 
     def full(self, X: np.ndarray, y_weights: Optional[np.ndarray] = None,
              rows=None) -> np.ndarray:
-        """G(x_i, y_j; rough) including the free-space part on same-side
-        pairs, at the wavenumber of the sources' half-plane.
-
-        Coincident pairs are cell-averaged when y_weights is given; rows as
-        in smooth_part.
-        """
+        """The kernel at (x_i, y_j) including the free-space part on
+        same-side pairs; coincident pairs as in _free, rows as in
+        smooth_part."""
         X = np.asarray(X, float)
-        out = self.smooth_part(X, rows)
-        dx = X[:, 0][:, None] - self.sources[None, :, 0]
-        dy = X[:, 1][:, None] - self.sources[None, :, 1]
-        r = np.hypot(dx, dy)
-        same = (X[:, 1] > 0.0)[:, None] == (self.sources[:, 1] > 0.0)[None, :]
-        coin = r < 1e-12
-        kappa = np.where(self.sources[:, 1] > 0.0, self.medium.kappa1,
-                         self.medium.kappa2)
-        m = same & ~coin
-        if np.any(m):
-            out[m] += phi_matrix(np.broadcast_to(kappa, r.shape)[m], r[m])
-        ci, cj = np.nonzero(coin)
-        for i, j in zip(ci, cj):
-            if y_weights is None:
-                raise AccuracyError("kernel evaluated at a source point")
-            out[i, j] += cell_self_weight(kappa[j], y_weights[j]) / y_weights[j]
-        return out
+        return self.smooth_part(X, rows) + self._free(X, y_weights)
 
 
 def green_rough_columns(points: np.ndarray, b2_operator: DenseOperator,
@@ -136,51 +178,35 @@ def green_rough_columns(points: np.ndarray, b2_operator: DenseOperator,
 # ---------------------------------------------------------------------------
 # Log-singular trigonometric quadrature
 # ---------------------------------------------------------------------------
-def kress_log_weights(t: np.ndarray, nodes_t: np.ndarray) -> np.ndarray:
+def kress_log_weights(nodes_t: np.ndarray) -> np.ndarray:
     """Quadrature weights for int_0^2pi ln(4 sin^2((t-tau)/2)) f(tau) dtau
-    on 2M equispaced nodes, exact for trigonometric polynomials.
+    on 2M equispaced nodes, exact for trigonometric polynomials, with the
+    nodes as the evaluation parameters t.
 
-    Rows correspond to evaluation parameters t (which need not be nodes).
-    A weight depends on t - tau only, so at the nodes themselves the matrix
-    is the circulant of its first row; other rows are summed in blocks
-    that bound the (rows, 2M, M - 1) cosine tensor to _KRESS_BLOCK
-    entries.
+    A weight depends on t - tau only, so the matrix is the circulant of
+    its first row.
     """
-    t = np.asarray(t, float)
     n = len(nodes_t)
     M = n // 2
     m = np.arange(1, M)
-
-    def rows(tb):
-        s = tb[:, None] - nodes_t[None, :]
-        out = -(2.0 * np.pi / M) * np.tensordot(
-            np.cos(np.multiply.outer(s, m)), 1.0 / m, axes=([2], [0]))
-        out -= (np.pi / M ** 2) * np.cos(M * s)
-        return out
-
-    if np.array_equal(t, nodes_t):
-        # R[i, j] = f(t_i - t_j) = f(t_0 - t_{j-i}) on equispaced nodes
-        first = rows(t[:1])[0]
-        k = np.arange(n)
-        return first[(k[None, :] - k[:, None]) % n]
-    out = np.empty((len(t), n))
-    step = max(1, _KRESS_BLOCK // (n * max(1, M - 1)))
-    for i in range(0, len(t), step):
-        out[i:i + step] = rows(t[i:i + step])
-    return out
+    s = nodes_t[0] - nodes_t
+    first = -(2.0 * np.pi / M) * (np.cos(np.multiply.outer(s, m)) @ (1.0 / m))
+    first -= (np.pi / M ** 2) * np.cos(M * s)
+    # R[i, j] = f(t_i - t_j) = f(t_0 - t_{j-i}) on equispaced nodes
+    k = np.arange(n)
+    return first[(k[None, :] - k[:, None]) % n]
 
 
-def _phi_layer_blocks(nodes: ObstacleNodes, kappa: float, t: np.ndarray,
-                      adjoint: bool = False):
-    """Split single/double-layer free-space kernels at parameters t.
+def _phi_layer_blocks(nodes: ObstacleNodes, kappa: float):
+    """Split single/double-layer free-space kernels at the nodes.
 
     Returns (M1, M2, L1, L2): the log-factor and smooth parts of the
     single-layer kernel 2*Phi*|x'| and the double-layer kernel
-    2*dPhi/dnu(y)*|x'| (or its adjoint with the normal at x).
+    2*dPhi/dnu(y)*|x'|.
     """
-    xt = nodes.curve.point(t)
+    t = nodes.t
     y = nodes.positions
-    dx = xt[:, None, :] - y[None, :, :]
+    dx = y[:, None, :] - y[None, :, :]
     r = np.hypot(dx[..., 0], dx[..., 1])
     diag = r < 1e-14
     r_safe = np.where(diag, 1.0, r)
@@ -189,52 +215,38 @@ def _phi_layer_blocks(nodes: ObstacleNodes, kappa: float, t: np.ndarray,
 
     M1 = -(1.0 / (2.0 * np.pi)) * j0 * jac[None, :]
     h0 = j0 + 1j * y0
-    log_term = np.log(4.0 * np.sin(0.5 * (t[:, None] - nodes.t[None, :]))
+    log_term = np.log(4.0 * np.sin(0.5 * (t[:, None] - t[None, :]))
                       ** 2 + np.where(diag, 1.0, 0.0))
     M2 = 0.5j * h0 * jac[None, :] - M1 * log_term
 
-    if adjoint:
-        nu = nodes.curve.dpoint(t)
-        nu = np.stack([nu[..., 1], -nu[..., 0]], axis=-1)
-        nu /= np.hypot(nu[..., 0], nu[..., 1])[..., None]
-        dot = np.einsum("ijk,ik->ij", dx, nu)
-        sign = -1.0
-    else:
-        dot = np.einsum("ijk,jk->ij", dx, nodes.normals)
-        sign = 1.0
+    dot = np.einsum("ijk,jk->ij", dx, nodes.normals)
     h1 = j1 + 1j * y1
-    L1 = sign * -(kappa / (2.0 * np.pi)) * j1 * dot / r_safe * jac[None, :]
-    Lfull = sign * 0.5j * kappa * h1 * dot / r_safe * jac[None, :]
+    L1 = -(kappa / (2.0 * np.pi)) * j1 * dot / r_safe * jac[None, :]
+    Lfull = 0.5j * kappa * h1 * dot / r_safe * jac[None, :]
     L2 = Lfull - L1 * log_term
 
-    if np.any(diag):
-        di, dj = np.nonzero(diag)
-        tj = nodes.t[dj]
-        xp = nodes.tangents[dj]
-        xpp = nodes.second[dj]
-        M1[di, dj] = -(1.0 / (2.0 * np.pi)) * jac[dj]
-        M2[di, dj] = (0.5j - EULER_GAMMA / np.pi
-                      - np.log(0.5 * kappa * jac[dj]) / np.pi) * jac[dj]
-        L1[di, dj] = 0.0
-        # K and its adjoint share the curvature diagonal
-        L2[di, dj] = (xpp[:, 0] * xp[:, 1] - xpp[:, 1] * xp[:, 0]) \
-            / (2.0 * np.pi * jac[dj] ** 2)
+    di, dj = np.nonzero(diag)
+    xp = nodes.tangents[dj]
+    xpp = nodes.second[dj]
+    M1[di, dj] = -(1.0 / (2.0 * np.pi)) * jac[dj]
+    M2[di, dj] = (0.5j - EULER_GAMMA / np.pi
+                  - np.log(0.5 * kappa * jac[dj]) / np.pi) * jac[dj]
+    L1[di, dj] = 0.0
+    L2[di, dj] = (xpp[:, 0] * xp[:, 1] - xpp[:, 1] * xp[:, 0]) \
+        / (2.0 * np.pi * jac[dj] ** 2)
     return M1, M2, L1, L2
 
 
-def layer_matrices(nodes: ObstacleNodes, kappa: float,
-                   t: Optional[np.ndarray] = None, adjoint: bool = False):
+def layer_matrices(nodes: ObstacleNodes, kappa: float):
     """Discrete free-space single- and double-layer operators (S, K).
 
-    Rows are evaluation parameters (the nodes by default), columns the 2M
-    quadrature nodes; S approximates 2*int Phi psi ds and K approximates
-    2*int dPhi/dnu(y) psi ds (adjoint=True swaps the normal to x).
+    Rows are the nodes as evaluation points, columns the 2M quadrature
+    nodes; S approximates 2*int Phi psi ds and K approximates
+    2*int dPhi/dnu(y) psi ds.
     """
-    if t is None:
-        t = nodes.t
     M = nodes.n // 2
-    R = kress_log_weights(t, nodes.t)
-    M1, M2, L1, L2 = _phi_layer_blocks(nodes, kappa, t, adjoint=adjoint)
+    R = kress_log_weights(nodes.t)
+    M1, M2, L1, L2 = _phi_layer_blocks(nodes, kappa)
     S = R * M1 + (np.pi / M) * M2
     K = R * L1 + (np.pi / M) * L2
     return S, K
@@ -245,174 +257,120 @@ def layer_matrices(nodes: ObstacleNodes, kappa: float,
 # ---------------------------------------------------------------------------
 @dataclass
 class BoundaryDensity:
-    """Solved boundary density with everything needed to radiate it."""
+    """Solved boundary density with everything needed to radiate it: the
+    density psi (sound-soft) or the boundary total field u (Neumann,
+    impedance), and the operator of assemble_bie it solved."""
 
     nodes: ObstacleNodes
     psi: np.ndarray
     operator: DenseOperator
-    ansatz: str                      # "combined" or "single"
-    impedance: Optional[np.ndarray] = None
-
-
-def _remainder_blocks(nodes: ObstacleNodes, kernel_ctx,
-                      rows: Optional[ExtensionRows] = None):
-    """Smooth-remainder values and normal-derivative values at node pairs.
-
-    kernel_ctx holds three RoughKernel column sets: at the nodes and at the
-    nodes shifted by +/- delta along the outward normals.  rows, from
-    extension_rows at the nodes, skips rebuilding them.
-    """
-    center, plus, minus, delta = kernel_ctx
-    X = nodes.positions
-    if rows is None:
-        rows = extension_rows(X, center.medium, center.b2)
-    rho = center.smooth_part(X, rows)
-    drho = (plus.smooth_part(X, rows) - minus.smooth_part(X, rows)) \
-        / (2.0 * delta)
-    return rho, drho
 
 
 def build_rough_kernel_context(nodes: ObstacleNodes, b2_operator,
                                medium: MediumParams):
-    """Column solves for sources on the boundary and its normal shifts."""
-    delta = _FD_STEP_FACTOR * nodes.curve.diameter()
+    """Column solves for monopole and for normal-dipole sources at the
+    boundary nodes: (center, dnu), with dG/dnu(y) = -dnu."""
     P = nodes.positions
-    nu = nodes.normals
     center = RoughKernel(b2_operator, medium, P)
-    plus = RoughKernel(b2_operator, medium, P + delta * nu)
-    minus = RoughKernel(b2_operator, medium, P - delta * nu)
-    return (center, plus, minus, delta)
+    dnu = RoughKernel(b2_operator, medium, P, nodes.normals)
+    return (center, dnu)
 
 
 def assemble_bie(nodes: ObstacleNodes, medium: MediumParams, b2_operator,
-                 kernel_ctx=None,
-                 rows: Optional[ExtensionRows] = None) -> DenseOperator:
-    """Collocation matrix of I + K - iS for the sound-soft condition.
+                 kernel_ctx=None, rows: Optional[ExtensionRows] = None,
+                 lam: Union[None, float, np.ndarray] = None
+                 ) -> DenseOperator:
+    """Collocation matrix of I + s(K + cS) for an impenetrable obstacle:
+    I + K - iS for the sound-soft condition (lam None), I - K - i lam S
+    for the Neumann (lam = 0) and impedance (lam > 0) conditions.
 
     The free-space parts of S and K use the log-singular rule; the smooth
-    remainder of the rough-interface kernel enters through the periodic
-    trapezoid rule, with finite-difference normal derivatives for K.  rows,
+    remainder of the rough-interface kernel and of its normal derivative
+    enters through the periodic trapezoid rule.  The matrix depends on the
+    scene and lam only, so one factorization serves every source.  rows,
     from extension_rows at the nodes, skips rebuilding them.
     """
     if np.any(nodes.positions[:, 1] >= 0.0):
         raise ConfigurationError("obstacle boundary must lie in the lower "
                                  "half-plane")
+    if lam is None:
+        sign, coupling = 1.0, np.full(nodes.n, -1j)
+    else:
+        lam = np.broadcast_to(np.asarray(lam, float), (nodes.n,))
+        if np.any(lam < 0.0):
+            raise ConfigurationError("impedance must be nonnegative")
+        sign, coupling = -1.0, 1j * lam
     if kernel_ctx is None:
         kernel_ctx = build_rough_kernel_context(nodes, b2_operator, medium)
+    center, dnu = kernel_ctx
+    X = nodes.positions
+    if rows is None:
+        rows = extension_rows(X, medium, b2_operator)
     S, K = layer_matrices(nodes, medium.kappa2)
-    rho, drho = _remainder_blocks(nodes, kernel_ctx, rows)
     M = nodes.n // 2
     trap = (np.pi / M) * nodes.jacobians[None, :]
-    # dG/dnu(y) differentiates in the source point: the FD shift moved y
-    S = S + 2.0 * rho * trap
-    K = K + 2.0 * drho * trap
-    op = DenseOperator(np.eye(nodes.n, dtype=complex) + K - 1j * S)
+    S = S + 2.0 * center.smooth_part(X, rows) * trap
+    K = K - 2.0 * dnu.smooth_part(X, rows) * trap
+    op = DenseOperator(np.eye(nodes.n, dtype=complex)
+                       + sign * (K + coupling[None, :] * S))
     op.nodes = nodes
     op.kernel_ctx = kernel_ctx
     op.medium = medium
     op.b2 = b2_operator
-    op.ansatz = "combined"
+    op.sign = sign
+    op.coupling = coupling
+    op.impedance = lam
     return op
 
 
 def solve_density(operator: DenseOperator,
                   incident: np.ndarray) -> BoundaryDensity:
-    """Solve (I + K - iS) psi = -2 * incident for the sound-soft density."""
-    psi = operator.solve(-2.0 * np.asarray(incident, complex))
-    return BoundaryDensity(nodes=operator.nodes, psi=psi, operator=operator,
-                           ansatz="combined")
-
-
-def assemble_neumann_impedance(nodes: ObstacleNodes, medium: MediumParams,
-                               b2_operator,
-                               lam: Union[float, np.ndarray] = 0.0,
-                               kernel_ctx=None, rows=None) -> DenseOperator:
-    """Collocation matrix of I - K' - i*lam*S for the single-layer ansatz.
-
-    lam = 0 is the Neumann condition; lam > 0 the impedance condition.  The
-    matrix depends on the scene and lam only, so one factorization serves
-    every source.  rows, from extension_rows at the nodes and at their
-    shifts by +delta and -delta along the normals (in that order), skips
-    rebuilding them.
-    """
-    lam = np.broadcast_to(np.asarray(lam, float), (nodes.n,))
-    if np.any(lam < 0.0):
-        raise ConfigurationError("impedance must be nonnegative")
-    if kernel_ctx is None:
-        kernel_ctx = build_rough_kernel_context(nodes, b2_operator, medium)
-    S, Kp = layer_matrices(nodes, medium.kappa2, adjoint=True)
-    # adjoint double layer differentiates in the evaluation point: shift x
-    center, plus, minus, delta = kernel_ctx
-    P = nodes.positions
-    nu = nodes.normals
-    shifted = (P, P + delta * nu, P - delta * nu)
-    if rows is None:
-        rows = [extension_rows(X, medium, b2_operator) for X in shifted]
-    rho, rho_plus, rho_minus = (center.smooth_part(X, r)
-                                for X, r in zip(shifted, rows))
-    drho_x = (rho_plus - rho_minus) / (2.0 * delta)
-    M = nodes.n // 2
-    trap = (np.pi / M) * nodes.jacobians[None, :]
-    S = S + 2.0 * rho * trap
-    Kp = Kp + 2.0 * drho_x * trap
-    op = DenseOperator(np.eye(nodes.n, dtype=complex) - Kp
-                       - 1j * lam[:, None] * S)
-    op.nodes = nodes
-    op.kernel_ctx = kernel_ctx
-    op.medium = medium
-    op.b2 = b2_operator
-    op.ansatz = "single"
-    op.impedance = lam
-    return op
+    """Solve the boundary equation of assemble_bie, (I + s(K + cS)) phi =
+    -2s * incident."""
+    phi = operator.solve(-2.0 * operator.sign * np.asarray(incident, complex))
+    return BoundaryDensity(nodes=operator.nodes, psi=phi, operator=operator)
 
 
 def neumann_impedance_solve(nodes: ObstacleNodes,
                             medium: MediumParams, b2_operator,
                             incident: np.ndarray,
-                            incident_normal: np.ndarray,
                             lam: Union[float, np.ndarray] = 0.0,
                             kernel_ctx=None,
                             operator: Optional[DenseOperator] = None
                             ) -> BoundaryDensity:
-    """Single-layer solve of (I - K' - i*lam*S) psi = 2(dU/dnu + i*lam*U).
+    """Boundary total field u from (I - K - i*lam*S) u = 2U.
 
     lam = 0 is the Neumann condition; lam > 0 the impedance condition.
-    operator is the matrix from assemble_neumann_impedance for the same
-    nodes and lam; without it the matrix is assembled and factorized for
-    this call only.  Either way the density is bit-for-bit the same.
+    operator is the matrix from assemble_bie for the same nodes and lam;
+    without it the matrix is assembled and factorized for this call only.
+    Either way the result is bit-for-bit the same.
     """
     lam = np.broadcast_to(np.asarray(lam, float), (nodes.n,))
     if np.any(lam < 0.0):
         raise ConfigurationError("impedance must be nonnegative")
     if operator is None:
-        operator = assemble_neumann_impedance(nodes, medium, b2_operator,
-                                              lam, kernel_ctx)
+        operator = assemble_bie(nodes, medium, b2_operator, kernel_ctx,
+                                lam=lam)
     elif not np.array_equal(operator.impedance, lam):
         raise ConfigurationError("operator was assembled for another "
                                  "impedance")
-    rhs = 2.0 * (np.asarray(incident_normal, complex)
-                 + 1j * lam * np.asarray(incident, complex))
-    psi = operator.solve(rhs)
-    return BoundaryDensity(nodes=nodes, psi=psi, operator=operator,
-                           ansatz="single", impedance=lam)
+    return solve_density(operator, incident)
 
 
-def radiation_matrix(kernel_ctx, ansatz: str, X: np.ndarray,
+def radiation_matrix(operator: DenseOperator, X: np.ndarray,
                      rows: Optional[ExtensionRows] = None) -> np.ndarray:
-    """Matrix taking the density's quadrature weights to its field at X.
+    """Matrix taking the quadrature weights of a solution of the operator
+    from assemble_bie to its field at X: dG/dnu(y) + cG, with c = -i
+    (sound-soft) or i lam (Neumann, impedance).
 
-    Combined ansatz: dG/dnu(y) - iG; single-layer ansatz: G.  It depends
-    on the kernel columns and X only, not on the density.  rows, from
-    extension_rows at the same X, skips rebuilding them.
+    It depends on the kernel columns and X only, not on the density.
+    rows, from extension_rows at the same X, skips rebuilding them.
     """
-    center, plus, minus, delta = kernel_ctx
+    center, dnu = operator.kernel_ctx
     if rows is None:
         rows = extension_rows(X, center.medium, center.b2)
-    G = center.full(X, rows=rows)
-    if ansatz == "single":
-        return G
-    dG = (plus.full(X, rows=rows) - minus.full(X, rows=rows)) / (2.0 * delta)
-    return dG - 1j * G
+    return operator.coupling[None, :] * center.full(X, rows=rows) \
+        - dnu.full(X, rows=rows)
 
 
 def scattered_from_density(density: Union[BoundaryDensity, VolumeDensity],
@@ -422,8 +380,8 @@ def scattered_from_density(density: Union[BoundaryDensity, VolumeDensity],
     """Radiated field of a boundary density at points X away from dD, or
     of a penetrable obstacle's VolumeDensity.
 
-    Combined ansatz: w = int (dG/dnu(y) - iG) psi ds; single-layer ansatz:
-    w = int G psi ds; penetrable: w = -k2^2 int_D G m u dy.  radiation, from
+    Impenetrable: w = int (dG/dnu(y) + cG) phi ds (see assemble_bie);
+    penetrable: w = -k2^2 int_D G m u dy.  radiation, from
     (penetrable_)radiation_matrix at the same X and with the density's
     kernel columns, skips rebuilding that source-independent matrix;
     without it the matrix is built for this call only.  Points closer to
@@ -444,8 +402,7 @@ def scattered_from_density(density: Union[BoundaryDensity, VolumeDensity],
                       "obstacle boundary; quadrature accuracy degrades",
                       stacklevel=2)
     if radiation is None:
-        radiation = radiation_matrix(density.operator.kernel_ctx,
-                                     density.ansatz, X)
+        radiation = radiation_matrix(density.operator, X)
     M = nodes.n // 2
     wts = (np.pi / M) * nodes.jacobians * density.psi
     return radiation @ wts

@@ -76,12 +76,14 @@ def _polar(p, center):
 
 def mie_series_circle(kind: str, a: float, kappa: float, source, x,
                       n: complex = None, center=(0.0, 0.0),
-                      truncation: int = _MAX_MODES) -> complex:
+                      truncation: int = _MAX_MODES,
+                      lam: float = 0.0) -> complex:
     """Scattered field of a circle |y - center| = a in free space under
     point-source incidence Phi_kappa(., source), by separation of variables.
 
     kind "sound_soft": u = 0 on the circle; "neumann": du/dnu = 0;
-    "penetrable": transmission into interior wavenumber kappa*sqrt(n).
+    "impedance": du/dnu + i lam u = 0; "penetrable": transmission into
+    interior wavenumber kappa*sqrt(n).
     The series coefficients multiply H_m(kappa r) H_m(kappa r_s), using the
     addition theorem for the incident field.
     """
@@ -96,6 +98,9 @@ def mie_series_circle(kind: str, a: float, kappa: float, source, x,
             c = -jv(m, ka) / hankel1(m, ka)
         elif kind == "neumann":
             c = -jvp(m, ka) / h1vp(m, ka)
+        elif kind == "impedance":
+            c = -(kappa * jvp(m, ka) + 1j * lam * jv(m, ka)) \
+                / (kappa * h1vp(m, ka) + 1j * lam * hankel1(m, ka))
         elif kind == "penetrable":
             if n is None:
                 raise ValueError("penetrable series needs the index n")

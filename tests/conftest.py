@@ -97,23 +97,71 @@ def rng():
     return np.random.default_rng(20260824)
 
 
+_KRESS_BLOCK = 1 << 18  # cosine-tensor entries per off-node weight block
+
+
+def _kress_weights_off_nodes(t, nodes_t):
+    """The log-singular weights of obstacle.kress_log_weights at evaluation
+    parameters t that need not be nodes: rows summed in blocks that bound
+    the (rows, 2M, M - 1) cosine tensor to _KRESS_BLOCK entries."""
+    t = np.asarray(t, float)
+    n = len(nodes_t)
+    M = n // 2
+    m = np.arange(1, M)
+    out = np.empty((len(t), n))
+    step = max(1, _KRESS_BLOCK // (n * max(1, M - 1)))
+    for i in range(0, len(t), step):
+        s = t[i:i + step, None] - nodes_t[None, :]
+        out[i:i + step] = -(2.0 * np.pi / M) * np.tensordot(
+            np.cos(np.multiply.outer(s, m)), 1.0 / m, axes=([2], [0])) \
+            - (np.pi / M ** 2) * np.cos(M * s)
+    return out
+
+
+def _layer_matrices_off_nodes(nodes, kappa, t):
+    """The free-space (S, K) of obstacle.layer_matrices with rows at
+    parameters t off the nodes, where no kernel is singular."""
+    from scipy.special import hankel1, jv
+    xt = nodes.curve.point(t)
+    dx = xt[:, None, :] - nodes.positions[None, :, :]
+    r = np.hypot(dx[..., 0], dx[..., 1])
+    jac = nodes.jacobians[None, :]
+    log_term = np.log(4.0 * np.sin(0.5 * (t[:, None] - nodes.t[None, :]))
+                      ** 2)
+    M1 = -(1.0 / (2.0 * np.pi)) * jv(0, kappa * r) * jac
+    M2 = 0.5j * hankel1(0, kappa * r) * jac - M1 * log_term
+    dot = np.einsum("ijk,jk->ij", dx, nodes.normals)
+    L1 = -(kappa / (2.0 * np.pi)) * jv(1, kappa * r) * dot / r * jac
+    L2 = 0.5j * kappa * hankel1(1, kappa * r) * dot / r * jac - L1 * log_term
+    M = nodes.n // 2
+    R = _kress_weights_off_nodes(t, nodes.t)
+    return R * M1 + (np.pi / M) * M2, R * L1 + (np.pi / M) * L2
+
+
 def _boundary_total_field(density, t, background):
     """Total field on dD at off-node parameters t (sound-soft check).
 
     Uses the boundary limit of the combined potential: the singular rule
     evaluated at arbitrary t plus the trigonometrically interpolated jump
-    term psi(t)/2.
+    term psi(t)/2.  The normal derivative of the smooth remainder is a
+    central difference of monopole columns at the nodes shifted by
+    +-delta along the normals, independent of the solver's dipole
+    columns.
     """
     from layered_scatter.ls_volume import extension_rows
-    from layered_scatter.obstacle import layer_matrices
+    from layered_scatter.obstacle import RoughKernel
     t = np.asarray(t, float)
     nodes = density.nodes
     op = density.operator
     medium = op.medium
-    center, plus, minus, delta = op.kernel_ctx
-    S, K = layer_matrices(nodes, medium.kappa2, t=t)
+    center = op.kernel_ctx[0]
+    P, nu = nodes.positions, nodes.normals
+    delta = 1e-4 * np.ptp(P, axis=0).max()
+    plus = RoughKernel(op.b2, medium, P + delta * nu)
+    minus = RoughKernel(op.b2, medium, P - delta * nu)
+    S, K = _layer_matrices_off_nodes(nodes, medium.kappa2, t)
     X = nodes.curve.point(t)
-    rows = extension_rows(X, medium, center.b2)
+    rows = extension_rows(X, medium, op.b2)
     rho = center.smooth_part(X, rows)
     drho = (plus.smooth_part(X, rows) - minus.smooth_part(X, rows)) \
         / (2.0 * delta)
@@ -134,3 +182,9 @@ def boundary_total_field():
     """The sound-soft oracle: total field of a boundary density at
     off-node parameters, from the boundary limit of its potential."""
     return _boundary_total_field
+
+
+@pytest.fixture(scope="session")
+def kress_weights_off_nodes():
+    """The log-singular weights at parameters off the nodes."""
+    return _kress_weights_off_nodes

@@ -204,6 +204,29 @@ def test_forward_source_under_the_bump_exits_2(config_path, capsys):
     assert "interface graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["sound_soft", "neumann", "impedance"])
+@pytest.mark.parametrize("source", [
+    {"kind": "monopole", "position": [0.0, -1.3]},
+    {"kind": "dipole", "position": [0.5, -1.3], "direction": 1},
+    {"kind": "monopole",
+     "position": [0.5 * np.cos(0.05), -1.3 + 0.5 * np.sin(0.05)]}],
+    ids=["inside", "on-a-node", "on-the-boundary"])
+def test_forward_source_inside_or_on_the_obstacle_exits_2(
+        config_path, capsys, kind, source):
+    doc = dict(BASE)
+    doc["obstacle"] = {
+        "kind": kind,
+        "curve": {"kind": "circle", "center": [0.0, -1.3], "radius": 0.5},
+        "boundary_M": 16}
+    if kind == "impedance":
+        doc["obstacle"]["lambda"] = 1.0
+    doc["sources"] = [source]
+    rc = main(["forward", config_path(doc), "--output", "/dev/null"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "inside or on the obstacle" in err and "Traceback" not in err
+
+
 def test_forward_inaccurate_rule_exits_3(config_path, capsys, monkeypatch):
     import layered_scatter.layered_green as layered_green
     orig = layered_green.fixed_rule

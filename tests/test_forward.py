@@ -268,7 +268,7 @@ def _count_builds(monkeypatch, calls, fail=False):
     import layered_scatter.forward as forward
     import layered_scatter.ls_volume as ls_volume
     import layered_scatter.obstacle as obstacle
-    for name, at in (("extension_rows", 0), ("radiation_matrix", 2),
+    for name, at in (("extension_rows", 0), ("radiation_matrix", 1),
                      ("penetrable_radiation_matrix", 1)):
         orig = getattr(obstacle, name)
 
@@ -431,32 +431,23 @@ def test_bie_assembly_and_boundary_extension_share_one_build(
         layered_obstacle_solver, monkeypatch, scene):
     import layered_scatter.forward as forward
     config = layered_obstacle_solver.config
-    name = "assemble_bie"
     if scene == "impedance":
         config = _impedance_config(config)
-        name = "assemble_neumann_impedance"
     given = []
-    orig = getattr(forward, name)
+    orig = forward.assemble_bie
 
     def recorded(*args, **kwargs):
         given.append(kwargs["rows"])
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(forward, name, recorded)
+    monkeypatch.setattr(forward, "assemble_bie", recorded)
     solver = ForwardSolver(config)
-    kept = [solver.rows[k] for k in ("boundary", "boundary+", "boundary-")
-            if k in solver.rows]
+    # every impenetrable condition keeps rows at the nodes alone
+    assert set(solver.rows) == {"receivers", "boundary"}
+    assert np.array_equal(solver.point_sets["boundary"],
+                          solver.nodes.positions)
     assert len(given) == 1
-    rows = given[0]
-    if scene == "obstacle-soft":
-        assert rows is kept[0]
-    else:
-        assert len(rows) == len(kept) == 3
-        assert all(a is b for a, b in zip(rows, kept))
-        delta = solver.kernel_ctx[3]
-        P, nu = solver.nodes.positions, solver.nodes.normals
-        assert np.array_equal(solver.point_sets["boundary+"], P + delta * nu)
-        assert np.array_equal(solver.point_sets["boundary-"], P - delta * nu)
+    assert given[0] is solver.rows["boundary"]
 
 
 def test_boundary_nodes_on_b2_centers_return_the_solved_values(
@@ -548,32 +539,51 @@ def test_total_at_the_source_is_a_singularity(flat_solver):
 
 
 def _truncate_rules(monkeypatch, which):
-    """Make every fixed rule whose decay class satisfies which() end its
-    tail at a quarter of its planned end."""
+    """Make every fixed rule for which which(decay, kind=, case=) holds
+    end its tail at a quarter of its planned end; kind is the rule's
+    kernel kind and case its side case (a point above or below, then a
+    source above or below)."""
     import layered_scatter.layered_green as layered_green
     orig = layered_green.fixed_rule
+    orig_rule = layered_green.PlanarGreen._rule
+    block = []
+
+    def rule(self, kind, ell, X, Y):
+        block.append(dict(kind=kind, case=self._case(X[0, 1], Y[0, 1])))
+        try:
+            return orig_rule(self, kind, ell, X, Y)
+        finally:
+            block.pop()
 
     def truncated(kernel_abs_at, breakpoints, decay, *args):
         bps, tail_end, panels = orig(kernel_abs_at, breakpoints, decay, *args)
-        if not which(decay):
+        if not which(decay, **block[-1]):
             return bps, tail_end, panels
         return bps, 0.25 * tail_end, panels
 
     monkeypatch.setattr(layered_green, "fixed_rule", truncated)
+    monkeypatch.setattr(layered_green.PlanarGreen, "_rule", rule)
 
 
 # same-side kernels decay like xi^-3 (monopole) or xi^-2 (dipoles), the
-# cross-side ones like xi^-1 or xi^0; the check must see each side pair
-@pytest.mark.parametrize("which", [lambda decay: True,
-                                   lambda decay: decay.power >= 2.0,
-                                   lambda decay: decay.power <= 1.0],
-                         ids=["all", "same-side", "cross-side"])
-def test_truncated_rule_tail_fails_the_solver_check(bump_config,
-                                                    monkeypatch, which):
+# cross-side ones like xi^-1 or xi^0; the check must see each side pair.
+# The normal-dipole columns of an obstacle evaluate dipoles at the nodes
+# on the mesh; their cross-side rules with the slowest decay (a cell just
+# above x2 = 0, a node at depth 0.8) are met nowhere else.
+@pytest.mark.parametrize("which,obstacle", [
+    (lambda decay, **_: True, False),
+    (lambda decay, **_: decay.power >= 2.0, False),
+    (lambda decay, **_: decay.power <= 1.0, False),
+    (lambda decay, kind, case: kind == "dipole" and case == "ul"
+     and 0.5 < decay.rate < 1.0, True)],
+    ids=["all", "same-side", "cross-side", "mesh-by-node-dipole"])
+def test_truncated_rule_tail_fails_the_solver_check(
+        bump_config, layered_obstacle_solver, monkeypatch, which, obstacle):
     from layered_scatter.errors import AccuracyError
+    config = layered_obstacle_solver.config if obstacle else bump_config
     _truncate_rules(monkeypatch, which)
     with pytest.raises(AccuracyError, match="fixed xi-rule"):
-        ForwardSolver(bump_config)
+        ForwardSolver(config)
 
 
 def test_solver_check_covers_the_mesh_grid(bump_profile, monkeypatch):
@@ -583,7 +593,7 @@ def test_solver_check_covers_the_mesh_grid(bump_profile, monkeypatch):
     config = SceneConfig(medium=MediumParams(1.0, 1.5), profile=bump_profile,
                          arc_radius=2.6, cell_size=0.2)
     ForwardSolver(config)
-    _truncate_rules(monkeypatch, lambda decay: decay.rate < 0.5)
+    _truncate_rules(monkeypatch, lambda decay, **_: decay.rate < 0.5)
     with pytest.raises(AccuracyError, match="fixed xi-rule"):
         ForwardSolver(config)
 
@@ -624,11 +634,11 @@ def test_radiation_matrix_reuses_the_extension_rows(layered_obstacle_solver,
     solver = layered_obstacle_solver
     rx = solver.config.receivers.points()
     # the kept matrix has the bytes of one built alone
-    alone = radiation_matrix(solver.kernel_ctx, "combined", rx)
+    alone = radiation_matrix(solver.bie_operator, rx)
     assert solver.radiation_matrix(rx).tobytes() == alone.tobytes()
     # so does one at a set with a point on a B2 center, on one row build
     pts = np.vstack([rx[:2], solver.mesh_B2.centers[:1]])
-    alone = radiation_matrix(solver.kernel_ctx, "combined", pts)
+    alone = radiation_matrix(solver.bie_operator, pts)
     calls = []
     _count_builds(monkeypatch, calls)
     again = solver.radiation_matrix(pts)
@@ -868,12 +878,14 @@ def _held_bytes(obj, seen) -> int:
     return sum(_held_bytes(item, seen) for item in items)
 
 
-@pytest.mark.parametrize("scene", ["bump", "obstacle-soft", "penetrable"])
+@pytest.mark.parametrize("scene", ["bump", "obstacle-soft", "impedance",
+                                   "penetrable"])
 def test_size_guard_estimate_bounds_the_arrays_a_solver_holds(
         bump_config, layered_obstacle_solver, scene):
     import layered_scatter.forward as forward
     obstacle = layered_obstacle_solver.config
     solver = ForwardSolver({"bump": bump_config, "obstacle-soft": obstacle,
+                            "impedance": _impedance_config(obstacle),
                             "penetrable": _penetrable_config(obstacle)}[scene])
     need = forward._dense_bytes_estimate(solver.config, solver.scene)
     assert need >= _held_bytes(solver, set()) > 0

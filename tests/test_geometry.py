@@ -91,7 +91,6 @@ def test_circle_parametrization():
     c = ObstacleCurve("circle", (1.0, -2.0), 0.5)
     p = c.point(np.array([0.0, np.pi / 2]))
     assert np.allclose(p, [[1.5, -2.0], [1.0, -1.5]])
-    assert c.diameter() == pytest.approx(1.0, rel=1e-3)
 
 
 @pytest.mark.parametrize("kind,kwargs", [
@@ -115,6 +114,22 @@ def test_containment_circle_and_kite():
     k = ObstacleCurve("kite", (0.0, -2.0), scale=0.5)
     assert k.contains(np.array([[0.0, -2.0]]))[0]
     assert not k.contains(np.array([[3.0, -2.0]]))[0]
+
+
+@pytest.mark.parametrize("curve", [
+    ObstacleCurve("circle", (0.0, -2.0), 0.5),
+    ObstacleCurve("kite", (0.3, -2.0), scale=0.5)], ids=["circle", "kite"])
+def test_touches_holds_inside_and_on_the_curve_only(curve):
+    t = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 40)
+    on = curve.point(t)
+    tangent = curve.dpoint(t)
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1) \
+        / np.hypot(tangent[:, 0], tangent[:, 1])[:, None]
+    assert all(curve.touches(p) for p in on)
+    assert all(curve.touches(p) for p in on - 1e-3 * normal)
+    assert not any(curve.touches(p) for p in on + 1e-6 * normal)
+    assert not curve.touches((3.0, -2.0))
+    assert not curve.touches((0.3, 1.0))
 
 
 def test_obstacle_nodes_normals_outward():

@@ -48,6 +48,24 @@ def test_neumann_series_kills_normal_derivative():
         assert abs(dn) < 1e-5
 
 
+def test_impedance_series_meets_its_boundary_condition():
+    h = 1e-5
+    lam = 2.0
+    for th in (0.3, 2.0, 4.4):
+        nu = np.array([np.cos(th), np.sin(th)])
+
+        def total(r):
+            x = tuple(r * nu)
+            return _incident(x) + mie_series_circle("impedance", A, KAPPA,
+                                                    SRC, x, lam=lam)
+
+        dn = (total(A + h) - total(A - h)) / (2.0 * h)
+        assert abs(dn + 1j * lam * total(A)) < 1e-5
+    x = (1.3, 0.4)
+    assert mie_series_circle("impedance", A, KAPPA, SRC, x, lam=0.0) \
+        == mie_series_circle("neumann", A, KAPPA, SRC, x)
+
+
 def test_penetrable_series_matches_cauchy_data():
     """Exterior total and interior field agree in value and radial
     derivative at the circle; that is the defining transmission pair."""
