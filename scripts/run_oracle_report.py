@@ -3,7 +3,11 @@
 small report: series-solution agreement for a circle in free space
 (sound-soft, Neumann, impedance and penetrable, with the interior field
 of the last),
-the flat-scene composition identity, and reciprocity at three levels.
+the flat-scene composition identity (a flat interface builds no cell, so
+the solver must return the planar kernel), and reciprocity at three
+levels: the planar kernel, the stage-1 kernel of a dip scene (where no
+bump cell exists, so the rough kernel is the stage-1 kernel) and the rough
+kernel of the shipped bump.
 
 All comparisons here are also enforced (with tolerances) by the test
 suite; this script exists to eyeball the actual numbers.
@@ -21,7 +25,6 @@ from layered_scatter.layered_green import (
     SourceSpec,
     green_planar_scattered,
 )
-from layered_scatter.ls_volume import green_arc
 from layered_scatter.obstacle import green_rough_columns
 from layered_scatter.verify import mie_interior_circle, mie_series_circle
 
@@ -37,7 +40,7 @@ def mie_comparison() -> None:
         index = n if condition == "penetrable" else None
         impedance = lam if condition == "impedance" else 0.0
         config = SceneConfig(
-            medium=MediumParams(2.0, 2.0), arc_radius=1.0, cell_size=0.25,
+            medium=MediumParams(2.0, 2.0), cell_size=0.25,
             obstacle=ObstacleSpec(curve=circle, condition=condition,
                                   lam=impedance, boundary_M=32, n=index,
                                   cell_size=0.05))
@@ -57,7 +60,7 @@ def mie_comparison() -> None:
 def composition_identity() -> None:
     medium = MediumParams(1.0, 1.5)
     src = SourceSpec("monopole", (0.3, 1.2))
-    config = SceneConfig(medium=medium, arc_radius=1.0, cell_size=0.05,
+    config = SceneConfig(medium=medium, cell_size=0.05,
                          receivers=ReceiverLine(2.0, 3.0, 11))
     ev = ForwardSolver(config).solve(src)
     pts = config.receivers.points()
@@ -75,18 +78,15 @@ def reciprocity() -> None:
           % (abs(a - green.scattered(y, x)) / abs(a)))
 
     from layered_scatter.geometry import InterfaceProfile
-    config = SceneConfig(medium=medium,
-                         profile=InterfaceProfile(((0.0, 1.0, 0.3),)),
-                         arc_radius=2.6, cell_size=0.2)
-    solver = ForwardSolver(config)
-    a = green_arc((0.4, 0.6), (-0.7, 0.9), medium, solver.stage1)
-    b = green_arc((-0.7, 0.9), (0.4, 0.6), medium, solver.stage1)
-    print("arc-level reciprocity defect: %.2e" % (abs(a - b) / abs(a)))
-
     p, q = np.array([[0.43, 1.07]]), np.array([[-0.81, 0.63]])
-    a = green_rough_columns(p, solver.b2, medium, q)[0, 0]
-    b = green_rough_columns(q, solver.b2, medium, p)[0, 0]
-    print("rough-interface reciprocity defect: %.2e" % (abs(a - b) / abs(a)))
+    for level, height in (("stage-1 (dip)", -0.3), ("rough-interface", 0.3)):
+        config = SceneConfig(medium=medium,
+                             profile=InterfaceProfile(((0.0, 1.0, height),)),
+                             cell_size=0.2)
+        solver = ForwardSolver(config)
+        a = green_rough_columns(p, solver.b2, medium, q)[0, 0]
+        b = green_rough_columns(q, solver.b2, medium, p)[0, 0]
+        print("%s reciprocity defect: %.2e" % (level, abs(a - b) / abs(a)))
 
 
 def main() -> int:

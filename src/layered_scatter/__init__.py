@@ -2,9 +2,10 @@
 rough interface and an optional embedded obstacle.
 
 The solver chain is: planar-interface Sommerfeld integrals -> volume integral
-equation transferring the planar interface to a circular-arc interface ->
-second volume equation transferring the arc to the rough interface ->
-boundary/volume equation for the embedded obstacle.
+equation over the dips of f (the cells of D_f below x2 = 0), transferring the
+planar interface to the auxiliary interface min(f, 0) -> second volume
+equation over the bumps (the cells above x2 = 0), transferring min(f, 0) to
+the rough interface -> boundary/volume equation for the embedded obstacle.
 """
 
 from .errors import (
@@ -15,7 +16,6 @@ from .errors import (
     SolverError,
 )
 from .geometry import (
-    ArcInterface,
     InterfaceProfile,
     ObstacleCurve,
     ReceiverLine,
@@ -30,11 +30,7 @@ from .ls_volume import (
     GridSolution,
     assemble_B1_operator,
     assemble_B2_operator,
-    extend_stage1,
-    extend_stage1_many,
     extend_stage2_many,
-    green_arc,
-    solve_stage1,
     solve_stage2,
 )
 from .obstacle import (
@@ -75,7 +71,6 @@ __all__ = [
     "GeometryError",
     "SingularityError",
     "SolverError",
-    "ArcInterface",
     "InterfaceProfile",
     "ObstacleCurve",
     "ReceiverLine",
@@ -91,11 +86,7 @@ __all__ = [
     "GridSolution",
     "assemble_B1_operator",
     "assemble_B2_operator",
-    "extend_stage1",
-    "extend_stage1_many",
     "extend_stage2_many",
-    "green_arc",
-    "solve_stage1",
     "solve_stage2",
     "BoundaryDensity",
     "PenetrableMedium",

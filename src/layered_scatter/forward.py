@@ -1,6 +1,6 @@
-"""End-to-end forward solver: background field through the nested volume
-stages, obstacle correction, near-field data synthesis on the receiver
-line, and the singular-source experiments.
+"""End-to-end forward solver: background field through the volume
+equations on the dips and bumps of D_f, obstacle correction, near-field
+data synthesis on the receiver line, and the singular-source experiments.
 
 A ForwardSolver builds every mesh, factorization and kernel-column set for
 a scene exactly once; solving for additional sources then reuses them.  The
@@ -32,7 +32,6 @@ from .errors import (
     SolverError,
 )
 from .geometry import (
-    ArcInterface,
     InterfaceProfile,
     ObstacleCurve,
     ReceiverLine,
@@ -40,7 +39,6 @@ from .geometry import (
     SceneGeometry,
     box_cells,
     build_region_mesh,
-    default_arc_radius,
     obstacle_nodes,
 )
 from .layered_green import MediumParams, PlanarGreen, SourceSpec
@@ -129,23 +127,16 @@ class SceneConfig:
 
     medium: MediumParams
     profile: InterfaceProfile = field(default_factory=InterfaceProfile)
-    arc_radius: Optional[float] = None
     obstacle: Optional[ObstacleSpec] = None
     receivers: Optional[ReceiverLine] = None
     cell_size: float = 0.1
     subsample: int = 4
     quad_tol: float = 1e-8
 
-    def arc(self) -> ArcInterface:
-        R = self.arc_radius
-        if R is None:
-            R = default_arc_radius(self.profile)
-        return ArcInterface(R)
-
     def geometry(self) -> SceneGeometry:
         curve = self.obstacle.curve if self.obstacle is not None else None
-        return SceneGeometry(profile=self.profile, arc=self.arc(),
-                             obstacle=curve, receivers=self.receivers)
+        return SceneGeometry(profile=self.profile, obstacle=curve,
+                             receivers=self.receivers)
 
 
 @dataclass(frozen=True)
@@ -169,8 +160,8 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> int:
     rows kept at the nodes and the receivers' radiation matrix; for a
     penetrable obstacle its operator, kernel columns, subsample grid, rows
     kept at its cells and the receivers' radiation matrix.  Cell counts
-    are those of the bounding boxes the meshes are cut from, which bound
-    the meshes from above.
+    are those of the boxes the meshes are cut from (box_cells), which
+    bound the meshes from above.
     """
     s2 = config.subsample ** 2
     n1 = box_cells("B1", scene, config.cell_size)
@@ -307,10 +298,10 @@ class ForwardSolver:
         # dropped as soon as both operators hold their blocks
         union = CellUnion(self.mesh_B1, self.mesh_B2)
         kernel = union.kernel(self.green)
-        self.stage1 = assemble_B1_operator(self.mesh_B1, self.medium,
-                                           tol=config.quad_tol,
-                                           green=self.green, union=union,
-                                           kernel=kernel)
+        b1 = union.parts[0]
+        self.stage1 = assemble_B1_operator(
+            self.mesh_B1, self.medium, tol=config.quad_tol, green=self.green,
+            kernel=None if kernel is None else kernel[b1, b1])
         self.b2 = assemble_B2_operator(self.mesh_B2, self.medium, self.stage1,
                                        union=union, kernel=kernel)
         del kernel
@@ -428,7 +419,9 @@ class ForwardSolver:
         it lies on, so a source between that line and the interface graph
         (under a bump, or above a dip) or on the graph is rejected, and so
         is a source inside an impenetrable obstacle or on its boundary
-        (ObstacleCurve.touches).
+        (ObstacleCurve.touches).  A source within one node spacing of that
+        obstacle's nodes is solved with a warning: the trapezoid rule
+        under-resolves its nearly singular field on the boundary.
         """
         x1, x2 = source.position
         f = float(self.config.profile(x1))
@@ -438,9 +431,16 @@ class ForwardSolver:
                 "(f = %g) from its side of the flat line x2 = 0"
                 % (x1, x2, f))
         spec = self.config.obstacle
-        if self.nodes is not None and spec.curve.touches(source.position):
-            raise GeometryError(
-                "source (%g, %g) lies inside or on the obstacle" % (x1, x2))
+        if self.nodes is not None:
+            if spec.curve.touches(source.position):
+                raise GeometryError(
+                    "source (%g, %g) lies inside or on the obstacle"
+                    % (x1, x2))
+            gap = np.hypot(*(self.nodes.positions - (x1, x2)).T)
+            if np.min(gap) < self.nodes.spacing:
+                warnings.warn("source within one node spacing of the obstacle "
+                              "boundary; quadrature accuracy degrades",
+                              stacklevel=2)
         background = solve_stage2(source, self.b2, self.mesh_B2, self.medium)
         correction = None
         if spec is not None:

@@ -1,5 +1,10 @@
-"""Scene geometry: interface profile, arc interface, region meshes,
-obstacle curves and the receiver line.
+"""Scene geometry: interface profile, region meshes, obstacle curves and
+the receiver line.
+
+The volume equations live on D_f, the bounded region between the flat
+line x2 = 0 and the graph of f.  The auxiliary interface min(f, 0) cuts
+it into the dips B1 = {f < x2 < 0} and the bumps B2 = {0 < x2 < f}, whose
+meshes are cut from one lattice with cell edges on x1 = 0 and x2 = 0.
 
 All objects are immutable after construction and all operations are pure,
 so everything here is safe for concurrent use.
@@ -97,43 +102,6 @@ class InterfaceProfile:
         fp = self.derivative(x1)
         n = np.hypot(fp, 1.0)
         return (-fp / n, 1.0 / n)
-
-
-# ---------------------------------------------------------------------------
-# Arc interface
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ArcInterface:
-    """Auxiliary interface: flat for |x1| >= R, lower half-circle inside."""
-
-    R: float
-
-    def __post_init__(self):
-        if self.R <= 0.0:
-            raise ConfigurationError("arc radius must be positive")
-
-    def height(self, x1):
-        """x2-coordinate of the arc at horizontal position x1."""
-        x1 = np.asarray(x1, dtype=float)
-        inside = np.abs(x1) < self.R
-        out = np.zeros_like(x1)
-        out = np.where(inside, -np.sqrt(np.maximum(self.R ** 2 - x1 * x1, 0.0)), 0.0)
-        return out if out.ndim else float(out)
-
-    def validate_against(self, profile: InterfaceProfile) -> None:
-        if self.R <= profile.support_radius():
-            raise ConfigurationError(
-                f"arc radius {self.R} must exceed the profile support radius "
-                f"{profile.support_radius()}")
-        x = np.linspace(-self.R, self.R, 4001)[1:-1]
-        gap = profile(x) - self.height(x)
-        if np.min(gap) <= 0.0:
-            raise ConfigurationError("interface profile must lie strictly above the arc")
-
-
-def default_arc_radius(profile: InterfaceProfile) -> float:
-    """Default arc radius 2*(support radius + max |f|), at least 1."""
-    return max(1.0, 2.0 * (profile.support_radius() + profile.max_abs()))
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +262,13 @@ class ReceiverLine:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SceneGeometry:
-    """Interface profile + arc + optional obstacle + receivers."""
+    """Interface profile + optional obstacle + receivers."""
 
     profile: InterfaceProfile
-    arc: ArcInterface
     obstacle: Optional[ObstacleCurve] = None
     receivers: Optional[ReceiverLine] = None
 
     def __post_init__(self):
-        self.arc.validate_against(self.profile)
         if self.receivers is not None and self.receivers.b <= self.profile.max_height():
             raise ConfigurationError("receiver line must lie above the interface")
         if self.obstacle is not None:
@@ -320,9 +286,10 @@ class SceneGeometry:
 class RegionMesh:
     """Uniform-cell midpoint mesh of a bounded region.
 
-    Cells are kept iff their center lies inside the region; the weight of a
-    kept cell is cell_size^2 times the inside fraction estimated on a
-    subsample x subsample sub-grid.
+    The weight of a kept cell is cell_size^2 times the inside fraction
+    estimated on a subsample x subsample sub-grid (see build_region_mesh
+    for which cells are kept); origin is a corner of the lattice the
+    cells are cut from.
     """
 
     region_tag: str
@@ -337,87 +304,87 @@ class RegionMesh:
 
 
 def _region_indicator(tag: str, scene: SceneGeometry):
-    arc = scene.arc
     prof = scene.profile
 
     def inside_b1(pts):
-        x1, x2 = pts[..., 0], pts[..., 1]
-        r2 = arc.R ** 2 - x1 * x1
-        low = np.where(r2 > 0.0, -np.sqrt(np.maximum(r2, 0.0)), 0.0)
-        return (np.abs(x1) < arc.R) & (x2 > low) & (x2 < 0.0)
+        x2 = pts[..., 1]
+        return (prof(pts[..., 0]) < x2) & (x2 < 0.0)
 
     def inside_b2(pts):
-        x1, x2 = pts[..., 0], pts[..., 1]
-        r2 = arc.R ** 2 - x1 * x1
-        low = np.where(r2 > 0.0, -np.sqrt(np.maximum(r2, 0.0)), 0.0)
-        return (np.abs(x1) < arc.R) & (x2 > low) & (x2 < prof(x1))
+        x2 = pts[..., 1]
+        return (0.0 < x2) & (x2 < prof(pts[..., 0]))
 
     def inside_obstacle(pts):
-        if scene.obstacle is None:
-            raise ConfigurationError("no obstacle present for D_penetrable mesh")
         return scene.obstacle.contains(pts)
 
-    if tag == "B1":
-        return inside_b1
-    if tag == "B2":
-        return inside_b2
-    if tag == "D_penetrable":
-        return inside_obstacle
-    raise ConfigurationError(f"unknown region tag {tag!r}")
+    return {"B1": inside_b1, "B2": inside_b2,
+            "D_penetrable": inside_obstacle}[tag]
 
 
-def _bounding_box(tag: str, scene: SceneGeometry):
-    R = scene.arc.R
-    if tag == "B1":
-        return (-R, -R), (R, 0.0)
-    if tag == "B2":
-        top = max(0.0, scene.profile.max_height())
-        return (-R, -R), (R, top)
-    if tag == "D_penetrable":
-        if scene.obstacle is None:
-            raise ConfigurationError("no obstacle present for D_penetrable mesh")
-        t = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
-        p = scene.obstacle.point(t)
-        return ((float(p[:, 0].min()), float(p[:, 1].min())),
-                (float(p[:, 0].max()), float(p[:, 1].max())))
-    raise ConfigurationError(f"unknown region tag {tag!r}")
+def _scan_grid(tag: str, scene: SceneGeometry, h: float):
+    """Abscissae and heights of the cell centers build_region_mesh scans
+    at cell size h, and the lattice corner they are cut from.
 
-
-def _box_grid(region_tag: str, scene: SceneGeometry, h: float):
-    """Lower-left corner and cell counts (nx, ny) of the region's bounding
-    box at cell size h."""
+    B1 and B2 share the lattice whose cell edges lie on x1 = 0 and
+    x2 = 0, so their centers are ((i + 1/2) h, (j + 1/2) h): the columns
+    over the support of f, from x2 = 0 down (B1) or up (B2) to max |f|.
+    The penetrable mesh is cut from the obstacle's bounding box.
+    """
     if h <= 0.0:
         raise ConfigurationError("cell_size must be positive")
-    (x_lo, y_lo), (x_hi, y_hi) = _bounding_box(region_tag, scene)
-    nx = max(1, int(np.ceil((x_hi - x_lo) / h - 1e-12)))
-    ny = max(1, int(np.ceil((y_hi - y_lo) / h - 1e-12)))
-    return x_lo, y_lo, nx, ny
+    if tag in ("B1", "B2"):
+        prof = scene.profile
+        rho = prof.support_radius()
+        i = np.arange(np.floor(-rho / h), np.ceil(rho / h))
+        depth = np.ceil(prof.max_abs() / h)
+        j = np.arange(0.0, depth) if tag == "B2" else np.arange(-depth, 0.0)
+        return (i + 0.5) * h, (j + 0.5) * h, (0.0, 0.0)
+    if tag != "D_penetrable":
+        raise ConfigurationError(f"unknown region tag {tag!r}")
+    if scene.obstacle is None:
+        raise ConfigurationError("no obstacle present for D_penetrable mesh")
+    t = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
+    p = scene.obstacle.point(t)
+    lo, hi = p.min(axis=0), p.max(axis=0)
+    nx, ny = (max(1, int(np.ceil((b - a) / h - 1e-12)))
+              for a, b in zip(lo, hi))
+    return (lo[0] + (np.arange(nx) + 0.5) * h,
+            lo[1] + (np.arange(ny) + 0.5) * h,
+            (float(lo[0]), float(lo[1])))
 
 
 def box_cells(region_tag: str, scene: SceneGeometry, cell_size: float) -> int:
-    """Cells of the bounding box that build_region_mesh scans: an upper
-    bound on the size of the mesh, known before it is built."""
-    _, _, nx, ny = _box_grid(region_tag, scene, cell_size)
-    return nx * ny
+    """Cells that build_region_mesh scans: an upper bound on the size of
+    the mesh, known before it is built."""
+    cx, cy, _ = _scan_grid(region_tag, scene, cell_size)
+    return len(cx) * len(cy)
 
 
 def build_region_mesh(region_tag: str, scene: SceneGeometry, cell_size: float,
                       subsample: int = 4) -> RegionMesh:
-    """Uniform Cartesian midpoint mesh of B1, B2 or the penetrable obstacle."""
+    """Uniform Cartesian midpoint mesh of B1, B2 or the penetrable obstacle.
+
+    B2 holds the cells under the bumps, {0 < x2 < f}, and the penetrable
+    mesh the cells of the obstacle: a cell is kept when its center lies
+    inside.  B1 holds the cells over the dips, {f < x2 < 0}: a cell whose
+    center lies in the dip keeps its whole area, one whose center lies
+    under f keeps its part over f.  Cells of zero weight are dropped.  B1
+    or B2 may be empty (a flat f has no cell); the penetrable mesh may
+    not.
+    """
     if subsample < 1:
         raise ConfigurationError("subsample must be >= 1")
-    inside = _region_indicator(region_tag, scene)
-    x_lo, y_lo, nx, ny = _box_grid(region_tag, scene, cell_size)
     h = cell_size
-    cx = x_lo + (np.arange(nx) + 0.5) * h
-    cy = y_lo + (np.arange(ny) + 0.5) * h
+    cx, cy, origin = _scan_grid(region_tag, scene, h)
+    inside = _region_indicator(region_tag, scene)
     X, Y = np.meshgrid(cx, cy, indexing="ij")
     centers = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    keep = inside(centers)
-    # Cell centers must stay strictly off the flat line x2 = 0.
-    keep &= np.abs(centers[:, 1]) > 1e-12
-    centers = centers[keep]
-    if len(centers) == 0:
+    at_center = inside(centers)
+    if region_tag != "B1":
+        # cell centers must stay strictly off the flat line x2 = 0
+        centers = centers[at_center
+                          & (np.abs(centers[:, 1]) > _COINCIDENT)]
+    if region_tag == "D_penetrable" and len(centers) == 0:
         raise ConfigurationError(f"region {region_tag} mesh is empty at cell_size {h}")
 
     # Inside fraction on the subsample grid.
@@ -426,7 +393,9 @@ def build_region_mesh(region_tag: str, scene: SceneGeometry, cell_size: float,
     OX, OY = np.meshgrid(off * h, off * h, indexing="ij")
     sub = centers[:, None, :] + np.stack([OX.ravel(), OY.ravel()], axis=-1)[None, :, :]
     frac = np.mean(inside(sub), axis=1)
+    if region_tag == "B1":
+        frac[at_center] = 1.0
     weights = h * h * frac
     pos = weights > 0.0
-    return RegionMesh(region_tag=region_tag, cell_size=h, origin=(x_lo, y_lo),
+    return RegionMesh(region_tag=region_tag, cell_size=h, origin=origin,
                       centers=centers[pos], weights=weights[pos])

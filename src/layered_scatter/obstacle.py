@@ -12,9 +12,10 @@ phi(y) ds(y), and the boundary limit of w gives one second-kind system
 
 The kernel splits as G(x,y;rough) = Phi_k2(x,y) + smooth remainder: the
 free-space part is discretized with the spectrally accurate log-singular
-trigonometric rule on 2M equispaced parameter nodes, the remainder (a
-composition of the nested volume solves, smooth near D) with the periodic
-trapezoid rule.  The normal derivative dG/dnu(y) is exact: it is minus the
+trigonometric rule on 2M equispaced parameter nodes, the remainder (the
+flat-interface kernel's scattered part and the volume integrals over the
+dip and bump cells of D_f, smooth near D) with the periodic trapezoid
+rule.  The normal derivative dG/dnu(y) is exact: it is minus the
 field of a dipole at y along nu, whose columns the volume stages solve
 like the monopole ones.
 
@@ -62,11 +63,11 @@ class RoughKernel:
     derivative of Phi in the evaluation point (SourceSpec).
 
     One stage-1 and one stage-2 column solve per source, all sharing the
-    two LU factorizations held by the B2 operator.  The flat-kernel rows
-    and columns are evaluated once on the union of the B1 and B2 cells
-    (the operator's CellUnion) and gathered for each mesh.  At evaluation
-    points X the kernel reads the weighted volume rows of extension_rows,
-    which every kernel on the same operator shares.
+    two LU factorizations held by the B2 operator.  The flat-kernel
+    columns are evaluated once on the union of the B1 and B2 cells (the
+    operator's CellUnion) and cut for each mesh.  At evaluation points X
+    the kernel reads the weighted volume rows of extension_rows, which
+    every kernel on the same operator shares.
     """
 
     def __init__(self, b2_operator, medium: MediumParams, sources: np.ndarray,
@@ -81,20 +82,18 @@ class RoughKernel:
             return
         union = b2_operator.union
         if self.normals is None:
-            # sources may land exactly on mesh centers; average over the
+            # sources may land exactly on cell centers; average over the
             # coinciding cell (the sources themselves carry no cells)
             K = planar_green_matrix(b2_operator.green, union.centers,
-                                    self.sources, average=False)
-            rhs1, rhs2 = (union.rows(K, self.sources, k, medium)
-                          for k in (0, 1))
+                                    self.sources, x_weights=union.weights)
         else:
             # a dipole on a center takes the free-space part's principal
             # value 0 there, its average over the cell: no cell average
             K = self._scattered(union.centers) + self._free(union.centers)
-            rhs1, rhs2 = (K[index] for index in union.index)
-        self.g = b2_operator.stage1.solve(rhs1)
+        b1, b2 = union.parts
+        self.g = b2_operator.stage1.solve(K[b1])
         self.q = b2_operator.solve(
-            rhs2 - medium.eta * (b2_operator.cross_matrix @ self.g))
+            K[b2] - medium.eta * (b2_operator.cross_matrix @ self.g))
 
     def _scattered(self, X: np.ndarray) -> np.ndarray:
         """Flat-interface scattered/transmitted part at X of the sources'

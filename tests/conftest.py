@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from layered_scatter import (
-    ArcInterface,
     ForwardSolver,
     InterfaceProfile,
     MediumParams,
@@ -43,17 +42,41 @@ def reference(medium):
 
 @pytest.fixture(scope="session")
 def flat_scene():
-    """Flat interface, arc radius 1, no obstacle."""
-    return SceneGeometry(InterfaceProfile(()), ArcInterface(1.0))
+    """Flat interface, no obstacle: D_f is empty, so no mesh has a cell."""
+    return SceneGeometry(InterfaceProfile(()))
+
+
+def _nested_operators(scene, medium, cell_size=0.1):
+    m1 = build_region_mesh("B1", scene, cell_size)
+    m2 = build_region_mesh("B2", scene, cell_size)
+    op1 = assemble_B1_operator(m1, medium)
+    return assemble_B2_operator(m2, medium, op1)
 
 
 @pytest.fixture(scope="session")
 def flat_b2(flat_scene, medium):
-    """Nested operators for the flat scene at desk resolution."""
-    m1 = build_region_mesh("B1", flat_scene, 0.1)
-    m2 = build_region_mesh("B2", flat_scene, 0.1)
-    op1 = assemble_B1_operator(m1, medium)
-    return assemble_B2_operator(m2, medium, op1)
+    """Nested operators for the flat scene, both on empty meshes."""
+    return _nested_operators(flat_scene, medium)
+
+
+@pytest.fixture(scope="session")
+def dip_scene():
+    """A dip of depth 0.3, no obstacle: every cell of D_f lies in B1, so the
+    rough-interface kernel is the stage-1 kernel."""
+    return SceneGeometry(InterfaceProfile(((0.0, 1.0, -0.3),)))
+
+
+@pytest.fixture(scope="session")
+def dip_b2(dip_scene, medium):
+    """Nested operators for the dip scene at desk resolution; the B2 mesh
+    is empty."""
+    return _nested_operators(dip_scene, medium)
+
+
+@pytest.fixture(scope="session")
+def bump_and_dip_profile():
+    """A bump and a dip side by side: cells on both sides of x2 = 0."""
+    return InterfaceProfile(((-0.9, 0.7, 0.25), (0.9, 0.7, -0.25)))
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +85,6 @@ def free_circle_solver():
     where the Mie series is the exact answer."""
     config = SceneConfig(
         medium=MediumParams(2.0, 2.0),
-        arc_radius=1.0,
         cell_size=0.25,
         obstacle=ObstacleSpec(
             curve=ObstacleCurve("circle", (0.0, -2.0), 0.5),
@@ -82,7 +104,6 @@ def layered_obstacle_solver(bump_profile):
     config = SceneConfig(
         medium=MediumParams(1.0, 1.5),
         profile=bump_profile,
-        arc_radius=2.6,
         cell_size=0.2,
         receivers=ReceiverLine(2.0, 3.0, 11),
         obstacle=ObstacleSpec(

@@ -20,7 +20,6 @@ from layered_scatter.errors import ConfigurationError
 BASE = {
     "medium": {"kappa1": 1.0, "kappa2": 1.5},
     "interface": {"bumps": [[0.0, 1.0, 0.3]]},
-    "arc_radius_R": 2.6,
     "mesh": {"cell_size": 0.25, "subsample": 4},
     "sources": [{"kind": "monopole", "position": [0.3, 1.2]}],
     "receivers": {"b": 2.0, "a": 3.0, "count": 3},
@@ -42,9 +41,12 @@ def config_path(tmp_path):
 def test_parse_valid_config():
     cfg = parse_config(dict(BASE))
     assert cfg.scene.medium.kappa2 == 1.5
-    assert cfg.scene.arc_radius == 2.6
     assert len(cfg.sources) == 1
     assert cfg.experiment is None
+    # arc_radius_R is accepted, as a finite number with no effect
+    assert parse_config(dict(BASE, arc_radius_R=2.6)).scene == cfg.scene
+    with pytest.raises(ConfigurationError):
+        parse_config(dict(BASE, arc_radius_R="2.6"))
 
 
 def test_unknown_top_level_key_rejected():
@@ -240,6 +242,21 @@ def test_forward_inaccurate_rule_exits_3(config_path, capsys, monkeypatch):
     assert rc == EXIT_NUMERICAL
 
 
+def test_verify_inaccurate_rule_exits_3(config_path, capsys, monkeypatch):
+    # verify builds the configured scene's solver, whose rule check fails
+    import layered_scatter.layered_green as layered_green
+    orig = layered_green.fixed_rule
+
+    def truncated(*args, **kwargs):
+        bps, tail_end, panels = orig(*args, **kwargs)
+        return bps, 0.5 * tail_end, panels
+
+    monkeypatch.setattr(layered_green, "fixed_rule", truncated)
+    rc = main(["verify", config_path(BASE)])
+    assert rc == EXIT_NUMERICAL
+    assert "fixed xi-rule" in capsys.readouterr().err
+
+
 def test_forward_requires_sources(config_path, capsys):
     doc = dict(BASE)
     doc["sources"] = []
@@ -274,6 +291,7 @@ def test_verify_passes(config_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is True
     assert all(c["pass"] for c in report["checks"])
+    assert "rough_reciprocity" in [c["check"] for c in report["checks"]]
 
 
 def test_verify_flip_beta_negative_control(config_path, capsys):

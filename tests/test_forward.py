@@ -40,7 +40,7 @@ SRC = SourceSpec("monopole", (0.3, 1.2))
 
 @pytest.fixture(scope="module")
 def flat_config():
-    return SceneConfig(medium=MediumParams(1.0, 1.5), arc_radius=1.0,
+    return SceneConfig(medium=MediumParams(1.0, 1.5),
                        cell_size=0.2, receivers=ReceiverLine(2.0, 3.0, 5))
 
 
@@ -61,14 +61,6 @@ def test_default_thread_count_env(monkeypatch):
     assert default_thread_count() == 1
     monkeypatch.setenv("LAYERED_SCATTER_THREADS", "-2")
     assert default_thread_count() == 1
-
-
-def test_scene_config_default_arc(bump_profile):
-    config = SceneConfig(medium=MediumParams(1.0, 1.5), profile=bump_profile)
-    assert config.arc().R == pytest.approx(2.0 * (1.0 + 0.3))
-    explicit = SceneConfig(medium=MediumParams(1.0, 1.5),
-                           profile=bump_profile, arc_radius=2.6)
-    assert explicit.arc().R == 2.6
 
 
 def test_obstacle_spec_validation():
@@ -140,7 +132,7 @@ def test_dataset_deterministic_across_threads(flat_config, flat_solver):
 
 
 def test_dataset_needs_receivers():
-    config = SceneConfig(medium=MediumParams(1.0, 1.5), arc_radius=1.0,
+    config = SceneConfig(medium=MediumParams(1.0, 1.5),
                          cell_size=0.25)
     with pytest.raises(ConfigurationError):
         synthesize_dataset(config, [SRC])
@@ -180,7 +172,7 @@ def test_blowup_requires_z_star_on_graph(flat_config):
 
 def test_blowup_norms_increase(bump_profile):
     config = SceneConfig(medium=MediumParams(1.0, 1.5),
-                         profile=bump_profile, arc_radius=2.6)
+                         profile=bump_profile)
     cfg = BlowupSequenceConfig((0.2, float(bump_profile(0.2))),
                                delta0=0.1, eps0=0.4, n_max=16)
     report = blowup_experiment(config, cfg)
@@ -195,7 +187,7 @@ def test_blowup_norms_increase(bump_profile):
 # Mixed reciprocity
 # ---------------------------------------------------------------------------
 def test_mixed_reciprocity_free_space():
-    config = SceneConfig(medium=MediumParams(2.0, 2.0), arc_radius=1.0,
+    config = SceneConfig(medium=MediumParams(2.0, 2.0),
                          cell_size=0.25)
     solver = ForwardSolver(config)
     for ell in (1, 2):
@@ -224,7 +216,16 @@ SOURCES = (SourceSpec("monopole", (0.3, 1.2)),
 @pytest.fixture(scope="module")
 def bump_config(bump_profile):
     return SceneConfig(medium=MediumParams(1.0, 1.5), profile=bump_profile,
-                       arc_radius=2.6, cell_size=0.2,
+                       cell_size=0.2,
+                       receivers=ReceiverLine(2.0, 3.0, 11))
+
+
+@pytest.fixture(scope="module")
+def bump_and_dip_config(bump_and_dip_profile):
+    """Cells on both sides of x2 = 0, so every side pair of the flat
+    kernel meets the mesh."""
+    return SceneConfig(medium=MediumParams(1.0, 1.5),
+                       profile=bump_and_dip_profile, cell_size=0.2,
                        receivers=ReceiverLine(2.0, 3.0, 11))
 
 
@@ -452,17 +453,27 @@ def test_bie_assembly_and_boundary_extension_share_one_build(
 
 def test_boundary_nodes_on_b2_centers_return_the_solved_values(
         layered_obstacle_solver, monkeypatch):
+    """Points on bump-cell centers take the solved values there.  The
+    obstacle lies under f and the bump cells above x2 = 0, so no boundary
+    node sits on a cell: two bump-cell centers join the nodes."""
     import layered_scatter.ls_volume as ls_volume
-    from layered_scatter.ls_volume import extend_stage2_many, solve_stage2
+    from layered_scatter.ls_volume import (
+        extend_stage2_many,
+        extension_rows,
+        solve_stage2,
+    )
+    from layered_scatter.obstacle import RoughKernel
     s = layered_obstacle_solver
-    P = s.point_sets["boundary"]
-    rows = s.rows["boundary"]
+    nodes = s.point_sets["boundary"]
+    kept = s.rows["boundary"]
+    assert np.all(kept.hit1 < 0) and np.all(kept.hit2 < 0)
+    cells = [2, 5]
+    P = np.vstack([nodes, s.mesh_B2.centers[cells]])
+    rows = extension_rows(P, s.medium, s.b2)
     on = rows.hit2 >= 0
-    # the nodes (+-0.5, -1.3) sit on B2 cell centers of the 0.2 lattice
-    assert np.allclose(np.abs(P[on]), [[0.5, 1.3]] * 2, rtol=0, atol=1e-12)
-    assert np.allclose(P[on], s.mesh_B2.centers[rows.hit2[on]], rtol=0,
-                       atol=1e-12)
-    # their kept rows are cell averages, finite like every other row
+    assert np.array_equal(np.flatnonzero(on), len(nodes) + np.arange(2))
+    assert np.array_equal(rows.hit2[on], cells)
+    # their rows are cell averages, finite like every other row
     assert np.all(np.isfinite(rows.rows1)) and np.all(np.isfinite(rows.rows2))
     bg = solve_stage2(SOURCES[0], s.b2, s.mesh_B2, s.medium)
     flat = []
@@ -474,9 +485,19 @@ def test_boundary_nodes_on_b2_centers_return_the_solved_values(
 
     monkeypatch.setattr(ls_volume, "planar_field_column", recorded)
     inc = extend_stage2_many(bg, P, s.medium, s.b2, rows=rows)
-    assert np.array_equal(inc[on], bg.values[rows.hit2[on]])
-    # the source's flat field is evaluated at the other nodes only
-    assert flat == [len(P) - 2]
+    assert np.array_equal(inc[on], bg.values[cells])
+    # the source's flat field is evaluated at the nodes only
+    assert flat == [len(nodes)]
+    monkeypatch.undo()
+    # a kernel column with its source on a bump-cell center is that
+    # monopole's solve, cell-averaged the same way
+    rx = s.config.receivers.points()
+    y = s.mesh_B2.centers[cells[0]]
+    want = extend_stage2_many(
+        solve_stage2(SourceSpec("monopole", tuple(y)), s.b2, s.mesh_B2,
+                     s.medium), rx, s.medium, s.b2)
+    got = RoughKernel(s.b2, s.medium, y[None, :]).full(rx)[:, 0]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_kernel_state_does_not_grow_per_source(bump_config):
@@ -501,11 +522,10 @@ def test_kernel_state_does_not_grow_per_source(bump_config):
     assert (len(green.rules), len(green.splits)) == (rules, splits)
     for src in sources[20:]:
         solver.solve(src).scattered(rx)
-    # 21 rules after set-up, 47 after 20 sources and 64 (16300 nodes, about
-    # 0.4 MB) after 220; the grid splits are those of the three point sets
-    # that take source columns (the 270 lower cells, which B1 and B2 share,
-    # the 8 bump cells of B2 and the receivers), whatever the number of
-    # sources
+    # 9 rules after set-up, 22 after 20 sources and 30 (4720 nodes, about
+    # 0.1 MB) after 220; the grid splits are those of the point sets that
+    # take source columns (the 8 bump cells and the receivers; the bump
+    # has no B1 cell), whatever the number of sources
     assert len(green.rules) <= 80 and green.rules.total <= 20000
     assert len(green.splits) == splits <= 4
 
@@ -522,7 +542,7 @@ def test_source_under_or_on_the_bump_rejected(bump_config, position):
 def test_source_above_a_dip_rejected():
     config = SceneConfig(medium=MediumParams(1.0, 1.5),
                          profile=InterfaceProfile(((0.0, 1.0, -0.3),)),
-                         arc_radius=2.6, cell_size=0.25)
+                         cell_size=0.25)
     solver = ForwardSolver(config)
     with pytest.raises(GeometryError):
         solver.solve(SourceSpec("dipole", (0.0, -0.1), 2))
@@ -578,9 +598,11 @@ def _truncate_rules(monkeypatch, which):
      and 0.5 < decay.rate < 1.0, True)],
     ids=["all", "same-side", "cross-side", "mesh-by-node-dipole"])
 def test_truncated_rule_tail_fails_the_solver_check(
-        bump_config, layered_obstacle_solver, monkeypatch, which, obstacle):
+        bump_and_dip_config, layered_obstacle_solver, monkeypatch, which,
+        obstacle):
     from layered_scatter.errors import AccuracyError
-    config = layered_obstacle_solver.config if obstacle else bump_config
+    config = layered_obstacle_solver.config if obstacle \
+        else bump_and_dip_config
     _truncate_rules(monkeypatch, which)
     with pytest.raises(AccuracyError, match="fixed xi-rule"):
         ForwardSolver(config)
@@ -591,16 +613,16 @@ def test_solver_check_covers_the_mesh_grid(bump_profile, monkeypatch):
     # no receivers and no obstacle: only the operator assembly and the
     # source columns use the rules; the lowest mesh rows give height sum 0.2
     config = SceneConfig(medium=MediumParams(1.0, 1.5), profile=bump_profile,
-                         arc_radius=2.6, cell_size=0.2)
+                         cell_size=0.2)
     ForwardSolver(config)
     _truncate_rules(monkeypatch, lambda decay, **_: decay.rate < 0.5)
     with pytest.raises(AccuracyError, match="fixed xi-rule"):
         ForwardSolver(config)
 
 
-def test_grid_kernel_matches_reference(bump_config):
+def test_grid_kernel_matches_reference(bump_and_dip_config):
     from layered_scatter.ls_volume import planar_scattered_matrix
-    solver = ForwardSolver(bump_config)
+    solver = ForwardSolver(bump_and_dip_config)
     reference = PlanarGreen(solver.medium, 1e-12)
     mesh = np.concatenate([solver.mesh_B1.centers, solver.mesh_B2.centers])
     K = planar_scattered_matrix(solver.green, mesh, mesh)
@@ -678,12 +700,12 @@ def test_incident_field_is_vectorized_for_every_source_kind(flat_solver):
 
 def test_too_few_cells_per_wavelength_rejected():
     # kappa2 = 30 at cell 0.2: about one cell per wavelength
-    config = SceneConfig(medium=MediumParams(20.0, 30.0), arc_radius=1.0,
+    config = SceneConfig(medium=MediumParams(20.0, 30.0),
                          cell_size=0.2)
     with pytest.raises(ConfigurationError, match="cells"):
         ForwardSolver(config)
     # four cells per wavelength of the larger wavenumber still pass
-    ForwardSolver(SceneConfig(medium=MediumParams(1.0, 1.5), arc_radius=1.0,
+    ForwardSolver(SceneConfig(medium=MediumParams(1.0, 1.5),
                               cell_size=0.25 * 2.0 * np.pi / 1.5))
 
 

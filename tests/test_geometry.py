@@ -1,4 +1,4 @@
-"""Scene geometry: profiles, arcs, obstacle curves and region meshes."""
+"""Scene geometry: profiles, obstacle curves and region meshes."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from layered_scatter.errors import ConfigurationError
 from layered_scatter.geometry import (
-    ArcInterface,
     InterfaceProfile,
     ObstacleCurve,
     ReceiverLine,
     SceneGeometry,
     build_region_mesh,
-    default_arc_radius,
     obstacle_nodes,
 )
 
@@ -57,31 +55,6 @@ def test_max_abs_and_height_for_negative_bump():
     prof = InterfaceProfile(((0.0, 1.0, -0.4),))
     assert prof.max_abs() == pytest.approx(0.4, abs=1e-6)
     assert prof.max_height() == pytest.approx(0.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Arc interface
-# ---------------------------------------------------------------------------
-def test_arc_height_shape():
-    arc = ArcInterface(2.0)
-    assert arc.height(0.0) == pytest.approx(-2.0)
-    assert arc.height(2.0) == 0.0
-    assert arc.height(5.0) == 0.0
-
-
-def test_arc_must_contain_profile():
-    prof = InterfaceProfile(((0.0, 1.0, 0.3),))
-    ArcInterface(2.0).validate_against(prof)
-    with pytest.raises(ConfigurationError):
-        ArcInterface(0.8).validate_against(prof)
-
-
-def test_default_arc_radius_covers_support_and_height():
-    prof = InterfaceProfile(((0.0, 1.0, 0.3),))
-    R = default_arc_radius(prof)
-    assert R > prof.support_radius()
-    ArcInterface(R).validate_against(prof)
-    assert default_arc_radius(InterfaceProfile(())) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -166,45 +139,71 @@ def test_receiver_line_points():
 
 def test_scene_rejects_obstacle_above_interface(bump_profile):
     with pytest.raises(ConfigurationError):
-        SceneGeometry(bump_profile, ArcInterface(2.6),
+        SceneGeometry(bump_profile,
                       obstacle=ObstacleCurve("circle", (0.0, 0.5), 0.3))
 
 
 def test_scene_rejects_receivers_below_interface(bump_profile):
     with pytest.raises(ConfigurationError):
-        SceneGeometry(bump_profile, ArcInterface(2.6),
+        SceneGeometry(bump_profile,
                       receivers=ReceiverLine(0.1, 3.0, 5))
 
 
 # ---------------------------------------------------------------------------
 # Region meshes
 # ---------------------------------------------------------------------------
-def test_b1_mesh_area_converges_to_half_disk(flat_scene):
-    exact = 0.5 * np.pi * flat_scene.arc.R ** 2
-    coarse = build_region_mesh("B1", flat_scene, 0.2).weights.sum()
-    fine = build_region_mesh("B1", flat_scene, 0.05).weights.sum()
-    assert abs(fine - exact) < abs(coarse - exact)
-    assert abs(fine - exact) / exact < 1e-2
+def test_b1_b2_mesh_areas_converge_to_dip_and_bump_areas(
+        bump_and_dip_profile):
+    prof = bump_and_dip_profile
+    scene = SceneGeometry(prof)
+    x = np.linspace(-2.0, 2.0, 400001)
+    f = prof(x)
+    # the kept cells (center rule) err at first order in the cell size,
+    # not monotonically: each quartering of the cell must shrink the error
+    for tag, depth in (("B1", np.maximum(-f, 0.0)),
+                       ("B2", np.maximum(f, 0.0))):
+        exact = np.trapezoid(depth, x)
+        errs = [abs(build_region_mesh(tag, scene, h).weights.sum() - exact)
+                / exact for h in (0.2, 0.05, 0.0125)]
+        assert errs[2] < errs[1] < errs[0]
+        assert errs[2] < 1.5e-2
 
 
 def test_b2_mesh_extends_above_zero_with_bump(bump_profile):
-    scene = SceneGeometry(bump_profile, ArcInterface(2.6))
+    scene = SceneGeometry(bump_profile)
     mesh = build_region_mesh("B2", scene, 0.1)
-    assert np.max(mesh.centers[:, 1]) > 0.0
-    # B2 strictly contains B1: area of the bump region adds on top
-    m1 = build_region_mesh("B1", scene, 0.1)
-    assert mesh.weights.sum() > m1.weights.sum()
+    assert np.min(mesh.centers[:, 1]) > 0.0
+    # a bump has no dip: B1 is empty, and the flat scene has no cell
+    assert build_region_mesh("B1", scene, 0.1).n == 0
+    flat = SceneGeometry(InterfaceProfile(()))
+    assert build_region_mesh("B1", flat, 0.1).n == 0
+    assert build_region_mesh("B2", flat, 0.1).n == 0
 
 
-def test_mesh_centers_stay_off_the_flat_line(flat_scene):
-    mesh = build_region_mesh("B1", flat_scene, 0.1)
-    assert np.min(np.abs(mesh.centers[:, 1])) > 1e-12
-    assert np.all(mesh.weights > 0.0)
+def test_mesh_centers_stay_off_the_flat_line(bump_and_dip_profile):
+    scene = SceneGeometry(bump_and_dip_profile)
+    h = 0.1
+    for tag, side in (("B1", -1.0), ("B2", 1.0)):
+        mesh = build_region_mesh(tag, scene, h)
+        assert mesh.n > 0
+        assert np.min(side * mesh.centers[:, 1]) > 1e-12
+        assert np.all(mesh.weights > 0.0)
+        # centers on the lattice with cell edges on x1 = 0 and x2 = 0
+        assert np.allclose(mesh.centers / h - 0.5,
+                           np.rint(mesh.centers / h - 0.5), rtol=0,
+                           atol=1e-9)
+    # a B1 cell whose center lies in the dip keeps its whole area, one
+    # whose center lies under f only its part over f
+    mesh = build_region_mesh("B1", scene, h)
+    over = bump_and_dip_profile(mesh.centers[:, 0]) < mesh.centers[:, 1]
+    assert np.any(over) and np.any(~over)
+    assert np.all(mesh.weights[over] == h * h)
+    assert np.all(mesh.weights[~over] < h * h)
 
 
 def test_penetrable_mesh_area(bump_profile):
     curve = ObstacleCurve("circle", (0.0, -1.3), 0.5)
-    scene = SceneGeometry(bump_profile, ArcInterface(2.6), obstacle=curve)
+    scene = SceneGeometry(bump_profile, obstacle=curve)
     mesh = build_region_mesh("D_penetrable", scene, 0.025)
     assert abs(mesh.weights.sum() - np.pi * 0.25) / (np.pi * 0.25) < 1e-2
 

@@ -364,20 +364,20 @@ def test_rule_node_budget_raises_quickly(green):
 # Single-column blocks on the height x abscissa grid (_apply_grid)
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def bump_point_sets(bump_profile):
-    """The B2 mesh of the shipped bump scene (both sides of the flat line),
-    its receiver line (above) and the 64 nodes of a circle below."""
+def bump_point_sets(bump_and_dip_profile):
+    """The B1 and B2 cells of a bump-and-dip scene (both sides of the flat
+    line), its receiver line (above) and the 64 nodes of a circle below."""
     from layered_scatter.geometry import (
-        ArcInterface,
         ObstacleCurve,
         ReceiverLine,
         SceneGeometry,
         build_region_mesh,
         obstacle_nodes,
     )
-    scene = SceneGeometry(bump_profile, ArcInterface(2.6))
+    scene = SceneGeometry(bump_and_dip_profile)
     return {
-        "mesh": build_region_mesh("B2", scene, 0.2).centers,
+        "mesh": np.concatenate([build_region_mesh(tag, scene, 0.2).centers
+                                for tag in ("B1", "B2")]),
         "receivers": ReceiverLine(2.0, 3.0, 11).points(),
         "nodes": obstacle_nodes(ObstacleCurve("circle", (0.0, -1.3), 0.5),
                                 32).positions,

@@ -1,6 +1,7 @@
 """Nested volume equations: self-weights, the dense operator contract, the
-flat-scene composition identity (where the exact answer is known) and the
-kernels evaluated once on the union of the B1 and B2 cells."""
+flat-scene composition identity (where the exact answer is known), the
+kernels evaluated once on the union of the B1 and B2 cells, and the nested
+solve against the one-stage equation on D_f."""
 
 from collections import Counter
 
@@ -27,14 +28,11 @@ from layered_scatter.ls_volume import (
     assemble_B1_operator,
     assemble_B2_operator,
     cell_self_weight,
-    extend_stage1_many,
     extend_stage2_many,
-    green_arc,
     log_integral_square,
     planar_field_column,
     planar_green_matrix,
     planar_scattered_matrix,
-    solve_stage1,
     solve_stage2,
 )
 from layered_scatter.specfun import fundamental_solution
@@ -186,21 +184,33 @@ def test_dense_operator_multiple_rhs(rng):
     assert np.max(np.abs(A @ X - B)) < 1e-10
 
 
+def test_dense_operator_of_an_empty_mesh():
+    op = DenseOperator(np.eye(0, dtype=complex))
+    assert op.solve(np.zeros(0, complex)).shape == (0,)
+    assert op.solve(np.zeros((0, 3), complex)).shape == (0, 3)
+
+
 # ---------------------------------------------------------------------------
-# Stage 1 and stage 2 on the flat scene (exact answer known)
+# Stage 1 on the dip scene, both stages on the flat scene (exact answer
+# known)
 # ---------------------------------------------------------------------------
-def test_stage1_extension_returns_solved_values_at_centers(flat_b2, medium):
-    op1 = flat_b2.stage1
-    sol = solve_stage1(SRC, op1, op1.mesh, medium)
-    sub = op1.mesh.centers[::17]
-    vals = extend_stage1_many(sol, sub, medium, op1.green)
-    idx = np.arange(op1.mesh.n)[::17]
-    assert np.max(np.abs(vals - sol.values[idx])) == 0.0
+def test_stage1_extension_returns_solved_values_at_centers(dip_b2, medium):
+    # the dip scene has no B2 cell: its field is the stage-1 field
+    assert dip_b2.mesh.n == 0
+    sol = solve_stage2(SRC, dip_b2, dip_b2.mesh, medium)
+    sol1 = sol.stage1
+    sub = sol1.mesh.centers[::3]
+    vals = extend_stage2_many(sol, sub, medium, dip_b2)
+    idx = np.arange(sol1.mesh.n)[::3]
+    assert len(idx) >= 10
+    assert np.max(np.abs(vals - sol1.values[idx])) == 0.0
 
 
 def test_flat_scene_composition_identity(flat_b2, medium):
-    """With f = 0 the rough interface *is* the flat one: the two nested
-    stages must reproduce the planar kernel wherever we look."""
+    """With f = 0 the rough interface *is* the flat one: no cell is built,
+    and the nested stages must reproduce the planar kernel wherever we
+    look."""
+    assert flat_b2.stage1.mesh.n == flat_b2.mesh.n == 0
     sol = solve_stage2(SRC, flat_b2, flat_b2.mesh, medium)
     green = flat_b2.green
     pts = np.array([[0.4, 0.8], [-1.3, 0.5], [0.9, -0.7], [2.0, 1.5]])
@@ -230,18 +240,27 @@ def test_scattered_finite_at_source_position(flat_b2, medium):
     assert np.isfinite(val)
 
 
-def test_green_arc_reciprocity(flat_b2, medium):
-    op1 = flat_b2.stage1
+def test_green_arc_reciprocity(dip_b2, medium):
+    """Reciprocity of the stage-1 kernel, the Green's function of the
+    auxiliary interface min(f, 0) (called the arc kernel after the
+    auxiliary interface it replaced): on the dip scene each value is a
+    monopole solve extended to the other point."""
+    def g(x, y):
+        sol = solve_stage2(SourceSpec("monopole", y), dip_b2, dip_b2.mesh,
+                           medium)
+        return extend_stage2_many(sol, np.array([x]), medium, dip_b2)[0]
     x, y = (0.4, 0.6), (-0.7, 0.9)
-    a = green_arc(x, y, medium, op1)
-    b = green_arc(y, x, medium, op1)
+    a = g(x, y)
+    b = g(y, x)
     assert abs(a - b) / abs(a) < 1e-4
 
 
-def test_zero_contrast_operators_are_identity(flat_scene):
+def test_zero_contrast_operators_are_identity(bump_and_dip_profile):
     degenerate = MediumParams(1.5, 1.5)
-    m1 = build_region_mesh("B1", flat_scene, 0.25)
-    m2 = build_region_mesh("B2", flat_scene, 0.25)
+    scene = SceneGeometry(bump_and_dip_profile)
+    m1 = build_region_mesh("B1", scene, 0.25)
+    m2 = build_region_mesh("B2", scene, 0.25)
+    assert m1.n > 0 and m2.n > 0
     op1 = assemble_B1_operator(m1, degenerate)
     assert np.array_equal(op1.entries, np.eye(m1.n))
     b2 = assemble_B2_operator(m2, degenerate, op1)
@@ -293,14 +312,14 @@ def _per_mesh_scattered(solver, ref, src, X):
         planar_field_column(green, src, m2.centers, True, m2.weights)
         - eta * (ref["cross"] @ v1))
     rows1, gr = _per_mesh_rows(solver, ref, X)
-    arc = planar_field_column(green, src, X, total=False) \
+    u1 = planar_field_column(green, src, X, total=False) \
         - eta * ((rows1 * m1.weights[None, :]) @ v1)
-    return arc + eta * ((gr * m2.weights[None, :]) @ v2)
+    return u1 + eta * ((gr * m2.weights[None, :]) @ v2)
 
 
 def _scene(*bumps):
     return SceneConfig(medium=MediumParams(1.0, 1.5),
-                       profile=InterfaceProfile(bumps), arc_radius=2.6,
+                       profile=InterfaceProfile(bumps),
                        cell_size=0.2, receivers=ReceiverLine(2.0, 3.0, 11))
 
 
@@ -314,7 +333,9 @@ def test_shared_cells_keep_the_bytes_of_per_mesh_evaluation(
     s = layered_obstacle_solver
     green, eta = s.green, s.medium.eta
     m1, m2 = s.mesh_B1, s.mesh_B2
-    # under the bump B1's cells are B2's below x2 = 0: the union is B2
+    # under the bump B1 is empty: the union is B2, whose blocks, rules and
+    # entries are the mesh's own
+    assert m1.n == 0
     assert np.array_equal(s.b2.union.centers, m2.centers)
     ref = _per_mesh(s)
     assert np.array_equal(s.stage1.entries, ref["op1"].entries)
@@ -359,35 +380,19 @@ def test_union_agrees_with_per_mesh_evaluation(bumps):
     s = ForwardSolver(_scene(*bumps))
     u = s.b2.union
     assert len(u.centers) > s.mesh_B2.n
-    for k, mesh in enumerate(u.meshes):
-        assert np.array_equal(u.centers[u.index[k]], mesh.centers)
+    for k, mesh in enumerate((s.mesh_B1, s.mesh_B2)):
+        assert np.array_equal(u.centers[u.parts[k]], mesh.centers)
+        assert np.array_equal(u.weights[u.parts[k]], mesh.weights)
     ref = _per_mesh(s)
     for got, want in ((s.stage1.entries, ref["op1"].entries),
                       (s.b2.entries, ref["op2"].entries)):
-        assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+        assert got.shape == want.shape   # the dip has no B2 cell
+        assert np.max(np.abs(got - want), initial=0.0) \
+            <= 1e-8 * np.max(np.abs(want), initial=0.0)
     rx = s.config.receivers.points()
     got = s.solve(SOURCES3[1]).scattered(rx)
     want = _per_mesh_scattered(s, ref, SOURCES3[1], rx)
     assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
-
-
-def test_source_on_a_cut_cell_gets_each_mesh_own_average():
-    s = ForwardSolver(_scene((0.0, 1.0, -0.3)))
-    u = s.b2.union
-    m1, m2 = u.meshes
-    w1 = m1.weights[np.searchsorted(u.index[0], u.index[1])]
-    k2 = int(np.argmax(np.abs(w1 - m2.weights)))
-    assert m2.weights[k2] < w1[k2]        # a cell the dip cuts
-    k1 = int(u.index[1][k2])              # B1 is the union here
-    src = SourceSpec("monopole", tuple(m2.centers[k2]))
-    sol = solve_stage2(src, s.b2, m2, s.medium)
-    rhs1 = sol.stage1.rhs
-    assert np.array_equal(rhs1, planar_field_column(
-        s.green, src, m1.centers, True, m1.weights))
-    u2 = sol.rhs + s.medium.eta * s.b2.cross_matrix @ sol.stage1.values
-    direct = planar_field_column(s.green, src, m2.centers, True, m2.weights)
-    assert abs(u2[k2] - direct[k2]) < 1e-8 * abs(direct[k2])
-    assert abs(u2[k2] - rhs1[k1]) > 1e-3 * abs(rhs1[k1])
 
 
 def test_set_up_requests_no_cell_pair_twice_and_a_solve_two_columns(
@@ -416,29 +421,67 @@ def test_set_up_requests_no_cell_pair_twice_and_a_solve_two_columns(
                                                            (len(rx), 1)]
 
 
-def test_meshes_off_one_lattice_rejected(flat_scene):
-    m1 = build_region_mesh("B1", flat_scene, 0.1)
-    m2 = build_region_mesh("B2", flat_scene, 0.125)
+def test_meshes_off_one_lattice_rejected(bump_and_dip_profile):
+    scene = SceneGeometry(bump_and_dip_profile)
+    m1 = build_region_mesh("B1", scene, 0.1)
+    m2 = build_region_mesh("B2", scene, 0.125)
     with pytest.raises(ConfigurationError):
         CellUnion(m1, m2)
 
 
-def test_lattice_hits_match_a_search_over_every_center(
-        layered_obstacle_solver):
-    u = layered_obstacle_solver.b2.union
+def test_lattice_hits_match_a_search_over_every_center(bump_and_dip_profile):
+    scene = SceneGeometry(bump_and_dip_profile)
+    meshes = [build_region_mesh(tag, scene, 0.1) for tag in ("B1", "B2")]
+    u = CellUnion(*meshes)
     rng = np.random.default_rng(3)
-    centers = np.concatenate([m.centers for m in u.meshes])
+    centers = u.centers
     X = np.concatenate([
         rng.uniform(-3.0, 3.0, (200, 2)),            # mostly off every center
-        centers[rng.choice(len(centers), 40)],       # on a center
-        centers[:20] + rng.uniform(-1e-13, 1e-13, (20, 2)),
-        centers[:20] + 1e-9,                         # near, not on
+        np.tile(centers, (2, 1)),                    # on a center
+        centers + rng.uniform(-1e-13, 1e-13, centers.shape),
+        centers + 1e-9,                              # near, not on
         [[1e300, 0.0], [-np.inf, 0.5], [np.nan, 0.1], [50.0, -50.0]]])
-    for k, mesh in enumerate(u.meshes):
+    for k, mesh in enumerate(meshes):
         want = np.full(len(X), -1)
         for i, p in enumerate(X):
             d = np.hypot(*(mesh.centers - p).T)
             if np.min(d) < 1e-12:
                 want[i] = int(np.argmin(d))
         assert np.array_equal(u.hits(X, k), want)
-        assert np.count_nonzero(want >= 0) >= 40
+        assert np.count_nonzero(want >= 0) >= 3 * mesh.n >= 40
+    # no mesh has a cell on a flat interface, so no point hits one
+    flat = SceneGeometry(InterfaceProfile(()))
+    empty = CellUnion(*(build_region_mesh(tag, flat, 0.1)
+                        for tag in ("B1", "B2")))
+    assert np.array_equal(empty.hits(X, 0), np.full(len(X), -1))
+
+
+# ---------------------------------------------------------------------------
+# The nested solve against the one-stage equation on D_f
+# ---------------------------------------------------------------------------
+def _one_stage_scattered(solver, src, X):
+    """Scattered field of src at X from one direct solve of
+    u = u_flat + eta int_{D_f} G(., y; flat) c(y) u(y) dy on the cells of
+    B1 and B2, c = -1 on B1 and +1 on B2, each cell with one weight."""
+    green, eta = solver.green, solver.medium.eta
+    m1, m2 = solver.mesh_B1, solver.mesh_B2
+    C = np.concatenate([m1.centers, m2.centers])
+    w = np.concatenate([m1.weights, m2.weights])
+    cw = np.concatenate([-m1.weights, m2.weights])
+    A = np.eye(len(C)) - eta * planar_green_matrix(green, C, C, w) * cw
+    u = np.linalg.solve(A, planar_field_column(green, src, C, True, w))
+    return planar_field_column(green, src, X, total=False) \
+        + eta * planar_green_matrix(green, X, C) @ (cw * u)
+
+
+@pytest.mark.parametrize("bumps", [((0.0, 1.0, 0.3),), ((0.0, 1.0, -0.3),),
+                                   ((-0.9, 0.7, 0.25), (0.9, 0.7, -0.25))],
+                         ids=["bump", "dip", "bump and dip"])
+def test_nested_solve_is_the_one_stage_solve_on_d_f(bumps):
+    s = ForwardSolver(_scene(*bumps))
+    rx = s.config.receivers.points()
+    assert s.mesh_B1.n + s.mesh_B2.n > 0
+    for src in SOURCES3:
+        got = s.solve(src).scattered(rx)
+        want = _one_stage_scattered(s, src, rx)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
