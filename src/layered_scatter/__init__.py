@@ -1,11 +1,11 @@
 """Acoustic point-source scattering in a two-layered medium with a locally
 rough interface and an optional embedded obstacle.
 
-The solver chain is: planar-interface Sommerfeld integrals -> volume integral
-equation over the dips of f (the cells of D_f below x2 = 0), transferring the
-planar interface to the auxiliary interface min(f, 0) -> second volume
-equation over the bumps (the cells above x2 = 0), transferring min(f, 0) to
-the rough interface -> boundary/volume equation for the embedded obstacle.
+The solver chain is: planar-interface Sommerfeld integrals -> one volume
+integral equation over D_f, the dips of f (the cells below x2 = 0, contrast
+-eta) and its bumps (the cells above x2 = 0, contrast +eta), transferring the
+planar interface to the rough one -> boundary/volume equation for the
+embedded obstacle.
 """
 
 from .errors import (

@@ -1,9 +1,10 @@
-"""End-to-end forward solver: background field through the volume
-equations on the dips and bumps of D_f, obstacle correction, near-field
+"""End-to-end forward solver: background field through the one volume
+equation on the dips and bumps of D_f, obstacle correction, near-field
 data synthesis on the receiver line, and the singular-source experiments.
 
-A ForwardSolver builds every mesh, factorization and kernel-column set for
-a scene exactly once; solving for additional sources then reuses them.  The
+A ForwardSolver builds every mesh, the one volume operator on the dip and
+bump cells with its LU factorization, and every kernel-column set for a
+scene exactly once; solving for additional sources then reuses them.  The
 constructor also builds the source-independent rows that carry a solution
 to its own point sets (the receiver line, the obstacle boundary nodes, or
 a penetrable obstacle's cells) and the receivers' radiation matrix; any
@@ -119,6 +120,12 @@ class ObstacleSpec:
             raise ConfigurationError("impedance condition needs lam > 0")
         if self.condition == "penetrable" and self.n is None:
             raise ConfigurationError("penetrable condition needs an index n")
+        # checked here, whatever the condition, so that every subcommand
+        # rejects them, not only those that build the nodes or the mesh
+        if not self.boundary_M >= 4:
+            raise ConfigurationError("obstacle.boundary_M must be at least 4")
+        if not self.cell_size > 0.0:
+            raise ConfigurationError("obstacle.cell_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -153,10 +160,10 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> int:
     """Bytes of the largest arrays a ForwardSolver of config builds, from
     the geometry alone, before any mesh exists.
 
-    Counted: the B1 and B2 operators with their LU factors and the B2 x B1
-    blocks; the subsample grids of the meshes; the volume rows kept at the
+    Counted: the operator on the n1 + n2 cells of B1 and B2 with its LU
+    factors; the subsample grids of the meshes; the volume rows kept at the
     receivers; for a boundary condition the boundary operators, the
-    monopole and normal-dipole kernel columns on B1 and B2, the volume
+    monopole and normal-dipole kernel columns on those cells, the volume
     rows kept at the nodes and the receivers' radiation matrix; for a
     penetrable obstacle its operator, kernel columns, subsample grid, rows
     kept at its cells and the receivers' radiation matrix.  Cell counts
@@ -167,16 +174,16 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> int:
     n1 = box_cells("B1", scene, config.cell_size)
     n2 = box_cells("B2", scene, config.cell_size)
     rx = 0 if config.receivers is None else config.receivers.count
-    total = _COMPLEX * (2 * n1 * n1 + 2 * n2 * n2 + 2 * n1 * n2
-                        + (s2 + rx) * (n1 + n2))
+    n = n1 + n2
+    total = _COMPLEX * (2 * n * n + (s2 + rx) * n)
     spec = config.obstacle
     if spec is None:
         return total
     if spec.condition == "penetrable":
         nd = box_cells("D_penetrable", scene, spec.cell_size)
-        return total + _COMPLEX * nd * (2 * nd + 2 * (n1 + n2) + s2 + rx)
+        return total + _COMPLEX * nd * (2 * nd + 2 * n + s2 + rx)
     m = 2 * spec.boundary_M
-    return total + _COMPLEX * (4 * m * m + 3 * m * (n1 + n2) + rx * m)
+    return total + _COMPLEX * (4 * m * m + 3 * m * n + rx * m)
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +302,16 @@ class ForwardSolver:
         self.mesh_B2 = build_region_mesh("B2", self.scene, config.cell_size,
                                          config.subsample)
         # the flat kernel on the cells of both meshes, evaluated once and
-        # dropped as soon as both operators hold their blocks
+        # dropped as soon as the operator on them holds its blocks
         union = CellUnion(self.mesh_B1, self.mesh_B2)
         kernel = union.kernel(self.green)
         b1 = union.parts[0]
-        self.stage1 = assemble_B1_operator(
+        block = assemble_B1_operator(
             self.mesh_B1, self.medium, tol=config.quad_tol, green=self.green,
             kernel=None if kernel is None else kernel[b1, b1])
-        self.b2 = assemble_B2_operator(self.mesh_B2, self.medium, self.stage1,
+        self.b2 = assemble_B2_operator(self.mesh_B2, self.medium, block,
                                        union=union, kernel=kernel)
-        del kernel
-        self.stage1.factorize()
+        del kernel, block
         self.b2.factorize()
 
         self.nodes = None
@@ -404,16 +410,15 @@ class ForwardSolver:
 
     def _locks(self) -> list:
         """Every lock a solve can take, none of which is taken under
-        another: those of the dense operators and of the kernel
-        evaluator's kept rules and grid splits."""
-        operators = (self.stage1, self.b2, self.bie_operator,
-                     self.penetrable_operator)
+        another: those of the volume operator, of the obstacle's operator
+        and of the kernel evaluator's kept rules and grid splits."""
+        operators = (self.b2, self.bie_operator, self.penetrable_operator)
         return ([op._lock for op in operators if op is not None]
                 + [self.green.rules._lock, self.green.splits._lock])
 
     # -- per-source solve ---------------------------------------------------
     def solve(self, source: SourceSpec) -> FieldEvaluator:
-        """Background stages plus obstacle correction for one source.
+        """Background volume solve plus obstacle correction for one source.
 
         The source's medium is read from the side of the flat line x2 = 0
         it lies on, so a source between that line and the interface graph
@@ -441,7 +446,7 @@ class ForwardSolver:
                 warnings.warn("source within one node spacing of the obstacle "
                               "boundary; quadrature accuracy degrades",
                               stacklevel=2)
-        background = solve_stage2(source, self.b2, self.mesh_B2, self.medium)
+        background = solve_stage2(source, self.b2)
         correction = None
         if spec is not None:
             def incident(name):
@@ -632,6 +637,23 @@ class BlowupSequenceConfig:
         if self.delta0 >= self.eps0:
             raise ConfigurationError(
                 "delta0 must be below eps0 so every z_n stays inside the ball")
+        # the graded mesh splits cells down to finest_cell: at 0 or below
+        # the splitting never ends, and below about 1e-16 the cells around
+        # z* are finer than the rounding of their own centers, so their
+        # count keeps growing with no gain in accuracy (eps0 = 0.5: about
+        # 2700 cells at 1e-12, three times as many at 1e-18)
+        if not self.finest_cell >= 1e-12 * self.eps0:
+            raise ConfigurationError(
+                "experiment.min_cell (by default experiment.delta0 / "
+                "(4 n_max)) must be at least 1e-12 * eps0")
+
+    @property
+    def finest_cell(self) -> float:
+        """min_cell, by default a quarter of delta0 / n_max, the distance
+        of the last source from z*."""
+        if self.min_cell is not None:
+            return self.min_cell
+        return (self.delta0 / self.n_max) / 4.0
 
 
 def _graded_cells(z_star, eps0, min_cell):
@@ -660,10 +682,7 @@ def _graded_cells(z_star, eps0, min_cell):
 def blowup_mesh(profile: InterfaceProfile, cfg: BlowupSequenceConfig,
                 subsample: int = 4) -> RegionMesh:
     """Graded midpoint mesh of D' = B_eps0(z*) ∩ {x2 < f(x1)}."""
-    min_cell = cfg.min_cell
-    if min_cell is None:
-        min_cell = (cfg.delta0 / cfg.n_max) / 4.0
-    centers, sizes = _graded_cells(cfg.z_star, cfg.eps0, min_cell)
+    centers, sizes = _graded_cells(cfg.z_star, cfg.eps0, cfg.finest_cell)
     z = np.asarray(cfg.z_star, float)
 
     def inside(pts):

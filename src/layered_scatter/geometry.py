@@ -1,7 +1,7 @@
 """Scene geometry: interface profile, region meshes, obstacle curves and
 the receiver line.
 
-The volume equations live on D_f, the bounded region between the flat
+The volume equation lives on D_f, the bounded region between the flat
 line x2 = 0 and the graph of f.  The auxiliary interface min(f, 0) cuts
 it into the dips B1 = {f < x2 < 0} and the bumps B2 = {0 < x2 < f}, whose
 meshes are cut from one lattice with cell edges on x1 = 0 and x2 = 0.

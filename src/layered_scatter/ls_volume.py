@@ -1,26 +1,18 @@
-"""Nested Lippmann-Schwinger volume solvers on D_f.
+"""The Lippmann-Schwinger volume equation on D_f.
 
 D_f is the bounded region between the flat line x2 = 0 and the graph of
 f.  The auxiliary interface min(f, 0) cuts it into B1 = {f < x2 < 0},
 the cells over the dips, and B2 = {0 < x2 < f}, the cells under the
-bumps (geometry.build_region_mesh).
+bumps (geometry.build_region_mesh).  The rough-interface field solves
 
-Stage 1 replaces the flat interface by the auxiliary one: B1 lies in the
-lower medium of the first and the upper medium of the second, and the
-field solves (I + eta*T0) u = u_flat there with kernel G(.,.;flat), and
-extends everywhere by u_1(x) = u_flat(x) - eta * int_B1 G(x,y;flat) u(y) dy.
+    u = u_flat + eta * int_{D_f} G(., y; flat) c(y) u(y) dy,
 
-Stage 2 replaces the auxiliary interface by the rough one: on B2 the
-equation is (I - eta*T_1) u = u_1 with the stage-1 kernel G_1 (note the
-sign flip relative to stage 1), and extends by u(x) = u_1(x) + eta *
-int_B2 G_1(x,y) u(y) dy.  G_1 at the B2 cells is produced by stage-1
-solves (one column per cell), all sharing the stage-1 LU factorization.
-
-The two stages are the exact block elimination of one equation on D_f,
-u = u_flat + eta * int_{D_f} G(.,y;flat) c(y) u(y) dy with c = -1 on B1
-and +1 on B2: bumps and cavities treated apart, as in Perez-Arancibia &
-Bruno, JOSA A 31 (2014).  Under a pure bump B1 is empty and stage 1 is
-the identity; over a pure dip B2 is empty; a flat f has no cell, and the
+c = -1 on B1 and +1 on B2: bumps and cavities treated apart, as in
+Perez-Arancibia & Bruno, JOSA A 31 (2014).  It is solved once on U, the
+cells of B1 and B2 (B1's first): the operator I - eta*K diag(c*w) has one
+LU factorization, its B1 block is I + eta*K11 w1 (assemble_B1_operator),
+and the field extends everywhere by the same formula.  Under a pure bump
+B1 is empty; over a pure dip B2 is empty; a flat f has no cell, and the
 field is the planar one.
 
 Discretization is midpoint Nystrom on the uniform region meshes.  The
@@ -28,16 +20,15 @@ weakly singular diagonal uses log-extraction: the cell integral of the
 free-space kernel splits into a closed-form integral of -(1/2pi)log r over
 an equal-area square plus the midpoint value of the smooth remainder.
 Kernel matrices store this cell average at coincident point pairs, which
-makes the discrete extension formulas exactly consistent with the solved
+makes the discrete extension formula exactly consistent with the solved
 values at cell centers.
 
 The flat-interface kernel depends only on the two heights and the
 horizontal offset.  Every kernel matrix and source column, the grid x grid
 operator assembly included, runs on one fixed xi-rule per side pair
 (PlanarGreen.matrix), as matrix products.  B1 and B2 share no cell, so
-each kernel block and source column is evaluated once on the union of
-their cells (CellUnion), cell-averaged with the union's weights, and cut
-into the blocks of each mesh by index slices.
+each kernel block and source column is evaluated once on U (CellUnion),
+cell-averaged with U's weights.
 """
 
 from __future__ import annotations
@@ -174,11 +165,11 @@ def planar_field_column(green: PlanarGreen, source: SourceSpec,
 # ---------------------------------------------------------------------------
 class CellUnion:
     """The cells of the B1 and B2 meshes as one point set U, B1's cells
-    first: each flat-interface kernel block and source column is
-    evaluated once on U, cell-averaged with U's weights (weights), and
-    cut into the meshes' blocks by the index slices parts[0] (B1) and
-    parts[1] (B2).  The meshes share no cell, so each cell of U has one
-    weight.
+    first, with one weight per cell (weights) and the signed weights c*w
+    of the volume equation (signed; c = -1 on B1, +1 on B2).  parts[0]
+    and parts[1] are the index slices of B1 and B2.  Each flat-interface
+    kernel block and source column is evaluated once on U, cell-averaged
+    with U's weights.
 
     build_region_mesh cuts both meshes from one lattice (one origin, one
     cell size), so a cell is known by its lattice index, and the cell
@@ -189,6 +180,7 @@ class CellUnion:
     def __init__(self, mesh_B1: RegionMesh, mesh_B2: RegionMesh):
         self.centers = np.concatenate([mesh_B1.centers, mesh_B2.centers])
         self.weights = np.concatenate([mesh_B1.weights, mesh_B2.weights])
+        self.signed = np.concatenate([-mesh_B1.weights, mesh_B2.weights])
         self.parts = (slice(0, mesh_B1.n), slice(mesh_B1.n, len(self.centers)))
         self._origin = np.asarray(mesh_B1.origin, float)
         self._h = h = mesh_B1.cell_size
@@ -206,10 +198,10 @@ class CellUnion:
         self._order = np.argsort(codes)
         self._codes = codes[self._order]
 
-    def hits(self, X: np.ndarray, k: int) -> np.ndarray:
-        """The cell of mesh k whose center each point of X coincides with,
-        -1 if none: looked up by the point's lattice index, with no loop
-        over the points and no points x cells temporary."""
+    def hits(self, X: np.ndarray) -> np.ndarray:
+        """The cell of U whose center each point of X coincides with, -1
+        if none: looked up by the point's lattice index, with no loop over
+        the points and no points x cells temporary."""
         X = np.asarray(X, float).reshape(-1, 2)
         out = np.full(len(X), -1)
         if not len(self._codes):
@@ -224,9 +216,7 @@ class CellUnion:
         d = X[inside] - self.centers[u]
         on = (self._codes[pos] == code) \
             & (np.hypot(d[:, 0], d[:, 1]) < _COINCIDENT)
-        part = self.parts[k]
-        on &= (part.start <= u) & (u < part.stop)
-        out[inside[on]] = u[on] - part.start
+        out[inside[on]] = u[on]
         return out
 
     def kernel(self, green: PlanarGreen) -> Optional[np.ndarray]:
@@ -291,30 +281,27 @@ class DenseOperator:
 
 @dataclass
 class GridSolution:
-    """Solution of one volume equation, sampled at the mesh cell centers,
-    with the right-hand side it solved and, for stage 2, the stage-1
-    solution it was built on."""
+    """Solution of the volume equation of one source, sampled at the cell
+    centers of U (CellUnion)."""
 
-    mesh: RegionMesh
     values: np.ndarray
     source: SourceSpec
-    rhs: np.ndarray
-    stage1: Optional["GridSolution"] = None
 
 
 # ---------------------------------------------------------------------------
-# Stage 1: flat -> min(f, 0)
+# The operator on U and its solve
 # ---------------------------------------------------------------------------
 def assemble_B1_operator(mesh_B1: RegionMesh, medium: MediumParams,
                          tol: float = 1e-8,
                          green: Optional[PlanarGreen] = None,
                          kernel: Optional[np.ndarray] = None
                          ) -> DenseOperator:
-    """Collocation matrix of I + eta*T0 on the B1 mesh.
+    """Collocation matrix of I + eta*T0 on the B1 mesh: the B1 block of
+    the operator on U (assemble_B2_operator).
 
     kernel is the flat kernel on the B1 cells, cell-averaged on its
     diagonal; by default it is evaluated here.  A caller that also
-    assembles the B2 operator cuts it from the union's kernel
+    assembles the operator on U cuts it from the union's kernel
     (CellUnion.kernel)."""
     if green is None:
         green = PlanarGreen(medium, tol)
@@ -327,7 +314,6 @@ def assemble_B1_operator(mesh_B1: RegionMesh, medium: MediumParams,
         entries += medium.eta * kernel * w[None, :]
     op = DenseOperator(entries)
     op.mesh = mesh_B1
-    op.medium = medium
     op.green = green
     return op
 
@@ -342,112 +328,73 @@ def _subtract_incident(values: np.ndarray, points: np.ndarray,
     return out
 
 
-# ---------------------------------------------------------------------------
-# Stage 2: min(f, 0) -> f
-# ---------------------------------------------------------------------------
 def assemble_B2_operator(mesh_B2: RegionMesh, medium: MediumParams,
-                         stage1_operator: DenseOperator,
+                         b1_operator: DenseOperator,
                          union: Optional[CellUnion] = None,
                          kernel: Optional[np.ndarray] = None
                          ) -> DenseOperator:
-    """Collocation matrix of I - eta*T_1 on the B2 mesh.
+    """Collocation matrix of I - eta*K diag(c*w) on U, the cells of B1
+    (b1_operator's mesh) and of mesh_B2, c = -1 on B1 and +1 on B2.
 
-    The stage-1 kernel matrix G_1(c_i, c_j) is produced column-wise from
-    the stage-1 factorization: each column is a monopole stage-1 solve
-    with the source at c_j, assembled as one dense triple product.  The
-    flat-kernel blocks are cut from kernel, union.kernel(green) on union,
-    the cells of both meshes (both built here by default).  The union is
-    kept: every later kernel row and source column is evaluated on it.
+    Its B1 block, I + eta*K11 w1, is placed from b1_operator; the rows
+    and columns of B2 are filled in from kernel, union.kernel(green) on
+    union (both built here by default).  The union is kept: every later
+    kernel row and source column is evaluated on it.
     """
-    green = stage1_operator.green
+    green = b1_operator.green
     if union is None:
-        union = CellUnion(stage1_operator.mesh, mesh_B2)
+        union = CellUnion(b1_operator.mesh, mesh_B2)
     b1, b2 = union.parts
-    w1 = union.weights[b1]
-    w2 = union.weights[b2]
-    if medium.eta == 0.0:
-        op = DenseOperator(np.eye(mesh_B2.n, dtype=complex))
-        op.cross_matrix = None
-        op.stage1_columns = None
-    else:
+    entries = np.eye(len(union.centers), dtype=complex)
+    entries[b1, b1] = b1_operator.entries
+    if medium.eta != 0.0:
         if kernel is None:
             kernel = union.kernel(green)
-        # G12[i, k] = G(c_i^B2, c_k^B1; flat); its transpose is the stage-1
-        # right-hand sides.  Weighted by the B1 cell areas it is kept as
-        # cross_matrix, the B1 volume integral at the B2 centers of every
-        # source.
-        G12 = kernel[b2, b1]
-        columns = stage1_operator.solve(np.ascontiguousarray(G12.T))
-        cross = G12 * w1[None, :]
-        GR = (medium.eta * cross) @ columns
-        np.subtract(kernel[b2, b2], GR, out=GR)
-        op = DenseOperator(np.eye(mesh_B2.n, dtype=complex)
-                           - medium.eta * GR * w2[None, :])
-        op.cross_matrix = cross
-        op.stage1_columns = columns
-    op.mesh = mesh_B2
-    op.medium = medium
+        cw = union.signed
+        entries[:, b2] -= medium.eta * kernel[:, b2] * cw[None, b2]
+        entries[b2, b1] -= medium.eta * kernel[b2, b1] * cw[None, b1]
+    op = DenseOperator(entries)
     op.green = green
-    op.stage1 = stage1_operator
     op.union = union
     return op
 
 
-def solve_stage2(source: SourceSpec, b2_operator: DenseOperator,
-                 mesh_B2: RegionMesh, medium: MediumParams) -> GridSolution:
-    """Solve the B1 equation, then the B2 equation on it (mesh_B2 is the
-    operator's mesh).  The source's flat field is evaluated once on the
-    union of the B1 and B2 cells, cell-averaged at a center the source
-    sits on: its B1 part is the stage-1 right-hand side, its B2 part less
-    the B1 volume integral that of stage 2."""
-    stage1_op = b2_operator.stage1
+def solve_stage2(source: SourceSpec,
+                 b2_operator: DenseOperator) -> GridSolution:
+    """Solve the volume equation on U for one source: its flat field,
+    evaluated once on U and cell-averaged at a center the source sits on,
+    is the right-hand side."""
     union = b2_operator.union
-    b1, b2 = union.parts
     u = planar_field_column(b2_operator.green, source, union.centers,
                             total=True, x_weights=union.weights)
-    sol1 = GridSolution(mesh=stage1_op.mesh, values=stage1_op.solve(u[b1]),
-                        source=source, rhs=u[b1])
-    rhs = u[b2]
-    if medium.eta != 0.0:
-        rhs = rhs - medium.eta * (b2_operator.cross_matrix @ sol1.values)
-    values = b2_operator.solve(rhs)
-    return GridSolution(mesh=mesh_B2, values=values, source=source,
-                        rhs=rhs, stage1=sol1)
+    return GridSolution(values=b2_operator.solve(u), source=source)
 
 
 @dataclass(frozen=True)
 class ExtensionRows:
-    """Source-independent rows of the B1 and B2 volume integrals at every
-    point of a set X: the B2 and the B1 cell center each point sits on
-    (-1 if none), and the weighted kernel rows G(x, c^B1; flat) w1 and
-    G_1(x, c^B2) w2, cell-averaged at a point on a center.  The stage-2
-    extension formula reads them at the points off the meshes, the
-    obstacle kernels (RoughKernel.smooth_part, radiation_matrix) at every
-    point.  Rows are None when the contrast vanishes."""
+    """Source-independent rows of the volume integral at every point of a
+    set X: the cell of U each point sits on (-1 if none) and the weighted
+    kernel rows G(x, U; flat) c w, cell-averaged at a point on a center.
+    The extension formula reads them at the points off U, the obstacle
+    kernels (RoughKernel.smooth_part, radiation_matrix) at every point.
+    rows is None when the contrast vanishes."""
 
-    hit2: np.ndarray               # coinciding B2 center per point, -1 if none
-    hit1: np.ndarray               # coinciding B1 center per point, -1 if none
-    rows1: Optional[np.ndarray]    # G(x, c^B1; flat) w1
-    rows2: Optional[np.ndarray]    # G_1(x, c^B2) w2
+    hit: np.ndarray                # coinciding cell of U per point, -1 if none
+    rows: Optional[np.ndarray]     # G(x, U; flat) c w
 
 
 def extension_rows(X: np.ndarray, medium: MediumParams,
                    b2_operator: DenseOperator) -> ExtensionRows:
-    """The rows of the volume integrals at X that every source shares;
-    the one builder behind extend_stage2_many, RoughKernel.smooth_part and
+    """The rows of the volume integral at X that every source shares; the
+    one builder behind extend_stage2_many, RoughKernel.smooth_part and
     radiation_matrix."""
     X = np.asarray(X, float)
     union = b2_operator.union
-    hit1, hit2 = union.hits(X, 0), union.hits(X, 1)
-    rows1 = rows2 = None
+    rows = None
     if medium.eta != 0.0 and len(X):
-        b1, b2 = union.parts
-        K = planar_green_matrix(b2_operator.green, X, union.centers,
-                                union.weights)
-        rows1 = K[:, b1] * union.weights[None, b1]
-        rows2 = (K[:, b2] - medium.eta * rows1 @ b2_operator.stage1_columns) \
-            * union.weights[None, b2]
-    return ExtensionRows(hit2=hit2, hit1=hit1, rows1=rows1, rows2=rows2)
+        rows = planar_green_matrix(b2_operator.green, X, union.centers,
+                                   union.weights) * union.signed[None, :]
+    return ExtensionRows(hit=union.hits(X), rows=rows)
 
 
 def extend_stage2_many(sol: GridSolution, X: np.ndarray,
@@ -455,33 +402,28 @@ def extend_stage2_many(sol: GridSolution, X: np.ndarray,
                        b2_operator: DenseOperator,
                        total: bool = True,
                        rows: Optional[ExtensionRows] = None) -> np.ndarray:
-    """Rough-interface field at each point of X, by the extension formulas
-    of both stages.
+    """Rough-interface field at each point of X, by the extension formula
+    u_flat + eta * int_{D_f} G(., y; flat) c u dy.
 
-    A point on a B2 cell center takes the solved value there, and the B1
-    volume integral at a point on a B1 center is replaced by the stage-1
-    value: the equations themselves are the extension formulas there.
-    total=False removes the free-space incident wave (same side only),
-    yielding the scattered/transmitted part directly.  rows, from
-    extension_rows at the same X, skips rebuilding the source-independent
-    kernel rows; without it they are built for this call only.
+    A point on a cell center of U takes the solved value there: the
+    equation itself is the extension formula there.  total=False removes
+    the free-space incident wave (same side only), yielding the
+    scattered/transmitted part directly.  rows, from extension_rows at the
+    same X, skips rebuilding the source-independent kernel rows; without
+    it they are built for this call only.
     """
     X = np.asarray(X, float)
     if rows is None:
         rows = extension_rows(X, medium, b2_operator)
-    sol1 = sol.stage1
     out = np.empty(len(X), dtype=complex)
-    on1, on2 = rows.hit1 >= 0, rows.hit2 >= 0
-    out[on1] = sol1.values[rows.hit1[on1]]
-    out[on2] = sol.values[rows.hit2[on2]]
-    on = on1 | on2
+    on = rows.hit >= 0
+    out[on] = sol.values[rows.hit[on]]
     if np.any(on) and not total:
         out[on] = _subtract_incident(out[on], X[on], sol.source, medium)
     off = ~on
     if np.any(off):
         out[off] = planar_field_column(b2_operator.green, sol.source, X[off],
                                        total=total)
-    if medium.eta != 0.0 and len(X):
-        out[off] -= medium.eta * (rows.rows1 @ sol1.values)[off]
-        out[~on2] += medium.eta * (rows.rows2 @ sol.values)[~on2]
+        if medium.eta != 0.0:
+            out[off] += medium.eta * (rows.rows @ sol.values)[off]
     return out

@@ -16,8 +16,8 @@ trigonometric rule on 2M equispaced parameter nodes, the remainder (the
 flat-interface kernel's scattered part and the volume integrals over the
 dip and bump cells of D_f, smooth near D) with the periodic trapezoid
 rule.  The normal derivative dG/dnu(y) is exact: it is minus the
-field of a dipole at y along nu, whose columns the volume stages solve
-like the monopole ones.
+field of a dipole at y along nu, whose columns the one volume operator
+on those cells solves like the monopole ones.
 
 Penetrable obstacles use one more Lippmann-Schwinger equation, this time
 over a mesh of D with contrast m = 1 - n and kernel G(.,.;rough); like the
@@ -62,12 +62,12 @@ class RoughKernel:
     along those normals: -dG/dnu(y), since a dipole's field is the
     derivative of Phi in the evaluation point (SourceSpec).
 
-    One stage-1 and one stage-2 column solve per source, all sharing the
-    two LU factorizations held by the B2 operator.  The flat-kernel
-    columns are evaluated once on the union of the B1 and B2 cells (the
-    operator's CellUnion) and cut for each mesh.  At evaluation points X
-    the kernel reads the weighted volume rows of extension_rows, which
-    every kernel on the same operator shares.
+    One column solve per source, q = A^-1 K(U, y), on the one LU
+    factorization of the operator A on U (assemble_B2_operator); the
+    flat-kernel columns K(U, y) are evaluated once on U, the operator's
+    CellUnion.  At evaluation points X the kernel adds eta * rows q, with
+    the weighted volume rows of extension_rows, which every kernel on the
+    same operator shares.
     """
 
     def __init__(self, b2_operator, medium: MediumParams, sources: np.ndarray,
@@ -77,7 +77,6 @@ class RoughKernel:
         self.sources = np.asarray(sources, float)
         self.normals = None if normals is None else np.asarray(normals, float)
         if medium.eta == 0.0:
-            self.g = None
             self.q = None
             return
         union = b2_operator.union
@@ -90,10 +89,7 @@ class RoughKernel:
             # a dipole on a center takes the free-space part's principal
             # value 0 there, its average over the cell: no cell average
             K = self._scattered(union.centers) + self._free(union.centers)
-        b1, b2 = union.parts
-        self.g = b2_operator.stage1.solve(K[b1])
-        self.q = b2_operator.solve(
-            K[b2] - medium.eta * (b2_operator.cross_matrix @ self.g))
+        self.q = b2_operator.solve(K)
 
     def _scattered(self, X: np.ndarray) -> np.ndarray:
         """Flat-interface scattered/transmitted part at X of the sources'
@@ -152,8 +148,7 @@ class RoughKernel:
             return out
         if rows is None:
             rows = extension_rows(X, self.medium, self.b2)
-        return out - self.medium.eta * rows.rows1 @ self.g \
-            + self.medium.eta * rows.rows2 @ self.q
+        return out + self.medium.eta * rows.rows @ self.q
 
     def full(self, X: np.ndarray, y_weights: Optional[np.ndarray] = None,
              rows=None) -> np.ndarray:
@@ -168,8 +163,8 @@ def green_rough_columns(points: np.ndarray, b2_operator: DenseOperator,
                         medium: MediumParams,
                         sources: np.ndarray) -> np.ndarray:
     """Matrix of rough-interface Green's values G(x_i, y_j; rough) for
-    evaluation points x_i and monopole source positions y_j: one stage-1
-    and one stage-2 column solve per source (RoughKernel.full).  Sources
+    evaluation points x_i and monopole source positions y_j: one column
+    solve per source on the operator of U (RoughKernel.full).  Sources
     must stay off the evaluation points."""
     return RoughKernel(b2_operator, medium, sources).full(points)
 
@@ -443,7 +438,7 @@ def assemble_penetrable(pen: PenetrableMedium, medium: MediumParams,
     the volume rows there (extension_rows).
 
     The kernel's local singularity on D is the free-space k2 kernel, so the
-    diagonal uses the same log-extracted cell average as the volume stages.
+    diagonal uses the same log-extracted cell average as the volume equation.
     """
     mesh = pen.mesh
     kernel = RoughKernel(b2_operator, medium, mesh.centers)

@@ -46,7 +46,7 @@ def flat_scene():
     return SceneGeometry(InterfaceProfile(()))
 
 
-def _nested_operators(scene, medium, cell_size=0.1):
+def _volume_operator(scene, medium, cell_size=0.1):
     m1 = build_region_mesh("B1", scene, cell_size)
     m2 = build_region_mesh("B2", scene, cell_size)
     op1 = assemble_B1_operator(m1, medium)
@@ -55,22 +55,22 @@ def _nested_operators(scene, medium, cell_size=0.1):
 
 @pytest.fixture(scope="session")
 def flat_b2(flat_scene, medium):
-    """Nested operators for the flat scene, both on empty meshes."""
-    return _nested_operators(flat_scene, medium)
+    """The volume operator of the flat scene, on no cell."""
+    return _volume_operator(flat_scene, medium)
 
 
 @pytest.fixture(scope="session")
 def dip_scene():
     """A dip of depth 0.3, no obstacle: every cell of D_f lies in B1, so the
-    rough-interface kernel is the stage-1 kernel."""
+    rough-interface kernel is the Green's function of min(f, 0)."""
     return SceneGeometry(InterfaceProfile(((0.0, 1.0, -0.3),)))
 
 
 @pytest.fixture(scope="session")
 def dip_b2(dip_scene, medium):
-    """Nested operators for the dip scene at desk resolution; the B2 mesh
-    is empty."""
-    return _nested_operators(dip_scene, medium)
+    """The volume operator of the dip scene at desk resolution, on the B1
+    cells alone (the B2 mesh is empty)."""
+    return _volume_operator(dip_scene, medium)
 
 
 @pytest.fixture(scope="session")

@@ -120,15 +120,15 @@ def test_stencil_order_planar(green, medium):
 
 
 def test_stencil_order_arc_field():
-    """The stage-1 field, on the auxiliary interface min(f, 0) (called the
-    arc field after the auxiliary interface it replaced): on a dip scene,
-    which has no B2 cell, the solved field is the stage-1 field."""
+    """The field of the auxiliary interface min(f, 0) (called the arc
+    field after the auxiliary interface it replaced): on a dip scene,
+    which has no B2 cell, the solved field is that field."""
     config = SceneConfig(medium=MediumParams(1.0, 1.5),
                          profile=InterfaceProfile(((0.0, 1.0, -0.3),)),
                          cell_size=0.2)
     s = ForwardSolver(config)
     assert s.mesh_B1.n > 0 and s.mesh_B2.n == 0
-    sol = solve_stage2(SRC, s.b2, s.mesh_B2, s.medium)
+    sol = solve_stage2(SRC, s.b2)
     _assert_second_order(
         lambda pts: extend_stage2_many(sol, np.atleast_2d(pts),
                                        s.medium, s.b2), s.medium)
@@ -136,7 +136,7 @@ def test_stencil_order_arc_field():
 
 def test_stencil_order_rough_field(layered_obstacle_solver):
     s = layered_obstacle_solver
-    sol2 = solve_stage2(SRC, s.b2, s.mesh_B2, s.medium)
+    sol2 = solve_stage2(SRC, s.b2)
     _assert_second_order(
         lambda pts: extend_stage2_many(sol2, np.atleast_2d(pts),
                                        s.medium, s.b2), s.medium)
@@ -176,9 +176,10 @@ def test_reciprocity_planar(green):
 
 
 def test_reciprocity_arc(dip_b2, medium):
-    """The stage-1 kernel (see test_stencil_order_arc_field): the dip scene
-    has no B2 cell, so the rough-interface kernel is the stage-1 kernel."""
-    assert dip_b2.mesh.n == 0
+    """The kernel of min(f, 0) (see test_stencil_order_arc_field): the dip
+    scene has no B2 cell, so the rough-interface kernel is that kernel."""
+    u = dip_b2.union
+    assert len(u.centers[u.parts[1]]) == 0 < len(u.centers)
     x, y = np.array([[0.4, 0.6]]), np.array([[-0.7, 0.9]])
     a = green_rough_columns(x, dip_b2, medium, y)[0, 0]
     b = green_rough_columns(y, dip_b2, medium, x)[0, 0]
@@ -201,13 +202,13 @@ def test_reciprocity_rough(layered_obstacle_solver):
 ], ids=["upper", "lower", "across"])
 def test_rough_kernel_matches_one_solve_per_source(layered_obstacle_solver,
                                                    points, sources):
-    # the oracle: a stage-2 solve for a monopole at each source, extended
+    # the oracle: a volume solve for a monopole at each source, extended
     # to the points (the total field is G(., y; rough))
     s = layered_obstacle_solver
     points, sources = np.array(points), np.array(sources)
     want = np.column_stack([
         extend_stage2_many(solve_stage2(SourceSpec("monopole", tuple(y)),
-                                        s.b2, s.mesh_B2, s.medium),
+                                        s.b2),
                            points, s.medium, s.b2)
         for y in sources])
     got = RoughKernel(s.b2, s.medium, sources).full(points)

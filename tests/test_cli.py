@@ -156,15 +156,29 @@ def test_green_config_error_exit(config_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+# valid sections that BASE lacks, for the settings checked inside them
+_SECTIONS = {
+    "experiment": {"z_star_x1": 0.2, "delta0": 0.1, "eps0": 0.4, "n_max": 8},
+    "obstacle": {"kind": "penetrable", "n": 1.2,
+                 "curve": {"kind": "circle", "center": [0.0, -1.5],
+                           "radius": 0.3}},
+}
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("quadrature", "tol", 0), ("quadrature", "tol", -1e-8),
     ("quadrature", "tol", 1e-15), ("quadrature", "tol", 1.0),
     ("mesh", "subsample", 0), ("mesh", "cell_size", 0),
-    ("mesh", "cell_size", -0.1)])
+    ("mesh", "cell_size", -0.1), ("experiment", "min_cell", 0),
+    ("experiment", "min_cell", -1), ("experiment", "min_cell", 1e-300),
+    ("experiment", "delta0", 1e-200),
+    ("obstacle", "boundary_M", 3), ("obstacle", "boundary_M", 0),
+    ("obstacle", "cell_size", 0), ("obstacle", "cell_size", -0.05)])
 def test_out_of_range_setting_exits_2_in_every_subcommand(
         config_path, tmp_path, capsys, section, key, value):
     doc = dict(BASE)
-    doc[section] = dict(doc.get(section, {}), **{key: value})
+    doc[section] = dict(doc.get(section, _SECTIONS.get(section, {})),
+                        **{key: value})
     path = config_path(doc)
     out = str(tmp_path / "out.csv")
     for argv in (["green", path, "--x", "0.4", "0.8", "--xs", "0.3", "1.2"],

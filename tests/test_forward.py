@@ -318,16 +318,16 @@ def test_products_kept_only_for_own_point_sets(layered_obstacle_solver):
     kept = s.rows["receivers"]
     assert s.extension_rows(rx.copy()) is kept
     assert s.radiation_matrix(rx.copy()) is s.radiation
-    assert not kept.rows2.flags.writeable
+    assert not kept.rows.flags.writeable and not kept.hit.flags.writeable
     assert not s.radiation.flags.writeable
     fresh = extension_rows(rx, s.medium, s.b2)
-    assert kept.rows1.tobytes() == fresh.rows1.tobytes()
-    assert kept.rows2.tobytes() == fresh.rows2.tobytes()
+    assert kept.hit.tobytes() == fresh.hit.tobytes()
+    assert kept.rows.tobytes() == fresh.rows.tobytes()
     # products at other points are the same bytes at every call
     rows = s.extension_rows(pts)
     again = s.extension_rows(pts.copy())
     assert rows is not again
-    assert rows.rows2.tobytes() == again.rows2.tobytes()
+    assert rows.rows.tobytes() == again.rows.tobytes()
 
 
 def test_kept_products_built_once_in_the_constructor(bump_config,
@@ -466,16 +466,17 @@ def test_boundary_nodes_on_b2_centers_return_the_solved_values(
     s = layered_obstacle_solver
     nodes = s.point_sets["boundary"]
     kept = s.rows["boundary"]
-    assert np.all(kept.hit1 < 0) and np.all(kept.hit2 < 0)
+    assert np.all(kept.hit < 0)
     cells = [2, 5]
     P = np.vstack([nodes, s.mesh_B2.centers[cells]])
     rows = extension_rows(P, s.medium, s.b2)
-    on = rows.hit2 >= 0
+    on = rows.hit >= 0
     assert np.array_equal(np.flatnonzero(on), len(nodes) + np.arange(2))
-    assert np.array_equal(rows.hit2[on], cells)
+    # a cell of U is known by its index there, B1's cells first
+    assert np.array_equal(rows.hit[on], s.mesh_B1.n + np.array(cells))
     # their rows are cell averages, finite like every other row
-    assert np.all(np.isfinite(rows.rows1)) and np.all(np.isfinite(rows.rows2))
-    bg = solve_stage2(SOURCES[0], s.b2, s.mesh_B2, s.medium)
+    assert np.all(np.isfinite(rows.rows))
+    bg = solve_stage2(SOURCES[0], s.b2)
     flat = []
     column = ls_volume.planar_field_column
 
@@ -485,7 +486,7 @@ def test_boundary_nodes_on_b2_centers_return_the_solved_values(
 
     monkeypatch.setattr(ls_volume, "planar_field_column", recorded)
     inc = extend_stage2_many(bg, P, s.medium, s.b2, rows=rows)
-    assert np.array_equal(inc[on], bg.values[cells])
+    assert np.array_equal(inc[on], bg.values[s.b2.union.parts[1]][cells])
     # the source's flat field is evaluated at the nodes only
     assert flat == [len(nodes)]
     monkeypatch.undo()
@@ -493,9 +494,8 @@ def test_boundary_nodes_on_b2_centers_return_the_solved_values(
     # monopole's solve, cell-averaged the same way
     rx = s.config.receivers.points()
     y = s.mesh_B2.centers[cells[0]]
-    want = extend_stage2_many(
-        solve_stage2(SourceSpec("monopole", tuple(y)), s.b2, s.mesh_B2,
-                     s.medium), rx, s.medium, s.b2)
+    mono = solve_stage2(SourceSpec("monopole", tuple(y)), s.b2)
+    want = extend_stage2_many(mono, rx, s.medium, s.b2)
     got = RoughKernel(s.b2, s.medium, y[None, :]).full(rx)[:, 0]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -901,16 +901,52 @@ def _held_bytes(obj, seen) -> int:
 
 
 @pytest.mark.parametrize("scene", ["bump", "obstacle-soft", "impedance",
-                                   "penetrable"])
+                                   "penetrable", "bump and dip",
+                                   "obstacle-soft over bump and dip"])
 def test_size_guard_estimate_bounds_the_arrays_a_solver_holds(
-        bump_config, layered_obstacle_solver, scene):
+        bump_config, layered_obstacle_solver, bump_and_dip_profile, scene):
     import layered_scatter.forward as forward
     obstacle = layered_obstacle_solver.config
-    solver = ForwardSolver({"bump": bump_config, "obstacle-soft": obstacle,
-                            "impedance": _impedance_config(obstacle),
-                            "penetrable": _penetrable_config(obstacle)}[scene])
+    config = {"bump": bump_config, "obstacle-soft": obstacle,
+              "impedance": _impedance_config(obstacle),
+              "penetrable": _penetrable_config(obstacle),
+              "bump and dip": dataclasses.replace(
+                  bump_config, profile=bump_and_dip_profile),
+              "obstacle-soft over bump and dip": dataclasses.replace(
+                  obstacle, profile=bump_and_dip_profile)}[scene]
+    solver = ForwardSolver(config)
+    if "dip" in scene:
+        # cells on both sides of x2 = 0, in one operator
+        assert solver.mesh_B1.n > 0 and solver.mesh_B2.n > 0
+        assert solver.b2.n == solver.mesh_B1.n + solver.mesh_B2.n
     need = forward._dense_bytes_estimate(solver.config, solver.scene)
     assert need >= _held_bytes(solver, set()) > 0
+
+
+@pytest.mark.parametrize("obstacle", [False, True], ids=["none", "sound-soft"])
+def test_building_the_solver_factorizes_one_volume_operator(
+        layered_obstacle_solver, bump_and_dip_profile, monkeypatch, obstacle):
+    # the B1 block is placed into the operator on U, not factorized apart
+    from layered_scatter.ls_volume import DenseOperator
+    factorized = []
+    factorize = DenseOperator.factorize
+
+    def recorded(self):
+        if self._lu is None:
+            factorized.append(self)
+        factorize(self)
+
+    monkeypatch.setattr(DenseOperator, "factorize", recorded)
+    config = dataclasses.replace(layered_obstacle_solver.config,
+                                 profile=bump_and_dip_profile)
+    if not obstacle:
+        config = dataclasses.replace(config, obstacle=None)
+    solver = ForwardSolver(config)
+    assert solver.mesh_B1.n > 0 and solver.mesh_B2.n > 0
+    volume = [op for op in factorized if op is not solver.bie_operator]
+    assert volume == [solver.b2]
+    assert solver.b2.n == solver.mesh_B1.n + solver.mesh_B2.n
+    assert len(factorized) == 1 + obstacle
 
 
 def test_size_guard_compares_the_estimate_with_physical_memory(bump_config,

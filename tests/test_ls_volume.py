@@ -1,7 +1,7 @@
-"""Nested volume equations: self-weights, the dense operator contract, the
-flat-scene composition identity (where the exact answer is known), the
-kernels evaluated once on the union of the B1 and B2 cells, and the nested
-solve against the one-stage equation on D_f."""
+"""The volume equation on D_f: self-weights, the dense operator contract,
+the flat-scene composition identity (where the exact answer is known), the
+kernels evaluated once on U, the union of the B1 and B2 cells, and the
+solve on U against a direct solve of the signed equation on D_f."""
 
 from collections import Counter
 
@@ -191,27 +191,26 @@ def test_dense_operator_of_an_empty_mesh():
 
 
 # ---------------------------------------------------------------------------
-# Stage 1 on the dip scene, both stages on the flat scene (exact answer
-# known)
+# The dip scene (B1 cells only) and the flat scene (exact answer known)
 # ---------------------------------------------------------------------------
 def test_stage1_extension_returns_solved_values_at_centers(dip_b2, medium):
-    # the dip scene has no B2 cell: its field is the stage-1 field
-    assert dip_b2.mesh.n == 0
-    sol = solve_stage2(SRC, dip_b2, dip_b2.mesh, medium)
-    sol1 = sol.stage1
-    sub = sol1.mesh.centers[::3]
-    vals = extend_stage2_many(sol, sub, medium, dip_b2)
-    idx = np.arange(sol1.mesh.n)[::3]
+    # the dip scene has no B2 cell: U is the B1 cells, and its field the
+    # Green's function of min(f, 0)
+    u = dip_b2.union
+    assert len(u.centers[u.parts[1]]) == 0
+    sol = solve_stage2(SRC, dip_b2)
+    idx = np.arange(len(u.centers))[::3]
+    vals = extend_stage2_many(sol, u.centers[idx], medium, dip_b2)
     assert len(idx) >= 10
-    assert np.max(np.abs(vals - sol1.values[idx])) == 0.0
+    assert np.max(np.abs(vals - sol.values[idx])) == 0.0
 
 
 def test_flat_scene_composition_identity(flat_b2, medium):
     """With f = 0 the rough interface *is* the flat one: no cell is built,
-    and the nested stages must reproduce the planar kernel wherever we
+    and the volume solve must reproduce the planar kernel wherever we
     look."""
-    assert flat_b2.stage1.mesh.n == flat_b2.mesh.n == 0
-    sol = solve_stage2(SRC, flat_b2, flat_b2.mesh, medium)
+    assert flat_b2.n == 0
+    sol = solve_stage2(SRC, flat_b2)
     green = flat_b2.green
     pts = np.array([[0.4, 0.8], [-1.3, 0.5], [0.9, -0.7], [2.0, 1.5]])
     got = extend_stage2_many(sol, pts, medium, flat_b2)
@@ -221,7 +220,7 @@ def test_flat_scene_composition_identity(flat_b2, medium):
 
 
 def test_flat_scene_scattered_part(flat_b2, medium):
-    sol = solve_stage2(SRC, flat_b2, flat_b2.mesh, medium)
+    sol = solve_stage2(SRC, flat_b2)
     green = flat_b2.green
     p = np.array([[0.4, 0.8]])
     us = extend_stage2_many(sol, p, medium, flat_b2, total=False)[0]
@@ -234,20 +233,19 @@ def test_flat_scene_scattered_part(flat_b2, medium):
 
 
 def test_scattered_finite_at_source_position(flat_b2, medium):
-    sol = solve_stage2(SRC, flat_b2, flat_b2.mesh, medium)
+    sol = solve_stage2(SRC, flat_b2)
     val = extend_stage2_many(sol, np.array([list(SRC.position)]),
                              medium, flat_b2, total=False)[0]
     assert np.isfinite(val)
 
 
 def test_green_arc_reciprocity(dip_b2, medium):
-    """Reciprocity of the stage-1 kernel, the Green's function of the
-    auxiliary interface min(f, 0) (called the arc kernel after the
-    auxiliary interface it replaced): on the dip scene each value is a
-    monopole solve extended to the other point."""
+    """Reciprocity of the Green's function of the auxiliary interface
+    min(f, 0) (called the arc kernel after the auxiliary interface it
+    replaced): on the dip scene each value is a monopole solve extended to
+    the other point."""
     def g(x, y):
-        sol = solve_stage2(SourceSpec("monopole", y), dip_b2, dip_b2.mesh,
-                           medium)
+        sol = solve_stage2(SourceSpec("monopole", y), dip_b2)
         return extend_stage2_many(sol, np.array([x]), medium, dip_b2)[0]
     x, y = (0.4, 0.6), (-0.7, 0.9)
     a = g(x, y)
@@ -264,7 +262,8 @@ def test_zero_contrast_operators_are_identity(bump_and_dip_profile):
     op1 = assemble_B1_operator(m1, degenerate)
     assert np.array_equal(op1.entries, np.eye(m1.n))
     b2 = assemble_B2_operator(m2, degenerate, op1)
-    sol = solve_stage2(SRC, b2, m2, degenerate)
+    assert np.array_equal(b2.entries, np.eye(m1.n + m2.n))
+    sol = solve_stage2(SRC, b2)
     # extension reduces to the planar field, which is free space here
     p = (0.5, 0.7)
     got = extend_stage2_many(sol, np.array([p]), degenerate, b2)[0]
@@ -276,45 +275,35 @@ def test_zero_contrast_operators_are_identity(bump_and_dip_profile):
 # Kernels on the union of the B1 and B2 cells
 # ---------------------------------------------------------------------------
 def _per_mesh(solver):
-    """The nested operators from kernels evaluated on each mesh alone."""
+    """The operator on U, I - eta K diag(c w), from kernels evaluated on
+    each pair of meshes alone."""
     green, eta = solver.green, solver.medium.eta
+    meshes = (solver.mesh_B1, solver.mesh_B2)
+    K = np.block([[planar_green_matrix(green, a.centers, b.centers, b.weights)
+                   for b in meshes] for a in meshes])
+    cw = np.concatenate([-meshes[0].weights, meshes[1].weights])
+    return DenseOperator(np.eye(len(cw), dtype=complex)
+                         - eta * K * cw[None, :])
+
+
+def _per_mesh_rows(solver, X):
+    """The weighted volume rows G(X, U; flat) c w, evaluated per mesh."""
     m1, m2 = solver.mesh_B1, solver.mesh_B2
-    w1, w2 = m1.weights, m2.weights
-    A1 = np.eye(m1.n, dtype=complex) + eta * planar_green_matrix(
-        green, m1.centers, m1.centers, w1) * w1[None, :]
-    G12 = planar_green_matrix(green, m2.centers, m1.centers, w1)
-    G22 = planar_green_matrix(green, m2.centers, m2.centers, w2)
-    op1 = DenseOperator(A1)
-    columns = op1.solve(np.ascontiguousarray(G12.T))
-    cross = G12 * w1[None, :]
-    A2 = np.eye(m2.n, dtype=complex) \
-        - eta * (G22 - eta * cross @ columns) * w2[None, :]
-    return {"op1": op1, "op2": DenseOperator(A2), "cross": cross,
-            "columns": columns}
+    return np.hstack([
+        planar_green_matrix(solver.green, X, m1.centers, m1.weights)
+        * -m1.weights[None, :],
+        planar_green_matrix(solver.green, X, m2.centers, m2.weights)
+        * m2.weights[None, :]])
 
 
-def _per_mesh_rows(solver, ref, X):
+def _per_mesh_scattered(solver, op, src, X):
+    """Scattered field of src at X through the per-mesh operator op."""
     green, eta = solver.green, solver.medium.eta
-    m1, m2 = solver.mesh_B1, solver.mesh_B2
-    rows1 = planar_green_matrix(green, X, m1.centers, m1.weights)
-    gr = planar_green_matrix(green, X, m2.centers, m2.weights) \
-        - eta * (rows1 * m1.weights[None, :]) @ ref["columns"]
-    return rows1, gr
-
-
-def _per_mesh_scattered(solver, ref, src, X):
-    """Scattered field of src at X through the per-mesh operators."""
-    green, eta = solver.green, solver.medium.eta
-    m1, m2 = solver.mesh_B1, solver.mesh_B2
-    v1 = ref["op1"].solve(planar_field_column(green, src, m1.centers, True,
-                                              m1.weights))
-    v2 = ref["op2"].solve(
-        planar_field_column(green, src, m2.centers, True, m2.weights)
-        - eta * (ref["cross"] @ v1))
-    rows1, gr = _per_mesh_rows(solver, ref, X)
-    u1 = planar_field_column(green, src, X, total=False) \
-        - eta * ((rows1 * m1.weights[None, :]) @ v1)
-    return u1 + eta * ((gr * m2.weights[None, :]) @ v2)
+    C = np.concatenate([solver.mesh_B1.centers, solver.mesh_B2.centers])
+    w = np.concatenate([solver.mesh_B1.weights, solver.mesh_B2.weights])
+    v = op.solve(planar_field_column(green, src, C, True, w))
+    return planar_field_column(green, src, X, total=False) \
+        + eta * (_per_mesh_rows(solver, X) @ v)
 
 
 def _scene(*bumps):
@@ -331,45 +320,34 @@ SOURCES3 = (SourceSpec("monopole", (0.3, 1.2)),
 def test_shared_cells_keep_the_bytes_of_per_mesh_evaluation(
         layered_obstacle_solver):
     s = layered_obstacle_solver
-    green, eta = s.green, s.medium.eta
+    green = s.green
     m1, m2 = s.mesh_B1, s.mesh_B2
+    u = s.b2.union
     # under the bump B1 is empty: the union is B2, whose blocks, rules and
     # entries are the mesh's own
     assert m1.n == 0
-    assert np.array_equal(s.b2.union.centers, m2.centers)
+    assert np.array_equal(u.centers, m2.centers)
     ref = _per_mesh(s)
-    assert np.array_equal(s.stage1.entries, ref["op1"].entries)
-    assert np.array_equal(s.b2.cross_matrix, ref["cross"])
-    assert np.array_equal(s.b2.stage1_columns, ref["columns"])
-    assert np.array_equal(s.b2.entries, ref["op2"].entries)
+    assert np.array_equal(s.b2.entries, ref.entries)
     rx = s.config.receivers.points()
-    # the kept rows are weighted by the cell areas, as the per-mesh rows
-    # are here with the same operation
+    # the kept rows are weighted by the signed cell areas, as the per-mesh
+    # rows are here with the same operation
     rows = s.extension_rows(rx)
-    rows1, gr = _per_mesh_rows(s, ref, rx)
-    assert np.array_equal(rows.rows1, rows1 * m1.weights[None, :])
-    assert np.array_equal(rows.rows2, gr * m2.weights[None, :])
+    assert rows.rows.tobytes() == _per_mesh_rows(s, rx).tobytes()
     for src in SOURCES3:
-        sol = solve_stage2(src, s.b2, m2, s.medium)
-        sol1 = sol.stage1
-        assert np.array_equal(sol1.rhs, planar_field_column(
-            green, src, m1.centers, True, m1.weights))
-        assert np.array_equal(sol.rhs, planar_field_column(
-            green, src, m2.centers, True, m2.weights)
-            - eta * (ref["cross"] @ sol1.values))
+        sol = solve_stage2(src, s.b2)
+        # the solved values satisfy A u = u_flat on U
+        flat = planar_field_column(green, src, u.centers, True, u.weights)
+        assert np.max(np.abs(s.b2.entries @ sol.values - flat)) \
+            <= 1e-12 * np.max(np.abs(flat))
         # the background field at the receivers, obstacle left out
         assert np.array_equal(
             extend_stage2_many(sol, rx, s.medium, s.b2, total=False,
                                rows=rows),
             _per_mesh_scattered(s, ref, src, rx))
     center = s.kernel_ctx[0]
-    P = center.sources
-    g = s.stage1.solve(planar_green_matrix(green, m1.centers, P,
-                                           x_weights=m1.weights))
-    assert np.array_equal(center.g, g)
-    q = s.b2.solve(planar_green_matrix(green, m2.centers, P,
-                                       x_weights=m2.weights)
-                   - eta * (ref["cross"] @ g))
+    q = s.b2.solve(planar_green_matrix(green, m2.centers, center.sources,
+                                       x_weights=m2.weights))
     assert np.array_equal(center.q, q)
 
 
@@ -383,12 +361,12 @@ def test_union_agrees_with_per_mesh_evaluation(bumps):
     for k, mesh in enumerate((s.mesh_B1, s.mesh_B2)):
         assert np.array_equal(u.centers[u.parts[k]], mesh.centers)
         assert np.array_equal(u.weights[u.parts[k]], mesh.weights)
+        assert np.array_equal(u.signed[u.parts[k]],
+                              (2 * k - 1) * mesh.weights)
     ref = _per_mesh(s)
-    for got, want in ((s.stage1.entries, ref["op1"].entries),
-                      (s.b2.entries, ref["op2"].entries)):
-        assert got.shape == want.shape   # the dip has no B2 cell
-        assert np.max(np.abs(got - want), initial=0.0) \
-            <= 1e-8 * np.max(np.abs(want), initial=0.0)
+    assert s.b2.entries.shape == ref.entries.shape == (len(u.centers),) * 2
+    assert np.max(np.abs(s.b2.entries - ref.entries)) \
+        <= 1e-8 * np.max(np.abs(ref.entries))
     rx = s.config.receivers.points()
     got = s.solve(SOURCES3[1]).scattered(rx)
     want = _per_mesh_scattered(s, ref, SOURCES3[1], rx)
@@ -441,23 +419,25 @@ def test_lattice_hits_match_a_search_over_every_center(bump_and_dip_profile):
         centers + rng.uniform(-1e-13, 1e-13, centers.shape),
         centers + 1e-9,                              # near, not on
         [[1e300, 0.0], [-np.inf, 0.5], [np.nan, 0.1], [50.0, -50.0]]])
-    for k, mesh in enumerate(meshes):
-        want = np.full(len(X), -1)
-        for i, p in enumerate(X):
-            d = np.hypot(*(mesh.centers - p).T)
-            if np.min(d) < 1e-12:
-                want[i] = int(np.argmin(d))
-        assert np.array_equal(u.hits(X, k), want)
-        assert np.count_nonzero(want >= 0) >= 3 * mesh.n >= 40
+    want = np.full(len(X), -1)
+    for i, p in enumerate(X):
+        d = np.hypot(*(centers - p).T)
+        if np.min(d) < 1e-12:
+            want[i] = int(np.argmin(d))
+    assert np.array_equal(u.hits(X), want)
+    # both meshes are hit, every center at least three times
+    for part, mesh in zip(u.parts, meshes):
+        hit = (want >= part.start) & (want < part.stop)
+        assert np.count_nonzero(hit) >= 3 * mesh.n >= 40
     # no mesh has a cell on a flat interface, so no point hits one
     flat = SceneGeometry(InterfaceProfile(()))
     empty = CellUnion(*(build_region_mesh(tag, flat, 0.1)
                         for tag in ("B1", "B2")))
-    assert np.array_equal(empty.hits(X, 0), np.full(len(X), -1))
+    assert np.array_equal(empty.hits(X), np.full(len(X), -1))
 
 
 # ---------------------------------------------------------------------------
-# The nested solve against the one-stage equation on D_f
+# The solve on U against a direct solve of the equation on D_f
 # ---------------------------------------------------------------------------
 def _one_stage_scattered(solver, src, X):
     """Scattered field of src at X from one direct solve of
