@@ -156,7 +156,7 @@ class NearFieldRecord:
     value: complex
 
 
-def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> int:
+def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> float:
     """Bytes of the largest arrays a ForwardSolver of config builds, from
     the geometry alone, before any mesh exists.
 
@@ -699,7 +699,6 @@ def blowup_mesh(profile: InterfaceProfile, cfg: BlowupSequenceConfig,
     weights = sizes ** 2 * frac
     pos = weights > 0.0
     return RegionMesh(region_tag="D_prime", cell_size=float(np.min(sizes)),
-                      origin=(z[0] - cfg.eps0, z[1] - cfg.eps0),
                       centers=centers[pos], weights=weights[pos])
 
 

@@ -157,49 +157,44 @@ class ObstacleCurve:
              self.scale * 1.5 * -np.sin(t)], axis=-1)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Even-odd containment test against a dense polygon sample."""
+        """Whether each point lies strictly inside the curve, in closed
+        form.
+
+        With d the offset from the center, the kite's point at t has
+        d2 = 1.5 s sin t and d1/s + 1.3 sin^2 t = cos t, so the horizontal
+        line at v = d2/(1.5 s) meets it where d1/s + 1.3 v^2 = +-sqrt(1 -
+        v^2): a point is inside when (d1/s + 1.3 v^2)^2 < 1 - v^2, which
+        needs |v| < 1.
+        """
+        d = np.asarray(points, float) - np.asarray(self.center)
         if self.kind == "circle":
-            d = points - np.asarray(self.center)
             return np.hypot(d[..., 0], d[..., 1]) < self.radius
-        t = np.linspace(0.0, 2.0 * np.pi, 513)[:-1]
-        poly = self.point(t)
-        x, y = points[..., 0], points[..., 1]
-        inside = np.zeros(x.shape, dtype=bool)
-        px, py = poly[:, 0], poly[:, 1]
-        qx, qy = np.roll(px, -1), np.roll(py, -1)
-        for i in range(len(px)):
-            cond = (py[i] > y) != (qy[i] > y)
-            xint = px[i] + (y - py[i]) / (qy[i] - py[i] + 1e-300) * (qx[i] - px[i])
-            inside ^= cond & (x < xint)
-        return inside
+        u, v = d[..., 0] / self.scale, d[..., 1] / (1.5 * self.scale)
+        # a coordinate that overflows belongs to a point far outside
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (u + 1.3 * v * v) ** 2 < 1.0 - v * v
 
     def touches(self, point) -> bool:
         """Whether a point lies inside the curve or within _COINCIDENT of it.
 
-        A point within one sample arc of the nearest of 512 equispaced
-        samples is judged at its foot on the curve, found by Newton's
-        method on (x(s) - point) . x'(s) = 0: it touches when the foot is
-        within _COINCIDENT, or when it lies behind the outward normal
-        (x2', -x1') there.  Any other point is farther from the curve than
-        the sample polygon of contains() strays from it, so contains()
-        decides; off the samples' bounding box it would say no, and is
-        not called (a kite's contains() takes milliseconds).
+        Inside is contains().  A point outside touches when its foot on
+        the curve, found by Newton's method on (x(s) - point) . x'(s) = 0
+        from the nearest of 512 equispaced samples, is within _COINCIDENT;
+        a point farther than one sample arc from every sample is farther
+        than that from the curve.
         """
-        t = np.linspace(0.0, 2.0 * np.pi, 513)[:-1]
-        x = self.point(t)
         p = np.asarray(point, float)
-        r = np.hypot(*(x - p).T)
-        arc = np.max(np.hypot(*self.dpoint(t).T)) * (t[1] - t[0])
-        if r.min() > arc:
-            return bool(np.all((x.min(axis=0) <= p) & (p <= x.max(axis=0)))
-                        and self.contains(p[None, :])[0])
+        if self.contains(p):
+            return True
+        t = np.linspace(0.0, 2.0 * np.pi, 513)[:-1]
+        r = np.hypot(*(self.point(t) - p).T)
+        if r.min() > np.max(np.hypot(*self.dpoint(t).T)) * (t[1] - t[0]):
+            return False
         s = t[np.argmin(r)]
         for _ in range(6):
             d, dx, ddx = self.point(s) - p, self.dpoint(s), self.ddpoint(s)
             s -= (d @ dx) / (dx @ dx + d @ ddx)
-        d, dx = p - self.point(s), self.dpoint(s)
-        return bool(np.hypot(*d) < _COINCIDENT
-                    or d[0] * dx[1] - d[1] * dx[0] < 0.0)
+        return bool(np.hypot(*(self.point(s) - p)) < _COINCIDENT)
 
 
 @dataclass(frozen=True)
@@ -288,13 +283,11 @@ class RegionMesh:
 
     The weight of a kept cell is cell_size^2 times the inside fraction
     estimated on a subsample x subsample sub-grid (see build_region_mesh
-    for which cells are kept); origin is a corner of the lattice the
-    cells are cut from.
+    for which cells are kept).
     """
 
     region_tag: str
     cell_size: float
-    origin: Point
     centers: np.ndarray   # (n, 2)
     weights: np.ndarray   # (n,)
 
@@ -322,23 +315,25 @@ def _region_indicator(tag: str, scene: SceneGeometry):
 
 
 def _scan_grid(tag: str, scene: SceneGeometry, h: float):
-    """Abscissae and heights of the cell centers build_region_mesh scans
-    at cell size h, and the lattice corner they are cut from.
+    """The lattice of cells build_region_mesh scans at cell size h: its
+    corner and, per axis, the index of the first cell and the number of
+    cells, counted without building them; the centers on an axis lie at
+    corner + (first + k + 1/2) h, 0 <= k < count.
 
     B1 and B2 share the lattice whose cell edges lie on x1 = 0 and
-    x2 = 0, so their centers are ((i + 1/2) h, (j + 1/2) h): the columns
-    over the support of f, from x2 = 0 down (B1) or up (B2) to max |f|.
-    The penetrable mesh is cut from the obstacle's bounding box.
+    x2 = 0: the columns over the support of f, from x2 = 0 down (B1) or
+    up (B2) to max |f|.  The penetrable mesh is cut from the obstacle's
+    bounding box.
     """
     if h <= 0.0:
         raise ConfigurationError("cell_size must be positive")
     if tag in ("B1", "B2"):
         prof = scene.profile
         rho = prof.support_radius()
-        i = np.arange(np.floor(-rho / h), np.ceil(rho / h))
+        first = np.floor(-rho / h)
         depth = np.ceil(prof.max_abs() / h)
-        j = np.arange(0.0, depth) if tag == "B2" else np.arange(-depth, 0.0)
-        return (i + 0.5) * h, (j + 0.5) * h, (0.0, 0.0)
+        return (0.0, 0.0), (first, np.ceil(rho / h) - first), \
+            (0.0 if tag == "B2" else -depth, depth)
     if tag != "D_penetrable":
         raise ConfigurationError(f"unknown region tag {tag!r}")
     if scene.obstacle is None:
@@ -348,16 +343,16 @@ def _scan_grid(tag: str, scene: SceneGeometry, h: float):
     lo, hi = p.min(axis=0), p.max(axis=0)
     nx, ny = (max(1, int(np.ceil((b - a) / h - 1e-12)))
               for a, b in zip(lo, hi))
-    return (lo[0] + (np.arange(nx) + 0.5) * h,
-            lo[1] + (np.arange(ny) + 0.5) * h,
-            (float(lo[0]), float(lo[1])))
+    return (float(lo[0]), float(lo[1])), (0.0, nx), (0.0, ny)
 
 
-def box_cells(region_tag: str, scene: SceneGeometry, cell_size: float) -> int:
+def box_cells(region_tag: str, scene: SceneGeometry,
+              cell_size: float) -> float:
     """Cells that build_region_mesh scans: an upper bound on the size of
-    the mesh, known before it is built."""
-    cx, cy, _ = _scan_grid(region_tag, scene, cell_size)
-    return len(cx) * len(cy)
+    the mesh, known before it is built.  A float, so that a count too
+    large for any array still compares (as inf past the float range)."""
+    _, (_, nx), (_, ny) = _scan_grid(region_tag, scene, cell_size)
+    return float(nx) * float(ny)
 
 
 def build_region_mesh(region_tag: str, scene: SceneGeometry, cell_size: float,
@@ -375,7 +370,9 @@ def build_region_mesh(region_tag: str, scene: SceneGeometry, cell_size: float,
     if subsample < 1:
         raise ConfigurationError("subsample must be >= 1")
     h = cell_size
-    cx, cy, origin = _scan_grid(region_tag, scene, h)
+    origin, *axes = _scan_grid(region_tag, scene, h)
+    cx, cy = (o + (first + np.arange(n) + 0.5) * h
+              for o, (first, n) in zip(origin, axes))
     inside = _region_indicator(region_tag, scene)
     X, Y = np.meshgrid(cx, cy, indexing="ij")
     centers = np.stack([X.ravel(), Y.ravel()], axis=-1)
@@ -397,5 +394,5 @@ def build_region_mesh(region_tag: str, scene: SceneGeometry, cell_size: float,
         frac[at_center] = 1.0
     weights = h * h * frac
     pos = weights > 0.0
-    return RegionMesh(region_tag=region_tag, cell_size=h, origin=origin,
+    return RegionMesh(region_tag=region_tag, cell_size=h,
                       centers=centers[pos], weights=weights[pos])

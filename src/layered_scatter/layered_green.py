@@ -461,8 +461,14 @@ class PlanarGreen:
             xi, w = rule_nodes(*plan)
             weight = self._weight(kind, ell, case)[0]
             b1, b2 = beta(xi, k1), beta(xi, k2)
-            wk = (2.0 if parity == "even" else 2.0j) * pref * w \
-                * weight(b1, b2, xi)
+            # a wavenumber whose square underflows makes a vertical
+            # wavenumber vanish at a node, and the weight there infinite
+            with np.errstate(divide="ignore", invalid="ignore"):
+                wk = (2.0 if parity == "even" else 2.0j) * pref * w \
+                    * weight(b1, b2, xi)
+            if not np.all(np.isfinite(wk)):
+                raise AccuracyError("non-finite weight in a fixed xi-rule",
+                                    estimate=np.inf)
             xi.flags.writeable = False
             wk.flags.writeable = False
             return _FixedRule(xi=xi, weights=wk, parity=parity, kappa1=k1,

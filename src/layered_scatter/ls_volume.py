@@ -19,9 +19,13 @@ Discretization is midpoint Nystrom on the uniform region meshes.  The
 weakly singular diagonal uses log-extraction: the cell integral of the
 free-space kernel splits into a closed-form integral of -(1/2pi)log r over
 an equal-area square plus the midpoint value of the smooth remainder.
-Kernel matrices store this cell average at coincident point pairs, which
-makes the discrete extension formula exactly consistent with the solved
-values at cell centers.
+Every kernel column, of the operator, of a source and of the obstacle's
+kernels, is the flat-interface scattered part plus one free-space term
+(free_space_matrix): at a coincident point pair (r < _COINCIDENT) a
+monopole takes this cell average, which makes the discrete extension
+formula exactly consistent with the solved values at cell centers, and
+a dipole the principal value 0.  The same distance test finds the cell
+center a point of an extension sits on (extension_rows).
 
 The flat-interface kernel depends only on the two heights and the
 horizontal offset.  Every kernel matrix and source column, the grid x grid
@@ -40,15 +44,10 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    AccuracyError,
-    ConfigurationError,
-    SingularityError,
-    SolverError,
-)
+from .errors import AccuracyError, SingularityError, SolverError
 from .geometry import _COINCIDENT, RegionMesh
 from .layered_green import MediumParams, PlanarGreen, SourceSpec
-from .specfun import EULER_GAMMA, phi_matrix
+from .specfun import EULER_GAMMA, grad_phi_matrix, phi_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -74,56 +73,89 @@ def cell_self_weight(kappa: float, w: float) -> complex:
 # ---------------------------------------------------------------------------
 # Flat-interface kernel matrices (batched Fourier integrals)
 # ---------------------------------------------------------------------------
+def _pairs(X: np.ndarray, Y: np.ndarray):
+    """x - y and |x - y| at every pair (x_i, y_j)."""
+    d = X[:, None, :] - Y[None, :, :]
+    return d, np.hypot(d[..., 0], d[..., 1])
+
+
+def free_space_matrix(medium: MediumParams, X: np.ndarray, Y: np.ndarray,
+                      normals: Optional[np.ndarray] = None,
+                      y_weights: Optional[np.ndarray] = None,
+                      x_weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Free-space part of the fields of point sources at Y, at every point
+    of X: Phi_kappa(x_i, y_j), or nu_j . grad Phi_kappa(x_i - y_j) for
+    dipoles along normals (one unit vector per column), on same-side
+    pairs and zero across, with the kappa of y's half-plane.
+
+    At a coincident pair a monopole takes the cell average, the
+    self-weight integral over the cell of y_weights (or of x_weights when
+    the y points carry no cells) divided by its area; SingularityError
+    with neither.  A dipole takes the principal value 0, its average over
+    any cell centered there.
+    """
+    X = np.asarray(X, float).reshape(-1, 2)
+    Y = np.asarray(Y, float).reshape(-1, 2)
+    d, r = _pairs(X, Y)
+    coin = r < _COINCIDENT
+    up = Y[:, 1] > 0.0
+    kappa = np.where(up, medium.kappa1, medium.kappa2)
+    out = np.zeros(r.shape, dtype=complex)
+    i, j = np.nonzero(((X[:, 1] > 0.0)[:, None] == up[None, :]) & ~coin)
+    if len(i) and normals is None:
+        out[i, j] = phi_matrix(kappa[j], r[i, j])
+    elif len(i):
+        grad = grad_phi_matrix(kappa[j], d[i, j], r[i, j])
+        out[i, j] = grad[:, 0] * normals[j, 0] + grad[:, 1] * normals[j, 1]
+    ci, cj = np.nonzero(coin)
+    if len(ci) and normals is None:
+        if y_weights is None and x_weights is None:
+            raise SingularityError(
+                "coincident kernel points need cell weights for averaging")
+        w = y_weights[cj] if y_weights is not None else x_weights[ci]
+        out[ci, cj] = cell_self_weight(kappa[cj], w) / w
+    return out
+
+
 def planar_scattered_matrix(green: PlanarGreen, X: np.ndarray,
-                            Y: np.ndarray) -> np.ndarray:
+                            Y: np.ndarray,
+                            normals: Optional[np.ndarray] = None
+                            ) -> np.ndarray:
     """Matrix of scattered/transmitted flat-interface values G^s(x_i, y_j),
-    on one fixed xi-rule per side pair (PlanarGreen.matrix)."""
-    return green.matrix("monopole", 0, X, Y)
+    or of the dipoles at y_j along normals, on one fixed xi-rule per side
+    pair (PlanarGreen.matrix)."""
+    if normals is None:
+        return green.matrix("monopole", 0, X, Y)
+    return normals[:, 0] * green.matrix("dipole", 1, X, Y) \
+        + normals[:, 1] * green.matrix("dipole", 2, X, Y)
 
 
 def planar_green_matrix(green: PlanarGreen, X: np.ndarray, Y: np.ndarray,
                         y_weights: Optional[np.ndarray] = None,
-                        x_weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Matrix of total flat-interface values G(x_i, y_j).
-
-    Adds the free-space part on same-side pairs.  Coincident pairs are
-    filled with a cell average (requires y_weights, or x_weights as a
-    symmetric fallback when the y points carry no cells): self-weight
-    integral of the free-space part divided by the cell area, plus the
-    regular scattered value.
-    """
+                        x_weights: Optional[np.ndarray] = None,
+                        normals: Optional[np.ndarray] = None) -> np.ndarray:
+    """Matrix of total flat-interface values G(x_i, y_j), or of the fields
+    of the dipoles at y_j along normals: the scattered part plus the
+    free-space part, cell-averaged at coincident pairs as in
+    free_space_matrix."""
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
-    med = green.medium
-    out = planar_scattered_matrix(green, X, Y)
-    dx = X[:, 0][:, None] - Y[None, :, 0]
-    dy = X[:, 1][:, None] - Y[None, :, 1]
-    r = np.hypot(dx, dy)
-    same = (X[:, 1] > 0.0)[:, None] == (Y[:, 1] > 0.0)[None, :]
-    coin = r < _COINCIDENT
-    for side, kappa in ((True, med.kappa1), (False, med.kappa2)):
-        m = same & ((Y[:, 1] > 0.0)[None, :] == side) & ~coin
-        if np.any(m):
-            out[m] += phi_matrix(kappa, r[m])
-    _add_cell_averages(out, *np.nonzero(coin), Y, med, y_weights, x_weights)
-    return out
+    return planar_scattered_matrix(green, X, Y, normals) + free_space_matrix(
+        green.medium, X, Y, normals, y_weights, x_weights)
 
 
-def _add_cell_averages(out: np.ndarray, ci: np.ndarray, cj: np.ndarray,
-                       Y: np.ndarray, medium: MediumParams,
-                       y_weights: Optional[np.ndarray] = None,
-                       x_weights: Optional[np.ndarray] = None) -> None:
-    """Add, at the coincident pairs (ci, cj) of out (a kernel on X x Y),
-    the free-space self-weight integral over the cell of y_weights (or of
-    x_weights when the y points carry no cells) divided by its area."""
-    if not len(ci):
-        return
-    if y_weights is None and x_weights is None:
-        raise SingularityError(
-            "coincident kernel points need cell weights for averaging")
-    kappa = np.where(Y[cj, 1] > 0.0, medium.kappa1, medium.kappa2)
-    w = y_weights[cj] if y_weights is not None else x_weights[ci]
-    out[ci, cj] += cell_self_weight(kappa, w) / w
+# the unit vectors of the coordinate axes, the normals of coordinate dipoles
+_AXES = np.eye(2)
+
+
+def _free_column(medium: MediumParams, source: SourceSpec, X: np.ndarray,
+                 x_weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Free-space part of a source's field at each point of X (a
+    coordinate dipole is the dipole along its axis)."""
+    ell = source.direction
+    normals = None if source.kind == "monopole" else _AXES[ell - 1:ell]
+    return free_space_matrix(medium, X, np.array([source.position], float),
+                             normals, x_weights=x_weights)[:, 0]
 
 
 def planar_field_column(green: PlanarGreen, source: SourceSpec,
@@ -131,33 +163,17 @@ def planar_field_column(green: PlanarGreen, source: SourceSpec,
                         x_weights: Optional[np.ndarray] = None) -> np.ndarray:
     """Flat-interface field of a point source at each point of X.
 
-    With total=False only the scattered/transmitted part is returned.  If a
-    point of X coincides with a monopole source position, the cell-averaged
-    value is used (x_weights required); dipole sources must stay off X.
+    With total=False only the scattered/transmitted part is returned.  At
+    a point of X on the source position a monopole takes the cell average
+    (x_weights required), a dipole the principal value of its free-space
+    part, 0 (free_space_matrix).
     """
     X = np.asarray(X, float)
-    xs = source.position
-    kind = source.kind
-    out = green.matrix(kind, source.direction, X,
-                       np.array([xs], float))[:, 0]
-
+    out = green.matrix(source.kind, source.direction, X,
+                       np.array([source.position], float))[:, 0]
     if not total:
         return out
-    same = (X[:, 1] > 0.0) == (xs[1] > 0.0)
-    r = np.hypot(X[:, 0] - xs[0], X[:, 1] - xs[1])
-    coin = r < _COINCIDENT
-    kappa = green.medium.kappa_at(xs[1])
-    reg = same & ~coin
-    if np.any(reg):
-        out[reg] += source.incident(X[reg], kappa)
-    if np.any(coin):
-        if kind != "monopole":
-            raise SingularityError("dipole source coincides with a mesh point")
-        ci = np.flatnonzero(coin)
-        _add_cell_averages(out[:, None], ci, np.zeros_like(ci),
-                           np.array([xs], float), green.medium,
-                           x_weights=x_weights)
-    return out
+    return out + _free_column(green.medium, source, X, x_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +186,6 @@ class CellUnion:
     and parts[1] are the index slices of B1 and B2.  Each flat-interface
     kernel block and source column is evaluated once on U, cell-averaged
     with U's weights.
-
-    build_region_mesh cuts both meshes from one lattice (one origin, one
-    cell size), so a cell is known by its lattice index, and the cell
-    center a point coincides with is found from the point's lattice index
-    (hits), without comparing every point with every center.
     """
 
     def __init__(self, mesh_B1: RegionMesh, mesh_B2: RegionMesh):
@@ -182,42 +193,6 @@ class CellUnion:
         self.weights = np.concatenate([mesh_B1.weights, mesh_B2.weights])
         self.signed = np.concatenate([-mesh_B1.weights, mesh_B2.weights])
         self.parts = (slice(0, mesh_B1.n), slice(mesh_B1.n, len(self.centers)))
-        self._origin = np.asarray(mesh_B1.origin, float)
-        self._h = h = mesh_B1.cell_size
-        if mesh_B2.cell_size != h \
-                or not np.array_equal(mesh_B2.origin, self._origin):
-            raise ConfigurationError(
-                "the B1 and B2 meshes must be cut from one lattice")
-        # lattice indices, offset to be nonnegative, coded and sorted
-        keys = np.rint((self.centers - self._origin) / h - 0.5) \
-            .astype(np.int64)
-        self._low = keys.min(axis=0, initial=0)
-        self._span = keys.max(axis=0, initial=0) - self._low + 1
-        self._stride = np.array([self._span[1], 1])
-        codes = (keys - self._low) @ self._stride
-        self._order = np.argsort(codes)
-        self._codes = codes[self._order]
-
-    def hits(self, X: np.ndarray) -> np.ndarray:
-        """The cell of U whose center each point of X coincides with, -1
-        if none: looked up by the point's lattice index, with no loop over
-        the points and no points x cells temporary."""
-        X = np.asarray(X, float).reshape(-1, 2)
-        out = np.full(len(X), -1)
-        if not len(self._codes):
-            return out
-        near = np.rint((X - self._origin) / self._h - 0.5) - self._low
-        inside = np.flatnonzero(np.all((near >= 0) & (near < self._span),
-                                       axis=1))
-        code = near[inside].astype(np.int64) @ self._stride
-        pos = np.minimum(np.searchsorted(self._codes, code),
-                         len(self._codes) - 1)
-        u = self._order[pos]
-        d = X[inside] - self.centers[u]
-        on = (self._codes[pos] == code) \
-            & (np.hypot(d[:, 0], d[:, 1]) < _COINCIDENT)
-        out[inside[on]] = u[on]
-        return out
 
     def kernel(self, green: PlanarGreen) -> Optional[np.ndarray]:
         """The flat kernel on U x U, cell-averaged on the diagonal; None
@@ -318,16 +293,6 @@ def assemble_B1_operator(mesh_B1: RegionMesh, medium: MediumParams,
     return op
 
 
-def _subtract_incident(values: np.ndarray, points: np.ndarray,
-                       source: SourceSpec, medium: MediumParams) -> np.ndarray:
-    """Remove the free-space incident wave at same-side points."""
-    out = values.copy()
-    xs2 = source.position[1]
-    same = (points[:, 1] > 0.0) == (xs2 > 0.0)
-    out[same] -= source.incident(points[same], medium.kappa_at(xs2))
-    return out
-
-
 def assemble_B2_operator(mesh_B2: RegionMesh, medium: MediumParams,
                          b1_operator: DenseOperator,
                          union: Optional[CellUnion] = None,
@@ -388,13 +353,16 @@ def extension_rows(X: np.ndarray, medium: MediumParams,
     """The rows of the volume integral at X that every source shares; the
     one builder behind extend_stage2_many, RoughKernel.smooth_part and
     radiation_matrix."""
-    X = np.asarray(X, float)
+    X = np.asarray(X, float).reshape(-1, 2)
     union = b2_operator.union
     rows = None
     if medium.eta != 0.0 and len(X):
         rows = planar_green_matrix(b2_operator.green, X, union.centers,
                                    union.weights) * union.signed[None, :]
-    return ExtensionRows(hit=union.hits(X), rows=rows)
+    hit = np.full(len(X), -1)
+    i, j = np.nonzero(_pairs(X, union.centers)[1] < _COINCIDENT)
+    hit[i] = j
+    return ExtensionRows(hit=hit, rows=rows)
 
 
 def extend_stage2_many(sol: GridSolution, X: np.ndarray,
@@ -419,7 +387,8 @@ def extend_stage2_many(sol: GridSolution, X: np.ndarray,
     on = rows.hit >= 0
     out[on] = sol.values[rows.hit[on]]
     if np.any(on) and not total:
-        out[on] = _subtract_incident(out[on], X[on], sol.source, medium)
+        out[on] -= _free_column(medium, sol.source, X[on],
+                                b2_operator.union.weights[rows.hit[on]])
     off = ~on
     if np.any(off):
         out[off] = planar_field_column(b2_operator.green, sol.source, X[off],

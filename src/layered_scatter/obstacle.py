@@ -17,7 +17,11 @@ flat-interface kernel's scattered part and the volume integrals over the
 dip and bump cells of D_f, smooth near D) with the periodic trapezoid
 rule.  The normal derivative dG/dnu(y) is exact: it is minus the
 field of a dipole at y along nu, whose columns the one volume operator
-on those cells solves like the monopole ones.
+on those cells solves like the monopole ones.  Both column sets, and
+their values at evaluation points, take the flat-interface kernel and
+its free-space part from ls_volume (planar_green_matrix,
+planar_scattered_matrix, free_space_matrix), as the volume equation's
+own columns do.
 
 Penetrable obstacles use one more Lippmann-Schwinger equation, this time
 over a mesh of D with contrast m = 1 - n and kernel G(.,.;rough); like the
@@ -33,24 +37,18 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import AccuracyError, ConfigurationError
+from .errors import ConfigurationError
 from .geometry import ObstacleNodes, RegionMesh
 from .layered_green import MediumParams
 from .ls_volume import (
-    _COINCIDENT,
     DenseOperator,
     ExtensionRows,
-    cell_self_weight,
     extension_rows,
+    free_space_matrix,
     planar_green_matrix,
     planar_scattered_matrix,
 )
-from .specfun import (
-    EULER_GAMMA,
-    bessel_j0j1_y0y1_arrays,
-    grad_phi_matrix,
-    phi_matrix,
-)
+from .specfun import EULER_GAMMA, bessel_j0j1_y0y1_arrays
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +62,10 @@ class RoughKernel:
 
     One column solve per source, q = A^-1 K(U, y), on the one LU
     factorization of the operator A on U (assemble_B2_operator); the
-    flat-kernel columns K(U, y) are evaluated once on U, the operator's
-    CellUnion.  At evaluation points X the kernel adds eta * rows q, with
-    the weighted volume rows of extension_rows, which every kernel on the
-    same operator shares.
+    flat-kernel columns K(U, y) are one planar_green_matrix call on U,
+    the operator's CellUnion.  At evaluation points X the kernel adds
+    eta * rows q, with the weighted volume rows of extension_rows, which
+    every kernel on the same operator shares.
     """
 
     def __init__(self, b2_operator, medium: MediumParams, sources: np.ndarray,
@@ -79,59 +77,12 @@ class RoughKernel:
         if medium.eta == 0.0:
             self.q = None
             return
+        # a monopole on a cell center takes the average over the coinciding
+        # cell (the sources carry no cells), a dipole the principal value 0
         union = b2_operator.union
-        if self.normals is None:
-            # sources may land exactly on cell centers; average over the
-            # coinciding cell (the sources themselves carry no cells)
-            K = planar_green_matrix(b2_operator.green, union.centers,
-                                    self.sources, x_weights=union.weights)
-        else:
-            # a dipole on a center takes the free-space part's principal
-            # value 0 there, its average over the cell: no cell average
-            K = self._scattered(union.centers) + self._free(union.centers)
-        self.q = b2_operator.solve(K)
-
-    def _scattered(self, X: np.ndarray) -> np.ndarray:
-        """Flat-interface scattered/transmitted part at X of the sources'
-        fields."""
-        green = self.b2.green
-        if self.normals is None:
-            return planar_scattered_matrix(green, X, self.sources)
-        nu = self.normals
-        return nu[:, 0] * green.matrix("dipole", 1, X, self.sources) \
-            + nu[:, 1] * green.matrix("dipole", 2, X, self.sources)
-
-    def _free(self, X: np.ndarray,
-              y_weights: Optional[np.ndarray] = None) -> np.ndarray:
-        """Free-space part at X of the sources' fields, on same-side pairs
-        and at the wavenumber of the sources' half-plane.
-
-        At a coincident pair a monopole takes the cell average over
-        y_weights (AccuracyError without them), a dipole the principal
-        value 0."""
-        d = X[:, None, :] - self.sources[None, :, :]
-        r = np.hypot(d[..., 0], d[..., 1])
-        same = (X[:, 1] > 0.0)[:, None] == (self.sources[:, 1] > 0.0)[None, :]
-        coin = r < _COINCIDENT
-        kappa = np.broadcast_to(np.where(self.sources[:, 1] > 0.0,
-                                         self.medium.kappa1,
-                                         self.medium.kappa2), r.shape)
-        out = np.zeros(r.shape, dtype=complex)
-        m = same & ~coin
-        if self.normals is not None:
-            if np.any(m):
-                grad = grad_phi_matrix(kappa[m], d[m], r[m])
-                nu = np.broadcast_to(self.normals, d.shape)[m]
-                out[m] = grad[:, 0] * nu[:, 0] + grad[:, 1] * nu[:, 1]
-            return out
-        if np.any(m):
-            out[m] = phi_matrix(kappa[m], r[m])
-        for i, j in zip(*np.nonzero(coin)):
-            if y_weights is None:
-                raise AccuracyError("kernel evaluated at a source point")
-            out[i, j] = cell_self_weight(kappa[i, j], y_weights[j]) \
-                / y_weights[j]
-        return out
+        self.q = b2_operator.solve(planar_green_matrix(
+            b2_operator.green, union.centers, self.sources,
+            x_weights=union.weights, normals=self.normals))
 
     def smooth_part(self, X: np.ndarray,
                     rows: Optional[ExtensionRows] = None) -> np.ndarray:
@@ -143,7 +94,8 @@ class RoughKernel:
         rows, from extension_rows at the same X, skips rebuilding them.
         """
         X = np.asarray(X, float)
-        out = self._scattered(X)
+        out = planar_scattered_matrix(self.b2.green, X, self.sources,
+                                      self.normals)
         if self.medium.eta == 0.0:
             return out
         if rows is None:
@@ -153,10 +105,11 @@ class RoughKernel:
     def full(self, X: np.ndarray, y_weights: Optional[np.ndarray] = None,
              rows=None) -> np.ndarray:
         """The kernel at (x_i, y_j) including the free-space part on
-        same-side pairs; coincident pairs as in _free, rows as in
-        smooth_part."""
+        same-side pairs, coincident pairs as in free_space_matrix over
+        y_weights; rows as in smooth_part."""
         X = np.asarray(X, float)
-        return self.smooth_part(X, rows) + self._free(X, y_weights)
+        return self.smooth_part(X, rows) + free_space_matrix(
+            self.medium, X, self.sources, self.normals, y_weights)
 
 
 def green_rough_columns(points: np.ndarray, b2_operator: DenseOperator,

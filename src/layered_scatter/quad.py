@@ -255,7 +255,8 @@ def fold_integrate_batch(kernel: Callable[[np.ndarray], np.ndarray],
             half * _REF_GL_WEIGHTS
 
     def integrate(xi, w):
-        k = np.asarray(kernel(xi.ravel()), dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.asarray(kernel(xi.ravel()), dtype=complex)
         if not np.all(np.isfinite(k)):
             raise AccuracyError("non-finite kernel value in a reference "
                                 "integral", estimate=np.inf)

@@ -190,6 +190,30 @@ def test_out_of_range_setting_exits_2_in_every_subcommand(
         assert f"{section}.{key}" in err
 
 
+@pytest.mark.parametrize("bump", [[1e300, 1.0, 0.3], [0.0, 1e300, 0.3]],
+                         ids=["center", "halfwidth"])
+def test_huge_interface_support_exits_2(config_path, tmp_path, capsys, bump):
+    # the size guard counts the cells of the lattice without building it
+    path = config_path(dict(BASE, interface={"bumps": [bump]}))
+    out = str(tmp_path / "out.csv")
+    for argv in (["forward", path, "--output", out], ["verify", path]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+
+
+def test_underflowing_wavenumber_exits_3(config_path, tmp_path, capsys):
+    # kappa1^2 underflows, so a vertical wavenumber vanishes at a rule node
+    # and the folded weight there is infinite
+    path = config_path(dict(BASE, medium={"kappa1": 1e-300, "kappa2": 1.5}))
+    out = str(tmp_path / "out.csv")
+    for argv in (["green", path, "--x", "0.4", "0.8", "--xs", "0.3", "1.2"],
+                 ["forward", path, "--output", out], ["verify", path]):
+        assert main(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
+
+
 def test_forward_subcommand_writes_csv(config_path, tmp_path, capsys):
     out = str(tmp_path / "nf.csv")
     rc = main(["forward", config_path(BASE), "--output", out])

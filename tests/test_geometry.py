@@ -89,6 +89,18 @@ def test_containment_circle_and_kite():
     assert not k.contains(np.array([[3.0, -2.0]]))[0]
 
 
+def test_kite_containment_is_exact_a_micron_off_the_curve():
+    # the closed form judges points 1e-6 off the curve along the normal,
+    # where a 512-edge polygon strays by up to ~1e-5
+    k = ObstacleCurve("kite", (0.3, -1.4), scale=0.5)
+    t = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 40)
+    tangent = k.dpoint(t)
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1) \
+        / np.hypot(tangent[:, 0], tangent[:, 1])[:, None]
+    assert not np.any(k.contains(k.point(t) + 1e-6 * normal))
+    assert np.all(k.contains(k.point(t) - 1e-6 * normal))
+
+
 @pytest.mark.parametrize("curve", [
     ObstacleCurve("circle", (0.0, -2.0), 0.5),
     ObstacleCurve("kite", (0.3, -2.0), scale=0.5)], ids=["circle", "kite"])

@@ -9,11 +9,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from layered_scatter.errors import (
-    AccuracyError,
-    ConfigurationError,
-    SingularityError,
-)
+from layered_scatter.errors import AccuracyError, SingularityError
 from layered_scatter.forward import ForwardSolver, SceneConfig
 from layered_scatter.geometry import (
     InterfaceProfile,
@@ -29,13 +25,18 @@ from layered_scatter.ls_volume import (
     assemble_B2_operator,
     cell_self_weight,
     extend_stage2_many,
+    extension_rows,
+    free_space_matrix,
     log_integral_square,
     planar_field_column,
     planar_green_matrix,
     planar_scattered_matrix,
     solve_stage2,
 )
-from layered_scatter.specfun import fundamental_solution
+from layered_scatter.specfun import (
+    fundamental_solution,
+    fundamental_solution_grad,
+)
 
 SRC = SourceSpec("monopole", (0.3, 1.2))
 
@@ -114,6 +115,38 @@ def test_green_matrix_coincident_needs_weights(green):
     assert np.isfinite(val)
 
 
+def test_free_space_term_of_every_pair(medium):
+    # Phi of y's half-plane on same-side pairs, zero across x2 = 0, and at
+    # a coincident pair the cell average over y's cell (a monopole) or the
+    # principal value 0 (a dipole); the last pair straddles x2 = 0
+    X = np.array([[0.3, 0.6], [-0.5, -0.4], [0.0, 1e-13]])
+    Y = np.array([[0.3, 0.6], [0.7, 1.1], [-0.5, -0.4], [0.2, -0.9],
+                  [0.0, -1e-13]])
+    w = np.array([0.01, 0.02, 0.03, 0.04, 0.05])
+    t = np.linspace(0.4, 5.0, len(Y))
+    nu = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    mono = free_space_matrix(medium, X, Y, y_weights=w)
+    dip = free_space_matrix(medium, X, Y, normals=nu)
+    kappa = [medium.kappa_at(y[1]) for y in Y]
+    for i, x in enumerate(X):
+        for j, y in enumerate(Y):
+            if np.hypot(*(x - y)) < 1e-12:
+                want = (cell_self_weight(kappa[j], w[j]) / w[j], 0.0)
+            elif (x[1] > 0.0) == (y[1] > 0.0):
+                want = (fundamental_solution(kappa[j], x, y),
+                        sum(nu[j, ell - 1] * fundamental_solution_grad(
+                            kappa[j], x, y, ell) for ell in (1, 2)))
+            else:
+                want = (0.0, 0.0)
+            for got, v in zip((mono[i, j], dip[i, j]), want):
+                assert abs(got - v) <= 1e-14 * max(1.0, abs(v))
+    # the sources carry no cell: the cell is x's, of the same area here
+    assert np.array_equal(free_space_matrix(medium, X, Y[[0, 2, 4]],
+                                            x_weights=w[[0, 2, 4]]),
+                          free_space_matrix(medium, X, Y[[0, 2, 4]],
+                                            y_weights=w[[0, 2, 4]]))
+
+
 def test_field_column_matches_scalar(green, reference):
     X = np.array([[0.4, 0.7], [-0.6, -0.5], [0.3, 1.2]])
     # last point far from the source; all same-side or cross values
@@ -130,10 +163,35 @@ def test_field_column_source_on_mesh_point(green):
     val = planar_field_column(green, SRC, X, total=True,
                               x_weights=np.array([0.01]))[0]
     assert np.isfinite(val)
+    # a dipole's free-space part takes its principal value 0 there
     dip = SourceSpec("dipole", SRC.position, 2)
-    with pytest.raises(SingularityError):
-        planar_field_column(green, dip, X, total=True,
-                            x_weights=np.array([0.01]))
+    got = planar_field_column(green, dip, X, total=True)
+    want = green.matrix("dipole", 2, X, [SRC.position])[:, 0]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_normal_dipole_columns_combine_the_coordinate_dipoles(
+        bump_and_dip_profile, medium):
+    # the normal-dipole columns of planar_green_matrix (the obstacle's
+    # kernel columns) and the coordinate-dipole columns of
+    # planar_field_column (the dipole sources) evaluate one kernel: at
+    # nu = (cos t, sin t) the first is cos t times the horizontal plus
+    # sin t times the vertical dipole's column
+    scene = SceneGeometry(bump_and_dip_profile)
+    green = PlanarGreen(medium, 1e-8)
+    u = CellUnion(*(build_region_mesh(tag, scene, 0.1)
+                    for tag in ("B1", "B2")))
+    rx = ReceiverLine(b=2.0, a=3.0, count=11).points()
+    sources = np.array([[0.3, 1.1], [-1.2, 0.6], [0.4, -0.7],
+                        [1.1, -1.5], u.centers[0], u.centers[-1]])
+    for X in (u.centers, rx):
+        for y, theta in zip(sources, np.linspace(0.3, 5.9, len(sources))):
+            nu = np.array([[np.cos(theta), np.sin(theta)]])
+            got = planar_green_matrix(green, X, y[None, :], normals=nu)[:, 0]
+            want = sum(c * planar_field_column(
+                green, SourceSpec("dipole", tuple(y), ell), X)
+                for c, ell in ((nu[0, 0], 1), (nu[0, 1], 2)))
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +457,13 @@ def test_set_up_requests_no_cell_pair_twice_and_a_solve_two_columns(
                                                            (len(rx), 1)]
 
 
-def test_meshes_off_one_lattice_rejected(bump_and_dip_profile):
-    scene = SceneGeometry(bump_and_dip_profile)
-    m1 = build_region_mesh("B1", scene, 0.1)
-    m2 = build_region_mesh("B2", scene, 0.125)
-    with pytest.raises(ConfigurationError):
-        CellUnion(m1, m2)
-
-
-def test_lattice_hits_match_a_search_over_every_center(bump_and_dip_profile):
+def test_lattice_hits_match_a_search_over_every_center(bump_and_dip_profile,
+                                                      medium):
     scene = SceneGeometry(bump_and_dip_profile)
     meshes = [build_region_mesh(tag, scene, 0.1) for tag in ("B1", "B2")]
-    u = CellUnion(*meshes)
+    b2 = assemble_B2_operator(meshes[1], medium,
+                              assemble_B1_operator(meshes[0], medium))
+    u = b2.union
     rng = np.random.default_rng(3)
     centers = u.centers
     X = np.concatenate([
@@ -418,22 +471,35 @@ def test_lattice_hits_match_a_search_over_every_center(bump_and_dip_profile):
         np.tile(centers, (2, 1)),                    # on a center
         centers + rng.uniform(-1e-13, 1e-13, centers.shape),
         centers + 1e-9,                              # near, not on
-        [[1e300, 0.0], [-np.inf, 0.5], [np.nan, 0.1], [50.0, -50.0]]])
+        [[50.0, -50.0]],
+        [[1e300, 0.0], [-np.inf, 0.5], [np.nan, 0.1]]])
     want = np.full(len(X), -1)
     for i, p in enumerate(X):
         d = np.hypot(*(centers - p).T)
         if np.min(d) < 1e-12:
             want[i] = int(np.argmin(d))
-    assert np.array_equal(u.hits(X), want)
+    finite = X[:-3]
+    assert np.array_equal(extension_rows(finite, medium, b2).hit,
+                          want[:-3])
+    # the kernel is not defined at the last three points (on the flat
+    # line, or not finite); the distance test alone runs there when the
+    # contrast vanishes and no kernel row is built
+    none = MediumParams(1.0, 1.0)
+    blank = assemble_B2_operator(meshes[1], none,
+                                 assemble_B1_operator(meshes[0], none))
+    got = extension_rows(X, none, blank)
+    assert got.rows is None and np.array_equal(got.hit, want)
     # both meshes are hit, every center at least three times
     for part, mesh in zip(u.parts, meshes):
         hit = (want >= part.start) & (want < part.stop)
         assert np.count_nonzero(hit) >= 3 * mesh.n >= 40
     # no mesh has a cell on a flat interface, so no point hits one
     flat = SceneGeometry(InterfaceProfile(()))
-    empty = CellUnion(*(build_region_mesh(tag, flat, 0.1)
-                        for tag in ("B1", "B2")))
-    assert np.array_equal(empty.hits(X), np.full(len(X), -1))
+    empty = [build_region_mesh(tag, flat, 0.1) for tag in ("B1", "B2")]
+    empty_b2 = assemble_B2_operator(empty[1], none,
+                                    assemble_B1_operator(empty[0], none))
+    assert np.array_equal(extension_rows(X, none, empty_b2).hit,
+                          np.full(len(X), -1))
 
 
 # ---------------------------------------------------------------------------
