@@ -53,7 +53,6 @@ from .forward import (
     ObstacleSpec,
     SceneConfig,
     blowup_experiment,
-    mixed_reciprocity_check,
     synthesize_dataset,
 )
 from .verify import (
@@ -61,7 +60,6 @@ from .verify import (
     helmholtz_residual,
     mie_interior_circle,
     mie_series_circle,
-    radiation_probe,
     stencil_convergence_ratio,
 )
 
@@ -105,12 +103,10 @@ __all__ = [
     "ObstacleSpec",
     "SceneConfig",
     "blowup_experiment",
-    "mixed_reciprocity_check",
     "synthesize_dataset",
     "StencilProbe",
     "helmholtz_residual",
     "mie_interior_circle",
     "mie_series_circle",
-    "radiation_probe",
     "stencil_convergence_ratio",
 ]

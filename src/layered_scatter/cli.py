@@ -50,7 +50,8 @@ EXIT_NUMERICAL = 3
 # Strict JSON configuration
 # ---------------------------------------------------------------------------
 def _require_keys(obj: dict, allowed: dict, context: str):
-    """Reject unknown keys and type-check the known ones."""
+    """Reject unknown keys and type-check the known ones.  No field takes
+    a boolean, which Python would otherwise pass as the integer 0 or 1."""
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{context} must be a JSON object")
     for key in obj:
@@ -58,7 +59,8 @@ def _require_keys(obj: dict, allowed: dict, context: str):
             raise ConfigurationError(f"unknown key {key!r} in {context}")
     for key, value in obj.items():
         kinds = allowed[key]
-        if kinds is not None and not isinstance(value, kinds):
+        if kinds is not None and (isinstance(value, bool)
+                                  or not isinstance(value, kinds)):
             raise ConfigurationError(
                 f"{context}.{key} has the wrong type ({type(value).__name__})")
 

@@ -46,7 +46,6 @@ from .layered_green import MediumParams, PlanarGreen, SourceSpec
 from .ls_volume import (
     _COINCIDENT,
     CellUnion,
-    ExtensionRows,
     assemble_B1_operator,
     assemble_B2_operator,
     extend_stage2_many,
@@ -65,12 +64,12 @@ from .obstacle import (
     scattered_from_density,
     solve_density,
 )
-from .specfun import fundamental_solution, fundamental_solution_grad
 
-_FD_STEP = 1e-4          # first derivatives of smooth evaluated fields
-_TRAPEZOID_POINTS = 64   # nodes on the small circle of the reciprocity check
 _MIN_CELLS_PER_WAVELENGTH = 4   # of the larger wavenumber, on the B1/B2 mesh
 _COMPLEX = 16            # bytes of a dense complex entry
+# sources times cells of the blow-up experiment: 6-10 s at the 1.3e-7 to
+# 2e-7 s per source and cell measured on a 2-core machine
+_BLOWUP_WORK = 5e7
 
 
 def default_thread_count() -> int:
@@ -239,10 +238,10 @@ class FieldEvaluator:
         s = self._solver
         rows = s.extension_rows(pts)
         out = extend_stage2_many(self._background, pts, s.medium, s.b2,
-                                 total=total, rows=rows)
+                                 rows, total=total)
         if self._correction is not None:
             out = out + scattered_from_density(
-                self._correction, pts, radiation=s.radiation_matrix(pts, rows))
+                self._correction, pts, s.radiation_matrix(pts, rows))
         return out
 
 
@@ -307,10 +306,9 @@ class ForwardSolver:
         kernel = union.kernel(self.green)
         b1 = union.parts[0]
         block = assemble_B1_operator(
-            self.mesh_B1, self.medium, tol=config.quad_tol, green=self.green,
-            kernel=None if kernel is None else kernel[b1, b1])
-        self.b2 = assemble_B2_operator(self.mesh_B2, self.medium, block,
-                                       union=union, kernel=kernel)
+            self.mesh_B1, self.medium, self.green,
+            None if kernel is None else kernel[b1, b1])
+        self.b2 = assemble_B2_operator(union, self.medium, block, kernel)
         del kernel, block
         self.b2.factorize()
 
@@ -331,7 +329,7 @@ class ForwardSolver:
             lam = {"sound_soft": None, "neumann": 0.0}.get(spec.condition,
                                                            spec.lam)
             self.bie_operator = assemble_bie(
-                self.nodes, self.medium, self.b2, kernel_ctx=self.kernel_ctx,
+                self.nodes, self.medium, self.kernel_ctx,
                 rows=self._keep("boundary", self.nodes.positions), lam=lam)
             self.bie_operator.factorize()
         elif spec is not None:
@@ -343,7 +341,7 @@ class ForwardSolver:
             self.penetrable_operator.factorize()
         if spec is not None and "receivers" in self.rows:
             self.radiation = self.radiation_matrix(
-                self.point_sets["receivers"])
+                self.point_sets["receivers"], self.rows["receivers"])
             self.radiation.flags.writeable = False
         self._check_rule()
 
@@ -370,19 +368,19 @@ class ForwardSolver:
             self.green.check_rule(mesh, self.nodes.positions)
 
     # -- source-independent products ----------------------------------------
-    def _keep(self, name: str, points: np.ndarray) -> ExtensionRows:
+    def _keep(self, name: str, points: np.ndarray) -> Optional[np.ndarray]:
         """Build the volume rows at one of the solver's own point sets and
         keep both, read-only."""
         points = np.array(points, float)
         rows = extension_rows(points, self.medium, self.b2)
-        for array in (points,) + tuple(vars(rows).values()):
+        for array in (points, rows):
             if array is not None:
                 array.flags.writeable = False
         self.point_sets[name] = points
         self.rows[name] = rows
         return rows
 
-    def extension_rows(self, X: np.ndarray) -> ExtensionRows:
+    def extension_rows(self, X: np.ndarray) -> Optional[np.ndarray]:
         """Volume rows at X (see extension_rows in ls_volume): the kept
         ones if X is one of the solver's point sets, else built for the
         call."""
@@ -393,16 +391,15 @@ class ForwardSolver:
         return extension_rows(X, self.medium, self.b2)
 
     def radiation_matrix(self, X: np.ndarray,
-                         rows: Optional[ExtensionRows] = None) -> np.ndarray:
+                         rows: Optional[np.ndarray]) -> np.ndarray:
         """Radiation matrix of the obstacle at X (see (penetrable_)
         radiation_matrix in obstacle): the kept one at the receivers, else
-        built for the call on rows (by default extension_rows(X))."""
+        built for the call on rows, the volume rows at X
+        (extension_rows)."""
         X = np.atleast_2d(np.asarray(X, float))
         if self.radiation is not None \
                 and np.array_equal(self.point_sets["receivers"], X):
             return self.radiation
-        if rows is None:
-            rows = self.extension_rows(X)
         if self.penetrable_operator is not None:
             return penetrable_radiation_matrix(self.penetrable_operator, X,
                                                rows)
@@ -452,7 +449,7 @@ class ForwardSolver:
             def incident(name):
                 return extend_stage2_many(background, self.point_sets[name],
                                           self.medium, self.b2,
-                                          rows=self.rows[name])
+                                          self.rows[name])
 
             if spec.condition == "penetrable":
                 op = self.penetrable_operator
@@ -462,9 +459,8 @@ class ForwardSolver:
                                            incident("boundary"))
             else:
                 correction = neumann_impedance_solve(
-                    self.nodes, self.medium, self.b2, incident("boundary"),
-                    lam=self.bie_operator.impedance,
-                    operator=self.bie_operator)
+                    self.bie_operator, incident("boundary"),
+                    self.bie_operator.impedance)
         return FieldEvaluator(self, source, background, correction)
 
 
@@ -702,14 +698,17 @@ def blowup_mesh(profile: InterfaceProfile, cfg: BlowupSequenceConfig,
                       centers=centers[pos], weights=weights[pos])
 
 
-def blowup_experiment(config: SceneConfig, cfg: BlowupSequenceConfig,
-                      mesh: Optional[RegionMesh] = None) -> dict:
+def blowup_experiment(config: SceneConfig,
+                      cfg: BlowupSequenceConfig) -> dict:
     """Norms N_n of the nu-directional kernel derivative as z_n -> z*.
 
     Returns {"rows": [(n, N_n), ...], "exponent": fitted log-log slope,
     "ratio": N_{n_max}/N_4}.  Divergence is reported, not asserted.
     N_n grows like (1/(8 pi)) ln n, so "exponent", the log-log slope, only
-    signals growth and shrinks as n_max grows.
+    signals growth and shrinks as n_max grows.  Each n evaluates the
+    kernel derivative on every cell of the graded mesh, so n_max times
+    the cell count past _BLOWUP_WORK raises ConfigurationError before the
+    first.
     """
     profile = config.profile
     z = np.asarray(cfg.z_star, float)
@@ -717,18 +716,21 @@ def blowup_experiment(config: SceneConfig, cfg: BlowupSequenceConfig,
     if abs(z[1] - f_at) > 1e-9:
         raise GeometryError("z* must lie on the interface graph")
     nu = np.asarray(profile.upward_normal(z[0]))
-    if mesh is None:
-        mesh = blowup_mesh(profile, cfg, subsample=config.subsample)
+    mesh = blowup_mesh(profile, cfg, subsample=config.subsample)
+    if cfg.n_max * mesh.n > _BLOWUP_WORK:
+        raise ConfigurationError(
+            "experiment.n_max %d times the %d mesh cells exceeds the "
+            "blow-up experiment's budget of %.3g" % (cfg.n_max, mesh.n,
+                                                     _BLOWUP_WORK))
     kappa1 = config.medium.kappa1
 
     from .specfun import grad_phi_matrix
     rows = []
-    min_size_near = mesh.cell_size
     for n in range(1, cfg.n_max + 1):
         zn = z + (cfg.delta0 / n) * nu
         dx = mesh.centers - zn[None, :]
         r = np.hypot(dx[:, 0], dx[:, 1])
-        if np.min(r) < 2.0 * min_size_near:
+        if np.min(r) < 2.0 * mesh.cell_size:
             warnings.warn("blow-up source z_%d is within two finest cells "
                           "of the quadrature mesh; refine min_cell" % n,
                           stacklevel=2)
@@ -740,74 +742,5 @@ def blowup_experiment(config: SceneConfig, cfg: BlowupSequenceConfig,
     Ns = np.array([r[1] for r in rows], float)
     tail = ns >= max(4, cfg.n_max // 4)
     slope = np.polyfit(np.log(ns[tail]), np.log(Ns[tail]), 1)[0]
-    n4 = Ns[3] if cfg.n_max >= 4 else Ns[0]
     return {"rows": rows, "exponent": float(slope),
-            "ratio": float(Ns[-1] / n4), "mesh_cells": mesh.n}
-
-
-# ---------------------------------------------------------------------------
-# Mixed reciprocity check
-# ---------------------------------------------------------------------------
-def _grad_kernel_derivative(kappa: float, y, c, ell: int) -> np.ndarray:
-    """Gradient in y of the direction-ell derivative of the free-space
-    kernel centered at c (closed form, no finite differences)."""
-    from .specfun import hankel1_0, hankel1_1
-    d = np.asarray(y, float) - np.asarray(c, float)
-    r = float(np.hypot(d[0], d[1]))
-    z = kappa * r
-    h1 = hankel1_1(z)
-    h1p = hankel1_0(z) - h1 / z
-    e = np.zeros(2)
-    e[ell - 1] = 1.0
-    return -0.25j * kappa * (kappa * h1p * (d[ell - 1] / r) * (d / r)
-                             + h1 * (e / r - d[ell - 1] * d / r ** 3))
-
-
-def mixed_reciprocity_check(config: SceneConfig, xs1, xs2, ell: int,
-                            eps: float = 1e-2,
-                            solver: Optional[ForwardSolver] = None) -> dict:
-    """Both sides of the monopole/dipole reciprocity identity.
-
-    Left: total field at xs1 of the direction-ell dipole at xs2.  Right:
-    trapezoid quadrature over the circle of radius eps around xs2 of
-    d(u~inc)/dnu * u - du/dnu * u~inc, with u the total monopole field of
-    the source at xs1 and finite-difference normal derivatives of u.
-    """
-    xs1 = np.asarray(xs1, float)
-    xs2 = np.asarray(xs2, float)
-    if np.hypot(*(xs1 - xs2)) <= 2.0 * eps:
-        raise GeometryError("source points closer than the quadrature circle")
-    if solver is None:
-        solver = ForwardSolver(config)
-    profile = config.profile
-    gap = abs(xs2[1] - profile(xs2[0]))
-    if gap <= eps:
-        raise GeometryError("quadrature circle intersects the interface")
-    if config.obstacle is not None:
-        t = np.linspace(0.0, 2.0 * np.pi, 129)[:-1]
-        bd = config.obstacle.curve.point(t)
-        if np.min(np.hypot(bd[:, 0] - xs2[0], bd[:, 1] - xs2[1])) <= eps:
-            raise GeometryError("quadrature circle intersects the obstacle")
-
-    kappa1 = config.medium.kappa1
-    dip = SourceSpec("dipole", (float(xs2[0]), float(xs2[1])), ell)
-    left = solver.solve(dip).total(xs1)
-
-    mono = solver.solve(SourceSpec("monopole", (float(xs1[0]), float(xs1[1]))))
-    th = np.arange(_TRAPEZOID_POINTS) * (2.0 * np.pi / _TRAPEZOID_POINTS)
-    # normal of the excised ball, pointing into it (outward for the domain)
-    nu = -np.stack([np.cos(th), np.sin(th)], axis=-1)
-    Y = xs2[None, :] - eps * nu
-
-    u = mono.total(Y)
-    h = _FD_STEP
-    du = (mono.total(Y + h * nu) - mono.total(Y - h * nu)) / (2.0 * h)
-    uinc_t = np.array([fundamental_solution_grad(kappa1, y, xs2, ell)
-                       for y in Y])
-    duinc_t = np.array([
-        _grad_kernel_derivative(kappa1, y, xs2, ell) @ n_
-        for y, n_ in zip(Y, nu)])
-    ds = eps * (2.0 * np.pi / _TRAPEZOID_POINTS)
-    right = complex(np.sum((duinc_t * u - du * uinc_t) * ds))
-    mismatch = abs(left - right) / max(abs(left), abs(right), 1e-300)
-    return {"left": complex(left), "right": right, "mismatch": float(mismatch)}
+            "ratio": float(Ns[-1] / Ns[3]), "mesh_cells": mesh.n}

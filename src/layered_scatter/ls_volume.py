@@ -22,10 +22,10 @@ an equal-area square plus the midpoint value of the smooth remainder.
 Every kernel column, of the operator, of a source and of the obstacle's
 kernels, is the flat-interface scattered part plus one free-space term
 (free_space_matrix): at a coincident point pair (r < _COINCIDENT) a
-monopole takes this cell average, which makes the discrete extension
-formula exactly consistent with the solved values at cell centers, and
-a dipole the principal value 0.  The same distance test finds the cell
-center a point of an extension sits on (extension_rows).
+monopole takes this cell average, a dipole the principal value 0.  With
+the cell average in the rows, the extension formula at a cell center
+reproduces the solved value there to rounding: it holds at every point,
+centers included (extension_rows, extend_stage2_many).
 
 The flat-interface kernel depends only on the two heights and the
 horizontal offset.  Every kernel matrix and source column, the grid x grid
@@ -73,12 +73,6 @@ def cell_self_weight(kappa: float, w: float) -> complex:
 # ---------------------------------------------------------------------------
 # Flat-interface kernel matrices (batched Fourier integrals)
 # ---------------------------------------------------------------------------
-def _pairs(X: np.ndarray, Y: np.ndarray):
-    """x - y and |x - y| at every pair (x_i, y_j)."""
-    d = X[:, None, :] - Y[None, :, :]
-    return d, np.hypot(d[..., 0], d[..., 1])
-
-
 def free_space_matrix(medium: MediumParams, X: np.ndarray, Y: np.ndarray,
                       normals: Optional[np.ndarray] = None,
                       y_weights: Optional[np.ndarray] = None,
@@ -96,7 +90,8 @@ def free_space_matrix(medium: MediumParams, X: np.ndarray, Y: np.ndarray,
     """
     X = np.asarray(X, float).reshape(-1, 2)
     Y = np.asarray(Y, float).reshape(-1, 2)
-    d, r = _pairs(X, Y)
+    d = X[:, None, :] - Y[None, :, :]
+    r = np.hypot(d[..., 0], d[..., 1])
     coin = r < _COINCIDENT
     up = Y[:, 1] > 0.0
     kappa = np.where(up, medium.kappa1, medium.kappa2)
@@ -138,24 +133,12 @@ def planar_green_matrix(green: PlanarGreen, X: np.ndarray, Y: np.ndarray,
     of the dipoles at y_j along normals: the scattered part plus the
     free-space part, cell-averaged at coincident pairs as in
     free_space_matrix."""
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
     return planar_scattered_matrix(green, X, Y, normals) + free_space_matrix(
         green.medium, X, Y, normals, y_weights, x_weights)
 
 
 # the unit vectors of the coordinate axes, the normals of coordinate dipoles
 _AXES = np.eye(2)
-
-
-def _free_column(medium: MediumParams, source: SourceSpec, X: np.ndarray,
-                 x_weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Free-space part of a source's field at each point of X (a
-    coordinate dipole is the dipole along its axis)."""
-    ell = source.direction
-    normals = None if source.kind == "monopole" else _AXES[ell - 1:ell]
-    return free_space_matrix(medium, X, np.array([source.position], float),
-                             normals, x_weights=x_weights)[:, 0]
 
 
 def planar_field_column(green: PlanarGreen, source: SourceSpec,
@@ -166,14 +149,17 @@ def planar_field_column(green: PlanarGreen, source: SourceSpec,
     With total=False only the scattered/transmitted part is returned.  At
     a point of X on the source position a monopole takes the cell average
     (x_weights required), a dipole the principal value of its free-space
-    part, 0 (free_space_matrix).
+    part, 0 (free_space_matrix); a coordinate dipole is the dipole along
+    its axis.
     """
-    X = np.asarray(X, float)
-    out = green.matrix(source.kind, source.direction, X,
-                       np.array([source.position], float))[:, 0]
+    Y = np.array([source.position], float)
+    out = green.matrix(source.kind, source.direction, X, Y)[:, 0]
     if not total:
         return out
-    return out + _free_column(green.medium, source, X, x_weights)
+    ell = source.direction
+    normals = None if source.kind == "monopole" else _AXES[ell - 1:ell]
+    return out + free_space_matrix(green.medium, X, Y, normals,
+                                   x_weights=x_weights)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,59 +253,42 @@ class GridSolution:
 # The operator on U and its solve
 # ---------------------------------------------------------------------------
 def assemble_B1_operator(mesh_B1: RegionMesh, medium: MediumParams,
-                         tol: float = 1e-8,
-                         green: Optional[PlanarGreen] = None,
-                         kernel: Optional[np.ndarray] = None
-                         ) -> DenseOperator:
+                         green: PlanarGreen,
+                         kernel: Optional[np.ndarray]) -> DenseOperator:
     """Collocation matrix of I + eta*T0 on the B1 mesh: the B1 block of
     the operator on U (assemble_B2_operator).
 
     kernel is the flat kernel on the B1 cells, cell-averaged on its
-    diagonal; by default it is evaluated here.  A caller that also
-    assembles the operator on U cuts it from the union's kernel
-    (CellUnion.kernel)."""
-    if green is None:
-        green = PlanarGreen(medium, tol)
-    w = mesh_B1.weights
+    diagonal, cut from the union's (CellUnion.kernel); None at zero
+    contrast."""
     entries = np.eye(mesh_B1.n, dtype=complex)
-    if medium.eta != 0.0:
-        if kernel is None:
-            kernel = planar_green_matrix(green, mesh_B1.centers,
-                                         mesh_B1.centers, w)
-        entries += medium.eta * kernel * w[None, :]
+    if kernel is not None:
+        entries += medium.eta * kernel * mesh_B1.weights[None, :]
     op = DenseOperator(entries)
-    op.mesh = mesh_B1
     op.green = green
     return op
 
 
-def assemble_B2_operator(mesh_B2: RegionMesh, medium: MediumParams,
+def assemble_B2_operator(union: CellUnion, medium: MediumParams,
                          b1_operator: DenseOperator,
-                         union: Optional[CellUnion] = None,
-                         kernel: Optional[np.ndarray] = None
-                         ) -> DenseOperator:
-    """Collocation matrix of I - eta*K diag(c*w) on U, the cells of B1
-    (b1_operator's mesh) and of mesh_B2, c = -1 on B1 and +1 on B2.
+                         kernel: Optional[np.ndarray]) -> DenseOperator:
+    """Collocation matrix of I - eta*K diag(c*w) on U, the cells of the
+    union, c = -1 on B1 and +1 on B2.
 
     Its B1 block, I + eta*K11 w1, is placed from b1_operator; the rows
-    and columns of B2 are filled in from kernel, union.kernel(green) on
-    union (both built here by default).  The union is kept: every later
-    kernel row and source column is evaluated on it.
+    and columns of B2 are filled in from kernel, union.kernel(green)
+    (None at zero contrast).  The union is kept: every later kernel row
+    and source column is evaluated on it.
     """
-    green = b1_operator.green
-    if union is None:
-        union = CellUnion(b1_operator.mesh, mesh_B2)
     b1, b2 = union.parts
     entries = np.eye(len(union.centers), dtype=complex)
     entries[b1, b1] = b1_operator.entries
-    if medium.eta != 0.0:
-        if kernel is None:
-            kernel = union.kernel(green)
+    if kernel is not None:
         cw = union.signed
         entries[:, b2] -= medium.eta * kernel[:, b2] * cw[None, b2]
         entries[b2, b1] -= medium.eta * kernel[b2, b1] * cw[None, b1]
     op = DenseOperator(entries)
-    op.green = green
+    op.green = b1_operator.green
     op.union = union
     return op
 
@@ -335,64 +304,35 @@ def solve_stage2(source: SourceSpec,
     return GridSolution(values=b2_operator.solve(u), source=source)
 
 
-@dataclass(frozen=True)
-class ExtensionRows:
-    """Source-independent rows of the volume integral at every point of a
-    set X: the cell of U each point sits on (-1 if none) and the weighted
-    kernel rows G(x, U; flat) c w, cell-averaged at a point on a center.
-    The extension formula reads them at the points off U, the obstacle
-    kernels (RoughKernel.smooth_part, radiation_matrix) at every point.
-    rows is None when the contrast vanishes."""
-
-    hit: np.ndarray                # coinciding cell of U per point, -1 if none
-    rows: Optional[np.ndarray]     # G(x, U; flat) c w
-
-
 def extension_rows(X: np.ndarray, medium: MediumParams,
-                   b2_operator: DenseOperator) -> ExtensionRows:
-    """The rows of the volume integral at X that every source shares; the
-    one builder behind extend_stage2_many, RoughKernel.smooth_part and
-    radiation_matrix."""
-    X = np.asarray(X, float).reshape(-1, 2)
+                   b2_operator: DenseOperator) -> Optional[np.ndarray]:
+    """The weighted rows G(x, U; flat) c w of the volume integral at every
+    point of X, cell-averaged at a point on a center, that every source
+    shares: the one builder behind extend_stage2_many,
+    RoughKernel.smooth_part and radiation_matrix.  None when the contrast
+    vanishes, where no integral reads them."""
+    if medium.eta == 0.0:
+        return None
     union = b2_operator.union
-    rows = None
-    if medium.eta != 0.0 and len(X):
-        rows = planar_green_matrix(b2_operator.green, X, union.centers,
-                                   union.weights) * union.signed[None, :]
-    hit = np.full(len(X), -1)
-    i, j = np.nonzero(_pairs(X, union.centers)[1] < _COINCIDENT)
-    hit[i] = j
-    return ExtensionRows(hit=hit, rows=rows)
+    return planar_green_matrix(b2_operator.green, X, union.centers,
+                               union.weights) * union.signed[None, :]
 
 
 def extend_stage2_many(sol: GridSolution, X: np.ndarray,
                        medium: MediumParams,
                        b2_operator: DenseOperator,
-                       total: bool = True,
-                       rows: Optional[ExtensionRows] = None) -> np.ndarray:
+                       rows: Optional[np.ndarray],
+                       total: bool = True) -> np.ndarray:
     """Rough-interface field at each point of X, by the extension formula
-    u_flat + eta * int_{D_f} G(., y; flat) c u dy.
+    u_flat + eta * int_{D_f} G(., y; flat) c u dy, with rows from
+    extension_rows at the same X.
 
-    A point on a cell center of U takes the solved value there: the
-    equation itself is the extension formula there.  total=False removes
-    the free-space incident wave (same side only), yielding the
-    scattered/transmitted part directly.  rows, from extension_rows at the
-    same X, skips rebuilding the source-independent kernel rows; without
-    it they are built for this call only.
+    The formula holds at every point: at a cell center of U it is the
+    equation itself and returns the solved value there.  total=False
+    removes the free-space incident wave (same side only), yielding the
+    scattered/transmitted part directly.
     """
-    X = np.asarray(X, float)
-    if rows is None:
-        rows = extension_rows(X, medium, b2_operator)
-    out = np.empty(len(X), dtype=complex)
-    on = rows.hit >= 0
-    out[on] = sol.values[rows.hit[on]]
-    if np.any(on) and not total:
-        out[on] -= _free_column(medium, sol.source, X[on],
-                                b2_operator.union.weights[rows.hit[on]])
-    off = ~on
-    if np.any(off):
-        out[off] = planar_field_column(b2_operator.green, sol.source, X[off],
-                                       total=total)
-        if medium.eta != 0.0:
-            out[off] += medium.eta * (rows.rows @ sol.values)[off]
+    out = planar_field_column(b2_operator.green, sol.source, X, total=total)
+    if rows is not None:
+        out += medium.eta * (rows @ sol.values)
     return out

@@ -27,6 +27,8 @@ Penetrable obstacles use one more Lippmann-Schwinger equation, this time
 over a mesh of D with contrast m = 1 - n and kernel G(.,.;rough); like the
 boundary operators, its operator depends on the scene alone.  Either
 solution radiates as a source-independent matrix times its weights.
+Every kernel evaluation takes the volume rows at its points that the
+caller holds (ls_volume.extension_rows), None only at zero contrast.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .geometry import ObstacleNodes, RegionMesh
 from .layered_green import MediumParams
 from .ls_volume import (
     DenseOperator,
-    ExtensionRows,
     extension_rows,
     free_space_matrix,
     planar_green_matrix,
@@ -64,8 +65,9 @@ class RoughKernel:
     factorization of the operator A on U (assemble_B2_operator); the
     flat-kernel columns K(U, y) are one planar_green_matrix call on U,
     the operator's CellUnion.  At evaluation points X the kernel adds
-    eta * rows q, with the weighted volume rows of extension_rows, which
-    every kernel on the same operator shares.
+    eta * rows q, with the weighted volume rows of extension_rows at X,
+    which every kernel on the same operator shares (None at zero
+    contrast).
     """
 
     def __init__(self, b2_operator, medium: MediumParams, sources: np.ndarray,
@@ -85,29 +87,25 @@ class RoughKernel:
             x_weights=union.weights, normals=self.normals))
 
     def smooth_part(self, X: np.ndarray,
-                    rows: Optional[ExtensionRows] = None) -> np.ndarray:
+                    rows: Optional[np.ndarray]) -> np.ndarray:
         """The kernel at (x_i, y_j) less the free-space part full adds:
         finite on the diagonal.
 
         Meaningful when evaluation points share the lower medium with the
         sources, so the subtracted free-space part is the local singularity.
-        rows, from extension_rows at the same X, skips rebuilding them.
+        rows are extension_rows at the same X.
         """
-        X = np.asarray(X, float)
         out = planar_scattered_matrix(self.b2.green, X, self.sources,
                                       self.normals)
-        if self.medium.eta == 0.0:
-            return out
         if rows is None:
-            rows = extension_rows(X, self.medium, self.b2)
-        return out + self.medium.eta * rows.rows @ self.q
+            return out
+        return out + self.medium.eta * rows @ self.q
 
-    def full(self, X: np.ndarray, y_weights: Optional[np.ndarray] = None,
-             rows=None) -> np.ndarray:
+    def full(self, X: np.ndarray, rows: Optional[np.ndarray],
+             y_weights: Optional[np.ndarray] = None) -> np.ndarray:
         """The kernel at (x_i, y_j) including the free-space part on
         same-side pairs, coincident pairs as in free_space_matrix over
         y_weights; rows as in smooth_part."""
-        X = np.asarray(X, float)
         return self.smooth_part(X, rows) + free_space_matrix(
             self.medium, X, self.sources, self.normals, y_weights)
 
@@ -119,7 +117,8 @@ def green_rough_columns(points: np.ndarray, b2_operator: DenseOperator,
     evaluation points x_i and monopole source positions y_j: one column
     solve per source on the operator of U (RoughKernel.full).  Sources
     must stay off the evaluation points."""
-    return RoughKernel(b2_operator, medium, sources).full(points)
+    return RoughKernel(b2_operator, medium, sources).full(
+        points, extension_rows(points, medium, b2_operator))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +222,8 @@ def build_rough_kernel_context(nodes: ObstacleNodes, b2_operator,
     return (center, dnu)
 
 
-def assemble_bie(nodes: ObstacleNodes, medium: MediumParams, b2_operator,
-                 kernel_ctx=None, rows: Optional[ExtensionRows] = None,
+def assemble_bie(nodes: ObstacleNodes, medium: MediumParams, kernel_ctx,
+                 rows: Optional[np.ndarray],
                  lam: Union[None, float, np.ndarray] = None
                  ) -> DenseOperator:
     """Collocation matrix of I + s(K + cS) for an impenetrable obstacle:
@@ -234,8 +233,9 @@ def assemble_bie(nodes: ObstacleNodes, medium: MediumParams, b2_operator,
     The free-space parts of S and K use the log-singular rule; the smooth
     remainder of the rough-interface kernel and of its normal derivative
     enters through the periodic trapezoid rule.  The matrix depends on the
-    scene and lam only, so one factorization serves every source.  rows,
-    from extension_rows at the nodes, skips rebuilding them.
+    scene and lam only, so one factorization serves every source.
+    kernel_ctx is build_rough_kernel_context at the nodes, rows are
+    extension_rows there.
     """
     if np.any(nodes.positions[:, 1] >= 0.0):
         raise ConfigurationError("obstacle boundary must lie in the lower "
@@ -247,12 +247,8 @@ def assemble_bie(nodes: ObstacleNodes, medium: MediumParams, b2_operator,
         if np.any(lam < 0.0):
             raise ConfigurationError("impedance must be nonnegative")
         sign, coupling = -1.0, 1j * lam
-    if kernel_ctx is None:
-        kernel_ctx = build_rough_kernel_context(nodes, b2_operator, medium)
     center, dnu = kernel_ctx
     X = nodes.positions
-    if rows is None:
-        rows = extension_rows(X, medium, b2_operator)
     S, K = layer_matrices(nodes, medium.kappa2)
     M = nodes.n // 2
     trap = (np.pi / M) * nodes.jacobians[None, :]
@@ -262,8 +258,6 @@ def assemble_bie(nodes: ObstacleNodes, medium: MediumParams, b2_operator,
                        + sign * (K + coupling[None, :] * S))
     op.nodes = nodes
     op.kernel_ctx = kernel_ctx
-    op.medium = medium
-    op.b2 = b2_operator
     op.sign = sign
     op.coupling = coupling
     op.impedance = lam
@@ -278,67 +272,50 @@ def solve_density(operator: DenseOperator,
     return BoundaryDensity(nodes=operator.nodes, psi=phi, operator=operator)
 
 
-def neumann_impedance_solve(nodes: ObstacleNodes,
-                            medium: MediumParams, b2_operator,
-                            incident: np.ndarray,
-                            lam: Union[float, np.ndarray] = 0.0,
-                            kernel_ctx=None,
-                            operator: Optional[DenseOperator] = None
+def neumann_impedance_solve(operator: DenseOperator, incident: np.ndarray,
+                            lam: Union[float, np.ndarray]
                             ) -> BoundaryDensity:
-    """Boundary total field u from (I - K - i*lam*S) u = 2U.
+    """Boundary total field u from (I - K - i*lam*S) u = 2U, on the
+    operator of assemble_bie for the same lam.
 
     lam = 0 is the Neumann condition; lam > 0 the impedance condition.
-    operator is the matrix from assemble_bie for the same nodes and lam;
-    without it the matrix is assembled and factorized for this call only.
-    Either way the result is bit-for-bit the same.
     """
-    lam = np.broadcast_to(np.asarray(lam, float), (nodes.n,))
-    if np.any(lam < 0.0):
-        raise ConfigurationError("impedance must be nonnegative")
-    if operator is None:
-        operator = assemble_bie(nodes, medium, b2_operator, kernel_ctx,
-                                lam=lam)
-    elif not np.array_equal(operator.impedance, lam):
+    lam = np.broadcast_to(np.asarray(lam, float), (operator.nodes.n,))
+    if not np.array_equal(operator.impedance, lam):
         raise ConfigurationError("operator was assembled for another "
                                  "impedance")
     return solve_density(operator, incident)
 
 
 def radiation_matrix(operator: DenseOperator, X: np.ndarray,
-                     rows: Optional[ExtensionRows] = None) -> np.ndarray:
+                     rows: Optional[np.ndarray]) -> np.ndarray:
     """Matrix taking the quadrature weights of a solution of the operator
     from assemble_bie to its field at X: dG/dnu(y) + cG, with c = -i
     (sound-soft) or i lam (Neumann, impedance).
 
     It depends on the kernel columns and X only, not on the density.
-    rows, from extension_rows at the same X, skips rebuilding them.
+    rows are extension_rows at X.
     """
     center, dnu = operator.kernel_ctx
-    if rows is None:
-        rows = extension_rows(X, center.medium, center.b2)
-    return operator.coupling[None, :] * center.full(X, rows=rows) \
-        - dnu.full(X, rows=rows)
+    return operator.coupling[None, :] * center.full(X, rows) \
+        - dnu.full(X, rows)
 
 
 def scattered_from_density(density: Union[BoundaryDensity, VolumeDensity],
-                           X: np.ndarray,
-                           radiation: Optional[np.ndarray] = None
+                           X: np.ndarray, radiation: np.ndarray
                            ) -> np.ndarray:
     """Radiated field of a boundary density at points X away from dD, or
     of a penetrable obstacle's VolumeDensity.
 
     Impenetrable: w = int (dG/dnu(y) + cG) phi ds (see assemble_bie);
-    penetrable: w = -k2^2 int_D G m u dy.  radiation, from
-    (penetrable_)radiation_matrix at the same X and with the density's
-    kernel columns, skips rebuilding that source-independent matrix;
-    without it the matrix is built for this call only.  Points closer to
-    dD than the node spacing trigger an accuracy warning (the trapezoid
-    rule degrades there).
+    penetrable: w = -k2^2 int_D G m u dy.  radiation is the
+    source-independent (penetrable_)radiation_matrix at the same X, with
+    the density's kernel columns.  Points closer to dD than the node
+    spacing trigger an accuracy warning (the trapezoid rule degrades
+    there).
     """
     X = np.atleast_2d(np.asarray(X, float))
     if isinstance(density, VolumeDensity):
-        if radiation is None:
-            radiation = penetrable_radiation_matrix(density.operator, X, None)
         pen = density.operator.pen
         return radiation @ (pen.m_values * pen.mesh.weights * density.values)
     nodes = density.nodes
@@ -348,8 +325,6 @@ def scattered_from_density(density: Union[BoundaryDensity, VolumeDensity],
         warnings.warn("evaluation point within one node spacing of the "
                       "obstacle boundary; quadrature accuracy degrades",
                       stacklevel=2)
-    if radiation is None:
-        radiation = radiation_matrix(density.operator, X)
     M = nodes.n // 2
     wts = (np.pi / M) * nodes.jacobians * density.psi
     return radiation @ wts
@@ -385,7 +360,8 @@ class VolumeDensity:
 
 
 def assemble_penetrable(pen: PenetrableMedium, medium: MediumParams,
-                        b2_operator, rows: ExtensionRows) -> DenseOperator:
+                        b2_operator, rows: Optional[np.ndarray]
+                        ) -> DenseOperator:
     """Collocation matrix of u + k2^2 int_D G(x,y;rough) m(y) u(y) dy on
     the cells of D, with the kernel columns at the cell centers; rows are
     the volume rows there (extension_rows).
@@ -395,7 +371,7 @@ def assemble_penetrable(pen: PenetrableMedium, medium: MediumParams,
     """
     mesh = pen.mesh
     kernel = RoughKernel(b2_operator, medium, mesh.centers)
-    G = kernel.full(mesh.centers, y_weights=mesh.weights, rows=rows)
+    G = kernel.full(mesh.centers, rows, y_weights=mesh.weights)
     kap2 = medium.kappa2 ** 2
     op = DenseOperator(np.eye(mesh.n, dtype=complex)
                        + kap2 * G * (pen.m_values * mesh.weights)[None, :])
@@ -405,10 +381,9 @@ def assemble_penetrable(pen: PenetrableMedium, medium: MediumParams,
 
 
 def penetrable_radiation_matrix(operator: DenseOperator, X: np.ndarray,
-                                rows: Optional[ExtensionRows]) -> np.ndarray:
+                                rows: Optional[np.ndarray]) -> np.ndarray:
     """-k2^2 G(x_i, c_j; rough), at the cell centers c_j of the operator
-    from assemble_penetrable; rows (extension_rows at X, or None) as in
-    radiation_matrix."""
+    from assemble_penetrable; rows as in radiation_matrix."""
     kernel = operator.kernel
-    G = kernel.full(X, y_weights=operator.pen.mesh.weights, rows=rows)
+    G = kernel.full(X, rows, y_weights=operator.pen.mesh.weights)
     return (-kernel.medium.kappa2 ** 2) * G

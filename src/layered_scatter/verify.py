@@ -10,7 +10,7 @@ pipeline is evidence, not circularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import h1vp, hankel1, jv, jvp
@@ -151,21 +151,3 @@ def mie_interior_circle(a: float, kappa: float, n: complex, source, x,
     raise AccuracyError("interior circle series did not converge",
                         value=complex(total))
 
-
-# ---------------------------------------------------------------------------
-# Radiation-condition probe
-# ---------------------------------------------------------------------------
-def radiation_probe(fieldfn: Callable, direction, radii: Sequence[float],
-                    kappa: float, fd_step: float = 1e-3) -> np.ndarray:
-    """sqrt(r)*|du/dr - i*kappa*u| along a ray, radial derivative by
-    central differences; decays toward zero for outgoing fields."""
-    d = np.asarray(direction, float)
-    d = d / np.hypot(d[0], d[1])
-    out = []
-    for r in radii:
-        um = fieldfn(tuple((r - fd_step) * d))
-        u0 = fieldfn(tuple(r * d))
-        up = fieldfn(tuple((r + fd_step) * d))
-        du = (up - um) / (2.0 * fd_step)
-        out.append(np.sqrt(r) * abs(du - 1j * kappa * u0))
-    return np.asarray(out)

@@ -1,4 +1,6 @@
-"""Shared fixtures: media, scenes and pre-factorized solvers.
+"""Shared fixtures: media, scenes, pre-factorized solvers and the
+oracles that only tests call (the sound-soft boundary trace, the mixed
+reciprocity identity and the radiation probe).
 
 The heavier objects are session-scoped; everything they hold is immutable
 after construction, so sharing them across tests is safe.
@@ -9,6 +11,7 @@ import pytest
 
 from layered_scatter import (
     ForwardSolver,
+    GeometryError,
     InterfaceProfile,
     MediumParams,
     ObstacleCurve,
@@ -17,9 +20,16 @@ from layered_scatter import (
     ReceiverLine,
     SceneConfig,
     SceneGeometry,
+    SourceSpec,
     assemble_B1_operator,
     assemble_B2_operator,
     build_region_mesh,
+)
+from layered_scatter.ls_volume import CellUnion
+from layered_scatter.specfun import (
+    fundamental_solution_grad,
+    hankel1_0,
+    hankel1_1,
 )
 
 
@@ -47,10 +57,16 @@ def flat_scene():
 
 
 def _volume_operator(scene, medium, cell_size=0.1):
+    """The volume operator on the B1 and B2 cells of scene, assembled as
+    ForwardSolver assembles it."""
     m1 = build_region_mesh("B1", scene, cell_size)
-    m2 = build_region_mesh("B2", scene, cell_size)
-    op1 = assemble_B1_operator(m1, medium)
-    return assemble_B2_operator(m2, medium, op1)
+    union = CellUnion(m1, build_region_mesh("B2", scene, cell_size))
+    green = PlanarGreen(medium, 1e-8)
+    kernel = union.kernel(green)
+    b1 = union.parts[0]
+    op1 = assemble_B1_operator(m1, medium, green,
+                               None if kernel is None else kernel[b1, b1])
+    return assemble_B2_operator(union, medium, op1, kernel)
 
 
 @pytest.fixture(scope="session")
@@ -173,16 +189,15 @@ def _boundary_total_field(density, t, background):
     from layered_scatter.obstacle import RoughKernel
     t = np.asarray(t, float)
     nodes = density.nodes
-    op = density.operator
-    medium = op.medium
-    center = op.kernel_ctx[0]
+    center = density.operator.kernel_ctx[0]
+    medium, b2 = center.medium, center.b2
     P, nu = nodes.positions, nodes.normals
     delta = 1e-4 * np.ptp(P, axis=0).max()
-    plus = RoughKernel(op.b2, medium, P + delta * nu)
-    minus = RoughKernel(op.b2, medium, P - delta * nu)
+    plus = RoughKernel(b2, medium, P + delta * nu)
+    minus = RoughKernel(b2, medium, P - delta * nu)
     S, K = _layer_matrices_off_nodes(nodes, medium.kappa2, t)
     X = nodes.curve.point(t)
-    rows = extension_rows(X, medium, op.b2)
+    rows = extension_rows(X, medium, b2)
     rho = center.smooth_part(X, rows)
     drho = (plus.smooth_part(X, rows) - minus.smooth_part(X, rows)) \
         / (2.0 * delta)
@@ -209,3 +224,102 @@ def boundary_total_field():
 def kress_weights_off_nodes():
     """The log-singular weights at parameters off the nodes."""
     return _kress_weights_off_nodes
+
+
+# ---------------------------------------------------------------------------
+# Mixed reciprocity check
+# ---------------------------------------------------------------------------
+_FD_STEP = 1e-4          # first derivatives of smooth evaluated fields
+_TRAPEZOID_POINTS = 64   # nodes on the small circle of the reciprocity check
+
+
+def _grad_kernel_derivative(kappa, y, c, ell):
+    """Gradient in y of the direction-ell derivative of the free-space
+    kernel centered at c (closed form, no finite differences)."""
+    d = np.asarray(y, float) - np.asarray(c, float)
+    r = float(np.hypot(d[0], d[1]))
+    z = kappa * r
+    h1 = hankel1_1(z)
+    h1p = hankel1_0(z) - h1 / z
+    e = np.zeros(2)
+    e[ell - 1] = 1.0
+    return -0.25j * kappa * (kappa * h1p * (d[ell - 1] / r) * (d / r)
+                             + h1 * (e / r - d[ell - 1] * d / r ** 3))
+
+
+def _mixed_reciprocity_check(config, xs1, xs2, ell, eps=1e-2, solver=None):
+    """Both sides of the monopole/dipole reciprocity identity.
+
+    Left: total field at xs1 of the direction-ell dipole at xs2.  Right:
+    trapezoid quadrature over the circle of radius eps around xs2 of
+    d(u~inc)/dnu * u - du/dnu * u~inc, with u the total monopole field of
+    the source at xs1 and finite-difference normal derivatives of u.
+    """
+    xs1 = np.asarray(xs1, float)
+    xs2 = np.asarray(xs2, float)
+    if np.hypot(*(xs1 - xs2)) <= 2.0 * eps:
+        raise GeometryError("source points closer than the quadrature circle")
+    if solver is None:
+        solver = ForwardSolver(config)
+    profile = config.profile
+    gap = abs(xs2[1] - profile(xs2[0]))
+    if gap <= eps:
+        raise GeometryError("quadrature circle intersects the interface")
+    if config.obstacle is not None:
+        t = np.linspace(0.0, 2.0 * np.pi, 129)[:-1]
+        bd = config.obstacle.curve.point(t)
+        if np.min(np.hypot(bd[:, 0] - xs2[0], bd[:, 1] - xs2[1])) <= eps:
+            raise GeometryError("quadrature circle intersects the obstacle")
+
+    kappa1 = config.medium.kappa1
+    dip = SourceSpec("dipole", (float(xs2[0]), float(xs2[1])), ell)
+    left = solver.solve(dip).total(xs1)
+
+    mono = solver.solve(SourceSpec("monopole", (float(xs1[0]), float(xs1[1]))))
+    th = np.arange(_TRAPEZOID_POINTS) * (2.0 * np.pi / _TRAPEZOID_POINTS)
+    # normal of the excised ball, pointing into it (outward for the domain)
+    nu = -np.stack([np.cos(th), np.sin(th)], axis=-1)
+    Y = xs2[None, :] - eps * nu
+
+    u = mono.total(Y)
+    h = _FD_STEP
+    du = (mono.total(Y + h * nu) - mono.total(Y - h * nu)) / (2.0 * h)
+    uinc_t = np.array([fundamental_solution_grad(kappa1, y, xs2, ell)
+                       for y in Y])
+    duinc_t = np.array([
+        _grad_kernel_derivative(kappa1, y, xs2, ell) @ n_
+        for y, n_ in zip(Y, nu)])
+    ds = eps * (2.0 * np.pi / _TRAPEZOID_POINTS)
+    right = complex(np.sum((duinc_t * u - du * uinc_t) * ds))
+    mismatch = abs(left - right) / max(abs(left), abs(right), 1e-300)
+    return {"left": complex(left), "right": right, "mismatch": float(mismatch)}
+
+
+@pytest.fixture(scope="session")
+def mixed_reciprocity_check():
+    """Both sides of the monopole/dipole reciprocity identity."""
+    return _mixed_reciprocity_check
+
+
+# ---------------------------------------------------------------------------
+# Radiation-condition probe
+# ---------------------------------------------------------------------------
+def _radiation_probe(fieldfn, direction, radii, kappa, fd_step=1e-3):
+    """sqrt(r)*|du/dr - i*kappa*u| along a ray, radial derivative by
+    central differences; decays toward zero for outgoing fields."""
+    d = np.asarray(direction, float)
+    d = d / np.hypot(d[0], d[1])
+    out = []
+    for r in radii:
+        um = fieldfn(tuple((r - fd_step) * d))
+        u0 = fieldfn(tuple(r * d))
+        up = fieldfn(tuple((r + fd_step) * d))
+        du = (up - um) / (2.0 * fd_step)
+        out.append(np.sqrt(r) * abs(du - 1j * kappa * u0))
+    return np.asarray(out)
+
+
+@pytest.fixture(scope="session")
+def radiation_probe():
+    """The Sommerfeld radiation-condition residual along a ray."""
+    return _radiation_probe

@@ -17,7 +17,6 @@ from layered_scatter.forward import (
     ObstacleSpec,
     SceneConfig,
     blowup_experiment,
-    mixed_reciprocity_check,
 )
 from layered_scatter.geometry import (
     InterfaceProfile,
@@ -39,11 +38,17 @@ from layered_scatter.obstacle import (
 from layered_scatter.verify import (
     mie_interior_circle,
     mie_series_circle,
-    radiation_probe,
     stencil_convergence_ratio,
 )
 
 SRC = SourceSpec("monopole", (0.3, 1.2))
+
+
+def _extend(solver, sol, X):
+    """The extension formula at X, on the solver's volume rows there."""
+    X = np.atleast_2d(np.asarray(X, float))
+    return extend_stage2_many(sol, X, solver.medium, solver.b2,
+                              solver.extension_rows(X))
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +134,13 @@ def test_stencil_order_arc_field():
     s = ForwardSolver(config)
     assert s.mesh_B1.n > 0 and s.mesh_B2.n == 0
     sol = solve_stage2(SRC, s.b2)
-    _assert_second_order(
-        lambda pts: extend_stage2_many(sol, np.atleast_2d(pts),
-                                       s.medium, s.b2), s.medium)
+    _assert_second_order(lambda pts: _extend(s, sol, pts), s.medium)
 
 
 def test_stencil_order_rough_field(layered_obstacle_solver):
     s = layered_obstacle_solver
     sol2 = solve_stage2(SRC, s.b2)
-    _assert_second_order(
-        lambda pts: extend_stage2_many(sol2, np.atleast_2d(pts),
-                                       s.medium, s.b2), s.medium)
+    _assert_second_order(lambda pts: _extend(s, sol2, pts), s.medium)
 
 
 def test_stencil_order_obstacle_field(layered_obstacle_solver):
@@ -207,11 +208,11 @@ def test_rough_kernel_matches_one_solve_per_source(layered_obstacle_solver,
     s = layered_obstacle_solver
     points, sources = np.array(points), np.array(sources)
     want = np.column_stack([
-        extend_stage2_many(solve_stage2(SourceSpec("monopole", tuple(y)),
-                                        s.b2),
-                           points, s.medium, s.b2)
+        _extend(s, solve_stage2(SourceSpec("monopole", tuple(y)), s.b2),
+                points)
         for y in sources])
-    got = RoughKernel(s.b2, s.medium, sources).full(points)
+    got = RoughKernel(s.b2, s.medium, sources).full(
+        points, s.extension_rows(points))
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
@@ -277,17 +278,16 @@ def test_sound_soft_boundary_in_layered_scene(layered_obstacle_solver,
     ev = s.solve(SRC)
     t = np.linspace(0.0, 2.0 * np.pi, 17)[:-1] + 0.049
     X = s.config.obstacle.curve.point(t)
-    background = extend_stage2_many(ev._background, X, s.medium, s.b2)
+    background = _extend(s, ev._background, X)
     total = boundary_total_field(ev._correction, t, background)
-    inc_nodes = extend_stage2_many(ev._background, s.nodes.positions,
-                                   s.medium, s.b2)
+    inc_nodes = _extend(s, ev._background, s.nodes.positions)
     assert np.max(np.abs(total)) <= 5e-3 * np.max(np.abs(inc_nodes))
 
 
 # ---------------------------------------------------------------------------
 # 9. Radiation condition at infinity
 # ---------------------------------------------------------------------------
-def test_radiation_decay(bump_profile):
+def test_radiation_decay(bump_profile, radiation_probe):
     config = SceneConfig(medium=MediumParams(1.0, 1.5),
                          profile=bump_profile, cell_size=0.2)
     ev = ForwardSolver(config).solve(SRC)
@@ -347,7 +347,7 @@ def test_blowup_growth_ratio(blowup_report):
 # ---------------------------------------------------------------------------
 # 11. Mixed reciprocity
 # ---------------------------------------------------------------------------
-def test_mixed_reciprocity():
+def test_mixed_reciprocity(mixed_reciprocity_check):
     config = SceneConfig(medium=MediumParams(2.0, 2.0),
                          cell_size=0.25)
     solver = ForwardSolver(config)

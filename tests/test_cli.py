@@ -2,6 +2,8 @@
 bit-stable outputs.  main() is driven in-process for speed."""
 
 import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from layered_scatter.cli import (
 )
 from layered_scatter.errors import ConfigurationError
 
+ROOT = Path(__file__).resolve().parents[1]
 BASE = {
     "medium": {"kappa1": 1.0, "kappa2": 1.5},
     "interface": {"bumps": [[0.0, 1.0, 0.3]]},
@@ -115,6 +118,9 @@ def test_load_config_io_errors(tmp_path):
     '{"medium": {"kappa1": 1.0, "kappa2": 1.5},'
     ' "sources": [{"kind": "monopole", "position": [0.3, 1.2],'
     ' "direction": 1}]}',
+    '{"medium": {"kappa1": 1.0, "kappa2": 1.5},'
+    ' "sources": [{"kind": "dipole", "position": [0.3, 1.2],'
+    ' "direction": true}]}',
 ])
 def test_non_finite_and_invalid_numbers_exit_2(tmp_path, capsys, text):
     path = tmp_path / "config.json"
@@ -173,7 +179,10 @@ _SECTIONS = {
     ("experiment", "min_cell", -1), ("experiment", "min_cell", 1e-300),
     ("experiment", "delta0", 1e-200),
     ("obstacle", "boundary_M", 3), ("obstacle", "boundary_M", 0),
-    ("obstacle", "cell_size", 0), ("obstacle", "cell_size", -0.05)])
+    ("obstacle", "cell_size", 0), ("obstacle", "cell_size", -0.05),
+    # JSON booleans are not integers, though Python's bool is an int
+    ("receivers", "count", True), ("mesh", "subsample", True),
+    ("obstacle", "boundary_M", True), ("experiment", "n_max", True)])
 def test_out_of_range_setting_exits_2_in_every_subcommand(
         config_path, tmp_path, capsys, section, key, value):
     doc = dict(BASE)
@@ -188,6 +197,24 @@ def test_out_of_range_setting_exits_2_in_every_subcommand(
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
         assert f"{section}.{key}" in err
+
+
+def test_blowup_work_past_its_budget_exits_2_in_seconds(tmp_path, capsys):
+    # n_max 2000000 on the shipped default passes every other check; at
+    # about 2e-7 s per source and cell it would run for minutes
+    with open(ROOT / "configs" / "default.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["experiment"]["n_max"] = 2000000
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "blowup.csv"
+    t0 = time.perf_counter()
+    rc = main(["demo-uniqueness", str(path), "--output", str(out)])
+    assert time.perf_counter() - t0 < 10.0
+    assert rc == EXIT_CONFIG and not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert "experiment.n_max" in err
 
 
 @pytest.mark.parametrize("bump", [[1e300, 1.0, 0.3], [0.0, 1e300, 0.3]],

@@ -25,7 +25,6 @@ from layered_scatter.forward import (
     blowup_experiment,
     blowup_mesh,
     default_thread_count,
-    mixed_reciprocity_check,
     synthesize_dataset,
 )
 from layered_scatter.geometry import (
@@ -186,7 +185,7 @@ def test_blowup_norms_increase(bump_profile):
 # ---------------------------------------------------------------------------
 # Mixed reciprocity
 # ---------------------------------------------------------------------------
-def test_mixed_reciprocity_free_space():
+def test_mixed_reciprocity_free_space(mixed_reciprocity_check):
     config = SceneConfig(medium=MediumParams(2.0, 2.0),
                          cell_size=0.25)
     solver = ForwardSolver(config)
@@ -196,7 +195,8 @@ def test_mixed_reciprocity_free_space():
         assert rep["mismatch"] < 1e-3
 
 
-def test_mixed_reciprocity_geometry_guards(flat_config, flat_solver):
+def test_mixed_reciprocity_geometry_guards(flat_config, flat_solver,
+                                           mixed_reciprocity_check):
     with pytest.raises(GeometryError):
         mixed_reciprocity_check(flat_config, (0.0, 1.0), (0.005, 1.0), 1,
                                 eps=1e-2, solver=flat_solver)
@@ -317,17 +317,16 @@ def test_products_kept_only_for_own_point_sets(layered_obstacle_solver):
     # kept, read-only, with the bytes of a fresh build
     kept = s.rows["receivers"]
     assert s.extension_rows(rx.copy()) is kept
-    assert s.radiation_matrix(rx.copy()) is s.radiation
-    assert not kept.rows.flags.writeable and not kept.hit.flags.writeable
+    assert s.radiation_matrix(rx.copy(), kept) is s.radiation
+    assert not kept.flags.writeable
     assert not s.radiation.flags.writeable
     fresh = extension_rows(rx, s.medium, s.b2)
-    assert kept.hit.tobytes() == fresh.hit.tobytes()
-    assert kept.rows.tobytes() == fresh.rows.tobytes()
+    assert kept.tobytes() == fresh.tobytes()
     # products at other points are the same bytes at every call
     rows = s.extension_rows(pts)
     again = s.extension_rows(pts.copy())
     assert rows is not again
-    assert rows.rows.tobytes() == again.rows.tobytes()
+    assert rows.tobytes() == again.tobytes()
 
 
 def test_kept_products_built_once_in_the_constructor(bump_config,
@@ -451,52 +450,19 @@ def test_bie_assembly_and_boundary_extension_share_one_build(
     assert given[0] is solver.rows["boundary"]
 
 
-def test_boundary_nodes_on_b2_centers_return_the_solved_values(
-        layered_obstacle_solver, monkeypatch):
-    """Points on bump-cell centers take the solved values there.  The
-    obstacle lies under f and the bump cells above x2 = 0, so no boundary
-    node sits on a cell: two bump-cell centers join the nodes."""
-    import layered_scatter.ls_volume as ls_volume
-    from layered_scatter.ls_volume import (
-        extend_stage2_many,
-        extension_rows,
-        solve_stage2,
-    )
+def test_kernel_column_with_its_source_on_a_bump_cell_center(
+        layered_obstacle_solver):
+    """A kernel column whose source sits on a bump-cell center is that
+    monopole's solve, cell-averaged the same way."""
+    from layered_scatter.ls_volume import extend_stage2_many, solve_stage2
     from layered_scatter.obstacle import RoughKernel
     s = layered_obstacle_solver
-    nodes = s.point_sets["boundary"]
-    kept = s.rows["boundary"]
-    assert np.all(kept.hit < 0)
-    cells = [2, 5]
-    P = np.vstack([nodes, s.mesh_B2.centers[cells]])
-    rows = extension_rows(P, s.medium, s.b2)
-    on = rows.hit >= 0
-    assert np.array_equal(np.flatnonzero(on), len(nodes) + np.arange(2))
-    # a cell of U is known by its index there, B1's cells first
-    assert np.array_equal(rows.hit[on], s.mesh_B1.n + np.array(cells))
-    # their rows are cell averages, finite like every other row
-    assert np.all(np.isfinite(rows.rows))
-    bg = solve_stage2(SOURCES[0], s.b2)
-    flat = []
-    column = ls_volume.planar_field_column
-
-    def recorded(green, source, X, *args, **kwargs):
-        flat.append(len(X))
-        return column(green, source, X, *args, **kwargs)
-
-    monkeypatch.setattr(ls_volume, "planar_field_column", recorded)
-    inc = extend_stage2_many(bg, P, s.medium, s.b2, rows=rows)
-    assert np.array_equal(inc[on], bg.values[s.b2.union.parts[1]][cells])
-    # the source's flat field is evaluated at the nodes only
-    assert flat == [len(nodes)]
-    monkeypatch.undo()
-    # a kernel column with its source on a bump-cell center is that
-    # monopole's solve, cell-averaged the same way
     rx = s.config.receivers.points()
-    y = s.mesh_B2.centers[cells[0]]
+    rows = s.rows["receivers"]
+    y = s.mesh_B2.centers[2]
     mono = solve_stage2(SourceSpec("monopole", tuple(y)), s.b2)
-    want = extend_stage2_many(mono, rx, s.medium, s.b2)
-    got = RoughKernel(s.b2, s.medium, y[None, :]).full(rx)[:, 0]
+    want = extend_stage2_many(mono, rx, s.medium, s.b2, rows)
+    got = RoughKernel(s.b2, s.medium, y[None, :]).full(rx, rows)[:, 0]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -652,18 +618,21 @@ def test_solver_check_at_the_finest_tolerance(bump_config):
 
 def test_radiation_matrix_reuses_the_extension_rows(layered_obstacle_solver,
                                                     monkeypatch):
+    from layered_scatter.ls_volume import extension_rows
     from layered_scatter.obstacle import radiation_matrix
     solver = layered_obstacle_solver
+    op, medium, b2 = solver.bie_operator, solver.medium, solver.b2
     rx = solver.config.receivers.points()
     # the kept matrix has the bytes of one built alone
-    alone = radiation_matrix(solver.bie_operator, rx)
-    assert solver.radiation_matrix(rx).tobytes() == alone.tobytes()
-    # so does one at a set with a point on a B2 center, on one row build
+    alone = radiation_matrix(op, rx, extension_rows(rx, medium, b2))
+    assert solver.radiation_matrix(rx, solver.rows["receivers"]).tobytes() \
+        == alone.tobytes()
+    # so does one at a set with a point on a B2 center
     pts = np.vstack([rx[:2], solver.mesh_B2.centers[:1]])
-    alone = radiation_matrix(solver.bie_operator, pts)
+    alone = radiation_matrix(op, pts, extension_rows(pts, medium, b2))
     calls = []
     _count_builds(monkeypatch, calls)
-    again = solver.radiation_matrix(pts)
+    again = solver.radiation_matrix(pts, solver.extension_rows(pts))
     assert [name for name, _ in calls] == ["extension_rows",
                                            "radiation_matrix"]
     assert again.tobytes() == alone.tobytes()

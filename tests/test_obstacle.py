@@ -250,20 +250,22 @@ def test_penetrable_medium_validation(flat_scene):
 
 
 def test_boundary_above_interface_rejected(flat_b2, medium):
-    from layered_scatter.obstacle import assemble_bie
+    from layered_scatter.ls_volume import extension_rows
+    from layered_scatter.obstacle import (assemble_bie,
+                                          build_rough_kernel_context)
     nodes_up = obstacle_nodes(ObstacleCurve("circle", (0.0, 0.5), 0.2), 8)
+    ctx = build_rough_kernel_context(nodes_up, flat_b2, medium)
+    rows = extension_rows(nodes_up.positions, medium, flat_b2)
     with pytest.raises(ConfigurationError):
-        assemble_bie(nodes_up, medium, flat_b2)
+        assemble_bie(nodes_up, medium, ctx, rows)
 
 
 def test_neumann_rejects_negative_impedance(free_circle_solver):
-    from layered_scatter.obstacle import neumann_impedance_solve
+    from layered_scatter.obstacle import assemble_bie
     solver = free_circle_solver
-    nd = solver.nodes
     with pytest.raises(ConfigurationError):
-        neumann_impedance_solve(nd, solver.medium, solver.b2,
-                                np.zeros(nd.n), lam=-1.0,
-                                kernel_ctx=solver.kernel_ctx)
+        assemble_bie(solver.nodes, solver.medium, solver.kernel_ctx,
+                     solver.rows["boundary"], lam=-1.0)
 
 
 def test_impedance_prebuilt_operator_matches_per_source_assembly(
@@ -271,8 +273,10 @@ def test_impedance_prebuilt_operator_matches_per_source_assembly(
     from layered_scatter.forward import (ForwardSolver, ObstacleSpec,
                                          SceneConfig)
     from layered_scatter.geometry import ReceiverLine
-    from layered_scatter.ls_volume import extend_stage2_many
-    from layered_scatter.obstacle import (neumann_impedance_solve,
+    from layered_scatter.ls_volume import extend_stage2_many, extension_rows
+    from layered_scatter.obstacle import (assemble_bie,
+                                          neumann_impedance_solve,
+                                          radiation_matrix,
                                           scattered_from_density)
     curve = ObstacleCurve("circle", (0.0, -1.3), 0.5)
     config = SceneConfig(
@@ -288,19 +292,23 @@ def test_impedance_prebuilt_operator_matches_per_source_assembly(
 
     # the same solve with every source-independent product built per call
     bg, med, b2 = ev._background, solver.medium, solver.b2
-    inc = extend_stage2_many(bg, solver.nodes.positions, med, b2)
-    fresh = neumann_impedance_solve(solver.nodes, med, b2, inc, lam=1.0,
-                                    kernel_ctx=solver.kernel_ctx)
+    P = solver.nodes.positions
+    at_nodes = extension_rows(P, med, b2)
+    inc = extend_stage2_many(bg, P, med, b2, at_nodes)
+    op = assemble_bie(solver.nodes, med, solver.kernel_ctx, at_nodes,
+                      lam=1.0)
+    fresh = neumann_impedance_solve(op, inc, 1.0)
     assert fresh.operator is not solver.bie_operator
     assert fresh.psi.tobytes() == prebuilt.psi.tobytes()
     assert fresh.operator.entries.tobytes() \
         == solver.bie_operator.entries.tobytes()
-    direct = extend_stage2_many(bg, rx, med, b2, total=False) \
-        + scattered_from_density(fresh, rx)
+    at_rx = extension_rows(rx, med, b2)
+    direct = extend_stage2_many(bg, rx, med, b2, at_rx, total=False) \
+        + scattered_from_density(fresh, rx,
+                                 radiation_matrix(op, rx, at_rx))
     assert direct.tobytes() == ev.scattered(rx).tobytes()
     with pytest.raises(ConfigurationError):
-        neumann_impedance_solve(solver.nodes, med, b2, inc, lam=2.0,
-                                operator=solver.bie_operator)
+        neumann_impedance_solve(solver.bie_operator, inc, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from layered_scatter.verify import (
     helmholtz_residual,
     mie_interior_circle,
     mie_series_circle,
-    radiation_probe,
     stencil_convergence_ratio,
 )
 
@@ -149,14 +148,14 @@ def test_stencil_accepts_vectorized_callable():
 # ---------------------------------------------------------------------------
 # Radiation probe
 # ---------------------------------------------------------------------------
-def test_radiation_probe_decays_for_outgoing_field():
+def test_radiation_probe_decays_for_outgoing_field(radiation_probe):
     fieldfn = lambda p: fundamental_solution(KAPPA, p, (0.0, 0.0))
     vals = radiation_probe(fieldfn, (1.0, 0.3), [20.0, 40.0, 80.0], KAPPA)
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-2
 
 
-def test_radiation_probe_flags_incoming_field():
+def test_radiation_probe_flags_incoming_field(radiation_probe):
     fieldfn = lambda p: np.conj(fundamental_solution(KAPPA, p, (0.0, 0.0)))
     vals = radiation_probe(fieldfn, (1.0, 0.3), [20.0, 40.0], KAPPA)
     assert np.min(vals) > 0.05
