@@ -2,10 +2,10 @@
 rough interface and an optional embedded obstacle.
 
 The solver chain is: planar-interface Sommerfeld integrals -> one volume
-integral equation over D_f, the dips of f (the cells below x2 = 0, contrast
--eta) and its bumps (the cells above x2 = 0, contrast +eta), transferring the
-planar interface to the rough one -> boundary/volume equation for the
-embedded obstacle.
+integral equation over the dips of f (the cells below x2 = 0, contrast
+-eta), its bumps (the cells above x2 = 0, contrast +eta) and a penetrable
+obstacle's cells (contrast -kappa2^2 m), transferring the planar interface
+to the rough one -> boundary equation for an impenetrable obstacle.
 """
 
 from .errors import (
@@ -35,9 +35,7 @@ from .ls_volume import (
 )
 from .obstacle import (
     BoundaryDensity,
-    PenetrableMedium,
     RoughKernel,
-    VolumeDensity,
     assemble_bie,
     green_rough_columns,
     layer_matrices,
@@ -87,9 +85,7 @@ __all__ = [
     "extend_stage2_many",
     "solve_stage2",
     "BoundaryDensity",
-    "PenetrableMedium",
     "RoughKernel",
-    "VolumeDensity",
     "assemble_bie",
     "green_rough_columns",
     "layer_matrices",

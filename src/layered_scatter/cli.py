@@ -36,7 +36,6 @@ from .forward import (
     ObstacleSpec,
     SceneConfig,
     blowup_experiment,
-    default_thread_count,
     synthesize_dataset,
 )
 
@@ -159,7 +158,7 @@ _TOL_RANGE = (1e-12, 1e-4)
 # scenes under perfbench/scenes carry it.
 _TOP_LEVEL = {
     "medium": dict, "interface": dict, "arc_radius_R": (int, float),
-    "obstacle": dict, "mesh": dict, "quadrature": dict, "solver": dict,
+    "obstacle": dict, "mesh": dict, "quadrature": dict,
     "sources": list, "receivers": dict, "experiment": dict,
 }
 
@@ -198,7 +197,6 @@ def parse_config(doc: dict) -> RunConfig:
     _require_keys(mesh, {"cell_size": (int, float), "subsample": int}, "mesh")
     quad = doc.get("quadrature", {})
     _require_keys(quad, {"tol": (int, float)}, "quadrature")
-    _require_keys(doc.get("solver", {}), {}, "solver")
 
     receivers = None
     if "receivers" in doc:
@@ -437,16 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="layered-scatter",
         description="Forward scattering in a two-layer medium with a "
                     "locally rough interface and an optional obstacle.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help="dataset worker processes, forked and "
-                             "sharing the solver copy-on-write; rows are "
-                             "byte-identical for any count (default: "
-                             "LAYERED_SCATTER_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("green", parents=[common],
-                       help="evaluate the flat-interface kernels")
+    p = sub.add_parser("green", help="evaluate the flat-interface kernels")
     p.add_argument("config")
     p.add_argument("--x", type=_finite_float, nargs=2, required=True,
                    metavar=("X1", "X2"))
@@ -456,18 +447,22 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["monopole", "dipole-1", "dipole-2"])
     p.set_defaults(func=cmd_green)
 
-    p = sub.add_parser("forward", parents=[common], help="synthesize the near-field dataset")
+    p = sub.add_parser("forward", help="synthesize the near-field dataset")
     p.add_argument("config")
     p.add_argument("--output", default="nearfield.csv")
+    p.add_argument("--threads", type=int, default=None,
+                   help="dataset worker processes, forked and sharing the "
+                        "solver copy-on-write; rows are byte-identical for "
+                        "any count (default: LAYERED_SCATTER_THREADS or 1)")
     p.set_defaults(func=cmd_forward)
 
-    p = sub.add_parser("demo-uniqueness", parents=[common],
+    p = sub.add_parser("demo-uniqueness",
                        help="run the singular-source blow-up experiment")
     p.add_argument("config")
     p.add_argument("--output", default="blowup.csv")
     p.set_defaults(func=cmd_demo_uniqueness)
 
-    p = sub.add_parser("verify", parents=[common], help="run the self-check suite")
+    p = sub.add_parser("verify", help="run the self-check suite")
     p.add_argument("config")
     p.add_argument("--debug-flip-beta", action="store_true",
                    help="corrupt the vertical-wavenumber branch "
@@ -479,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        args.threads = default_thread_count()
     try:
         return args.func(args)
     except (ConfigurationError, GeometryError) as exc:

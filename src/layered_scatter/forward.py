@@ -1,15 +1,17 @@
-"""End-to-end forward solver: background field through the one volume
-equation on the dips and bumps of D_f, obstacle correction, near-field
-data synthesis on the receiver line, and the singular-source experiments.
+"""End-to-end forward solver: the field through the one volume equation
+on the dips and bumps of D_f and a penetrable obstacle's cells, the
+correction of an impenetrable obstacle, near-field data synthesis on the
+receiver line, and the singular-source experiments.
 
-A ForwardSolver builds every mesh, the one volume operator on the dip and
-bump cells with its LU factorization, and every kernel-column set for a
-scene exactly once; solving for additional sources then reuses them.  The
-constructor also builds the source-independent rows that carry a solution
-to its own point sets (the receiver line, the obstacle boundary nodes, or
-a penetrable obstacle's cells) and the receivers' radiation matrix; any
-other point set gets them for one call.  Every obstacle condition solves
-its kept operator, radiated by that matrix.  Dataset synthesis cuts the
+A ForwardSolver builds every mesh, the one volume operator on the dip,
+bump and penetrable cells with its LU factorization, and every
+kernel-column set for a scene exactly once; solving for additional
+sources then reuses them.  The constructor also builds the
+source-independent rows that carry a solution to its own point sets (the
+receiver line and an impenetrable obstacle's boundary nodes) and the
+receivers' radiation matrix; any other point set gets them for one call.
+Every impenetrable condition solves its kept boundary operator, radiated
+by that matrix.  Dataset synthesis cuts the
 sources into contiguous shares, solves the later shares in forked worker
 processes that share the solver copy-on-write, and joins the rows in
 source order, so the output has the same bytes for any worker count.
@@ -53,13 +55,9 @@ from .ls_volume import (
     solve_stage2,
 )
 from .obstacle import (
-    PenetrableMedium,
-    VolumeDensity,
     assemble_bie,
-    assemble_penetrable,
     build_rough_kernel_context,
     neumann_impedance_solve,
-    penetrable_radiation_matrix,
     radiation_matrix,
     scattered_from_density,
     solve_density,
@@ -121,6 +119,10 @@ class ObstacleSpec:
             raise ConfigurationError("penetrable condition needs an index n")
         # checked here, whatever the condition, so that every subcommand
         # rejects them, not only those that build the nodes or the mesh
+        n = 1.0 if self.n is None else complex(self.n)
+        if not (n.real > 0.0 and n.imag >= 0.0):
+            raise ConfigurationError(
+                "obstacle.n needs Re(n) > 0 and Im(n) >= 0")
         if not self.boundary_M >= 4:
             raise ConfigurationError("obstacle.boundary_M must be at least 4")
         if not self.cell_size > 0.0:
@@ -159,28 +161,24 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> float:
     """Bytes of the largest arrays a ForwardSolver of config builds, from
     the geometry alone, before any mesh exists.
 
-    Counted: the operator on the n1 + n2 cells of B1 and B2 with its LU
-    factors; the subsample grids of the meshes; the volume rows kept at the
-    receivers; for a boundary condition the boundary operators, the
-    monopole and normal-dipole kernel columns on those cells, the volume
-    rows kept at the nodes and the receivers' radiation matrix; for a
-    penetrable obstacle its operator, kernel columns, subsample grid, rows
-    kept at its cells and the receivers' radiation matrix.  Cell counts
-    are those of the boxes the meshes are cut from (box_cells), which
-    bound the meshes from above.
+    Counted: the operator on the n cells of B1, B2 and a penetrable
+    obstacle with its LU factors; the subsample grids of the meshes; the
+    volume rows kept at the receivers; for a boundary condition the
+    boundary operators, the monopole and normal-dipole kernel columns on
+    those cells, the volume rows kept at the nodes and the receivers'
+    radiation matrix.  Cell counts are those of the boxes the meshes are
+    cut from (box_cells), which bound the meshes from above.
     """
     s2 = config.subsample ** 2
-    n1 = box_cells("B1", scene, config.cell_size)
-    n2 = box_cells("B2", scene, config.cell_size)
     rx = 0 if config.receivers is None else config.receivers.count
-    n = n1 + n2
-    total = _COMPLEX * (2 * n * n + (s2 + rx) * n)
+    n = box_cells("B1", scene, config.cell_size) \
+        + box_cells("B2", scene, config.cell_size)
     spec = config.obstacle
-    if spec is None:
+    if spec is not None and spec.condition == "penetrable":
+        n += box_cells("D_penetrable", scene, spec.cell_size)
+    total = _COMPLEX * (2 * n * n + (s2 + rx) * n)
+    if spec is None or spec.condition == "penetrable":
         return total
-    if spec.condition == "penetrable":
-        nd = box_cells("D_penetrable", scene, spec.cell_size)
-        return total + _COMPLEX * nd * (2 * nd + 2 * n + s2 + rx)
     m = 2 * spec.boundary_M
     return total + _COMPLEX * (4 * m * m + 3 * m * n + rx * m)
 
@@ -209,20 +207,14 @@ class FieldEvaluator:
         return np.atleast_2d(X), single
 
     def total(self, X) -> Union[complex, np.ndarray]:
-        """Total field u = background + obstacle correction."""
+        """Total field u = volume solve + impenetrable-obstacle
+        correction."""
         pts, single = self._as_points(X)
         xs = self.source.position
         if np.any(np.hypot(pts[:, 0] - xs[0], pts[:, 1] - xs[1])
                   < _COINCIDENT):
             raise SingularityError("total field requested at the source")
         out = self._field(pts, total=True)
-        return complex(out[0]) if single else out
-
-    def incident(self, X) -> Union[complex, np.ndarray]:
-        """Free-space incident wave of the source (upper wavenumber)."""
-        pts, single = self._as_points(X)
-        kappa = self._solver.medium.kappa_at(self.source.position[1])
-        out = self.source.incident(pts, kappa)
         return complex(out[0]) if single else out
 
     def scattered(self, X) -> Union[complex, np.ndarray]:
@@ -237,8 +229,8 @@ class FieldEvaluator:
         own point sets), with or without the incident wave."""
         s = self._solver
         rows = s.extension_rows(pts)
-        out = extend_stage2_many(self._background, pts, s.medium, s.b2,
-                                 rows, total=total)
+        out = extend_stage2_many(self._background, pts, s.b2, rows,
+                                 total=total)
         if self._correction is not None:
             out = out + scattered_from_density(
                 self._correction, pts, s.radiation_matrix(pts, rows))
@@ -254,22 +246,21 @@ class ForwardSolver:
     Building one is the expensive step; solve() per source reuses all of
     it.  Everything a solve reads at the solver's own point sets is built
     in the constructor, before any worker is forked, and never changes
-    afterwards: meshes, factorizations, kernel columns, the operator of
-    the obstacle condition, the volume rows (extension_rows) at the
-    receiver line (point_sets and rows, keyed "receivers"), at the
-    boundary nodes ("boundary") or at a penetrable obstacle's cells
-    ("cells"), and the radiation matrix of the obstacle at the receivers
-    (radiation).  The operator assembly reads those rows too, so each is
-    built once.  Products at any other points are built for the call and
-    dropped.  The kernel evaluator (green) keeps the fixed xi-rules it
-    builds and the grid splits of the point sets its source columns meet,
-    in bounded maps whose values depend on their keys alone (see
-    PlanarGreen).  Concurrent solve() calls are therefore safe, and a
-    source's field has the same bytes whichever thread solves it and
-    whichever sources came before.  The same holds in the worker processes
-    of synthesize_dataset, which share the solver copy-on-write: each is
-    forked with every lock of the solve path held (_locks), so none starts
-    with a lock that it cannot release.
+    afterwards: meshes, factorizations, kernel columns, the boundary
+    operator of an impenetrable obstacle, the volume rows (extension_rows)
+    at the receiver line (point_sets and rows, keyed "receivers") and at
+    the boundary nodes ("boundary"), and the radiation matrix of the
+    obstacle at the receivers (radiation).  The operator assembly reads
+    those rows too, so each is built once.  Products at any other points
+    are built for the call and dropped.  The kernel evaluator (green)
+    keeps the fixed xi-rules it builds and the grid splits of the point
+    sets its source columns meet, in bounded maps whose values depend on
+    their keys alone (see PlanarGreen).  Concurrent solve() calls are
+    therefore safe, and a source's field has the same bytes whichever
+    thread solves it and whichever sources came before.  The same holds
+    in the worker processes of synthesize_dataset, which share the solver
+    copy-on-write: each is forked with every lock of the solve path held
+    (_locks), so none starts with a lock that it cannot release.
 
     Before any mesh is built, the bytes of the largest dense arrays are
     estimated from the geometry (_dense_bytes_estimate); a scene that would
@@ -300,29 +291,29 @@ class ForwardSolver:
                                          config.subsample)
         self.mesh_B2 = build_region_mesh("B2", self.scene, config.cell_size,
                                          config.subsample)
-        # the flat kernel on the cells of both meshes, evaluated once and
+        spec = config.obstacle
+        penetrable = spec is not None and spec.condition == "penetrable"
+        mesh_D = build_region_mesh("D_penetrable", self.scene, spec.cell_size,
+                                   config.subsample) if penetrable else None
+        # the flat kernel on the cells of every mesh, evaluated once and
         # dropped as soon as the operator on them holds its blocks
-        union = CellUnion(self.mesh_B1, self.mesh_B2)
+        union = CellUnion(self.medium, self.mesh_B1, self.mesh_B2, mesh_D,
+                          spec.n if penetrable else 1.0)
         kernel = union.kernel(self.green)
-        b1 = union.parts[0]
-        block = assemble_B1_operator(
-            self.mesh_B1, self.medium, self.green,
-            None if kernel is None else kernel[b1, b1])
-        self.b2 = assemble_B2_operator(union, self.medium, block, kernel)
+        block = assemble_B1_operator(union, self.green, kernel)
+        self.b2 = assemble_B2_operator(union, block, kernel)
         del kernel, block
         self.b2.factorize()
 
         self.nodes = None
         self.kernel_ctx = None
         self.bie_operator = None
-        self.penetrable_operator = None
         self.point_sets = {}
         self.rows = {}
         self.radiation = None
         if config.receivers is not None:
             self._keep("receivers", config.receivers.points())
-        spec = config.obstacle
-        if spec is not None and spec.condition != "penetrable":
+        if spec is not None and not penetrable:
             self.nodes = obstacle_nodes(spec.curve, spec.boundary_M)
             self.kernel_ctx = build_rough_kernel_context(
                 self.nodes, self.b2, self.medium)
@@ -332,31 +323,23 @@ class ForwardSolver:
                 self.nodes, self.medium, self.kernel_ctx,
                 rows=self._keep("boundary", self.nodes.positions), lam=lam)
             self.bie_operator.factorize()
-        elif spec is not None:
-            mesh_D = build_region_mesh("D_penetrable", self.scene,
-                                       spec.cell_size, config.subsample)
-            rows = self._keep("cells", mesh_D.centers)
-            self.penetrable_operator = assemble_penetrable(
-                PenetrableMedium(mesh_D, spec.n), self.medium, self.b2, rows)
-            self.penetrable_operator.factorize()
-        if spec is not None and "receivers" in self.rows:
-            self.radiation = self.radiation_matrix(
-                self.point_sets["receivers"], self.rows["receivers"])
-            self.radiation.flags.writeable = False
+            if "receivers" in self.rows:
+                self.radiation = self.radiation_matrix(
+                    self.point_sets["receivers"], self.rows["receivers"])
+                self.radiation.flags.writeable = False
         self._check_rule()
 
     def _check_rule(self) -> None:
         """Check the fixed xi-rules once against the reference integrals.
 
-        Every kernel block pairs the union of the B1 and B2 cells with
-        itself (the operator assembly and, at the lowest cells, the
-        smallest height sums a source column meets) or one of the solver's
-        off-grid point sets (receivers, boundary nodes, the penetrable
-        mesh) with the union or another such set.  Each side-pair block of
-        those three products is checked at its extreme pairs
-        (PlanarGreen.check_rule), and so is the union against the boundary
-        nodes: the dipole kernels of the normal-dipole columns are not
-        symmetric in their two points.
+        Every kernel block pairs U, the cells of B1, B2 and a penetrable
+        obstacle, with itself (the operator assembly and, at the lowest
+        cells, the smallest height sums a source column meets) or one of
+        the solver's off-grid point sets (receivers, boundary nodes) with
+        U or another such set.  Each side-pair block of those three
+        products is checked at its extreme pairs (PlanarGreen.check_rule),
+        and so is U against the boundary nodes: the dipole kernels of the
+        normal-dipole columns are not symmetric in their two points.
         """
         mesh = self.b2.union.centers
         self.green.check_rule(mesh, mesh)
@@ -368,19 +351,18 @@ class ForwardSolver:
             self.green.check_rule(mesh, self.nodes.positions)
 
     # -- source-independent products ----------------------------------------
-    def _keep(self, name: str, points: np.ndarray) -> Optional[np.ndarray]:
+    def _keep(self, name: str, points: np.ndarray) -> np.ndarray:
         """Build the volume rows at one of the solver's own point sets and
         keep both, read-only."""
         points = np.array(points, float)
-        rows = extension_rows(points, self.medium, self.b2)
+        rows = extension_rows(points, self.b2)
         for array in (points, rows):
-            if array is not None:
-                array.flags.writeable = False
+            array.flags.writeable = False
         self.point_sets[name] = points
         self.rows[name] = rows
         return rows
 
-    def extension_rows(self, X: np.ndarray) -> Optional[np.ndarray]:
+    def extension_rows(self, X: np.ndarray) -> np.ndarray:
         """Volume rows at X (see extension_rows in ls_volume): the kept
         ones if X is one of the solver's point sets, else built for the
         call."""
@@ -388,11 +370,10 @@ class ForwardSolver:
         for name, points in self.point_sets.items():
             if np.array_equal(points, X):
                 return self.rows[name]
-        return extension_rows(X, self.medium, self.b2)
+        return extension_rows(X, self.b2)
 
-    def radiation_matrix(self, X: np.ndarray,
-                         rows: Optional[np.ndarray]) -> np.ndarray:
-        """Radiation matrix of the obstacle at X (see (penetrable_)
+    def radiation_matrix(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Radiation matrix of the impenetrable obstacle at X (see
         radiation_matrix in obstacle): the kept one at the receivers, else
         built for the call on rows, the volume rows at X
         (extension_rows)."""
@@ -400,22 +381,20 @@ class ForwardSolver:
         if self.radiation is not None \
                 and np.array_equal(self.point_sets["receivers"], X):
             return self.radiation
-        if self.penetrable_operator is not None:
-            return penetrable_radiation_matrix(self.penetrable_operator, X,
-                                               rows)
         return radiation_matrix(self.bie_operator, X, rows)
 
     def _locks(self) -> list:
         """Every lock a solve can take, none of which is taken under
-        another: those of the volume operator, of the obstacle's operator
+        another: those of the volume operator, of the boundary operator
         and of the kernel evaluator's kept rules and grid splits."""
-        operators = (self.b2, self.bie_operator, self.penetrable_operator)
+        operators = (self.b2, self.bie_operator)
         return ([op._lock for op in operators if op is not None]
                 + [self.green.rules._lock, self.green.splits._lock])
 
     # -- per-source solve ---------------------------------------------------
     def solve(self, source: SourceSpec) -> FieldEvaluator:
-        """Background volume solve plus obstacle correction for one source.
+        """Volume solve plus impenetrable-obstacle correction for one
+        source.
 
         The source's medium is read from the side of the flat line x2 = 0
         it lies on, so a source between that line and the interface graph
@@ -445,22 +424,15 @@ class ForwardSolver:
                               stacklevel=2)
         background = solve_stage2(source, self.b2)
         correction = None
-        if spec is not None:
-            def incident(name):
-                return extend_stage2_many(background, self.point_sets[name],
-                                          self.medium, self.b2,
-                                          self.rows[name])
-
-            if spec.condition == "penetrable":
-                op = self.penetrable_operator
-                correction = VolumeDensity(op, op.solve(incident("cells")))
-            elif spec.condition == "sound_soft":
-                correction = solve_density(self.bie_operator,
-                                           incident("boundary"))
+        if self.nodes is not None:
+            incident = extend_stage2_many(background,
+                                          self.point_sets["boundary"],
+                                          self.b2, self.rows["boundary"])
+            if spec.condition == "sound_soft":
+                correction = solve_density(self.bie_operator, incident)
             else:
                 correction = neumann_impedance_solve(
-                    self.bie_operator, incident("boundary"),
-                    self.bie_operator.impedance)
+                    self.bie_operator, incident, self.bie_operator.impedance)
         return FieldEvaluator(self, source, background, correction)
 
 

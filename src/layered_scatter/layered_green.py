@@ -48,12 +48,7 @@ import numpy as np
 
 from .errors import AccuracyError, GeometryError, SingularityError
 from .quad import DecayClass, fixed_rule, fold_integrate_batch, rule_nodes
-from .specfun import (
-    fundamental_solution,
-    fundamental_solution_grad,
-    grad_phi_matrix,
-    phi_matrix,
-)
+from .specfun import fundamental_solution, fundamental_solution_grad
 
 #: Minimal total vertical separation |x2| + |xs2| for cross-side kernels.
 H_MIN = 1e-6
@@ -170,17 +165,6 @@ class SourceSpec:
         if np.shape(self.position) != (2,) \
                 or not np.all(np.isfinite(self.position)):
             raise ValueError("source position must be two finite numbers")
-
-    def incident(self, x, kappa: float):
-        """The free-space field this source radiates, at a point x or at
-        each row of an (n, 2) array."""
-        d = np.asarray(x, float) - np.asarray(self.position, float)
-        r = np.hypot(d[..., 0], d[..., 1])
-        if self.kind == "monopole":
-            out = phi_matrix(kappa, r)
-        else:
-            out = grad_phi_matrix(kappa, d, r)[..., self.direction - 1]
-        return out if out.ndim else complex(out)
 
 
 def _height_factor(rule: "_FixedRule", sl: slice, h: np.ndarray):

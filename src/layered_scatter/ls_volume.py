@@ -1,19 +1,24 @@
-"""The Lippmann-Schwinger volume equation on D_f.
+"""The Lippmann-Schwinger volume equation on U, the cells of nonzero
+contrast.
 
 D_f is the bounded region between the flat line x2 = 0 and the graph of
 f.  The auxiliary interface min(f, 0) cuts it into B1 = {f < x2 < 0},
 the cells over the dips, and B2 = {0 < x2 < f}, the cells under the
-bumps (geometry.build_region_mesh).  The rough-interface field solves
+bumps (geometry.build_region_mesh).  A penetrable obstacle adds D, the
+cells of its mesh, with index n and contrast m = 1 - n.  The total field
+of a source solves one equation on the flat two-layer background,
 
-    u = u_flat + eta * int_{D_f} G(., y; flat) c(y) u(y) dy,
+    u = u_flat + int_U G(., y; flat) q(y) u(y) dy,
 
-c = -1 on B1 and +1 on B2: bumps and cavities treated apart, as in
-Perez-Arancibia & Bruno, JOSA A 31 (2014).  It is solved once on U, the
-cells of B1 and B2 (B1's first): the operator I - eta*K diag(c*w) has one
-LU factorization, its B1 block is I + eta*K11 w1 (assemble_B1_operator),
-and the field extends everywhere by the same formula.  Under a pure bump
-B1 is empty; over a pure dip B2 is empty; a flat f has no cell, and the
-field is the planar one.
+with q = -eta on B1, +eta on B2 (bumps and cavities treated apart, as in
+Perez-Arancibia & Bruno, JOSA A 31 (2014)) and q = -kappa2^2 m on D
+(Colton & Kress, Inverse Acoustic and Electromagnetic Scattering Theory,
+ch. 8).  U holds the cells of B1, B2 and D in that order (CellUnion);
+cells of zero contrast stay out, so at eta = 0 with no penetrable
+obstacle U is empty and the field is the planar one.  The operator
+I - K diag(q w) on U has one LU factorization, its B1 block is placed
+from assemble_B1_operator, and the field extends everywhere by the same
+formula.
 
 Discretization is midpoint Nystrom on the uniform region meshes.  The
 weakly singular diagonal uses log-extraction: the cell integral of the
@@ -30,9 +35,9 @@ centers included (extension_rows, extend_stage2_many).
 The flat-interface kernel depends only on the two heights and the
 horizontal offset.  Every kernel matrix and source column, the grid x grid
 operator assembly included, runs on one fixed xi-rule per side pair
-(PlanarGreen.matrix), as matrix products.  B1 and B2 share no cell, so
-each kernel block and source column is evaluated once on U (CellUnion),
-cell-averaged with U's weights.
+(PlanarGreen.matrix), as matrix products.  The meshes share no cell, so
+each kernel block and source column is evaluated once on U, cell-averaged
+with U's weights.
 """
 
 from __future__ import annotations
@@ -163,28 +168,36 @@ def planar_field_column(green: PlanarGreen, source: SourceSpec,
 
 
 # ---------------------------------------------------------------------------
-# The cells of B1 and B2
+# The cells of nonzero contrast
 # ---------------------------------------------------------------------------
 class CellUnion:
-    """The cells of the B1 and B2 meshes as one point set U, B1's cells
-    first, with one weight per cell (weights) and the signed weights c*w
-    of the volume equation (signed; c = -1 on B1, +1 on B2).  parts[0]
-    and parts[1] are the index slices of B1 and B2.  Each flat-interface
-    kernel block and source column is evaluated once on U, cell-averaged
-    with U's weights.
+    """U, the cells of nonzero contrast as one point set: those of B1, B2
+    and, for a penetrable obstacle of index n, D, in that order, with one
+    weight per cell (weights) and the contrast weights q*w of the volume
+    equation (qw; q = -eta on B1, +eta on B2, -kappa2^2 (1 - n) on D).
+    parts are the index slices of the three meshes in U; a mesh of zero
+    contrast keeps no cell there.  Each flat-interface kernel block and
+    source column is evaluated once on U, cell-averaged with U's weights.
     """
 
-    def __init__(self, mesh_B1: RegionMesh, mesh_B2: RegionMesh):
-        self.centers = np.concatenate([mesh_B1.centers, mesh_B2.centers])
-        self.weights = np.concatenate([mesh_B1.weights, mesh_B2.weights])
-        self.signed = np.concatenate([-mesh_B1.weights, mesh_B2.weights])
-        self.parts = (slice(0, mesh_B1.n), slice(mesh_B1.n, len(self.centers)))
+    def __init__(self, medium: MediumParams, mesh_B1: RegionMesh,
+                 mesh_B2: RegionMesh, mesh_D: Optional[RegionMesh] = None,
+                 n: complex = 1.0):
+        pieces = [(mesh_B1, -medium.eta), (mesh_B2, medium.eta)]
+        if mesh_D is not None:
+            pieces.append((mesh_D, -medium.kappa2 ** 2 * (1.0 - n)))
+        kept = [(mesh.centers, mesh.weights, q) if q != 0.0
+                else (mesh.centers[:0], mesh.weights[:0], q)
+                for mesh, q in pieces]
+        ends = np.cumsum([len(w) for _, w, _ in kept])
+        self.parts = tuple(slice(int(end) - len(w), int(end))
+                           for end, (_, w, _) in zip(ends, kept))
+        self.centers = np.concatenate([c for c, _, _ in kept])
+        self.weights = np.concatenate([w for _, w, _ in kept])
+        self.qw = np.concatenate([q * w for _, w, q in kept])
 
-    def kernel(self, green: PlanarGreen) -> Optional[np.ndarray]:
-        """The flat kernel on U x U, cell-averaged on the diagonal; None
-        when the contrast vanishes, where no operator reads it."""
-        if green.medium.eta == 0.0:
-            return None
+    def kernel(self, green: PlanarGreen) -> np.ndarray:
+        """The flat kernel on U x U, cell-averaged on the diagonal."""
         return planar_green_matrix(green, self.centers, self.centers,
                                    self.weights)
 
@@ -195,7 +208,7 @@ class CellUnion:
 class DenseOperator:
     """Dense complex collocation matrix with a lazily computed, immutable
     LU factorization (partial pivoting).  It may have no row at all (the
-    operator of an empty mesh): its solves then return empty arrays.
+    operator of an empty U): its solves then return empty arrays.
 
     Triangular solves are serialized through a lock: concurrent LAPACK
     getrs calls against one factorization are not re-entrant with the BLAS
@@ -252,41 +265,36 @@ class GridSolution:
 # ---------------------------------------------------------------------------
 # The operator on U and its solve
 # ---------------------------------------------------------------------------
-def assemble_B1_operator(mesh_B1: RegionMesh, medium: MediumParams,
-                         green: PlanarGreen,
-                         kernel: Optional[np.ndarray]) -> DenseOperator:
-    """Collocation matrix of I + eta*T0 on the B1 mesh: the B1 block of
-    the operator on U (assemble_B2_operator).
+def assemble_B1_operator(union: CellUnion, green: PlanarGreen,
+                         kernel: np.ndarray) -> DenseOperator:
+    """Collocation matrix of I - K diag(q w) on the B1 cells of U: the B1
+    block of the operator on U (assemble_B2_operator).
 
-    kernel is the flat kernel on the B1 cells, cell-averaged on its
-    diagonal, cut from the union's (CellUnion.kernel); None at zero
-    contrast."""
-    entries = np.eye(mesh_B1.n, dtype=complex)
-    if kernel is not None:
-        entries += medium.eta * kernel * mesh_B1.weights[None, :]
+    kernel is the flat kernel on U, cell-averaged on its diagonal
+    (CellUnion.kernel)."""
+    b1 = union.parts[0]
+    entries = np.eye(b1.stop, dtype=complex) - kernel[b1, b1] * union.qw[b1]
     op = DenseOperator(entries)
     op.green = green
     return op
 
 
-def assemble_B2_operator(union: CellUnion, medium: MediumParams,
-                         b1_operator: DenseOperator,
-                         kernel: Optional[np.ndarray]) -> DenseOperator:
-    """Collocation matrix of I - eta*K diag(c*w) on U, the cells of the
-    union, c = -1 on B1 and +1 on B2.
+def assemble_B2_operator(union: CellUnion, b1_operator: DenseOperator,
+                         kernel: np.ndarray) -> DenseOperator:
+    """Collocation matrix of I - K diag(q w) on U, the cells of B1, B2
+    and a penetrable obstacle.
 
-    Its B1 block, I + eta*K11 w1, is placed from b1_operator; the rows
-    and columns of B2 are filled in from kernel, union.kernel(green)
-    (None at zero contrast).  The union is kept: every later kernel row
-    and source column is evaluated on it.
+    Its B1 block is placed from b1_operator; the rows and columns of the
+    other cells are filled in from kernel, union.kernel(green).  The union
+    is kept: every later kernel row and source column is evaluated on it.
     """
-    b1, b2 = union.parts
+    b1 = union.parts[0]
+    rest = slice(b1.stop, None)
+    qw = union.qw
     entries = np.eye(len(union.centers), dtype=complex)
     entries[b1, b1] = b1_operator.entries
-    if kernel is not None:
-        cw = union.signed
-        entries[:, b2] -= medium.eta * kernel[:, b2] * cw[None, b2]
-        entries[b2, b1] -= medium.eta * kernel[b2, b1] * cw[None, b1]
+    entries[:, rest] -= kernel[:, rest] * qw[None, rest]
+    entries[rest, b1] -= kernel[rest, b1] * qw[None, b1]
     op = DenseOperator(entries)
     op.green = b1_operator.green
     op.union = union
@@ -304,35 +312,28 @@ def solve_stage2(source: SourceSpec,
     return GridSolution(values=b2_operator.solve(u), source=source)
 
 
-def extension_rows(X: np.ndarray, medium: MediumParams,
-                   b2_operator: DenseOperator) -> Optional[np.ndarray]:
-    """The weighted rows G(x, U; flat) c w of the volume integral at every
+def extension_rows(X: np.ndarray, b2_operator: DenseOperator) -> np.ndarray:
+    """The weighted rows G(x, U; flat) q w of the volume integral at every
     point of X, cell-averaged at a point on a center, that every source
     shares: the one builder behind extend_stage2_many,
-    RoughKernel.smooth_part and radiation_matrix.  None when the contrast
-    vanishes, where no integral reads them."""
-    if medium.eta == 0.0:
-        return None
+    RoughKernel.smooth_part and radiation_matrix.  They have no column
+    when U is empty."""
     union = b2_operator.union
     return planar_green_matrix(b2_operator.green, X, union.centers,
-                               union.weights) * union.signed[None, :]
+                               union.weights) * union.qw[None, :]
 
 
 def extend_stage2_many(sol: GridSolution, X: np.ndarray,
-                       medium: MediumParams,
-                       b2_operator: DenseOperator,
-                       rows: Optional[np.ndarray],
+                       b2_operator: DenseOperator, rows: np.ndarray,
                        total: bool = True) -> np.ndarray:
-    """Rough-interface field at each point of X, by the extension formula
-    u_flat + eta * int_{D_f} G(., y; flat) c u dy, with rows from
-    extension_rows at the same X.
+    """Field at each point of X by the extension formula
+    u_flat + int_U G(., y; flat) q u dy, with rows from extension_rows at
+    the same X.
 
     The formula holds at every point: at a cell center of U it is the
     equation itself and returns the solved value there.  total=False
     removes the free-space incident wave (same side only), yielding the
     scattered/transmitted part directly.
     """
-    out = planar_field_column(b2_operator.green, sol.source, X, total=total)
-    if rows is not None:
-        out += medium.eta * (rows @ sol.values)
-    return out
+    return planar_field_column(b2_operator.green, sol.source, X,
+                               total=total) + rows @ sol.values

@@ -23,12 +23,13 @@ its free-space part from ls_volume (planar_green_matrix,
 planar_scattered_matrix, free_space_matrix), as the volume equation's
 own columns do.
 
-Penetrable obstacles use one more Lippmann-Schwinger equation, this time
-over a mesh of D with contrast m = 1 - n and kernel G(.,.;rough); like the
-boundary operators, its operator depends on the scene alone.  Either
-solution radiates as a source-independent matrix times its weights.
-Every kernel evaluation takes the volume rows at its points that the
-caller holds (ls_volume.extension_rows), None only at zero contrast.
+A penetrable obstacle needs no equation here: its cells belong to U, the
+cells of the one volume operator (ls_volume.CellUnion), so the volume
+solve already gives its field, and the kernel columns on that operator
+are those of the scene with the obstacle.  A boundary solution radiates
+as a source-independent matrix times its weights.  Every kernel
+evaluation takes the volume rows at its points that the caller holds
+(ls_volume.extension_rows).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import ObstacleNodes, RegionMesh
+from .geometry import ObstacleNodes
 from .layered_green import MediumParams
 from .ls_volume import (
     DenseOperator,
@@ -65,9 +66,8 @@ class RoughKernel:
     factorization of the operator A on U (assemble_B2_operator); the
     flat-kernel columns K(U, y) are one planar_green_matrix call on U,
     the operator's CellUnion.  At evaluation points X the kernel adds
-    eta * rows q, with the weighted volume rows of extension_rows at X,
-    which every kernel on the same operator shares (None at zero
-    contrast).
+    rows q, with the weighted volume rows of extension_rows at X, which
+    every kernel on the same operator shares.
     """
 
     def __init__(self, b2_operator, medium: MediumParams, sources: np.ndarray,
@@ -76,9 +76,6 @@ class RoughKernel:
         self.medium = medium
         self.sources = np.asarray(sources, float)
         self.normals = None if normals is None else np.asarray(normals, float)
-        if medium.eta == 0.0:
-            self.q = None
-            return
         # a monopole on a cell center takes the average over the coinciding
         # cell (the sources carry no cells), a dipole the principal value 0
         union = b2_operator.union
@@ -86,8 +83,7 @@ class RoughKernel:
             b2_operator.green, union.centers, self.sources,
             x_weights=union.weights, normals=self.normals))
 
-    def smooth_part(self, X: np.ndarray,
-                    rows: Optional[np.ndarray]) -> np.ndarray:
+    def smooth_part(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The kernel at (x_i, y_j) less the free-space part full adds:
         finite on the diagonal.
 
@@ -95,19 +91,15 @@ class RoughKernel:
         sources, so the subtracted free-space part is the local singularity.
         rows are extension_rows at the same X.
         """
-        out = planar_scattered_matrix(self.b2.green, X, self.sources,
-                                      self.normals)
-        if rows is None:
-            return out
-        return out + self.medium.eta * rows @ self.q
+        return planar_scattered_matrix(self.b2.green, X, self.sources,
+                                       self.normals) + rows @ self.q
 
-    def full(self, X: np.ndarray, rows: Optional[np.ndarray],
-             y_weights: Optional[np.ndarray] = None) -> np.ndarray:
+    def full(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The kernel at (x_i, y_j) including the free-space part on
-        same-side pairs, coincident pairs as in free_space_matrix over
-        y_weights; rows as in smooth_part."""
+        same-side pairs, as in free_space_matrix (a monopole's coincident
+        pair raises SingularityError); rows as in smooth_part."""
         return self.smooth_part(X, rows) + free_space_matrix(
-            self.medium, X, self.sources, self.normals, y_weights)
+            self.medium, X, self.sources, self.normals)
 
 
 def green_rough_columns(points: np.ndarray, b2_operator: DenseOperator,
@@ -115,10 +107,11 @@ def green_rough_columns(points: np.ndarray, b2_operator: DenseOperator,
                         sources: np.ndarray) -> np.ndarray:
     """Matrix of rough-interface Green's values G(x_i, y_j; rough) for
     evaluation points x_i and monopole source positions y_j: one column
-    solve per source on the operator of U (RoughKernel.full).  Sources
-    must stay off the evaluation points."""
+    solve per source on the operator of U (RoughKernel.full), so the
+    values are those of the scene with its penetrable obstacle, if it has
+    one.  Sources must stay off the evaluation points."""
     return RoughKernel(b2_operator, medium, sources).full(
-        points, extension_rows(points, medium, b2_operator))
+        points, extension_rows(points, b2_operator))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +216,7 @@ def build_rough_kernel_context(nodes: ObstacleNodes, b2_operator,
 
 
 def assemble_bie(nodes: ObstacleNodes, medium: MediumParams, kernel_ctx,
-                 rows: Optional[np.ndarray],
+                 rows: np.ndarray,
                  lam: Union[None, float, np.ndarray] = None
                  ) -> DenseOperator:
     """Collocation matrix of I + s(K + cS) for an impenetrable obstacle:
@@ -288,7 +281,7 @@ def neumann_impedance_solve(operator: DenseOperator, incident: np.ndarray,
 
 
 def radiation_matrix(operator: DenseOperator, X: np.ndarray,
-                     rows: Optional[np.ndarray]) -> np.ndarray:
+                     rows: np.ndarray) -> np.ndarray:
     """Matrix taking the quadrature weights of a solution of the operator
     from assemble_bie to its field at X: dG/dnu(y) + cG, with c = -i
     (sound-soft) or i lam (Neumann, impedance).
@@ -301,23 +294,15 @@ def radiation_matrix(operator: DenseOperator, X: np.ndarray,
         - dnu.full(X, rows)
 
 
-def scattered_from_density(density: Union[BoundaryDensity, VolumeDensity],
-                           X: np.ndarray, radiation: np.ndarray
-                           ) -> np.ndarray:
-    """Radiated field of a boundary density at points X away from dD, or
-    of a penetrable obstacle's VolumeDensity.
-
-    Impenetrable: w = int (dG/dnu(y) + cG) phi ds (see assemble_bie);
-    penetrable: w = -k2^2 int_D G m u dy.  radiation is the
-    source-independent (penetrable_)radiation_matrix at the same X, with
-    the density's kernel columns.  Points closer to dD than the node
-    spacing trigger an accuracy warning (the trapezoid rule degrades
-    there).
+def scattered_from_density(density: BoundaryDensity, X: np.ndarray,
+                           radiation: np.ndarray) -> np.ndarray:
+    """Radiated field w = int (dG/dnu(y) + cG) phi ds of a boundary density
+    at points X away from dD (see assemble_bie).  radiation is the
+    source-independent radiation_matrix at the same X.  Points closer to
+    dD than the node spacing trigger an accuracy warning (the trapezoid
+    rule degrades there).
     """
     X = np.atleast_2d(np.asarray(X, float))
-    if isinstance(density, VolumeDensity):
-        pen = density.operator.pen
-        return radiation @ (pen.m_values * pen.mesh.weights * density.values)
     nodes = density.nodes
     d = np.hypot(X[:, 0][:, None] - nodes.positions[None, :, 0],
                  X[:, 1][:, None] - nodes.positions[None, :, 1])
@@ -328,62 +313,3 @@ def scattered_from_density(density: Union[BoundaryDensity, VolumeDensity],
     M = nodes.n // 2
     wts = (np.pi / M) * nodes.jacobians * density.psi
     return radiation @ wts
-
-
-# ---------------------------------------------------------------------------
-# Penetrable obstacle
-# ---------------------------------------------------------------------------
-@dataclass
-class PenetrableMedium:
-    """Refractive-index profile supported on the obstacle mesh."""
-
-    mesh: RegionMesh
-    n: Union[complex, np.ndarray]
-
-    def __post_init__(self):
-        n = np.broadcast_to(np.asarray(self.n, complex), (self.mesh.n,))
-        if np.any(n.real <= 0.0) or np.any(n.imag < 0.0):
-            raise ConfigurationError("need Re(n) > 0 and Im(n) >= 0")
-        object.__setattr__(self, "n_values", n)
-
-    @property
-    def m_values(self) -> np.ndarray:
-        return 1.0 - self.n_values
-
-
-@dataclass
-class VolumeDensity:
-    """Solved total field u of a penetrable obstacle at the cells of D."""
-
-    operator: DenseOperator          # from assemble_penetrable
-    values: np.ndarray
-
-
-def assemble_penetrable(pen: PenetrableMedium, medium: MediumParams,
-                        b2_operator, rows: Optional[np.ndarray]
-                        ) -> DenseOperator:
-    """Collocation matrix of u + k2^2 int_D G(x,y;rough) m(y) u(y) dy on
-    the cells of D, with the kernel columns at the cell centers; rows are
-    the volume rows there (extension_rows).
-
-    The kernel's local singularity on D is the free-space k2 kernel, so the
-    diagonal uses the same log-extracted cell average as the volume equation.
-    """
-    mesh = pen.mesh
-    kernel = RoughKernel(b2_operator, medium, mesh.centers)
-    G = kernel.full(mesh.centers, rows, y_weights=mesh.weights)
-    kap2 = medium.kappa2 ** 2
-    op = DenseOperator(np.eye(mesh.n, dtype=complex)
-                       + kap2 * G * (pen.m_values * mesh.weights)[None, :])
-    op.pen = pen
-    op.kernel = kernel
-    return op
-
-
-def penetrable_radiation_matrix(operator: DenseOperator, X: np.ndarray,
-                                rows: Optional[np.ndarray]) -> np.ndarray:
-    """-k2^2 G(x_i, c_j; rough), at the cell centers c_j of the operator
-    from assemble_penetrable; rows as in radiation_matrix."""
-    kernel = operator.kernel
-    G = kernel.full(X, rows, y_weights=operator.pen.mesh.weights)
-    return (-kernel.medium.kappa2 ** 2) * G

@@ -59,14 +59,12 @@ def flat_scene():
 def _volume_operator(scene, medium, cell_size=0.1):
     """The volume operator on the B1 and B2 cells of scene, assembled as
     ForwardSolver assembles it."""
-    m1 = build_region_mesh("B1", scene, cell_size)
-    union = CellUnion(m1, build_region_mesh("B2", scene, cell_size))
+    union = CellUnion(medium, build_region_mesh("B1", scene, cell_size),
+                      build_region_mesh("B2", scene, cell_size))
     green = PlanarGreen(medium, 1e-8)
     kernel = union.kernel(green)
-    b1 = union.parts[0]
-    op1 = assemble_B1_operator(m1, medium, green,
-                               None if kernel is None else kernel[b1, b1])
-    return assemble_B2_operator(union, medium, op1, kernel)
+    op1 = assemble_B1_operator(union, green, kernel)
+    return assemble_B2_operator(union, op1, kernel)
 
 
 @pytest.fixture(scope="session")
@@ -197,7 +195,7 @@ def _boundary_total_field(density, t, background):
     minus = RoughKernel(b2, medium, P - delta * nu)
     S, K = _layer_matrices_off_nodes(nodes, medium.kappa2, t)
     X = nodes.curve.point(t)
-    rows = extension_rows(X, medium, b2)
+    rows = extension_rows(X, b2)
     rho = center.smooth_part(X, rows)
     drho = (plus.smooth_part(X, rows) - minus.smooth_part(X, rows)) \
         / (2.0 * delta)

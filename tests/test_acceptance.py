@@ -47,8 +47,7 @@ SRC = SourceSpec("monopole", (0.3, 1.2))
 def _extend(solver, sol, X):
     """The extension formula at X, on the solver's volume rows there."""
     X = np.atleast_2d(np.asarray(X, float))
-    return extend_stage2_many(sol, X, solver.medium, solver.b2,
-                              solver.extension_rows(X))
+    return extend_stage2_many(sol, X, solver.b2, solver.extension_rows(X))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +251,9 @@ def test_obstacle_oracle_neumann():
 
 
 def test_obstacle_oracle_penetrable():
+    # measured 3.18e-4 outside and 2.00e-4 inside; with the coincident cell
+    # average of the operator's diagonal set to zero the interior error
+    # rises to 2.62e-4, past its bound
     n = 1.5 + 0.1j
     config = SceneConfig(
         medium=MediumParams(MIE_KAPPA, MIE_KAPPA),
@@ -262,11 +264,11 @@ def test_obstacle_oracle_penetrable():
     for p, v in zip(_mie_points(), ev.scattered(_mie_points())):
         ref = mie_series_circle("penetrable", 0.5, MIE_KAPPA, MIE_SRC,
                                 tuple(p), n=n, center=MIE_CIRCLE.center)
-        assert abs(v - ref) <= 1e-3
+        assert abs(v - ref) <= 4e-4
     q = (0.2, -1.9)
     ref_in = mie_interior_circle(0.5, MIE_KAPPA, n, MIE_SRC, q,
                                  center=MIE_CIRCLE.center)
-    assert abs(ev.total(q) - ref_in) <= 1e-3
+    assert abs(ev.total(q) - ref_in) <= 2.4e-4
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: strict config schema, exit codes and
 bit-stable outputs.  main() is driven in-process for speed."""
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from layered_scatter import ForwardSolver, SourceSpec, green_rough_columns
 from layered_scatter.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -199,6 +201,52 @@ def test_out_of_range_setting_exits_2_in_every_subcommand(
         assert f"{section}.{key}" in err
 
 
+@pytest.mark.parametrize("kind", ["penetrable", "sound_soft"])
+@pytest.mark.parametrize("n", [[-1, 0], [0, 0], [1.5, -0.1]],
+                         ids=["negative", "zero", "gain"])
+def test_invalid_index_exits_2_in_every_subcommand(config_path, tmp_path,
+                                                   capsys, kind, n):
+    # the index is checked whatever the condition, so every subcommand
+    # rejects it, not only those that build the obstacle
+    doc = dict(BASE, experiment=_SECTIONS["experiment"],
+               obstacle=dict(_SECTIONS["obstacle"], kind=kind, n=n))
+    path = config_path(doc)
+    out = str(tmp_path / "out.csv")
+    for argv in (["green", path, "--x", "0.4", "0.8", "--xs", "0.3", "1.2"],
+                 ["forward", path, "--output", out], ["verify", path],
+                 ["demo-uniqueness", path, "--output", out]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert "obstacle.n" in err
+
+
+def test_solver_section_is_an_unknown_key(config_path, capsys):
+    # nothing reads a solver section, so it is not accepted, empty or not
+    with pytest.raises(ConfigurationError, match="unknown key 'solver'"):
+        parse_config(dict(BASE, solver={}))
+    rc = main(["green", config_path(dict(BASE, solver={})),
+               "--x", "0.4", "0.8", "--xs", "0.3", "1.2"])
+    assert rc == EXIT_CONFIG
+    assert "unknown key 'solver'" in capsys.readouterr().err
+
+
+def test_threads_is_an_option_of_forward_only(config_path, tmp_path,
+                                              capsys):
+    # only forward runs worker processes; the others reject --threads
+    path = config_path(dict(BASE, experiment=_SECTIONS["experiment"]))
+    out = str(tmp_path / "out.csv")
+    for argv in (["green", path, "--x", "0.4", "0.8", "--xs", "0.3", "1.2"],
+                 ["verify", path],
+                 ["demo-uniqueness", path, "--output", out]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--threads" in capsys.readouterr().err
+    assert main(["forward", path, "--output", out, "--threads", "2"]) \
+        == EXIT_OK
+
+
 def test_blowup_work_past_its_budget_exits_2_in_seconds(tmp_path, capsys):
     # n_max 2000000 on the shipped default passes every other check; at
     # about 2e-7 s per source and cell it would run for minutes
@@ -357,6 +405,32 @@ def test_verify_passes(config_path, capsys):
     assert report["pass"] is True
     assert all(c["pass"] for c in report["checks"])
     assert "rough_reciprocity" in [c["check"] for c in report["checks"]]
+
+
+def test_verify_passes_on_a_penetrable_disk_under_a_bump_and_dip(
+        config_path, capsys):
+    doc = dict(BASE, interface={"bumps": [[-0.9, 0.7, 0.3],
+                                          [0.9, 0.7, -0.3]]},
+               obstacle={"kind": "penetrable", "n": [2.0, 0.3],
+                         "cell_size": 0.1,
+                         "curve": {"kind": "circle", "center": [0.0, -1.5],
+                                   "radius": 0.5}})
+    path = config_path(doc)
+    assert main(["verify", path]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True
+    assert "rough_reciprocity" in [c["check"] for c in report["checks"]]
+    # the kernel that rough_reciprocity checks is that of the scene with
+    # the disk: the field of a monopole, which the disk changes by 9 %
+    scene = load_config(path).scene
+    solver = ForwardSolver(scene)
+    x, y = np.array([[0.43, 1.37]]), np.array([[-0.81, 0.93]])
+    g = green_rough_columns(x, solver.b2, scene.medium, y)[0, 0]
+    field = solver.solve(SourceSpec("monopole", tuple(y[0]))).total(x[0])
+    assert abs(g - field) <= 1e-12 * abs(field)
+    bare = ForwardSolver(dataclasses.replace(scene, obstacle=None))
+    g0 = green_rough_columns(x, bare.b2, scene.medium, y)[0, 0]
+    assert abs(g - g0) > 1e-2 * abs(g)
 
 
 def test_verify_flip_beta_negative_control(config_path, capsys):

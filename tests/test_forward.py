@@ -76,9 +76,12 @@ def test_obstacle_spec_validation():
 # Field evaluator
 # ---------------------------------------------------------------------------
 def test_total_minus_incident_is_scattered(flat_solver):
+    from layered_scatter.specfun import fundamental_solution
     ev = flat_solver.solve(SRC)
     pts = np.array([[0.5, 0.9], [-1.2, 1.5]])
-    gap = ev.total(pts) - ev.incident(pts) - ev.scattered(pts)
+    incident = [fundamental_solution(flat_solver.medium.kappa1, p,
+                                     SRC.position) for p in pts]
+    gap = ev.total(pts) - incident - ev.scattered(pts)
     assert np.max(np.abs(gap)) < 1e-12
 
 
@@ -269,8 +272,7 @@ def _count_builds(monkeypatch, calls, fail=False):
     import layered_scatter.forward as forward
     import layered_scatter.ls_volume as ls_volume
     import layered_scatter.obstacle as obstacle
-    for name, at in (("extension_rows", 0), ("radiation_matrix", 1),
-                     ("penetrable_radiation_matrix", 1)):
+    for name, at in (("extension_rows", 0), ("radiation_matrix", 1)):
         orig = getattr(obstacle, name)
 
         def counted(*args, _orig=orig, _name=name, _at=at, **kwargs):
@@ -320,7 +322,7 @@ def test_products_kept_only_for_own_point_sets(layered_obstacle_solver):
     assert s.radiation_matrix(rx.copy(), kept) is s.radiation
     assert not kept.flags.writeable
     assert not s.radiation.flags.writeable
-    fresh = extension_rows(rx, s.medium, s.b2)
+    fresh = extension_rows(rx, s.b2)
     assert kept.tobytes() == fresh.tobytes()
     # products at other points are the same bytes at every call
     rows = s.extension_rows(pts)
@@ -461,7 +463,7 @@ def test_kernel_column_with_its_source_on_a_bump_cell_center(
     rows = s.rows["receivers"]
     y = s.mesh_B2.centers[2]
     mono = solve_stage2(SourceSpec("monopole", tuple(y)), s.b2)
-    want = extend_stage2_many(mono, rx, s.medium, s.b2, rows)
+    want = extend_stage2_many(mono, rx, s.b2, rows)
     got = RoughKernel(s.b2, s.medium, y[None, :]).full(rx, rows)[:, 0]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -624,12 +626,12 @@ def test_radiation_matrix_reuses_the_extension_rows(layered_obstacle_solver,
     op, medium, b2 = solver.bie_operator, solver.medium, solver.b2
     rx = solver.config.receivers.points()
     # the kept matrix has the bytes of one built alone
-    alone = radiation_matrix(op, rx, extension_rows(rx, medium, b2))
+    alone = radiation_matrix(op, rx, extension_rows(rx, b2))
     assert solver.radiation_matrix(rx, solver.rows["receivers"]).tobytes() \
         == alone.tobytes()
     # so does one at a set with a point on a B2 center
     pts = np.vstack([rx[:2], solver.mesh_B2.centers[:1]])
-    alone = radiation_matrix(op, pts, extension_rows(pts, medium, b2))
+    alone = radiation_matrix(op, pts, extension_rows(pts, b2))
     calls = []
     _count_builds(monkeypatch, calls)
     again = solver.radiation_matrix(pts, solver.extension_rows(pts))
@@ -644,27 +646,26 @@ def test_radiation_matrix_reuses_the_extension_rows(layered_obstacle_solver,
 
 
 def test_incident_field_is_vectorized_for_every_source_kind(flat_solver):
+    # total minus scattered is the source's free-space wave, for every
+    # source kind, at an array of points and at a single point alike
     from layered_scatter.specfun import (
         fundamental_solution,
         fundamental_solution_grad,
     )
     pts = np.array([[0.5, 0.9], [-1.2, 1.5], [0.3, 2.0], [1.0, 1.2]])
+    kappa = flat_solver.medium.kappa1
     for src in (SRC,) + SOURCES[1:]:
         ev = flat_solver.solve(src)
-        kappa = flat_solver.medium.kappa1
         if src.kind == "monopole":
-            scalar = [fundamental_solution(kappa, p, src.position)
-                      for p in pts]
+            wave = [fundamental_solution(kappa, p, src.position) for p in pts]
         else:
-            scalar = [fundamental_solution_grad(kappa, p, src.position,
-                                                src.direction) for p in pts]
-        many = ev.incident(pts)
+            wave = [fundamental_solution_grad(kappa, p, src.position,
+                                              src.direction) for p in pts]
+        many = ev.total(pts) - ev.scattered(pts)
         assert many.shape == (len(pts),)
-        assert np.max(np.abs(many - scalar)) <= 1e-14 * np.max(np.abs(many))
-        one = ev.incident(pts[0])
+        assert np.max(np.abs(many - wave)) < 1e-12
+        one = ev.total(pts[0]) - ev.scattered(pts[0])
         assert isinstance(one, complex) and one == many[0]
-        gap = ev.total(pts) - many - ev.scattered(pts)
-        assert np.max(np.abs(gap)) < 1e-12
 
 
 def test_too_few_cells_per_wavelength_rejected():
@@ -798,8 +799,9 @@ def test_workers_fork_past_a_lock_held_by_another_thread(
         config = _penetrable_config(layered_obstacle_solver.config)
     solver = ForwardSolver(config)
     one = synthesize_dataset(config, SOURCES, threads=1, solver=solver)
+    # a penetrable scene has one operator, on the cells of D_f and D
     lock = {"dense operator": solver.b2,
-            "penetrable operator": solver.penetrable_operator,
+            "penetrable operator": solver.b2,
             "grid splits": solver.green.splits,
             "rules kept by plan": solver.green.rules}[which]._lock
     held = threading.Event()
@@ -892,10 +894,13 @@ def test_size_guard_estimate_bounds_the_arrays_a_solver_holds(
     assert need >= _held_bytes(solver, set()) > 0
 
 
-@pytest.mark.parametrize("obstacle", [False, True], ids=["none", "sound-soft"])
+@pytest.mark.parametrize("obstacle", [None, "sound_soft", "penetrable"],
+                         ids=["none", "sound-soft", "penetrable"])
 def test_building_the_solver_factorizes_one_volume_operator(
         layered_obstacle_solver, bump_and_dip_profile, monkeypatch, obstacle):
-    # the B1 block is placed into the operator on U, not factorized apart
+    # the B1 block is placed into the operator on U, not factorized apart,
+    # and so are a penetrable obstacle's cells
+    from layered_scatter.geometry import build_region_mesh
     from layered_scatter.ls_volume import DenseOperator
     factorized = []
     factorize = DenseOperator.factorize
@@ -908,14 +913,21 @@ def test_building_the_solver_factorizes_one_volume_operator(
     monkeypatch.setattr(DenseOperator, "factorize", recorded)
     config = dataclasses.replace(layered_obstacle_solver.config,
                                  profile=bump_and_dip_profile)
-    if not obstacle:
+    if obstacle is None:
         config = dataclasses.replace(config, obstacle=None)
+    elif obstacle == "penetrable":
+        config = _penetrable_config(config)
     solver = ForwardSolver(config)
     assert solver.mesh_B1.n > 0 and solver.mesh_B2.n > 0
     volume = [op for op in factorized if op is not solver.bie_operator]
     assert volume == [solver.b2]
-    assert solver.b2.n == solver.mesh_B1.n + solver.mesh_B2.n
-    assert len(factorized) == 1 + obstacle
+    cells = solver.mesh_B1.n + solver.mesh_B2.n
+    if obstacle == "penetrable":
+        spec = config.obstacle
+        cells += build_region_mesh("D_penetrable", solver.scene,
+                                   spec.cell_size, config.subsample).n
+    assert solver.b2.n == cells
+    assert len(factorized) == 1 + (obstacle == "sound_soft")
 
 
 def test_size_guard_compares_the_estimate_with_physical_memory(bump_config,

@@ -13,6 +13,7 @@ from layered_scatter.errors import AccuracyError, SingularityError
 from layered_scatter.forward import ForwardSolver, SceneConfig
 from layered_scatter.geometry import (
     InterfaceProfile,
+    ObstacleCurve,
     ReceiverLine,
     SceneGeometry,
     build_region_mesh,
@@ -41,11 +42,11 @@ from layered_scatter.specfun import (
 SRC = SourceSpec("monopole", (0.3, 1.2))
 
 
-def _extend(sol, X, medium, b2, total=True):
+def _extend(sol, X, b2, total=True):
     """The extension formula at X, on the volume rows built there."""
     X = np.asarray(X, float)
-    return extend_stage2_many(sol, X, medium, b2,
-                              extension_rows(X, medium, b2), total=total)
+    return extend_stage2_many(sol, X, b2, extension_rows(X, b2),
+                              total=total)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +187,8 @@ def test_normal_dipole_columns_combine_the_coordinate_dipoles(
     # sin t times the vertical dipole's column
     scene = SceneGeometry(bump_and_dip_profile)
     green = PlanarGreen(medium, 1e-8)
-    u = CellUnion(*(build_region_mesh(tag, scene, 0.1)
-                    for tag in ("B1", "B2")))
+    u = CellUnion(medium, *(build_region_mesh(tag, scene, 0.1)
+                            for tag in ("B1", "B2")))
     rx = ReceiverLine(b=2.0, a=3.0, count=11).points()
     sources = np.array([[0.3, 1.1], [-1.2, 0.6], [0.4, -0.7],
                         [1.1, -1.5], u.centers[0], u.centers[-1]])
@@ -258,7 +259,7 @@ def test_dense_operator_of_an_empty_mesh():
 # ---------------------------------------------------------------------------
 # The dip scene (B1 cells only) and the flat scene (exact answer known)
 # ---------------------------------------------------------------------------
-def test_stage1_extension_returns_solved_values_at_centers(dip_b2, medium):
+def test_stage1_extension_returns_solved_values_at_centers(dip_b2):
     # the dip scene has no B2 cell: U is the B1 cells, and its field the
     # Green's function of min(f, 0); at a center the extension formula is
     # the equation itself, so it returns the solved value up to rounding
@@ -266,13 +267,13 @@ def test_stage1_extension_returns_solved_values_at_centers(dip_b2, medium):
     assert len(u.centers[u.parts[1]]) == 0
     sol = solve_stage2(SRC, dip_b2)
     idx = np.arange(len(u.centers))[::3]
-    vals = _extend(sol, u.centers[idx], medium, dip_b2)
+    vals = _extend(sol, u.centers[idx], dip_b2)
     assert len(idx) >= 10
     assert np.max(np.abs(vals - sol.values[idx])) \
         <= 1e-12 * np.max(np.abs(sol.values))
 
 
-def test_flat_scene_composition_identity(flat_b2, medium):
+def test_flat_scene_composition_identity(flat_b2):
     """With f = 0 the rough interface *is* the flat one: no cell is built,
     and the volume solve must reproduce the planar kernel wherever we
     look."""
@@ -280,7 +281,7 @@ def test_flat_scene_composition_identity(flat_b2, medium):
     sol = solve_stage2(SRC, flat_b2)
     green = flat_b2.green
     pts = np.array([[0.4, 0.8], [-1.3, 0.5], [0.9, -0.7], [2.0, 1.5]])
-    got = _extend(sol, pts, medium, flat_b2)
+    got = _extend(sol, pts, flat_b2)
     for p, v in zip(pts, got):
         exact = green.total(p, SRC.position)
         assert abs(v - exact) / abs(exact) < 5e-3
@@ -290,30 +291,30 @@ def test_flat_scene_scattered_part(flat_b2, medium):
     sol = solve_stage2(SRC, flat_b2)
     green = flat_b2.green
     p = np.array([[0.4, 0.8]])
-    us = _extend(sol, p, medium, flat_b2, total=False)[0]
+    us = _extend(sol, p, flat_b2, total=False)[0]
     exact = green.scattered(p[0], SRC.position)
     assert abs(us - exact) / abs(exact) < 5e-3
     # total minus incident equals scattered algebraically
-    tot = _extend(sol, p, medium, flat_b2, total=True)[0]
+    tot = _extend(sol, p, flat_b2, total=True)[0]
     inc = fundamental_solution(medium.kappa1, p[0], SRC.position)
     assert abs((tot - inc) - us) < 1e-12
 
 
-def test_scattered_finite_at_source_position(flat_b2, medium):
+def test_scattered_finite_at_source_position(flat_b2):
     sol = solve_stage2(SRC, flat_b2)
-    val = _extend(sol, np.array([list(SRC.position)]), medium, flat_b2,
+    val = _extend(sol, np.array([list(SRC.position)]), flat_b2,
                   total=False)[0]
     assert np.isfinite(val)
 
 
-def test_green_arc_reciprocity(dip_b2, medium):
+def test_green_arc_reciprocity(dip_b2):
     """Reciprocity of the Green's function of the auxiliary interface
     min(f, 0) (called the arc kernel after the auxiliary interface it
     replaced): on the dip scene each value is a monopole solve extended to
     the other point."""
     def g(x, y):
         sol = solve_stage2(SourceSpec("monopole", y), dip_b2)
-        return _extend(sol, np.array([x]), medium, dip_b2)[0]
+        return _extend(sol, np.array([x]), dip_b2)[0]
     x, y = (0.4, 0.6), (-0.7, 0.9)
     a = g(x, y)
     b = g(y, x)
@@ -321,24 +322,29 @@ def test_green_arc_reciprocity(dip_b2, medium):
 
 
 def test_zero_contrast_operators_are_identity(bump_and_dip_profile):
+    # cells of zero contrast stay out of U: at eta = 0 and with an obstacle
+    # of index 1 U is empty, and so are the operators and every row
     degenerate = MediumParams(1.5, 1.5)
-    scene = SceneGeometry(bump_and_dip_profile)
-    m1 = build_region_mesh("B1", scene, 0.25)
-    m2 = build_region_mesh("B2", scene, 0.25)
-    assert m1.n > 0 and m2.n > 0
+    scene = SceneGeometry(bump_and_dip_profile,
+                          obstacle=ObstacleCurve("circle", (0.0, -1.3), 0.5))
+    meshes = [build_region_mesh(tag, scene, 0.25)
+              for tag in ("B1", "B2", "D_penetrable")]
+    assert all(mesh.n > 0 for mesh in meshes)
     green = PlanarGreen(degenerate, 1e-8)
-    union = CellUnion(m1, m2)
-    # no kernel and no volume row is built at zero contrast
-    assert union.kernel(green) is None
-    op1 = assemble_B1_operator(m1, degenerate, green, None)
-    assert np.array_equal(op1.entries, np.eye(m1.n))
-    b2 = assemble_B2_operator(union, degenerate, op1, None)
-    assert np.array_equal(b2.entries, np.eye(m1.n + m2.n))
+    union = CellUnion(degenerate, *meshes, n=1.0)
+    assert union.centers.shape == (0, 2)
+    assert [part.stop for part in union.parts] == [0, 0, 0]
+    kernel = union.kernel(green)
+    assert kernel.shape == (0, 0)
+    op1 = assemble_B1_operator(union, green, kernel)
+    b2 = assemble_B2_operator(union, op1, kernel)
+    assert op1.n == b2.n == 0
     sol = solve_stage2(SRC, b2)
     # extension reduces to the planar field, which is free space here
     p = np.array([(0.5, 0.7)])
-    assert extension_rows(p, degenerate, b2) is None
-    got = extend_stage2_many(sol, p, degenerate, b2, None)[0]
+    rows = extension_rows(p, b2)
+    assert rows.shape == (1, 0)
+    got = extend_stage2_many(sol, p, b2, rows)[0]
     free = fundamental_solution(1.5, p[0], SRC.position)
     assert abs(got - free) < 1e-8
 
@@ -346,36 +352,40 @@ def test_zero_contrast_operators_are_identity(bump_and_dip_profile):
 # ---------------------------------------------------------------------------
 # Kernels on the union of the B1 and B2 cells
 # ---------------------------------------------------------------------------
+def _contrast_weights(solver):
+    """q w on the B1 and the B2 mesh, q = -eta and +eta."""
+    eta = solver.medium.eta
+    return (-eta * solver.mesh_B1.weights, eta * solver.mesh_B2.weights)
+
+
 def _per_mesh(solver):
-    """The operator on U, I - eta K diag(c w), from kernels evaluated on
-    each pair of meshes alone."""
-    green, eta = solver.green, solver.medium.eta
+    """The operator on U, I - K diag(q w), from kernels evaluated on each
+    pair of meshes alone."""
+    green = solver.green
     meshes = (solver.mesh_B1, solver.mesh_B2)
     K = np.block([[planar_green_matrix(green, a.centers, b.centers, b.weights)
                    for b in meshes] for a in meshes])
-    cw = np.concatenate([-meshes[0].weights, meshes[1].weights])
-    return DenseOperator(np.eye(len(cw), dtype=complex)
-                         - eta * K * cw[None, :])
+    qw = np.concatenate(_contrast_weights(solver))
+    return DenseOperator(np.eye(len(qw), dtype=complex) - K * qw[None, :])
 
 
 def _per_mesh_rows(solver, X):
-    """The weighted volume rows G(X, U; flat) c w, evaluated per mesh."""
-    m1, m2 = solver.mesh_B1, solver.mesh_B2
+    """The weighted volume rows G(X, U; flat) q w, evaluated per mesh."""
     return np.hstack([
-        planar_green_matrix(solver.green, X, m1.centers, m1.weights)
-        * -m1.weights[None, :],
-        planar_green_matrix(solver.green, X, m2.centers, m2.weights)
-        * m2.weights[None, :]])
+        planar_green_matrix(solver.green, X, m.centers, m.weights)
+        * qw[None, :]
+        for m, qw in zip((solver.mesh_B1, solver.mesh_B2),
+                         _contrast_weights(solver))])
 
 
 def _per_mesh_scattered(solver, op, src, X):
     """Scattered field of src at X through the per-mesh operator op."""
-    green, eta = solver.green, solver.medium.eta
+    green = solver.green
     C = np.concatenate([solver.mesh_B1.centers, solver.mesh_B2.centers])
     w = np.concatenate([solver.mesh_B1.weights, solver.mesh_B2.weights])
     v = op.solve(planar_field_column(green, src, C, True, w))
     return planar_field_column(green, src, X, total=False) \
-        + eta * (_per_mesh_rows(solver, X) @ v)
+        + _per_mesh_rows(solver, X) @ v
 
 
 def _scene(*bumps):
@@ -402,7 +412,7 @@ def test_shared_cells_keep_the_bytes_of_per_mesh_evaluation(
     ref = _per_mesh(s)
     assert np.array_equal(s.b2.entries, ref.entries)
     rx = s.config.receivers.points()
-    # the kept rows are weighted by the signed cell areas, as the per-mesh
+    # the kept rows are weighted by the contrast weights, as the per-mesh
     # rows are here with the same operation
     rows = s.extension_rows(rx)
     assert rows.tobytes() == _per_mesh_rows(s, rx).tobytes()
@@ -414,7 +424,7 @@ def test_shared_cells_keep_the_bytes_of_per_mesh_evaluation(
             <= 1e-12 * np.max(np.abs(flat))
         # the background field at the receivers, obstacle left out
         assert np.array_equal(
-            extend_stage2_many(sol, rx, s.medium, s.b2, rows, total=False),
+            extend_stage2_many(sol, rx, s.b2, rows, total=False),
             _per_mesh_scattered(s, ref, src, rx))
     center = s.kernel_ctx[0]
     q = s.b2.solve(planar_green_matrix(green, m2.centers, center.sources,
@@ -432,8 +442,8 @@ def test_union_agrees_with_per_mesh_evaluation(bumps):
     for k, mesh in enumerate((s.mesh_B1, s.mesh_B2)):
         assert np.array_equal(u.centers[u.parts[k]], mesh.centers)
         assert np.array_equal(u.weights[u.parts[k]], mesh.weights)
-        assert np.array_equal(u.signed[u.parts[k]],
-                              (2 * k - 1) * mesh.weights)
+        assert np.array_equal(u.qw[u.parts[k]],
+                              _contrast_weights(s)[k])
     ref = _per_mesh(s)
     assert s.b2.entries.shape == ref.entries.shape == (len(u.centers),) * 2
     assert np.max(np.abs(s.b2.entries - ref.entries)) \
@@ -470,6 +480,15 @@ def test_set_up_requests_no_cell_pair_twice_and_a_solve_two_columns(
                                                            (len(rx), 1)]
 
 
+def _free_wave(src, X, kappa):
+    """The free-space wave of src at each point of X, point by point."""
+    if src.kind == "monopole":
+        return np.array([fundamental_solution(kappa, x, src.position)
+                         for x in X])
+    return np.array([fundamental_solution_grad(kappa, x, src.position,
+                                               src.direction) for x in X])
+
+
 def test_fields_at_every_center_of_u_are_the_solved_values(
         bump_and_dip_profile):
     # the extension formula holds at every point: at a cell center of U it
@@ -487,7 +506,7 @@ def test_fields_at_every_center_of_u_are_the_solved_values(
         assert np.max(np.abs(ev.total(u.centers) - want)) <= 1e-12 * scale
         # the free-space wave of a source above is removed above only
         scattered = ev.scattered(u.centers) \
-            + np.where(above, src.incident(u.centers, s.medium.kappa1), 0.0)
+            + np.where(above, _free_wave(src, u.centers, s.medium.kappa1), 0)
         assert np.max(np.abs(scattered - want)) <= 1e-12 * scale
 
 

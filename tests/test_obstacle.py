@@ -14,7 +14,6 @@ from layered_scatter.errors import ConfigurationError
 from layered_scatter.geometry import ObstacleCurve, obstacle_nodes
 from layered_scatter.layered_green import MediumParams, SourceSpec
 from layered_scatter.obstacle import (
-    PenetrableMedium,
     RoughKernel,
     kress_log_weights,
     layer_matrices,
@@ -237,16 +236,15 @@ def test_impedance_differs_at_finite_lam():
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
-def test_penetrable_medium_validation(flat_scene):
-    from layered_scatter.geometry import SceneGeometry, build_region_mesh
-    scene = SceneGeometry(flat_scene.profile,
-                          obstacle=ObstacleCurve("circle", (0.0, -0.6), 0.2))
-    mesh = build_region_mesh("D_penetrable", scene, 0.05)
-    PenetrableMedium(mesh, 1.5 + 0.1j)
-    with pytest.raises(ConfigurationError):
-        PenetrableMedium(mesh, -1.0 + 0.0j)
-    with pytest.raises(ConfigurationError):
-        PenetrableMedium(mesh, 1.5 - 0.1j)
+def test_penetrable_medium_validation():
+    # the index is checked whatever the condition
+    from layered_scatter.forward import ObstacleSpec
+    curve = ObstacleCurve("circle", (0.0, -0.6), 0.2)
+    for condition in ("penetrable", "sound_soft"):
+        ObstacleSpec(curve=curve, condition=condition, n=1.5 + 0.1j)
+        for n in (-1.0 + 0.0j, 0.0, 1.5 - 0.1j, complex("nan")):
+            with pytest.raises(ConfigurationError, match="obstacle.n"):
+                ObstacleSpec(curve=curve, condition=condition, n=n)
 
 
 def test_boundary_above_interface_rejected(flat_b2, medium):
@@ -255,7 +253,7 @@ def test_boundary_above_interface_rejected(flat_b2, medium):
                                           build_rough_kernel_context)
     nodes_up = obstacle_nodes(ObstacleCurve("circle", (0.0, 0.5), 0.2), 8)
     ctx = build_rough_kernel_context(nodes_up, flat_b2, medium)
-    rows = extension_rows(nodes_up.positions, medium, flat_b2)
+    rows = extension_rows(nodes_up.positions, flat_b2)
     with pytest.raises(ConfigurationError):
         assemble_bie(nodes_up, medium, ctx, rows)
 
@@ -293,8 +291,8 @@ def test_impedance_prebuilt_operator_matches_per_source_assembly(
     # the same solve with every source-independent product built per call
     bg, med, b2 = ev._background, solver.medium, solver.b2
     P = solver.nodes.positions
-    at_nodes = extension_rows(P, med, b2)
-    inc = extend_stage2_many(bg, P, med, b2, at_nodes)
+    at_nodes = extension_rows(P, b2)
+    inc = extend_stage2_many(bg, P, b2, at_nodes)
     op = assemble_bie(solver.nodes, med, solver.kernel_ctx, at_nodes,
                       lam=1.0)
     fresh = neumann_impedance_solve(op, inc, 1.0)
@@ -302,8 +300,8 @@ def test_impedance_prebuilt_operator_matches_per_source_assembly(
     assert fresh.psi.tobytes() == prebuilt.psi.tobytes()
     assert fresh.operator.entries.tobytes() \
         == solver.bie_operator.entries.tobytes()
-    at_rx = extension_rows(rx, med, b2)
-    direct = extend_stage2_many(bg, rx, med, b2, at_rx, total=False) \
+    at_rx = extension_rows(rx, b2)
+    direct = extend_stage2_many(bg, rx, b2, at_rx, total=False) \
         + scattered_from_density(fresh, rx,
                                  radiation_matrix(op, rx, at_rx))
     assert direct.tobytes() == ev.scattered(rx).tobytes()
