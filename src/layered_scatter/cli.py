@@ -5,6 +5,10 @@ Subcommands: green (point evaluation of the flat-interface kernels),
 forward (near-field dataset synthesis), demo-uniqueness (the
 singular-source blow-up experiment), verify (self-check suite).
 
+The configuration maps onto the scene types key by key (parse_config);
+those types hold every default and every range check, so the library
+and the command line reject the same settings with the same messages.
+
 Exit codes: 0 success, 1 check failure, 2 configuration error,
 3 numerical failure.
 """
@@ -12,10 +16,11 @@ Exit codes: 0 success, 1 check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,208 +53,158 @@ EXIT_NUMERICAL = 3
 # ---------------------------------------------------------------------------
 # Strict JSON configuration
 # ---------------------------------------------------------------------------
-def _require_keys(obj: dict, allowed: dict, context: str):
-    """Reject unknown keys and type-check the known ones.  No field takes
-    a boolean, which Python would otherwise pass as the integer 0 or 1."""
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"{context} must be a JSON object")
-    for key in obj:
-        if key not in allowed:
-            raise ConfigurationError(f"unknown key {key!r} in {context}")
-    for key, value in obj.items():
-        kinds = allowed[key]
-        if kinds is not None and (isinstance(value, bool)
-                                  or not isinstance(value, kinds)):
-            raise ConfigurationError(
-                f"{context}.{key} has the wrong type ({type(value).__name__})")
-
-
-def _as_number(value, context: str) -> float:
+# Each section of the document is a table key -> (converter, field): the
+# converter checks the JSON value's type and turns it into the field of the
+# scene type that the section builds.  Only the keys present are passed on,
+# and a key is required when its field has no default there.
+def _number(value, context: str) -> float:
+    """A JSON number, finite in floating point (no boolean: Python would
+    pass it as the integer 0 or 1)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{context} must be a number")
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:   # inf, nan, huge integers
         raise ConfigurationError(f"{context} must be finite")
     return float(value)
 
 
-def _as_point(value, context: str):
-    if (not isinstance(value, list)) or len(value) != 2:
-        raise ConfigurationError(f"{context} must be a [x1, x2] pair")
-    return (_as_number(value[0], context), _as_number(value[1], context))
+def _integer(value, context: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"{context} must be an integer")
+    _number(value, context)
+    return value
 
 
-def _parse_complex(value, context: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(_as_number(value, context))
-    if isinstance(value, list) and len(value) == 2:
-        return complex(_as_number(value[0], context),
-                       _as_number(value[1], context))
-    raise ConfigurationError(f"{context} must be a number or [re, im] pair")
+def _string(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{context} must be a string")
+    return value
 
 
-def _parse_sources(raw) -> list:
-    if not isinstance(raw, list):
-        raise ConfigurationError("sources must be a list")
-    out = []
-    for i, entry in enumerate(raw):
-        ctx = f"sources[{i}]"
-        _require_keys(entry, {"kind": str, "position": list,
-                              "direction": int}, ctx)
-        if "kind" not in entry or "position" not in entry:
-            raise ConfigurationError(f"{ctx} needs kind and position")
-        try:
-            out.append(SourceSpec(kind=entry["kind"],
-                                  position=_as_point(entry["position"],
-                                                     f"{ctx}.position"),
-                                  direction=entry.get("direction", 0)))
-        except ValueError as exc:
-            raise ConfigurationError(f"{ctx}: {exc}") from exc
+def _numbers(size: int, form: str):
+    """Converter of a list of size numbers into a tuple."""
+    def convert(value, context):
+        if not isinstance(value, list) or len(value) != size:
+            raise ConfigurationError(f"{context} must be {form}")
+        return tuple(_number(v, context) for v in value)
+    return convert
+
+
+_point = _numbers(2, "a [x1, x2] pair")
+
+
+def _complex(value, context: str) -> complex:
+    if isinstance(value, list):
+        return complex(*_numbers(2, "a [re, im] pair")(value, context))
+    return complex(_number(value, context))
+
+
+def _each(convert):
+    """Converter of a JSON list, entry by entry, into a tuple."""
+    def each(value, context):
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{context} must be a list")
+        return tuple(convert(v, f"{context}[{i}]")
+                     for i, v in enumerate(value))
+    return each
+
+
+def _fields(table: dict, cls, obj, context: str) -> dict:
+    """Keyword arguments of cls from the JSON object obj, each key through
+    its table entry; a nested table's keys set fields of the same cls."""
+    where = context or "config"
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    out = {}
+    for key, value in obj.items():
+        if key not in table:
+            raise ConfigurationError(f"unknown key {key!r} in {where}")
+        inner = f"{context}.{key}".lstrip(".")
+        if isinstance(table[key], dict):
+            out.update(_fields(table[key], cls, value, inner))
+        else:
+            convert, name = table[key]
+            out[name] = convert(value, inner)
+    required = {f.name for f in dataclasses.fields(cls)
+                if f.default is f.default_factory is dataclasses.MISSING}
+    missing = [key for key, entry in table.items() if isinstance(entry, tuple)
+               and entry[1] in required and entry[1] not in out]
+    if missing:
+        raise ConfigurationError(f"{where} needs {' and '.join(missing)}")
     return out
 
 
-def _parse_obstacle(raw) -> ObstacleSpec:
-    _require_keys(raw, {"kind": str, "curve": dict, "lambda": (int, float),
-                        "n": (int, float, list), "boundary_M": int,
-                        "cell_size": (int, float)}, "obstacle")
-    if "kind" not in raw or "curve" not in raw:
-        raise ConfigurationError("obstacle needs kind and curve")
-    curve_raw = raw["curve"]
-    _require_keys(curve_raw, {"kind": str, "center": list,
-                              "radius": (int, float), "scale": (int, float)},
-                  "obstacle.curve")
-    if "kind" not in curve_raw or "center" not in curve_raw:
-        raise ConfigurationError("obstacle.curve needs kind and center")
-    curve = ObstacleCurve(kind=curve_raw["kind"],
-                          center=_as_point(curve_raw["center"],
-                                           "obstacle.curve.center"),
-                          radius=_as_number(curve_raw.get("radius", 1.0),
-                                            "obstacle.curve.radius"),
-                          scale=_as_number(curve_raw.get("scale", 1.0),
-                                           "obstacle.curve.scale"))
-    kwargs = {}
-    if "lambda" in raw:
-        kwargs["lam"] = _as_number(raw["lambda"], "obstacle.lambda")
-    if "n" in raw:
-        kwargs["n"] = _parse_complex(raw["n"], "obstacle.n")
-    if "boundary_M" in raw:
-        kwargs["boundary_M"] = raw["boundary_M"]
-    if "cell_size" in raw:
-        kwargs["cell_size"] = _as_number(raw["cell_size"],
-                                         "obstacle.cell_size")
-    return ObstacleSpec(curve=curve, condition=raw["kind"], **kwargs)
+def _section(cls, table: dict):
+    """Converter of a JSON object into an instance of cls."""
+    return lambda obj, context: cls(**_fields(table, cls, obj, context))
 
 
-@dataclass(frozen=True)
+_OBSTACLE = {
+    "kind": (_string, "condition"),
+    "curve": (_section(ObstacleCurve, {
+        "kind": (_string, "kind"), "center": (_point, "center"),
+        "radius": (_number, "radius"), "scale": (_number, "scale")}),
+        "curve"),
+    "lambda": (_number, "lam"), "n": (_complex, "n"),
+    "boundary_M": (_integer, "boundary_M"),
+    "cell_size": (_number, "cell_size"),
+}
+_EXPERIMENT = {
+    "z_star_x1": (_number, "z_star"), "delta0": (_number, "delta0"),
+    "eps0": (_number, "eps0"), "n_max": (_integer, "n_max"),
+    "min_cell": (_number, "min_cell"),
+}
+# The document, onto the fields of SceneConfig; sources, experiment and
+# arc_radius_R are taken off before the scene is built.  arc_radius_R sized
+# an auxiliary arc that the solver no longer has; it is still accepted, as
+# a finite number with no effect, because the benchmark scenes under
+# perfbench/scenes carry it.
+_CONFIG = {
+    "medium": (_section(MediumParams, {"kappa1": (_number, "kappa1"),
+                                       "kappa2": (_number, "kappa2")}),
+               "medium"),
+    "interface": (_section(InterfaceProfile, {"bumps": (_each(_numbers(
+        3, "[center, halfwidth, height]")), "bumps")}), "profile"),
+    "obstacle": (_section(ObstacleSpec, _OBSTACLE), "obstacle"),
+    "receivers": (_section(ReceiverLine, {"b": (_number, "b"),
+                                          "a": (_number, "a"),
+                                          "count": (_integer, "count")}),
+                  "receivers"),
+    "mesh": {"cell_size": (_number, "cell_size"),
+             "subsample": (_integer, "subsample")},
+    "quadrature": {"tol": (_number, "quad_tol")},
+    "sources": (_each(_section(SourceSpec, {
+        "kind": (_string, "kind"), "position": (_point, "position"),
+        "direction": (_integer, "direction")})), "sources"),
+    "experiment": (functools.partial(_fields, _EXPERIMENT,
+                                     BlowupSequenceConfig), "experiment"),
+    "arc_radius_R": (_number, "arc_radius_R"),
+}
+
+
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated configuration document."""
 
     scene: SceneConfig
-    sources: tuple
-    experiment: Optional[BlowupSequenceConfig]
-
-
-# quadrature.tol: below 1e-12 the reference that judges the fixed rules
-# (run at a hundredth of tol, but no finer than 1e-12) is coarser than the
-# rule; above 1e-4 the tolerance is no longer small against the fields.
-_TOL_RANGE = (1e-12, 1e-4)
-
-# arc_radius_R sized an auxiliary arc that the solver no longer has; it is
-# still accepted, as a finite number with no effect, because the benchmark
-# scenes under perfbench/scenes carry it.
-_TOP_LEVEL = {
-    "medium": dict, "interface": dict, "arc_radius_R": (int, float),
-    "obstacle": dict, "mesh": dict, "quadrature": dict,
-    "sources": list, "receivers": dict, "experiment": dict,
-}
+    sources: tuple = ()
+    experiment: Optional[BlowupSequenceConfig] = None
 
 
 def parse_config(doc: dict) -> RunConfig:
-    """Validate a parsed JSON document into a RunConfig (strict schema)."""
-    _require_keys(doc, _TOP_LEVEL, "config")
-    if "medium" not in doc:
-        raise ConfigurationError("config needs a medium section")
-    med = doc["medium"]
-    _require_keys(med, {"kappa1": (int, float), "kappa2": (int, float)},
-                  "medium")
-    if "kappa1" not in med or "kappa2" not in med:
-        raise ConfigurationError("medium needs kappa1 and kappa2")
-    try:
-        medium = MediumParams(_as_number(med["kappa1"], "medium.kappa1"),
-                              _as_number(med["kappa2"], "medium.kappa2"))
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    """Validate a parsed JSON document into a RunConfig (strict schema).
 
-    bumps = ()
-    if "interface" in doc:
-        _require_keys(doc["interface"], {"bumps": list}, "interface")
-        raw = doc["interface"].get("bumps", [])
-        parsed = []
-        for i, b in enumerate(raw):
-            if not isinstance(b, list) or len(b) != 3:
-                raise ConfigurationError(
-                    f"interface.bumps[{i}] must be [center, halfwidth, height]")
-            parsed.append(tuple(_as_number(v, f"interface.bumps[{i}]")
-                                for v in b))
-        bumps = tuple(parsed)
-    profile = InterfaceProfile(bumps)
-
-    mesh = doc.get("mesh", {})
-    _require_keys(mesh, {"cell_size": (int, float), "subsample": int}, "mesh")
-    quad = doc.get("quadrature", {})
-    _require_keys(quad, {"tol": (int, float)}, "quadrature")
-
-    receivers = None
-    if "receivers" in doc:
-        r = doc["receivers"]
-        _require_keys(r, {"b": (int, float), "a": (int, float), "count": int},
-                      "receivers")
-        if not all(k in r for k in ("b", "a", "count")):
-            raise ConfigurationError("receivers needs b, a and count")
-        receivers = ReceiverLine(b=_as_number(r["b"], "receivers.b"),
-                                 a=_as_number(r["a"], "receivers.a"),
-                                 count=r["count"])
-
-    obstacle = _parse_obstacle(doc["obstacle"]) if "obstacle" in doc else None
-    cell_size = _as_number(mesh.get("cell_size", 0.1), "mesh.cell_size")
-    if not cell_size > 0.0:
-        raise ConfigurationError("mesh.cell_size must be positive")
-    subsample = mesh.get("subsample", 4)
-    if subsample < 1:
-        raise ConfigurationError("mesh.subsample must be at least 1")
-    tol = _as_number(quad.get("tol", 1e-8), "quadrature.tol")
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ConfigurationError("quadrature.tol must lie in [%g, %g]"
-                                 % _TOL_RANGE)
-
-    if "arc_radius_R" in doc:
-        _as_number(doc["arc_radius_R"], "arc_radius_R")
-    scene = SceneConfig(
-        medium=medium, profile=profile, obstacle=obstacle,
-        receivers=receivers, cell_size=cell_size, subsample=subsample,
-        quad_tol=tol)
-    scene.geometry()   # run all admissibility checks now
-
-    experiment = None
-    if "experiment" in doc:
-        e = doc["experiment"]
-        _require_keys(e, {"z_star_x1": (int, float), "delta0": (int, float),
-                          "eps0": (int, float), "n_max": int,
-                          "min_cell": (int, float)}, "experiment")
-        if "z_star_x1" not in e:
-            raise ConfigurationError("experiment needs z_star_x1")
-        x1 = _as_number(e["z_star_x1"], "experiment.z_star_x1")
-        kwargs = {}
-        if "min_cell" in e:
-            kwargs["min_cell"] = _as_number(e["min_cell"],
-                                            "experiment.min_cell")
-        experiment = BlowupSequenceConfig(
-            z_star=(x1, float(profile(x1))),
-            delta0=_as_number(e.get("delta0", 0.1), "experiment.delta0"),
-            eps0=_as_number(e.get("eps0", 0.5), "experiment.eps0"),
-            n_max=e.get("n_max", 64), **kwargs)
-
-    return RunConfig(scene=scene, sources=tuple(_parse_sources(
-        doc.get("sources", []))), experiment=experiment)
+    The experiment's z* is the point of the interface graph over
+    experiment.z_star_x1."""
+    fields = _fields(_CONFIG, SceneConfig, doc, "")
+    fields.pop("arc_radius_R", None)
+    run = {key: fields.pop(key) for key in ("sources", "experiment")
+           if key in fields}
+    scene = SceneConfig(**fields)
+    if "experiment" in run:
+        x1 = run["experiment"].pop("z_star")
+        run["experiment"] = BlowupSequenceConfig(
+            z_star=(x1, float(scene.profile(x1))), **run["experiment"])
+    return RunConfig(scene=scene, **run)
 
 
 def _reject_constant(name: str):
@@ -450,10 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forward", help="synthesize the near-field dataset")
     p.add_argument("config")
     p.add_argument("--output", default="nearfield.csv")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int, default=1,
                    help="dataset worker processes, forked and sharing the "
                         "solver copy-on-write; rows are byte-identical for "
-                        "any count (default: LAYERED_SCATTER_THREADS or 1)")
+                        "any count (default: 1)")
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("demo-uniqueness",

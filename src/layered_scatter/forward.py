@@ -68,17 +68,14 @@ _COMPLEX = 16            # bytes of a dense complex entry
 # sources times cells of the blow-up experiment: 6-10 s at the 1.3e-7 to
 # 2e-7 s per source and cell measured on a 2-core machine
 _BLOWUP_WORK = 5e7
-
-
-def default_thread_count() -> int:
-    """Number of dataset worker processes from LAYERED_SCATTER_THREADS,
-    defaulting to 1 (see synthesize_dataset)."""
-    raw = os.environ.get("LAYERED_SCATTER_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+# quadrature.tol: below 1e-12 the reference that judges the fixed rules
+# (run at a hundredth of tol, but no finer than 1e-12) is coarser than the
+# rule; above 1e-4 the tolerance is no longer small against the fields.
+_TOL_RANGE = (1e-12, 1e-4)
+# mesh.subsample: the inside-fraction grids hold subsample^2 points a cell,
+# so memory and time grow as its square; the peak memory of a solver runs
+# at about twice the size guard's estimate (21 MB against 10.5 MB at 128)
+_SUBSAMPLE_MAX = 64
 
 
 def _physical_memory() -> Optional[int]:
@@ -102,7 +99,7 @@ class ObstacleSpec:
     """
 
     curve: ObstacleCurve
-    condition: str = "sound_soft"
+    condition: str
     lam: float = 0.0
     n: Optional[complex] = None
     boundary_M: int = 32
@@ -111,12 +108,12 @@ class ObstacleSpec:
     def __post_init__(self):
         if self.condition not in ("sound_soft", "neumann", "impedance",
                                   "penetrable"):
-            raise ConfigurationError(
-                f"unknown obstacle condition {self.condition!r}")
+            raise ConfigurationError("obstacle.kind must be sound_soft, "
+                                     "neumann, impedance or penetrable")
         if self.condition == "impedance" and not self.lam > 0.0:
-            raise ConfigurationError("impedance condition needs lam > 0")
+            raise ConfigurationError("impedance needs obstacle.lambda > 0")
         if self.condition == "penetrable" and self.n is None:
-            raise ConfigurationError("penetrable condition needs an index n")
+            raise ConfigurationError("penetrable needs an obstacle.n")
         # checked here, whatever the condition, so that every subcommand
         # rejects them, not only those that build the nodes or the mesh
         n = 1.0 if self.n is None else complex(self.n)
@@ -131,7 +128,10 @@ class ObstacleSpec:
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Everything that defines one forward problem except the sources."""
+    """Everything that defines one forward problem except the sources.
+
+    Construction checks every setting, under the name of its configuration
+    key, and the admissibility of the scene (SceneGeometry)."""
 
     medium: MediumParams
     profile: InterfaceProfile = field(default_factory=InterfaceProfile)
@@ -140,6 +140,17 @@ class SceneConfig:
     cell_size: float = 0.1
     subsample: int = 4
     quad_tol: float = 1e-8
+
+    def __post_init__(self):
+        if not self.cell_size > 0.0:
+            raise ConfigurationError("mesh.cell_size must be positive")
+        if not 1 <= self.subsample <= _SUBSAMPLE_MAX:
+            raise ConfigurationError(
+                "mesh.subsample must lie in [1, %d]" % _SUBSAMPLE_MAX)
+        if not _TOL_RANGE[0] <= self.quad_tol <= _TOL_RANGE[1]:
+            raise ConfigurationError(
+                "quadrature.tol must lie in [%g, %g]" % _TOL_RANGE)
+        self.geometry()
 
     def geometry(self) -> SceneGeometry:
         curve = self.obstacle.curve if self.obstacle is not None else None
@@ -170,7 +181,7 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> float:
     cut from (box_cells), which bound the meshes from above.
     """
     s2 = config.subsample ** 2
-    rx = 0 if config.receivers is None else config.receivers.count
+    rx = 0.0 if config.receivers is None else float(config.receivers.count)
     n = box_cells("B1", scene, config.cell_size) \
         + box_cells("B2", scene, config.cell_size)
     spec = config.obstacle
@@ -179,7 +190,7 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> float:
     total = _COMPLEX * (2 * n * n + (s2 + rx) * n)
     if spec is None or spec.condition == "penetrable":
         return total
-    m = 2 * spec.boundary_M
+    m = 2.0 * spec.boundary_M
     return total + _COMPLEX * (4 * m * m + 3 * m * n + rx * m)
 
 
@@ -438,19 +449,19 @@ class ForwardSolver:
 
 def synthesize_dataset(config: SceneConfig, sources: Sequence[SourceSpec],
                        receivers: Optional[ReceiverLine] = None,
-                       threads: Optional[int] = None,
+                       threads: int = 1,
                        solver: Optional[ForwardSolver] = None):
     """Scattered-field table over all (source, receiver) pairs.
 
     Rows are source-major: all receivers of source 0, then source 1, and so
-    on.  threads is the number of worker processes (default
-    default_thread_count()), capped by the number of sources and of usable
-    cores.  The sources are cut into contiguous shares: this process solves
-    the first, and each later one is solved in a forked child on its
-    copy-on-write copy of the solver (see _forked_columns).  Every worker
-    runs the same single-source path, so the rows have the same bytes for
-    any worker count, and a failing source raises the error that one worker
-    would raise.  Where os.fork does not exist, one worker runs.
+    on.  threads is the number of worker processes, capped by the number
+    of sources and of usable cores.  The sources are cut into contiguous
+    shares: this process solves the first, and each later one is solved in
+    a forked child on its copy-on-write copy of the solver (see
+    _forked_columns).  Every worker runs the same single-source path, so
+    the rows have the same bytes for any worker count, and a failing
+    source raises the error that one worker would raise.  Where os.fork
+    does not exist, one worker runs.
     """
     if receivers is None:
         receivers = config.receivers
@@ -459,8 +470,6 @@ def synthesize_dataset(config: SceneConfig, sources: Sequence[SourceSpec],
     if solver is None:
         solver = ForwardSolver(config)
     pts = receivers.points()
-    if threads is None:
-        threads = default_thread_count()
 
     def one(source):
         return solver.solve(source).scattered(pts)
@@ -599,21 +608,25 @@ class BlowupSequenceConfig:
 
     def __post_init__(self):
         if not (self.delta0 > 0.0 and self.eps0 > 0.0):
-            raise ConfigurationError("delta0 and eps0 must be positive")
+            raise ConfigurationError(
+                "experiment.delta0 and experiment.eps0 must be positive")
         if self.n_max < 4:
-            raise ConfigurationError("need n_max >= 4")
+            raise ConfigurationError("experiment.n_max must be at least 4")
         if self.delta0 >= self.eps0:
             raise ConfigurationError(
-                "delta0 must be below eps0 so every z_n stays inside the ball")
+                "experiment.delta0 must be below experiment.eps0, so that "
+                "every z_n stays inside the ball")
         # the graded mesh splits cells down to finest_cell: at 0 or below
         # the splitting never ends, and below about 1e-16 the cells around
         # z* are finer than the rounding of their own centers, so their
         # count keeps growing with no gain in accuracy (eps0 = 0.5: about
         # 2700 cells at 1e-12, three times as many at 1e-18)
-        if not self.finest_cell >= 1e-12 * self.eps0:
+        # from 2 eps0 up the square around z* stays one cell, centered on
+        # the graph and so outside D'; below eps0 it is split twice at least
+        if not 1e-12 * self.eps0 <= self.finest_cell < self.eps0:
             raise ConfigurationError(
                 "experiment.min_cell (by default experiment.delta0 / "
-                "(4 n_max)) must be at least 1e-12 * eps0")
+                "(4 n_max)) must lie in [1e-12 * eps0, eps0)")
 
     @property
     def finest_cell(self) -> float:
@@ -666,6 +679,9 @@ def blowup_mesh(profile: InterfaceProfile, cfg: BlowupSequenceConfig,
     frac = np.mean(inside(sub), axis=1)
     weights = sizes ** 2 * frac
     pos = weights > 0.0
+    if not np.any(pos):   # e.g. z* on the top of a narrow, steep bump
+        raise ConfigurationError("no cell of the graded mesh lies in D'; "
+                                 "lower experiment.min_cell")
     return RegionMesh(region_tag="D_prime", cell_size=float(np.min(sizes)),
                       centers=centers[pos], weights=weights[pos])
 

@@ -42,7 +42,8 @@ class InterfaceProfile:
     def __post_init__(self):
         for center, halfwidth, _height in self.bumps:
             if halfwidth <= 0.0:
-                raise ConfigurationError("bump halfwidth must be positive")
+                raise ConfigurationError(
+                    "interface.bumps halfwidths must be positive")
 
     def __call__(self, x1):
         x1 = np.asarray(x1, dtype=float)
@@ -122,11 +123,13 @@ class ObstacleCurve:
 
     def __post_init__(self):
         if self.kind not in ("circle", "kite"):
-            raise ConfigurationError(f"unknown obstacle curve kind {self.kind!r}")
-        if self.kind == "circle" and self.radius <= 0.0:
-            raise ConfigurationError("circle radius must be positive")
-        if self.kind == "kite" and self.scale <= 0.0:
-            raise ConfigurationError("kite scale must be positive")
+            raise ConfigurationError(
+                "obstacle.curve.kind must be 'circle' or 'kite'")
+        # a smaller curve is a point: its nodes coincide, and the squared
+        # lengths of its tangents underflow
+        if not min(self.radius, self.scale) > _COINCIDENT:
+            raise ConfigurationError("obstacle.curve.radius and scale must "
+                                     "exceed %g" % _COINCIDENT)
 
     def point(self, t):
         t = np.asarray(t, dtype=float)
@@ -245,7 +248,8 @@ class ReceiverLine:
 
     def __post_init__(self):
         if self.a <= 0.0 or self.count < 1:
-            raise ConfigurationError("receiver line needs a > 0 and count >= 1")
+            raise ConfigurationError(
+                "receivers.a must be positive and receivers.count at least 1")
 
     def points(self) -> np.ndarray:
         x1 = np.linspace(-self.a, self.a, self.count)
@@ -257,7 +261,11 @@ class ReceiverLine:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SceneGeometry:
-    """Interface profile + optional obstacle + receivers."""
+    """Interface profile + optional obstacle + receivers.
+
+    Admissible when the receivers lie above the interface and the obstacle
+    strictly below both the interface and the flat line x2 = 0.
+    """
 
     profile: InterfaceProfile
     obstacle: Optional[ObstacleCurve] = None
@@ -265,13 +273,15 @@ class SceneGeometry:
 
     def __post_init__(self):
         if self.receivers is not None and self.receivers.b <= self.profile.max_height():
-            raise ConfigurationError("receiver line must lie above the interface")
+            raise ConfigurationError("receivers.b must lie above the interface")
         if self.obstacle is not None:
             t = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
             p = self.obstacle.point(t)
-            clearance = self.profile(p[:, 0]) - p[:, 1]
+            # below min(f, 0): under a bump the cells of D_f lie there
+            clearance = np.minimum(self.profile(p[:, 0]), 0.0) - p[:, 1]
             if np.min(clearance) <= 0.0:
-                raise ConfigurationError("obstacle must lie strictly below the interface")
+                raise ConfigurationError("obstacle must lie strictly below "
+                                         "the interface and the line x2 = 0")
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,12 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import AccuracyError, GeometryError, SingularityError
+from .errors import (
+    AccuracyError,
+    ConfigurationError,
+    GeometryError,
+    SingularityError,
+)
 from .quad import DecayClass, fixed_rule, fold_integrate_batch, rule_nodes
 from .specfun import fundamental_solution, fundamental_solution_grad
 
@@ -121,16 +126,19 @@ def beta(xi, kappa: float):
 
 @dataclass(frozen=True)
 class MediumParams:
-    """Wavenumbers of the upper (kappa1) and lower (kappa2) half-planes."""
+    """Wavenumbers of the upper (kappa1) and lower (kappa2) half-planes,
+    both positive and finite (ConfigurationError otherwise)."""
 
     kappa1: float
     kappa2: float
 
     def __post_init__(self):
         if not (self.kappa1 > 0.0 and self.kappa2 > 0.0):
-            raise ValueError("wavenumbers must be positive")
+            raise ConfigurationError(
+                "medium.kappa1 and medium.kappa2 must be positive")
         if not (np.isfinite(self.kappa1) and np.isfinite(self.kappa2)):
-            raise ValueError("wavenumbers must be finite")
+            raise ConfigurationError(
+                "medium.kappa1 and medium.kappa2 must be finite")
 
     @property
     def eta(self) -> float:
@@ -148,7 +156,8 @@ class SourceSpec:
 
     A monopole radiates Phi_kappa(., xs); a dipole radiates the derivative
     of Phi_kappa in coordinate direction ell (1 horizontal, 2 vertical).
-    The wavenumber kappa is that of the half-plane containing xs.
+    The wavenumber kappa is that of the half-plane containing xs.  A kind,
+    direction or position outside these raises ConfigurationError.
     """
 
     kind: str
@@ -157,14 +166,16 @@ class SourceSpec:
 
     def __post_init__(self):
         if self.kind not in ("monopole", "dipole"):
-            raise ValueError("kind must be 'monopole' or 'dipole'")
+            raise ConfigurationError(
+                "source kind must be 'monopole' or 'dipole'")
         if self.kind == "dipole" and self.direction not in (1, 2):
-            raise ValueError("dipole direction must be 1 or 2")
+            raise ConfigurationError("dipole direction must be 1 or 2")
         if self.kind == "monopole" and self.direction != 0:
-            raise ValueError("monopole takes no direction")
+            raise ConfigurationError("monopole takes no direction")
         if np.shape(self.position) != (2,) \
                 or not np.all(np.isfinite(self.position)):
-            raise ValueError("source position must be two finite numbers")
+            raise ConfigurationError(
+                "source position must be two finite numbers")
 
 
 def _height_factor(rule: "_FixedRule", sl: slice, h: np.ndarray):
@@ -362,7 +373,10 @@ class PlanarGreen:
             # the two height factors e^{i b1 h} (above), e^{-i b2 h} (below)
             bx = b1 if case[0] == "u" else -b2
             bs = b1 if case[1] == "u" else -b2
-            return weight(b1, b2, xi) * np.exp(1j * (bx * x2 + bs * xs2))
+            # near the float range a height overflows the exponent; the rule
+            # plan and the reference then fail with AccuracyError
+            with np.errstate(over="ignore", invalid="ignore"):
+                return weight(b1, b2, xi) * np.exp(1j * (bx * x2 + bs * xs2))
         return kern, pref, parity, DecayClass(rate=rate, power=power)
 
     # -- batched evaluation -------------------------------------------------

@@ -176,9 +176,12 @@ _SECTIONS = {
 @pytest.mark.parametrize("section,key,value", [
     ("quadrature", "tol", 0), ("quadrature", "tol", -1e-8),
     ("quadrature", "tol", 1e-15), ("quadrature", "tol", 1.0),
-    ("mesh", "subsample", 0), ("mesh", "cell_size", 0),
+    ("mesh", "subsample", 0), ("mesh", "subsample", 65),
+    ("mesh", "cell_size", 0),
     ("mesh", "cell_size", -0.1), ("experiment", "min_cell", 0),
     ("experiment", "min_cell", -1), ("experiment", "min_cell", 1e-300),
+    # at 2 eps0 and above the graded mesh of D' has no cell
+    ("experiment", "min_cell", 1e6), ("experiment", "min_cell", 1e300),
     ("experiment", "delta0", 1e-200),
     ("obstacle", "boundary_M", 3), ("obstacle", "boundary_M", 0),
     ("obstacle", "cell_size", 0), ("obstacle", "cell_size", -0.05),
@@ -219,6 +222,87 @@ def test_invalid_index_exits_2_in_every_subcommand(config_path, tmp_path,
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
         assert "obstacle.n" in err
+
+
+@pytest.mark.parametrize("kind", ["penetrable", "sound_soft"])
+def test_obstacle_above_the_flat_line_exits_2_in_every_subcommand(
+        config_path, tmp_path, capsys, kind):
+    # under the bump (top 0.5) the disk reaches x2 = 0.25, among the cells
+    # of D_f; the check is the scene's, so every subcommand makes it
+    doc = dict(BASE, interface={"bumps": [[0.0, 1.0, 0.5]]},
+               experiment=_SECTIONS["experiment"],
+               obstacle=dict(_SECTIONS["obstacle"], kind=kind,
+                             curve={"kind": "circle", "center": [0.0, 0.05],
+                                    "radius": 0.2}))
+    with pytest.raises(ConfigurationError, match="x2 = 0"):
+        parse_config(doc)
+    path = config_path(doc)
+    out = str(tmp_path / "out.csv")
+    for argv in (["green", path, "--x", "0.4", "0.8", "--xs", "0.3", "1.2"],
+                 ["forward", path, "--output", out], ["verify", path],
+                 ["demo-uniqueness", path, "--output", out]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "x2 = 0" in err and "Traceback" not in err
+
+
+# a document that sets every key, each to an admissible value
+_FULL = dict(
+    BASE, arc_radius_R=2.6, quadrature={"tol": 1e-8},
+    sources=[{"kind": "dipole", "position": [0.3, 1.2], "direction": 1}],
+    experiment=dict(_SECTIONS["experiment"], min_cell=0.01),
+    obstacle={"kind": "impedance", "lambda": 1.0, "n": 1.2, "boundary_M": 8,
+              "cell_size": 0.1,
+              "curve": {"kind": "circle", "center": [0.0, -1.5],
+                        "radius": 0.3, "scale": 1.0}})
+
+
+def _fields_of(doc, path=()):
+    """The path of every value in doc, sections and list entries
+    included."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _fields_of(value, path + (key,))
+    if path:
+        yield path
+
+
+# accuracy warnings (a blow-up source near the finest cells) are expected
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("path", list(_fields_of(_FULL)),
+                         ids=lambda p: ".".join(map(str, p)))
+def test_every_field_ends_typed_in_bounded_time(tmp_path, capsys, path):
+    # zero, negative, tiny, huge (a float and an integer), an integer past
+    # the float range and the wrong type, in every subcommand: an exit code of 0, 2 or 3, never a
+    # traceback; a document that parse_config rejects exits 2 everywhere
+    file = tmp_path / "config.json"
+    out = str(tmp_path / "out.csv")
+    for value in (0, -1, 1e-300, 1e300, 10 ** 18, 10 ** 400, "x"):
+        doc = json.loads(json.dumps(_FULL))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        try:
+            parse_config(json.loads(json.dumps(doc)))
+            codes = (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+        except ConfigurationError:
+            codes = (EXIT_CONFIG,)
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["green", str(file), "--x", "0.4", "0.8",
+                      "--xs", "0.3", "1.2"],
+                     ["forward", str(file), "--output", out],
+                     ["verify", str(file)],
+                     ["demo-uniqueness", str(file), "--output", out]):
+            t0 = time.perf_counter()
+            try:
+                rc = main(argv)
+            except Exception as exc:
+                pytest.fail(f"{argv[0]} with {value!r} raised {exc!r}")
+            assert rc in codes, (argv[0], value, rc)
+            assert time.perf_counter() - t0 < 5.0, (argv[0], value)
+            assert "Traceback" not in capsys.readouterr().err
 
 
 def test_solver_section_is_an_unknown_key(config_path, capsys):

@@ -22,9 +22,9 @@ from layered_scatter.forward import (
     ForwardSolver,
     ObstacleSpec,
     SceneConfig,
+    _worker_count,
     blowup_experiment,
     blowup_mesh,
-    default_thread_count,
     synthesize_dataset,
 )
 from layered_scatter.geometry import (
@@ -51,17 +51,6 @@ def flat_solver(flat_config):
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-def test_default_thread_count_env(monkeypatch):
-    monkeypatch.delenv("LAYERED_SCATTER_THREADS", raising=False)
-    assert default_thread_count() == 1
-    monkeypatch.setenv("LAYERED_SCATTER_THREADS", "4")
-    assert default_thread_count() == 4
-    monkeypatch.setenv("LAYERED_SCATTER_THREADS", "junk")
-    assert default_thread_count() == 1
-    monkeypatch.setenv("LAYERED_SCATTER_THREADS", "-2")
-    assert default_thread_count() == 1
-
-
 def test_obstacle_spec_validation():
     curve = ObstacleCurve("circle", (0.0, -1.3), 0.5)
     with pytest.raises(ConfigurationError):
@@ -70,6 +59,34 @@ def test_obstacle_spec_validation():
         ObstacleSpec(curve=curve, condition="impedance", lam=0.0)
     with pytest.raises(ConfigurationError):
         ObstacleSpec(curve=curve, condition="penetrable")
+
+
+def test_blowup_mesh_with_no_cell_in_d_prime_is_a_configuration_error():
+    # under a narrow, tall bump every cell around its top lies outside it
+    cfg = BlowupSequenceConfig(z_star=(0.0, 10.0), delta0=0.1, eps0=0.4,
+                               n_max=8, min_cell=0.3)
+    with pytest.raises(ConfigurationError, match="min_cell"):
+        blowup_mesh(InterfaceProfile(((0.0, 0.1, 10.0),)), cfg)
+
+
+@pytest.mark.parametrize("change,key", [
+    ({"quad_tol": 1e-20}, "quadrature.tol"),
+    ({"quad_tol": 0.5}, "quadrature.tol"),
+    ({"quad_tol": -1.0}, "quadrature.tol"),
+    ({"cell_size": 0.0}, "mesh.cell_size"),
+    ({"cell_size": -0.1}, "mesh.cell_size"),
+    ({"subsample": 0}, "mesh.subsample"),
+    ({"subsample": 65}, "mesh.subsample"),
+    ({"obstacle": ObstacleSpec(ObstacleCurve("circle", (0.0, 0.05), 0.2),
+                               "penetrable", n=1.2)}, "x2 = 0"),
+], ids=["tol 1e-20", "tol 0.5", "tol -1", "cell_size 0", "cell_size -0.1",
+        "subsample 0", "subsample 65", "obstacle above x2 = 0"])
+def test_scene_config_checks_every_setting(change, key):
+    # a library caller meets the checks of the command line, under the
+    # names of its configuration keys
+    with pytest.raises(ConfigurationError, match=key):
+        SceneConfig(medium=MediumParams(1.0, 1.5),
+                    profile=InterfaceProfile(((0.0, 1.0, 0.5),)), **change)
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +712,14 @@ def two_cores(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("threads,n_sources,workers", [
+    (0, 5, 1), (-3, 5, 1), (10 ** 18, 5, 2), (10 ** 18, 1, 1), (2, 0, 1)])
+def test_worker_count_of_invalid_and_huge_thread_counts(two_cores, threads,
+                                                        n_sources, workers):
+    # the count alone: a test that forked this many would start them
+    assert _worker_count(threads, n_sources) == workers
+
+
 @pytest.mark.parametrize("cores", [2, 64])
 def test_worker_count_capped_by_sources_and_cores(flat_config, flat_solver,
                                                   monkeypatch, two_cores,
@@ -832,23 +857,25 @@ def test_workers_fork_past_a_lock_held_by_another_thread(
 CIRCLE = ObstacleCurve("circle", (0.0, -1.3), 0.5)
 
 
-@pytest.mark.parametrize("change", [
-    {"cell_size": 1e-4},
-    {"subsample": 10 ** 5},
-    {"obstacle": ObstacleSpec(curve=CIRCLE, boundary_M=10 ** 6)},
-    {"obstacle": ObstacleSpec(curve=CIRCLE, condition="penetrable", n=1.5,
-                              cell_size=1e-5)},
+# a subsample past its range is rejected by SceneConfig before the guard
+@pytest.mark.parametrize("change,message", [
+    ({"cell_size": 1e-4}, "physical memory"),
+    ({"subsample": 10 ** 5}, "mesh.subsample must lie in"),
+    ({"obstacle": ObstacleSpec(curve=CIRCLE, condition="sound_soft",
+                               boundary_M=10 ** 6)}, "physical memory"),
+    ({"obstacle": ObstacleSpec(curve=CIRCLE, condition="penetrable", n=1.5,
+                               cell_size=1e-5)}, "physical memory"),
 ], ids=["cell_size", "subsample", "boundary_M", "penetrable cell_size"])
 def test_scene_too_large_for_memory_rejected_before_meshing(bump_config,
                                                             monkeypatch,
-                                                            change):
+                                                            change, message):
     import layered_scatter.forward as forward
 
     def no_mesh(*args, **kwargs):
         raise AssertionError("a mesh was built")
 
     monkeypatch.setattr(forward, "build_region_mesh", no_mesh)
-    with pytest.raises(ConfigurationError, match="physical memory"):
+    with pytest.raises(ConfigurationError, match=message):
         ForwardSolver(dataclasses.replace(bump_config, **change))
 
 

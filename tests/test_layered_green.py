@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layered_scatter.errors import GeometryError, SingularityError
+from layered_scatter.errors import (
+    ConfigurationError,
+    GeometryError,
+    SingularityError,
+)
 from layered_scatter.layered_green import (
     MediumParams,
     PlanarGreen,
@@ -37,14 +41,14 @@ def test_medium_params_contrast():
     med = MediumParams(1.0, 1.5)
     assert med.eta == pytest.approx(1.25)
     assert med.kappa_at(0.5) == 1.0 and med.kappa_at(-0.5) == 1.5
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         MediumParams(0.0, 1.0)
 
 
 @pytest.mark.parametrize("k1,k2", [(np.inf, 1.0), (1.0, np.inf),
                                    (np.nan, 1.0)])
 def test_medium_params_reject_non_finite(k1, k2):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         MediumParams(k1, k2)
 
 
@@ -52,9 +56,9 @@ def test_non_finite_source_rejected_quickly():
     t0 = time.perf_counter()
     for pos in ((np.nan, 1.2), (0.3, np.inf), (0.3, -np.inf)):
         for kind, ell in (("monopole", 0), ("dipole", 1)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigurationError):
                 SourceSpec(kind, pos, ell)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         SourceSpec("monopole", (0.3, 1.2, 0.0))
     assert time.perf_counter() - t0 < 1.0
 
@@ -132,11 +136,11 @@ def test_dipole_is_source_derivative_of_monopole(green, ell, x, xs):
 def test_dipole_direction_validated(green):
     with pytest.raises(ValueError):
         green.dipole_scattered((0.3, 0.7), (0.0, 1.0), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         SourceSpec("dipole", (0.0, 1.0), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         SourceSpec("monopole", (0.0, 1.0), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         SourceSpec("quadrupole", (0.0, 1.0))
 
 
