@@ -164,6 +164,13 @@ def test_green_config_error_exit(config_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def _every_subcommand(path, out):
+    """The argv of each subcommand on the configuration at path."""
+    return (["green", path, "--x", "0.4", "0.8", "--xs", "0.3", "1.2"],
+            ["forward", path, "--output", out], ["verify", path],
+            ["demo-uniqueness", path, "--output", out])
+
+
 # valid sections that BASE lacks, for the settings checked inside them
 _SECTIONS = {
     "experiment": {"z_star_x1": 0.2, "delta0": 0.1, "eps0": 0.4, "n_max": 8},
@@ -195,9 +202,7 @@ def test_out_of_range_setting_exits_2_in_every_subcommand(
                         **{key: value})
     path = config_path(doc)
     out = str(tmp_path / "out.csv")
-    for argv in (["green", path, "--x", "0.4", "0.8", "--xs", "0.3", "1.2"],
-                 ["forward", path, "--output", out], ["verify", path],
-                 ["demo-uniqueness", path, "--output", out]):
+    for argv in _every_subcommand(path, out):
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
@@ -215,9 +220,7 @@ def test_invalid_index_exits_2_in_every_subcommand(config_path, tmp_path,
                obstacle=dict(_SECTIONS["obstacle"], kind=kind, n=n))
     path = config_path(doc)
     out = str(tmp_path / "out.csv")
-    for argv in (["green", path, "--x", "0.4", "0.8", "--xs", "0.3", "1.2"],
-                 ["forward", path, "--output", out], ["verify", path],
-                 ["demo-uniqueness", path, "--output", out]):
+    for argv in _every_subcommand(path, out):
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
@@ -238,9 +241,7 @@ def test_obstacle_above_the_flat_line_exits_2_in_every_subcommand(
         parse_config(doc)
     path = config_path(doc)
     out = str(tmp_path / "out.csv")
-    for argv in (["green", path, "--x", "0.4", "0.8", "--xs", "0.3", "1.2"],
-                 ["forward", path, "--output", out], ["verify", path],
-                 ["demo-uniqueness", path, "--output", out]):
+    for argv in _every_subcommand(path, out):
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "x2 = 0" in err and "Traceback" not in err
@@ -290,11 +291,7 @@ def test_every_field_ends_typed_in_bounded_time(tmp_path, capsys, path):
         except ConfigurationError:
             codes = (EXIT_CONFIG,)
         file.write_text(json.dumps(doc), encoding="utf-8")
-        for argv in (["green", str(file), "--x", "0.4", "0.8",
-                      "--xs", "0.3", "1.2"],
-                     ["forward", str(file), "--output", out],
-                     ["verify", str(file)],
-                     ["demo-uniqueness", str(file), "--output", out]):
+        for argv in _every_subcommand(str(file), out):
             t0 = time.perf_counter()
             try:
                 rc = main(argv)
