@@ -19,12 +19,7 @@ import numpy as np
 
 from layered_scatter.forward import ForwardSolver, ObstacleSpec, SceneConfig
 from layered_scatter.geometry import ObstacleCurve, ReceiverLine
-from layered_scatter.layered_green import (
-    MediumParams,
-    PlanarGreen,
-    SourceSpec,
-    green_planar_scattered,
-)
+from layered_scatter.layered_green import MediumParams, PlanarGreen, SourceSpec
 from layered_scatter.obstacle import green_rough_columns
 from layered_scatter.verify import mie_interior_circle, mie_series_circle
 
@@ -64,7 +59,8 @@ def composition_identity() -> None:
                          receivers=ReceiverLine(2.0, 3.0, 11))
     ev = ForwardSolver(config).solve(src)
     pts = config.receivers.points()
-    errs = [abs(v - green_planar_scattered(tuple(p), src.position, medium))
+    green = PlanarGreen(medium)
+    errs = [abs(v - green.scattered(p, src.position))
             for p, v in zip(pts, ev.scattered(pts))]
     print("flat-scene composition identity: max error %.2e" % max(errs))
 

@@ -242,15 +242,10 @@ def _write_csv(path: str, header: str, rows) -> None:
 def cmd_green(args) -> int:
     config = load_config(args.config)
     green = PlanarGreen(config.scene.medium, config.scene.quad_tol)
-    x = (args.x[0], args.x[1])
-    xs = (args.xs[0], args.xs[1])
-    if args.kind == "monopole":
-        scattered = green.scattered(x, xs)
-        total = green.total(x, xs)
-    else:
-        ell = int(args.kind.split("-")[1])
-        scattered = green.dipole_scattered(x, xs, ell)
-        total = green.dipole_total(x, xs, ell)
+    kind, _, ell = args.kind.partition("-")    # "dipole-2": dipole, ell 2
+    point = ((args.x[0], args.x[1]), (args.xs[0], args.xs[1]), kind,
+             int(ell or 0))
+    scattered, total = green.scattered(*point), green.total(*point)
     print("scattered %s %s" % (_fmt15(scattered.real), _fmt15(scattered.imag)))
     print("total %s %s" % (_fmt15(total.real), _fmt15(total.imag)))
     return EXIT_OK
@@ -328,7 +323,7 @@ def _verify_checks(config: RunConfig, flip_beta: bool):
     for ell, e in ((1, (h, 0.0)), (2, (0.0, h))):
         fd = -(green.scattered(x, (xs[0] + e[0], xs[1] + e[1]))
                - green.scattered(x, (xs[0] - e[0], xs[1] - e[1]))) / (2.0 * h)
-        us = green.dipole_scattered(x, xs, ell)
+        us = green.scattered(x, xs, "dipole", ell)
         checks.append(("dipole_consistency_ell%d" % ell,
                        abs(us - fd) / max(abs(us), 1e-300), 1e-5))
 
@@ -339,10 +334,10 @@ def _verify_checks(config: RunConfig, flip_beta: bool):
                    abs(above - below) / abs(above), 1e-2))
 
     from .verify import mie_series_circle, stencil_convergence_ratio
-    from .specfun import fundamental_solution
+    from .specfun import phi_matrix
     src = (2.0, 0.0)
     a = 0.5
-    trace = abs(fundamental_solution(2.0, (a, 0.0), src)
+    trace = abs(complex(phi_matrix(2.0, src[0] - a))
                 + mie_series_circle("sound_soft", a, 2.0, src, (a, 0.0)))
     checks.append(("mie_boundary_trace", trace, 1e-10))
 

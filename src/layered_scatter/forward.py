@@ -177,8 +177,9 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> float:
     volume rows kept at the receivers; for a boundary condition the
     boundary operators, the monopole and normal-dipole kernel columns on
     those cells, the volume rows kept at the nodes and the receivers'
-    radiation matrix.  Cell counts are those of the boxes the meshes are
-    cut from (box_cells), which bound the meshes from above.
+    radiation matrix; the receiver line itself, a point and a value per
+    receiver.  Cell counts are those of the boxes the meshes are cut from
+    (box_cells), which bound the meshes from above.
     """
     s2 = config.subsample ** 2
     rx = 0.0 if config.receivers is None else float(config.receivers.count)
@@ -187,7 +188,7 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> float:
     spec = config.obstacle
     if spec is not None and spec.condition == "penetrable":
         n += box_cells("D_penetrable", scene, spec.cell_size)
-    total = _COMPLEX * (2 * n * n + (s2 + rx) * n)
+    total = _COMPLEX * (2 * n * n + (s2 + rx) * n + 2 * rx)
     if spec is None or spec.condition == "penetrable":
         return total
     m = 2.0 * spec.boundary_M

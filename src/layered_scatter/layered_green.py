@@ -53,7 +53,7 @@ from .errors import (
     SingularityError,
 )
 from .quad import DecayClass, fixed_rule, fold_integrate_batch, rule_nodes
-from .specfun import fundamental_solution, fundamental_solution_grad
+from .specfun import grad_phi_matrix, phi_matrix
 
 #: Minimal total vertical separation |x2| + |xs2| for cross-side kernels.
 H_MIN = 1e-6
@@ -144,10 +144,6 @@ class MediumParams:
     def eta(self) -> float:
         """Contrast kappa2^2 - kappa1^2 driving the volume equations."""
         return self.kappa2 ** 2 - self.kappa1 ** 2
-
-    def kappa_at(self, x2: float) -> float:
-        """Background wavenumber of the half-plane containing height x2."""
-        return self.kappa1 if x2 > 0.0 else self.kappa2
 
 
 @dataclass(frozen=True)
@@ -303,7 +299,8 @@ def _check_heights(x2, xs2):
 class PlanarGreen:
     """Evaluator for the flat-interface two-layer Green's function.
 
-    Scalar entry points mirror the mathematical objects and, like
+    The point calls scattered() and total() take the source's kind and
+    direction as matrix() and scattered_batch() do and, like
     scattered_batch (one height pair against many horizontal offsets), run
     on the reference integrals of quad.fold_integrate_batch; matrix()
     evaluates whole point-set blocks on fixed xi-rules, which is what makes
@@ -315,10 +312,13 @@ class PlanarGreen:
     keyed by their bytes; nothing else keeps rules.  Both maps are bounded,
     and each value is a pure function of its key, so a block has the same
     bytes whether its rule was built for it or kept from another call, in
-    any order and from any thread.
+    any order and from any thread.  tol lies in [1e-13, 1e-4], where the
+    reference integrals meet it (ConfigurationError otherwise).
     """
 
     def __init__(self, medium: MediumParams, tol: float = 1e-8):
+        if not 1e-13 <= tol <= 1e-4:
+            raise ConfigurationError("tol must lie in [1e-13, 1e-4]")
         self.medium = medium
         self.tol = float(tol)
         self.rules = BoundedMemo(_KEPT_RULE_NODES,
@@ -387,7 +387,7 @@ class PlanarGreen:
         deformed path of quad.fold_integrate_batch.
 
         This is the reference the fixed rules of matrix() are checked
-        against, and the path of the scalar entry points."""
+        against, and the path of the point calls scattered and total."""
         _check_heights(x2, xs2)
         offsets = np.asarray(offsets, dtype=float)
         kern, pref, parity, decay = self._kernel(kind, ell, x2, xs2)
@@ -514,43 +514,28 @@ class PlanarGreen:
                                             ell),
                             value=got, estimate=err)
 
-    # -- scalar evaluation --------------------------------------------------
-    def scattered(self, x, xs) -> complex:
-        """Monopole scattered part G^s(x, xs); transmitted field cross-side."""
+    # -- point evaluation ---------------------------------------------------
+    def scattered(self, x, xs, kind: str = "monopole",
+                  ell: int = 0) -> complex:
+        """Scattered part at x of the source (kind, ell) at xs, a
+        SourceSpec's kind and direction (ConfigurationError otherwise); the
+        transmitted field cross-side."""
+        SourceSpec(kind, (float(xs[0]), float(xs[1])), ell)
         return complex(self.scattered_batch(
-            "monopole", 0, float(x[1]), float(xs[1]),
+            kind, ell, float(x[1]), float(xs[1]),
             np.array([float(x[0]) - float(xs[0])]))[0])
 
-    def total(self, x, xs) -> complex:
-        """Monopole total field G(x, xs)."""
-        gs = self.scattered(x, xs)
-        if (x[1] > 0.0) == (xs[1] > 0.0):
-            if x[0] == xs[0] and x[1] == xs[1]:
-                raise SingularityError("total field requested at the source")
-            gs += fundamental_solution(self.medium.kappa_at(xs[1]), x, xs)
-        return gs
-
-    def dipole_scattered(self, x, xs, ell: int) -> complex:
-        """Dipole scattered part U^s(x, xs) for direction ell in {1, 2}."""
-        if ell not in (1, 2):
-            raise ValueError("ell must be 1 or 2")
-        return complex(self.scattered_batch(
-            "dipole", ell, float(x[1]), float(xs[1]),
-            np.array([float(x[0]) - float(xs[0])]))[0])
-
-    def dipole_total(self, x, xs, ell: int) -> complex:
-        """Dipole total field U(x, xs) for direction ell."""
-        us = self.dipole_scattered(x, xs, ell)
-        if (x[1] > 0.0) == (xs[1] > 0.0):
-            us += fundamental_solution_grad(self.medium.kappa_at(xs[1]),
-                                            x, xs, ell)
-        return us
-
-
-# ---------------------------------------------------------------------------
-# Functional entry points
-# ---------------------------------------------------------------------------
-def green_planar_scattered(x, xs, medium: MediumParams,
-                           tol: float = 1e-8) -> complex:
-    """Scattered (same side) / transmitted (cross side) monopole field."""
-    return PlanarGreen(medium, tol).scattered(x, xs)
+    def total(self, x, xs, kind: str = "monopole", ell: int = 0) -> complex:
+        """Total field at x of the source (kind, ell) at xs: the scattered
+        part plus, on the source's side, Phi_kappa(x, xs) or its
+        x_ell-derivative, kappa that of the source's half-plane."""
+        value = self.scattered(x, xs, kind, ell)
+        if (x[1] > 0.0) != (xs[1] > 0.0):
+            return value
+        if x[0] == xs[0] and x[1] == xs[1]:
+            raise SingularityError("total field requested at the source")
+        kappa = self.medium.kappa1 if xs[1] > 0.0 else self.medium.kappa2
+        d = np.subtract(x, xs, dtype=float)
+        r = np.hypot(*d)
+        return value + complex(phi_matrix(kappa, r) if kind == "monopole"
+                               else grad_phi_matrix(kappa, d, r)[ell - 1])

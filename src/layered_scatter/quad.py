@@ -140,8 +140,10 @@ def fixed_rule(kernel_abs_at: Callable[[np.ndarray], np.ndarray],
     while ladder[-1] <= 1e9:
         ladder.append(2.0 * ladder[-1])
     X = np.array(ladder)
-    # |int_X^inf k| <= E(X) int_X^inf (X/xi)^p e^{-h (xi - X)} dxi
-    reach = np.minimum(1.0 / h if h > 0.0 else np.inf,
+    # |int_X^inf k| <= E(X) int_X^inf (X/xi)^p e^{-h (xi - X)} dxi; at a
+    # subnormal h, Python's float division gives 1/h = inf without numpy's
+    # overflow warning, and X/(p - 1) is the reach
+    reach = np.minimum(1.0 / float(h) if h > 0.0 else np.inf,
                        X / (p - 1.0) if p > 1.0 else np.inf)
     bound = kernel_abs_at(X) * reach if h > 0.0 or p > 1.0 else np.inf * X
     below = np.nonzero(bound < 0.05 * tol)[0]

@@ -1,6 +1,6 @@
 """Shared fixtures: media, scenes, pre-factorized solvers and the
-oracles that only tests call (the sound-soft boundary trace, the mixed
-reciprocity identity and the radiation probe).
+oracles that only tests call (the free-space reference, the sound-soft
+boundary trace, the mixed reciprocity identity and the radiation probe).
 
 The heavier objects are session-scoped; everything they hold is immutable
 after construction, so sharing them across tests is safe.
@@ -8,6 +8,7 @@ after construction, so sharing them across tests is safe.
 
 import numpy as np
 import pytest
+from scipy.special import hankel1
 
 from layered_scatter import (
     ForwardSolver,
@@ -26,11 +27,25 @@ from layered_scatter import (
     build_region_mesh,
 )
 from layered_scatter.ls_volume import CellUnion
-from layered_scatter.specfun import (
-    fundamental_solution_grad,
-    hankel1_0,
-    hankel1_1,
-)
+
+
+def _free_space(kappa, x, y, ell=0):
+    """Phi_kappa(x, y) = (i/4) H0^(1)(kappa r) for ell = 0, or its
+    x_ell-derivative -(i kappa/4) H1^(1)(kappa r) (x_ell - y_ell)/r for
+    ell = 1, 2, r = |x - y|, from scipy's general-order hankel1 (AMOS):
+    not the order-0/1 Cephes j0/j1/y0/y1 that specfun evaluates."""
+    d = np.subtract(x, y, dtype=float)
+    r = float(np.hypot(d[0], d[1]))
+    if ell == 0:
+        return complex(0.25j * hankel1(0, kappa * r))
+    return complex(-0.25j * kappa * hankel1(1, kappa * r) * d[ell - 1] / r)
+
+
+@pytest.fixture(scope="session")
+def free_space():
+    """The free-space reference: Phi_kappa(x, y), or with ell = 1, 2 its
+    x_ell-derivative, on scipy's general-order Hankel function."""
+    return _free_space
 
 
 @pytest.fixture(scope="session")
@@ -237,8 +252,8 @@ def _grad_kernel_derivative(kappa, y, c, ell):
     d = np.asarray(y, float) - np.asarray(c, float)
     r = float(np.hypot(d[0], d[1]))
     z = kappa * r
-    h1 = hankel1_1(z)
-    h1p = hankel1_0(z) - h1 / z
+    h1 = hankel1(1, z)
+    h1p = hankel1(0, z) - h1 / z
     e = np.zeros(2)
     e[ell - 1] = 1.0
     return -0.25j * kappa * (kappa * h1p * (d[ell - 1] / r) * (d / r)
@@ -282,8 +297,7 @@ def _mixed_reciprocity_check(config, xs1, xs2, ell, eps=1e-2, solver=None):
     u = mono.total(Y)
     h = _FD_STEP
     du = (mono.total(Y + h * nu) - mono.total(Y - h * nu)) / (2.0 * h)
-    uinc_t = np.array([fundamental_solution_grad(kappa1, y, xs2, ell)
-                       for y in Y])
+    uinc_t = np.array([_free_space(kappa1, y, xs2, ell) for y in Y])
     duinc_t = np.array([
         _grad_kernel_derivative(kappa1, y, xs2, ell) @ n_
         for y, n_ in zip(Y, nu)])

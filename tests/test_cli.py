@@ -2,6 +2,7 @@
 bit-stable outputs.  main() is driven in-process for speed."""
 
 import dataclasses
+import itertools
 import json
 import time
 from pathlib import Path
@@ -9,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layered_scatter import ForwardSolver, SourceSpec, green_rough_columns
+from layered_scatter import (
+    ForwardSolver,
+    MediumParams,
+    PlanarGreen,
+    SourceSpec,
+    green_rough_columns,
+)
 from layered_scatter.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -146,13 +153,25 @@ def test_non_finite_point_argument_exits_2(config_path, capsys):
 # ---------------------------------------------------------------------------
 def test_green_subcommand(config_path, capsys):
     path = config_path(BASE)
-    rc = main(["green", path, "--x", "0.4", "0.8", "--xs", "0.3", "1.2"])
-    assert rc == EXIT_OK
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[0].startswith("scattered ") and out[1].startswith("total ")
-    # bit-stable: a second run prints the same bytes
-    main(["green", path, "--x", "0.4", "0.8", "--xs", "0.3", "1.2"])
-    assert capsys.readouterr().out.strip().splitlines() == out
+    green = PlanarGreen(MediumParams(1.0, 1.5), 1e-8)
+    kinds = (("monopole", 0), ("dipole", 1), ("dipole", 2))
+    # a same-side and a cross-side point, for every kind
+    for x, (kind, ell) in itertools.product([(0.4, 0.8), (0.4, -0.8)],
+                                            kinds):
+        argv = ["green", path, "--x", repr(x[0]), repr(x[1]),
+                "--xs", "0.3", "1.2",
+                "--kind", kind if kind == "monopole" else "dipole-%d" % ell]
+        rc = main(argv)
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out.strip().splitlines()
+        # the printed digits are those of the point calls
+        want = [green.scattered(x, (0.3, 1.2), kind, ell),
+                green.total(x, (0.3, 1.2), kind, ell)]
+        assert out == ["%s %.15g %.15g" % (name, v.real, v.imag)
+                       for name, v in zip(("scattered", "total"), want)]
+        # bit-stable: a second run prints the same bytes
+        main(argv)
+        assert capsys.readouterr().out.strip().splitlines() == out
 
 
 def test_green_config_error_exit(config_path, capsys):
@@ -537,3 +556,15 @@ def test_forward_scene_too_large_for_memory_exits_2(config_path, capsys):
     rc = main(["forward", config_path(doc), "--output", "/dev/null"])
     assert rc == EXIT_CONFIG
     assert "physical memory" in capsys.readouterr().err
+
+
+def test_forward_receiver_line_too_large_for_memory_exits_2(config_path,
+                                                             capsys):
+    # a flat scene builds no cell, so only the receivers count
+    doc = dict(BASE, interface={"bumps": []},
+               receivers={"b": 2.0, "a": 3.0, "count": 10 ** 12})
+    t0 = time.perf_counter()
+    rc = main(["forward", config_path(doc), "--output", "/dev/null"])
+    assert rc == EXIT_CONFIG
+    assert "physical memory" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1.0

@@ -92,12 +92,11 @@ def test_scene_config_checks_every_setting(change, key):
 # ---------------------------------------------------------------------------
 # Field evaluator
 # ---------------------------------------------------------------------------
-def test_total_minus_incident_is_scattered(flat_solver):
-    from layered_scatter.specfun import fundamental_solution
+def test_total_minus_incident_is_scattered(flat_solver, free_space):
     ev = flat_solver.solve(SRC)
     pts = np.array([[0.5, 0.9], [-1.2, 1.5]])
-    incident = [fundamental_solution(flat_solver.medium.kappa1, p,
-                                     SRC.position) for p in pts]
+    incident = [free_space(flat_solver.medium.kappa1, p, SRC.position)
+                for p in pts]
     gap = ev.total(pts) - incident - ev.scattered(pts)
     assert np.max(np.abs(gap)) < 1e-12
 
@@ -662,22 +661,16 @@ def test_radiation_matrix_reuses_the_extension_rows(layered_obstacle_solver,
                                            "radiation_matrix"]
 
 
-def test_incident_field_is_vectorized_for_every_source_kind(flat_solver):
+def test_incident_field_is_vectorized_for_every_source_kind(flat_solver,
+                                                           free_space):
     # total minus scattered is the source's free-space wave, for every
     # source kind, at an array of points and at a single point alike
-    from layered_scatter.specfun import (
-        fundamental_solution,
-        fundamental_solution_grad,
-    )
     pts = np.array([[0.5, 0.9], [-1.2, 1.5], [0.3, 2.0], [1.0, 1.2]])
     kappa = flat_solver.medium.kappa1
     for src in (SRC,) + SOURCES[1:]:
         ev = flat_solver.solve(src)
-        if src.kind == "monopole":
-            wave = [fundamental_solution(kappa, p, src.position) for p in pts]
-        else:
-            wave = [fundamental_solution_grad(kappa, p, src.position,
-                                              src.direction) for p in pts]
+        wave = [free_space(kappa, p, src.position, src.direction)
+                for p in pts]
         many = ev.total(pts) - ev.scattered(pts)
         assert many.shape == (len(pts),)
         assert np.max(np.abs(many - wave)) < 1e-12
@@ -877,6 +870,20 @@ def test_scene_too_large_for_memory_rejected_before_meshing(bump_config,
     monkeypatch.setattr(forward, "build_region_mesh", no_mesh)
     with pytest.raises(ConfigurationError, match=message):
         ForwardSolver(dataclasses.replace(bump_config, **change))
+
+
+def test_receiver_line_too_large_for_memory_rejected(monkeypatch):
+    # a flat scene has no cell: the receiver line alone, a point and a
+    # value per receiver, is past physical memory; nothing is allocated
+    import layered_scatter.forward as forward
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(forward, "build_region_mesh", no_mesh)
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        ForwardSolver(SceneConfig(MediumParams(1, 1.5),
+                                  receivers=ReceiverLine(2, 3, 10 ** 12)))
 
 
 def _held_bytes(obj, seen) -> int:

@@ -19,9 +19,7 @@ from layered_scatter.layered_green import (
     PlanarGreen,
     SourceSpec,
     beta,
-    green_planar_scattered,
 )
-from layered_scatter.specfun import fundamental_solution
 from layered_scatter.verify import stencil_convergence_ratio
 
 
@@ -40,7 +38,6 @@ def test_beta_identity_and_branch(rng):
 def test_medium_params_contrast():
     med = MediumParams(1.0, 1.5)
     assert med.eta == pytest.approx(1.25)
-    assert med.kappa_at(0.5) == 1.0 and med.kappa_at(-0.5) == 1.5
     with pytest.raises(ConfigurationError):
         MediumParams(0.0, 1.0)
 
@@ -63,13 +60,13 @@ def test_non_finite_source_rejected_quickly():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_trivial_contrast_collapse():
+def test_trivial_contrast_collapse(free_space):
     g = PlanarGreen(MediumParams(1.5, 1.5), 1e-10)
     # same side: reflection coefficient vanishes identically
     assert abs(g.scattered((0.4, 0.9), (-0.3, 1.2))) < 1e-10
     # cross side: the transmitted field is the free-space field
     val = g.scattered((0.4, -0.9), (-0.3, 1.2))
-    free = fundamental_solution(1.5, (0.4, -0.9), (-0.3, 1.2))
+    free = free_space(1.5, (0.4, -0.9), (-0.3, 1.2))
     assert abs(val - free) < 1e-8
 
 
@@ -129,13 +126,16 @@ def test_dipole_is_source_derivative_of_monopole(green, ell, x, xs):
     e = (h, 0.0) if ell == 1 else (0.0, h)
     fd = -(green.scattered(x, (xs[0] + e[0], xs[1] + e[1]))
            - green.scattered(x, (xs[0] - e[0], xs[1] - e[1]))) / (2.0 * h)
-    us = green.dipole_scattered(x, xs, ell)
+    us = green.scattered(x, xs, "dipole", ell)
     assert abs(us - fd) / abs(us) < 1e-5
 
 
 def test_dipole_direction_validated(green):
-    with pytest.raises(ValueError):
-        green.dipole_scattered((0.3, 0.7), (0.0, 1.0), 3)
+    # the point calls take SourceSpec's kinds and directions only
+    for kind, ell in (("dipole", 3), ("monopole", 1), ("quadrupole", 0)):
+        for call in (green.scattered, green.total):
+            with pytest.raises(ConfigurationError):
+                call((0.3, 0.7), (0.0, 1.0), kind, ell)
     with pytest.raises(ConfigurationError):
         SourceSpec("dipole", (0.0, 1.0), 0)
     with pytest.raises(ConfigurationError):
@@ -165,16 +165,43 @@ def test_batch_matches_scalar(green):
                                   abs=1e-12)
 
 
-def test_functional_wrappers(medium):
+def test_point_calls_of_a_fresh_evaluator_match_a_used_one(medium):
+    # the point calls keep nothing that moves a later value: a used
+    # evaluator gives the bytes of a fresh one, for every kind
     x, xs = (0.3, 0.7), (-0.2, 1.1)
     g = PlanarGreen(medium, 1e-8)
-    assert green_planar_scattered(x, xs, medium) == pytest.approx(
-        g.scattered(x, xs), abs=1e-12)
-    # the scalar entry points of a fresh evaluator agree with a kept one
-    fresh = PlanarGreen(medium, 1e-8)
-    assert fresh.total(x, xs) == pytest.approx(g.total(x, xs), abs=1e-12)
-    assert fresh.dipole_scattered(x, xs, 1) == pytest.approx(
-        g.dipole_scattered(x, xs, 1), abs=1e-12)
+    g.matrix("monopole", 0, np.array([x]), np.array([xs]))
+    for kind, ell in (("monopole", 0), ("dipole", 1), ("dipole", 2)):
+        fresh = PlanarGreen(medium, 1e-8)
+        for call in ("scattered", "total"):
+            assert getattr(fresh, call)(x, xs, kind, ell) \
+                == getattr(g, call)(x, xs, kind, ell)
+    assert g.scattered(x, xs) == g.scattered(x, xs, "monopole", 0)
+
+
+def test_total_adds_the_free_space_wave_on_the_source_side(green, medium,
+                                                            free_space):
+    # same side: Phi or its x_ell-derivative with the kappa of the
+    # source's half-plane, also at x1 = xs1; across x2 = 0 nothing
+    for x, xs in (((0.3, 0.7), (-0.2, 1.1)), ((0.3, -0.7), (-0.2, -1.1)),
+                  ((0.3, 0.7), (0.3, 1.1)), ((0.3, -0.7), (-0.2, 1.1))):
+        kappa = medium.kappa1 if xs[1] > 0.0 else medium.kappa2
+        for ell, kind in enumerate(("monopole", "dipole", "dipole")):
+            want = free_space(kappa, x, xs, ell) \
+                if (x[1] > 0.0) == (xs[1] > 0.0) else 0.0
+            gap = green.total(x, xs, kind, ell) \
+                - green.scattered(x, xs, kind, ell)
+            assert abs(gap - want) <= 1e-14 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("tol", [1e-14, 0.0, -1.0, np.nan, 1e-3])
+def test_kernel_tolerance_outside_its_range_rejected(medium, tol):
+    # below 1e-13 the reference integrals returned values past their
+    # tolerance against mpmath; at 0 they divided by zero
+    with pytest.raises(ConfigurationError, match="tol must lie"):
+        PlanarGreen(medium, tol)
+    PlanarGreen(medium, 1e-13)
+    PlanarGreen(medium, 1e-4)
 
 
 @settings(max_examples=30, deadline=None)

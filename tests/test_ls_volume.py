@@ -34,10 +34,6 @@ from layered_scatter.ls_volume import (
     planar_scattered_matrix,
     solve_stage2,
 )
-from layered_scatter.specfun import (
-    fundamental_solution,
-    fundamental_solution_grad,
-)
 
 SRC = SourceSpec("monopole", (0.3, 1.2))
 
@@ -64,13 +60,13 @@ def test_log_integral_square_against_quadrature():
     assert log_integral_square(h) == pytest.approx(ref, abs=1e-10)
 
 
-def test_cell_self_weight_against_quadrature():
+def test_cell_self_weight_against_quadrature(free_space):
     kappa, h = 1.5, 0.2
 
     def reference(half):
         def part(real):
             def f(y, x):
-                v = fundamental_solution(kappa, (x, y), (0.0, 0.0))
+                v = free_space(kappa, (x, y), (0.0, 0.0))
                 return v.real if real else v.imag
             # quarter-square symmetry keeps nodes off the singularity
             return 4.0 * scipy.integrate.dblquad(f, 0.0, half, 0.0, half,
@@ -90,7 +86,7 @@ def test_cell_self_weight_against_quadrature():
 # ---------------------------------------------------------------------------
 # Kernel matrices
 # ---------------------------------------------------------------------------
-# The matrices and columns run on fixed xi-rules, the scalar entry points on
+# The matrices and columns run on fixed xi-rules, the point calls on
 # the reference integrals; both must meet the fixture's tolerance, so they
 # are compared with the 1e-12 reference at that tolerance.
 def test_scattered_matrix_matches_scalar(green, reference):
@@ -123,7 +119,7 @@ def test_green_matrix_coincident_needs_weights(green):
     assert np.isfinite(val)
 
 
-def test_free_space_term_of_every_pair(medium):
+def test_free_space_term_of_every_pair(medium, free_space):
     # Phi of y's half-plane on same-side pairs, zero across x2 = 0, and at
     # a coincident pair the cell average over y's cell (a monopole) or the
     # principal value 0 (a dipole); the last pair straddles x2 = 0
@@ -135,15 +131,15 @@ def test_free_space_term_of_every_pair(medium):
     nu = np.stack([np.cos(t), np.sin(t)], axis=-1)
     mono = free_space_matrix(medium, X, Y, y_weights=w)
     dip = free_space_matrix(medium, X, Y, normals=nu)
-    kappa = [medium.kappa_at(y[1]) for y in Y]
+    kappa = np.where(Y[:, 1] > 0.0, medium.kappa1, medium.kappa2)
     for i, x in enumerate(X):
         for j, y in enumerate(Y):
             if np.hypot(*(x - y)) < 1e-12:
                 want = (cell_self_weight(kappa[j], w[j]) / w[j], 0.0)
             elif (x[1] > 0.0) == (y[1] > 0.0):
-                want = (fundamental_solution(kappa[j], x, y),
-                        sum(nu[j, ell - 1] * fundamental_solution_grad(
-                            kappa[j], x, y, ell) for ell in (1, 2)))
+                want = (free_space(kappa[j], x, y),
+                        sum(nu[j, ell - 1] * free_space(kappa[j], x, y, ell)
+                            for ell in (1, 2)))
             else:
                 want = (0.0, 0.0)
             for got, v in zip((mono[i, j], dip[i, j]), want):
@@ -287,7 +283,7 @@ def test_flat_scene_composition_identity(flat_b2):
         assert abs(v - exact) / abs(exact) < 5e-3
 
 
-def test_flat_scene_scattered_part(flat_b2, medium):
+def test_flat_scene_scattered_part(flat_b2, medium, free_space):
     sol = solve_stage2(SRC, flat_b2)
     green = flat_b2.green
     p = np.array([[0.4, 0.8]])
@@ -296,7 +292,7 @@ def test_flat_scene_scattered_part(flat_b2, medium):
     assert abs(us - exact) / abs(exact) < 5e-3
     # total minus incident equals scattered algebraically
     tot = _extend(sol, p, flat_b2, total=True)[0]
-    inc = fundamental_solution(medium.kappa1, p[0], SRC.position)
+    inc = free_space(medium.kappa1, p[0], SRC.position)
     assert abs((tot - inc) - us) < 1e-12
 
 
@@ -321,7 +317,8 @@ def test_green_arc_reciprocity(dip_b2):
     assert abs(a - b) / abs(a) < 1e-4
 
 
-def test_zero_contrast_operators_are_identity(bump_and_dip_profile):
+def test_zero_contrast_operators_are_identity(bump_and_dip_profile,
+                                              free_space):
     # cells of zero contrast stay out of U: at eta = 0 and with an obstacle
     # of index 1 U is empty, and so are the operators and every row
     degenerate = MediumParams(1.5, 1.5)
@@ -345,7 +342,7 @@ def test_zero_contrast_operators_are_identity(bump_and_dip_profile):
     rows = extension_rows(p, b2)
     assert rows.shape == (1, 0)
     got = extend_stage2_many(sol, p, b2, rows)[0]
-    free = fundamental_solution(1.5, p[0], SRC.position)
+    free = free_space(1.5, p[0], SRC.position)
     assert abs(got - free) < 1e-8
 
 
@@ -480,17 +477,14 @@ def test_set_up_requests_no_cell_pair_twice_and_a_solve_two_columns(
                                                            (len(rx), 1)]
 
 
-def _free_wave(src, X, kappa):
+def _free_wave(free_space, src, X, kappa):
     """The free-space wave of src at each point of X, point by point."""
-    if src.kind == "monopole":
-        return np.array([fundamental_solution(kappa, x, src.position)
-                         for x in X])
-    return np.array([fundamental_solution_grad(kappa, x, src.position,
-                                               src.direction) for x in X])
+    return np.array([free_space(kappa, x, src.position, src.direction)
+                     for x in X])
 
 
 def test_fields_at_every_center_of_u_are_the_solved_values(
-        bump_and_dip_profile):
+        bump_and_dip_profile, free_space):
     # the extension formula holds at every point: at a cell center of U it
     # is the volume equation, so the fields there are the solved values
     s = ForwardSolver(SceneConfig(medium=MediumParams(1.0, 1.5),
@@ -506,7 +500,8 @@ def test_fields_at_every_center_of_u_are_the_solved_values(
         assert np.max(np.abs(ev.total(u.centers) - want)) <= 1e-12 * scale
         # the free-space wave of a source above is removed above only
         scattered = ev.scattered(u.centers) \
-            + np.where(above, _free_wave(src, u.centers, s.medium.kappa1), 0)
+            + np.where(above, _free_wave(free_space, src, u.centers,
+                                         s.medium.kappa1), 0)
         assert np.max(np.abs(scattered - want)) <= 1e-12 * scale
 
 

@@ -227,3 +227,24 @@ def test_no_tail_bound_raises():
     with pytest.raises(AccuracyError):
         fixed_rule(lambda xi: 1.0 / (1.0 + xi), (), DecayClass(power=1.0),
                    0.0, 0.0, 1e-6)
+
+
+def test_subnormal_height_sum_plans_a_finite_rule():
+    # at heights 1e-310 the decay rate h of the upper-upper block is
+    # subnormal and 1/h overflows: the rule's tail reach is X/(p - 1) there,
+    # and the field equals that of heights 1e-300 within the tolerance
+    import warnings
+
+    from layered_scatter import (ForwardSolver, InterfaceProfile,
+                                 MediumParams, SceneConfig, SourceSpec)
+    solver = ForwardSolver(SceneConfig(
+        MediumParams(1.0, 1.5), profile=InterfaceProfile(((0.0, 1.0, 0.3),)),
+        cell_size=0.2))
+    values = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for height in (1e-310, 1e-300):
+            ev = solver.solve(SourceSpec("monopole", (5.0, height)))
+            values.append(ev.total((5.5, height)))
+    assert np.isfinite(values[0])
+    assert abs(values[0] - values[1]) <= 1e-8
