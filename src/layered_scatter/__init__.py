@@ -20,7 +20,6 @@ from .geometry import (
     ObstacleCurve,
     ReceiverLine,
     RegionMesh,
-    SceneGeometry,
     build_region_mesh,
     obstacle_nodes,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "ObstacleCurve",
     "ReceiverLine",
     "RegionMesh",
-    "SceneGeometry",
     "build_region_mesh",
     "obstacle_nodes",
     "MediumParams",

@@ -32,7 +32,7 @@ from .errors import (
     SingularityError,
     SolverError,
 )
-from .geometry import InterfaceProfile, ObstacleCurve, ReceiverLine
+from .geometry import SUBSAMPLE, InterfaceProfile, ObstacleCurve, ReceiverLine
 from .layered_green import MediumParams, PlanarGreen, SourceSpec, beta
 from .obstacle import green_rough_columns
 from .forward import (
@@ -153,11 +153,11 @@ _EXPERIMENT = {
     "eps0": (_number, "eps0"), "n_max": (_integer, "n_max"),
     "min_cell": (_number, "min_cell"),
 }
-# The document, onto the fields of SceneConfig; sources, experiment and
-# arc_radius_R are taken off before the scene is built.  arc_radius_R sized
-# an auxiliary arc that the solver no longer has; it is still accepted, as
-# a finite number with no effect, because the benchmark scenes under
-# perfbench/scenes carry it.
+# The document, onto the fields of SceneConfig; sources, experiment,
+# arc_radius_R and mesh.subsample are taken off before the scene is built.
+# The solver has no auxiliary arc, and its sub-grid is fixed (SUBSAMPLE),
+# but the benchmark scenes under perfbench/scenes carry both keys:
+# arc_radius_R is accepted as a finite number, mesh.subsample as SUBSAMPLE.
 _CONFIG = {
     "medium": (_section(MediumParams, {"kappa1": (_number, "kappa1"),
                                        "kappa2": (_number, "kappa2")}),
@@ -197,6 +197,8 @@ def parse_config(doc: dict) -> RunConfig:
     experiment.z_star_x1."""
     fields = _fields(_CONFIG, SceneConfig, doc, "")
     fields.pop("arc_radius_R", None)
+    if fields.pop("subsample", SUBSAMPLE) != SUBSAMPLE:
+        raise ConfigurationError(f"mesh.subsample must be {SUBSAMPLE}")
     run = {key: fields.pop(key) for key in ("sources", "experiment")
            if key in fields}
     scene = SceneConfig(**fields)
@@ -259,13 +261,13 @@ def cmd_forward(args) -> int:
         raise ConfigurationError("forward needs a receivers section")
     records = synthesize_dataset(config.scene, list(config.sources),
                                  threads=args.threads)
-    rows = [(str(r.source_index),
+    rows = ((str(r.source_index),
              repr(r.source_position[0]), repr(r.source_position[1]),
              repr(r.receiver[0]), repr(r.receiver[1]),
              repr(r.value.real), repr(r.value.imag))
-            for r in records]
+            for r in records)
     _write_csv(args.output, "source_index,xs1,xs2,x1,x2,re_us,im_us", rows)
-    print("wrote %d rows to %s" % (len(rows), args.output))
+    print("wrote %d rows to %s" % (len(records), args.output))
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ source order, so the output has the same bytes for any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
@@ -39,9 +40,10 @@ from .geometry import (
     ObstacleCurve,
     ReceiverLine,
     RegionMesh,
-    SceneGeometry,
+    SUBSAMPLE,
     box_cells,
     build_region_mesh,
+    inside_fraction,
     obstacle_nodes,
 )
 from .layered_green import MediumParams, PlanarGreen, SourceSpec
@@ -63,7 +65,9 @@ from .obstacle import (
     solve_density,
 )
 
-_MIN_CELLS_PER_WAVELENGTH = 4   # of the larger wavenumber, on the B1/B2 mesh
+# of the shortest wavelength on a mesh: the larger of kappa1 and kappa2 on
+# the B1/B2 mesh, kappa2 sqrt|n| inside a penetrable obstacle
+_MIN_CELLS_PER_WAVELENGTH = 4
 _COMPLEX = 16            # bytes of a dense complex entry
 # sources times cells of the blow-up experiment: 6-10 s at the 1.3e-7 to
 # 2e-7 s per source and cell measured on a 2-core machine
@@ -72,10 +76,10 @@ _BLOWUP_WORK = 5e7
 # (run at a hundredth of tol, but no finer than 1e-12) is coarser than the
 # rule; above 1e-4 the tolerance is no longer small against the fields.
 _TOL_RANGE = (1e-12, 1e-4)
-# mesh.subsample: the inside-fraction grids hold subsample^2 points a cell,
-# so memory and time grow as its square; the peak memory of a solver runs
-# at about twice the size guard's estimate (21 MB against 10.5 MB at 128)
-_SUBSAMPLE_MAX = 64
+# bytes a NearFieldRecord of the dataset table holds, with its list slot:
+# the table of 5 sources x 20000 receivers on the flat scene held 25.6 MB
+# after synthesize_dataset returned (tracemalloc, CPython 3.11)
+_RECORD_BYTES = 256
 
 
 def _physical_memory() -> Optional[int]:
@@ -131,31 +135,34 @@ class SceneConfig:
     """Everything that defines one forward problem except the sources.
 
     Construction checks every setting, under the name of its configuration
-    key, and the admissibility of the scene (SceneGeometry)."""
+    key, and that the scene is admissible: the receivers lie above the
+    interface, the obstacle strictly below it and the line x2 = 0."""
 
     medium: MediumParams
     profile: InterfaceProfile = field(default_factory=InterfaceProfile)
     obstacle: Optional[ObstacleSpec] = None
     receivers: Optional[ReceiverLine] = None
     cell_size: float = 0.1
-    subsample: int = 4
     quad_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.cell_size > 0.0:
             raise ConfigurationError("mesh.cell_size must be positive")
-        if not 1 <= self.subsample <= _SUBSAMPLE_MAX:
-            raise ConfigurationError(
-                "mesh.subsample must lie in [1, %d]" % _SUBSAMPLE_MAX)
         if not _TOL_RANGE[0] <= self.quad_tol <= _TOL_RANGE[1]:
             raise ConfigurationError(
                 "quadrature.tol must lie in [%g, %g]" % _TOL_RANGE)
-        self.geometry()
-
-    def geometry(self) -> SceneGeometry:
-        curve = self.obstacle.curve if self.obstacle is not None else None
-        return SceneGeometry(profile=self.profile, obstacle=curve,
-                             receivers=self.receivers)
+        if self.receivers is not None \
+                and self.receivers.b <= self.profile.max_height():
+            raise ConfigurationError(
+                "receivers.b must lie above the interface")
+        if self.obstacle is not None:
+            t = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
+            p = self.obstacle.curve.point(t)
+            # below min(f, 0): under a bump the cells of D_f lie there
+            clearance = np.minimum(self.profile(p[:, 0]), 0.0) - p[:, 1]
+            if np.min(clearance) <= 0.0:
+                raise ConfigurationError("obstacle must lie strictly below "
+                                         "the interface and the line x2 = 0")
 
 
 @dataclass(frozen=True)
@@ -168,12 +175,12 @@ class NearFieldRecord:
     value: complex
 
 
-def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> float:
+def _dense_bytes_estimate(config: SceneConfig) -> float:
     """Bytes of the largest arrays a ForwardSolver of config builds, from
     the geometry alone, before any mesh exists.
 
     Counted: the operator on the n cells of B1, B2 and a penetrable
-    obstacle with its LU factors; the subsample grids of the meshes; the
+    obstacle with its LU factors; the meshes' inside-fraction grids; the
     volume rows kept at the receivers; for a boundary condition the
     boundary operators, the monopole and normal-dipole kernel columns on
     those cells, the volume rows kept at the nodes and the receivers'
@@ -181,13 +188,13 @@ def _dense_bytes_estimate(config: SceneConfig, scene: SceneGeometry) -> float:
     receiver.  Cell counts are those of the boxes the meshes are cut from
     (box_cells), which bound the meshes from above.
     """
-    s2 = config.subsample ** 2
+    s2 = SUBSAMPLE ** 2
     rx = 0.0 if config.receivers is None else float(config.receivers.count)
-    n = box_cells("B1", scene, config.cell_size) \
-        + box_cells("B2", scene, config.cell_size)
+    n = box_cells("B1", config.profile, config.cell_size) \
+        + box_cells("B2", config.profile, config.cell_size)
     spec = config.obstacle
     if spec is not None and spec.condition == "penetrable":
-        n += box_cells("D_penetrable", scene, spec.cell_size)
+        n += box_cells("D_penetrable", spec.curve, spec.cell_size)
     total = _COMPLEX * (2 * n * n + (s2 + rx) * n + 2 * rx)
     if spec is None or spec.condition == "penetrable":
         return total
@@ -280,33 +287,37 @@ class ForwardSolver:
     """
 
     def __init__(self, config: SceneConfig):
-        kappa = max(config.medium.kappa1, config.medium.kappa2)
-        if config.cell_size * kappa * _MIN_CELLS_PER_WAVELENGTH > 2.0 * np.pi:
-            raise ConfigurationError(
-                "cell_size %g resolves a wavelength of kappa = %g with %.2g "
-                "cells; at least %d are needed"
-                % (config.cell_size, kappa,
-                   2.0 * np.pi / (kappa * config.cell_size),
-                   _MIN_CELLS_PER_WAVELENGTH))
+        medium, spec = config.medium, config.obstacle
+        penetrable = spec is not None and spec.condition == "penetrable"
+        grids = [("mesh.cell_size", config.cell_size,
+                  max(medium.kappa1, medium.kappa2))]
+        if penetrable:
+            grids.append(("obstacle.cell_size", spec.cell_size,
+                          medium.kappa2 * math.sqrt(math.hypot(
+                              spec.n.real, spec.n.imag))))
+        for key, h, kappa in grids:
+            if h * kappa * _MIN_CELLS_PER_WAVELENGTH > 2.0 * np.pi:
+                raise ConfigurationError(
+                    "%s %g resolves a wavelength of kappa = %g with %.2g "
+                    "cells; at least %d are needed"
+                    % (key, h, kappa, 2.0 * np.pi / (kappa * h),
+                       _MIN_CELLS_PER_WAVELENGTH))
         self.config = config
-        self.medium = config.medium
-        self.scene = config.geometry()
-        need = _dense_bytes_estimate(config, self.scene)
+        self.medium = medium
+        need = _dense_bytes_estimate(config)
         have = _physical_memory()
         if have is not None and need > have:
             raise ConfigurationError(
                 "the scene needs about %.3g GB of dense arrays, more than the "
                 "%.3g GB of physical memory; coarsen cell_size or lower "
-                "boundary_M or subsample" % (need / 1e9, have / 1e9))
+                "boundary_M" % (need / 1e9, have / 1e9))
         self.green = PlanarGreen(self.medium, config.quad_tol)
-        self.mesh_B1 = build_region_mesh("B1", self.scene, config.cell_size,
-                                         config.subsample)
-        self.mesh_B2 = build_region_mesh("B2", self.scene, config.cell_size,
-                                         config.subsample)
-        spec = config.obstacle
-        penetrable = spec is not None and spec.condition == "penetrable"
-        mesh_D = build_region_mesh("D_penetrable", self.scene, spec.cell_size,
-                                   config.subsample) if penetrable else None
+        self.mesh_B1 = build_region_mesh("B1", config.profile,
+                                         config.cell_size)
+        self.mesh_B2 = build_region_mesh("B2", config.profile,
+                                         config.cell_size)
+        mesh_D = build_region_mesh("D_penetrable", spec.curve,
+                                   spec.cell_size) if penetrable else None
         # the flat kernel on the cells of every mesh, evaluated once and
         # dropped as soon as the operator on them holds its blocks
         union = CellUnion(self.medium, self.mesh_B1, self.mesh_B2, mesh_D,
@@ -449,10 +460,10 @@ class ForwardSolver:
 
 
 def synthesize_dataset(config: SceneConfig, sources: Sequence[SourceSpec],
-                       receivers: Optional[ReceiverLine] = None,
                        threads: int = 1,
                        solver: Optional[ForwardSolver] = None):
-    """Scattered-field table over all (source, receiver) pairs.
+    """Scattered-field table over all (source, receiver) pairs of the
+    scene's receiver line.
 
     Rows are source-major: all receivers of source 0, then source 1, and so
     on.  threads is the number of worker processes, capped by the number
@@ -462,12 +473,20 @@ def synthesize_dataset(config: SceneConfig, sources: Sequence[SourceSpec],
     _forked_columns).  Every worker runs the same single-source path, so
     the rows have the same bytes for any worker count, and a failing
     source raises the error that one worker would raise.  Where os.fork
-    does not exist, one worker runs.
+    does not exist, one worker runs.  A table that would not fit in
+    physical memory (_RECORD_BYTES a record) raises ConfigurationError
+    before any solver is built or worker forked.
     """
-    if receivers is None:
-        receivers = config.receivers
+    receivers = config.receivers
     if receivers is None:
         raise ConfigurationError("dataset synthesis needs a receiver line")
+    need = len(sources) * receivers.count * _RECORD_BYTES
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ConfigurationError(
+            "the dataset table (%d sources x %d receivers) needs about %.3g "
+            "GB, more than the %.3g GB of physical memory"
+            % (len(sources), receivers.count, need / 1e9, have / 1e9))
     if solver is None:
         solver = ForwardSolver(config)
     pts = receivers.points()
@@ -661,8 +680,8 @@ def _graded_cells(z_star, eps0, min_cell):
     return np.array(out_c), np.array(out_s)
 
 
-def blowup_mesh(profile: InterfaceProfile, cfg: BlowupSequenceConfig,
-                subsample: int = 4) -> RegionMesh:
+def blowup_mesh(profile: InterfaceProfile,
+                cfg: BlowupSequenceConfig) -> RegionMesh:
     """Graded midpoint mesh of D' = B_eps0(z*) ∩ {x2 < f(x1)}."""
     centers, sizes = _graded_cells(cfg.z_star, cfg.eps0, cfg.finest_cell)
     z = np.asarray(cfg.z_star, float)
@@ -673,17 +692,12 @@ def blowup_mesh(profile: InterfaceProfile, cfg: BlowupSequenceConfig,
 
     keep = inside(centers)
     centers, sizes = centers[keep], sizes[keep]
-    off = (np.arange(subsample) + 0.5) / subsample - 0.5
-    OX, OY = np.meshgrid(off, off, indexing="ij")
-    sub = centers[:, None, :] + sizes[:, None, None] \
-        * np.stack([OX.ravel(), OY.ravel()], axis=-1)[None, :, :]
-    frac = np.mean(inside(sub), axis=1)
-    weights = sizes ** 2 * frac
+    weights = sizes ** 2 * inside_fraction(centers, sizes, inside)
     pos = weights > 0.0
     if not np.any(pos):   # e.g. z* on the top of a narrow, steep bump
         raise ConfigurationError("no cell of the graded mesh lies in D'; "
                                  "lower experiment.min_cell")
-    return RegionMesh(region_tag="D_prime", cell_size=float(np.min(sizes)),
+    return RegionMesh(cell_size=float(np.min(sizes)),
                       centers=centers[pos], weights=weights[pos])
 
 
@@ -705,7 +719,7 @@ def blowup_experiment(config: SceneConfig,
     if abs(z[1] - f_at) > 1e-9:
         raise GeometryError("z* must lie on the interface graph")
     nu = np.asarray(profile.upward_normal(z[0]))
-    mesh = blowup_mesh(profile, cfg, subsample=config.subsample)
+    mesh = blowup_mesh(profile, cfg)
     if cfg.n_max * mesh.n > _BLOWUP_WORK:
         raise ConfigurationError(
             "experiment.n_max %d times the %d mesh cells exceeds the "

@@ -1,10 +1,11 @@
-"""Scene geometry: interface profile, region meshes, obstacle curves and
-the receiver line.
+"""Scene geometry: interface profile, obstacle curves, the receiver line
+and region meshes.
 
 The volume equation lives on D_f, the bounded region between the flat
 line x2 = 0 and the graph of f.  The auxiliary interface min(f, 0) cuts
 it into the dips B1 = {f < x2 < 0} and the bumps B2 = {0 < x2 < f}, whose
 meshes are cut from one lattice with cell edges on x1 = 0 and x2 = 0.
+Every midpoint mesh weighs its cells by one rule (inside_fraction).
 
 All objects are immutable after construction and all operations are pure,
 so everything here is safe for concurrent use.
@@ -12,12 +13,12 @@ so everything here is safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, GeometryError
+from .errors import ConfigurationError
 
 Point = Tuple[float, float]
 
@@ -257,46 +258,24 @@ class ReceiverLine:
 
 
 # ---------------------------------------------------------------------------
-# Scene
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class SceneGeometry:
-    """Interface profile + optional obstacle + receivers.
-
-    Admissible when the receivers lie above the interface and the obstacle
-    strictly below both the interface and the flat line x2 = 0.
-    """
-
-    profile: InterfaceProfile
-    obstacle: Optional[ObstacleCurve] = None
-    receivers: Optional[ReceiverLine] = None
-
-    def __post_init__(self):
-        if self.receivers is not None and self.receivers.b <= self.profile.max_height():
-            raise ConfigurationError("receivers.b must lie above the interface")
-        if self.obstacle is not None:
-            t = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
-            p = self.obstacle.point(t)
-            # below min(f, 0): under a bump the cells of D_f lie there
-            clearance = np.minimum(self.profile(p[:, 0]), 0.0) - p[:, 1]
-            if np.min(clearance) <= 0.0:
-                raise ConfigurationError("obstacle must lie strictly below "
-                                         "the interface and the line x2 = 0")
-
-
-# ---------------------------------------------------------------------------
 # Region meshes
 # ---------------------------------------------------------------------------
+# sub-cells per axis of the grid on which a midpoint mesh estimates the
+# part of each cell inside its region (inside_fraction)
+SUBSAMPLE = 4
+# the shape that bounds a mesh's region
+Region = Union[InterfaceProfile, ObstacleCurve]
+
+
 @dataclass(frozen=True)
 class RegionMesh:
-    """Uniform-cell midpoint mesh of a bounded region.
+    """Midpoint mesh of a bounded region.
 
-    The weight of a kept cell is cell_size^2 times the inside fraction
-    estimated on a subsample x subsample sub-grid (see build_region_mesh
-    for which cells are kept).
+    The weight of a kept cell is its area times its inside fraction
+    (inside_fraction); build_region_mesh and forward.blowup_mesh say which
+    cells are kept.
     """
 
-    region_tag: str
     cell_size: float
     centers: np.ndarray   # (n, 2)
     weights: np.ndarray   # (n,)
@@ -306,68 +285,72 @@ class RegionMesh:
         return len(self.weights)
 
 
-def _region_indicator(tag: str, scene: SceneGeometry):
-    prof = scene.profile
-
-    def inside_b1(pts):
-        x2 = pts[..., 1]
-        return (prof(pts[..., 0]) < x2) & (x2 < 0.0)
-
-    def inside_b2(pts):
-        x2 = pts[..., 1]
-        return (0.0 < x2) & (x2 < prof(pts[..., 0]))
-
-    def inside_obstacle(pts):
-        return scene.obstacle.contains(pts)
-
-    return {"B1": inside_b1, "B2": inside_b2,
-            "D_penetrable": inside_obstacle}[tag]
+def inside_fraction(centers: np.ndarray, sizes, inside) -> np.ndarray:
+    """The fraction of each square cell (centers, side sizes: one for all
+    or one a cell) that lies in a region, estimated on the cell-centred
+    SUBSAMPLE x SUBSAMPLE sub-grid; inside is the region's indicator on an
+    array of points (..., 2)."""
+    off = (np.arange(SUBSAMPLE) + 0.5) / SUBSAMPLE - 0.5
+    OX, OY = np.meshgrid(off, off, indexing="ij")
+    sub = centers[:, None, :] + np.multiply.outer(
+        sizes, np.stack([OX.ravel(), OY.ravel()], axis=-1))
+    return np.mean(inside(sub), axis=1)
 
 
-def _scan_grid(tag: str, scene: SceneGeometry, h: float):
+def _region_indicator(tag: str, region: Region):
+    if tag == "D_penetrable":
+        return region.contains
+
+    def inside(pts):
+        x2, f = pts[..., 1], region(pts[..., 0])
+        return ((f < x2) & (x2 < 0.0)) if tag == "B1" else \
+            ((0.0 < x2) & (x2 < f))
+
+    return inside
+
+
+def _scan_grid(tag: str, region: Region, h: float):
     """The lattice of cells build_region_mesh scans at cell size h: its
     corner and, per axis, the index of the first cell and the number of
     cells, counted without building them; the centers on an axis lie at
     corner + (first + k + 1/2) h, 0 <= k < count.
 
     B1 and B2 share the lattice whose cell edges lie on x1 = 0 and
-    x2 = 0: the columns over the support of f, from x2 = 0 down (B1) or
-    up (B2) to max |f|.  The penetrable mesh is cut from the obstacle's
-    bounding box.
+    x2 = 0: the columns over the support of the profile, from x2 = 0 down
+    (B1) or up (B2) to max |f|.  The penetrable mesh is cut from the
+    obstacle curve's bounding box.
     """
     if h <= 0.0:
         raise ConfigurationError("cell_size must be positive")
     if tag in ("B1", "B2"):
-        prof = scene.profile
-        rho = prof.support_radius()
+        rho = region.support_radius()
         first = np.floor(-rho / h)
-        depth = np.ceil(prof.max_abs() / h)
+        depth = np.ceil(region.max_abs() / h)
         return (0.0, 0.0), (first, np.ceil(rho / h) - first), \
             (0.0 if tag == "B2" else -depth, depth)
     if tag != "D_penetrable":
         raise ConfigurationError(f"unknown region tag {tag!r}")
-    if scene.obstacle is None:
-        raise ConfigurationError("no obstacle present for D_penetrable mesh")
     t = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
-    p = scene.obstacle.point(t)
+    p = region.point(t)
     lo, hi = p.min(axis=0), p.max(axis=0)
     nx, ny = (max(1, int(np.ceil((b - a) / h - 1e-12)))
               for a, b in zip(lo, hi))
     return (float(lo[0]), float(lo[1])), (0.0, nx), (0.0, ny)
 
 
-def box_cells(region_tag: str, scene: SceneGeometry,
-              cell_size: float) -> float:
+def box_cells(region_tag: str, region: Region, cell_size: float) -> float:
     """Cells that build_region_mesh scans: an upper bound on the size of
     the mesh, known before it is built.  A float, so that a count too
     large for any array still compares (as inf past the float range)."""
-    _, (_, nx), (_, ny) = _scan_grid(region_tag, scene, cell_size)
+    _, (_, nx), (_, ny) = _scan_grid(region_tag, region, cell_size)
     return float(nx) * float(ny)
 
 
-def build_region_mesh(region_tag: str, scene: SceneGeometry, cell_size: float,
-                      subsample: int = 4) -> RegionMesh:
-    """Uniform Cartesian midpoint mesh of B1, B2 or the penetrable obstacle.
+def build_region_mesh(region_tag: str, region: Region,
+                      cell_size: float) -> RegionMesh:
+    """Uniform Cartesian midpoint mesh of B1, B2 or the penetrable obstacle,
+    bounded by region: the interface profile for B1 and B2, the obstacle
+    curve for D_penetrable.
 
     B2 holds the cells under the bumps, {0 < x2 < f}, and the penetrable
     mesh the cells of the obstacle: a cell is kept when its center lies
@@ -377,13 +360,11 @@ def build_region_mesh(region_tag: str, scene: SceneGeometry, cell_size: float,
     or B2 may be empty (a flat f has no cell); the penetrable mesh may
     not.
     """
-    if subsample < 1:
-        raise ConfigurationError("subsample must be >= 1")
     h = cell_size
-    origin, *axes = _scan_grid(region_tag, scene, h)
+    origin, *axes = _scan_grid(region_tag, region, h)
     cx, cy = (o + (first + np.arange(n) + 0.5) * h
               for o, (first, n) in zip(origin, axes))
-    inside = _region_indicator(region_tag, scene)
+    inside = _region_indicator(region_tag, region)
     X, Y = np.meshgrid(cx, cy, indexing="ij")
     centers = np.stack([X.ravel(), Y.ravel()], axis=-1)
     at_center = inside(centers)
@@ -393,16 +374,9 @@ def build_region_mesh(region_tag: str, scene: SceneGeometry, cell_size: float,
                           & (np.abs(centers[:, 1]) > _COINCIDENT)]
     if region_tag == "D_penetrable" and len(centers) == 0:
         raise ConfigurationError(f"region {region_tag} mesh is empty at cell_size {h}")
-
-    # Inside fraction on the subsample grid.
-    s = subsample
-    off = (np.arange(s) + 0.5) / s - 0.5
-    OX, OY = np.meshgrid(off * h, off * h, indexing="ij")
-    sub = centers[:, None, :] + np.stack([OX.ravel(), OY.ravel()], axis=-1)[None, :, :]
-    frac = np.mean(inside(sub), axis=1)
+    frac = inside_fraction(centers, h, inside)
     if region_tag == "B1":
         frac[at_center] = 1.0
     weights = h * h * frac
     pos = weights > 0.0
-    return RegionMesh(region_tag=region_tag, cell_size=h,
-                      centers=centers[pos], weights=weights[pos])
+    return RegionMesh(cell_size=h, centers=centers[pos], weights=weights[pos])

@@ -20,7 +20,6 @@ from layered_scatter import (
     PlanarGreen,
     ReceiverLine,
     SceneConfig,
-    SceneGeometry,
     SourceSpec,
     assemble_B1_operator,
     assemble_B2_operator,
@@ -66,16 +65,16 @@ def reference(medium):
 
 
 @pytest.fixture(scope="session")
-def flat_scene():
-    """Flat interface, no obstacle: D_f is empty, so no mesh has a cell."""
-    return SceneGeometry(InterfaceProfile(()))
+def flat_profile():
+    """Flat interface: D_f is empty, so no mesh has a cell."""
+    return InterfaceProfile(())
 
 
-def _volume_operator(scene, medium, cell_size=0.1):
-    """The volume operator on the B1 and B2 cells of scene, assembled as
-    ForwardSolver assembles it."""
-    union = CellUnion(medium, build_region_mesh("B1", scene, cell_size),
-                      build_region_mesh("B2", scene, cell_size))
+def _volume_operator(profile, medium, cell_size=0.1):
+    """The volume operator on the B1 and B2 cells of the profile, assembled
+    as ForwardSolver assembles it."""
+    union = CellUnion(medium, build_region_mesh("B1", profile, cell_size),
+                      build_region_mesh("B2", profile, cell_size))
     green = PlanarGreen(medium, 1e-8)
     kernel = union.kernel(green)
     op1 = assemble_B1_operator(union, green, kernel)
@@ -83,23 +82,23 @@ def _volume_operator(scene, medium, cell_size=0.1):
 
 
 @pytest.fixture(scope="session")
-def flat_b2(flat_scene, medium):
+def flat_b2(flat_profile, medium):
     """The volume operator of the flat scene, on no cell."""
-    return _volume_operator(flat_scene, medium)
+    return _volume_operator(flat_profile, medium)
 
 
 @pytest.fixture(scope="session")
-def dip_scene():
-    """A dip of depth 0.3, no obstacle: every cell of D_f lies in B1, so the
+def dip_profile():
+    """A dip of depth 0.3: every cell of D_f lies in B1, so the
     rough-interface kernel is the Green's function of min(f, 0)."""
-    return SceneGeometry(InterfaceProfile(((0.0, 1.0, -0.3),)))
+    return InterfaceProfile(((0.0, 1.0, -0.3),))
 
 
 @pytest.fixture(scope="session")
-def dip_b2(dip_scene, medium):
+def dip_b2(dip_profile, medium):
     """The volume operator of the dip scene at desk resolution, on the B1
     cells alone (the B2 mesh is empty)."""
-    return _volume_operator(dip_scene, medium)
+    return _volume_operator(dip_profile, medium)
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,11 @@
 bit-stable outputs.  main() is driven in-process for speed."""
 
 import dataclasses
+import functools
+import inspect
 import itertools
 import json
+import re
 import time
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from layered_scatter import (
     green_rough_columns,
 )
 from layered_scatter.cli import (
+    _CONFIG,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -55,10 +59,61 @@ def test_parse_valid_config():
     assert cfg.scene.medium.kappa2 == 1.5
     assert len(cfg.sources) == 1
     assert cfg.experiment is None
-    # arc_radius_R is accepted, as a finite number with no effect
+    # arc_radius_R is accepted, as a finite number with no effect, and
+    # mesh.subsample as the one sub-grid size the meshes use
     assert parse_config(dict(BASE, arc_radius_R=2.6)).scene == cfg.scene
+    assert parse_config(dict(BASE, mesh={"cell_size": 0.25})).scene \
+        == cfg.scene
     with pytest.raises(ConfigurationError):
         parse_config(dict(BASE, arc_radius_R="2.6"))
+
+
+def _inner_table(convert):
+    """The key table a converter reads and the mark of its path: "" for a
+    section (_section, or _fields on a table), "[i]" before a list of
+    sections (_each); None for a value."""
+    if isinstance(convert, functools.partial):
+        return convert.args[0], ""
+    free = inspect.getclosurevars(convert).nonlocals
+    if "table" in free:
+        return free["table"], ""
+    if convert.__name__ == "each":
+        inner, mark = _inner_table(free["convert"])
+        return inner, "[i]" + mark
+    return None, ""
+
+
+def _accepted_keys(table, prefix=""):
+    """The dotted path of every key the parser accepts."""
+    for key, entry in table.items():
+        inner, mark = (entry, "") if isinstance(entry, dict) \
+            else _inner_table(entry[0])
+        if inner is None:
+            yield prefix + key
+        else:
+            yield from _accepted_keys(inner, prefix + key + mark + ".")
+
+
+def _readme_keys():
+    """The keys of the README's configuration table; a name that starts
+    with a dot continues the first name of its row."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = text.split("| key | field | default | admissible |\n")[1]
+    keys = set()
+    for row in rows.splitlines()[1:]:
+        if not row.startswith("|"):
+            break
+        names = re.findall(r"`([^`]+)`", row.split("|")[1])
+        keys.update(names[0].rsplit(".", 1)[0] + name
+                    if name.startswith(".") else name for name in names)
+    return keys
+
+
+def test_readme_configuration_table_lists_every_accepted_key():
+    accepted = set(_accepted_keys(_CONFIG))
+    assert {"obstacle.curve.center", "sources[i].direction",
+            "experiment.min_cell", "mesh.subsample"} <= accepted
+    assert _readme_keys() == accepted
 
 
 def test_unknown_top_level_key_rejected():
@@ -202,7 +257,8 @@ _SECTIONS = {
 @pytest.mark.parametrize("section,key,value", [
     ("quadrature", "tol", 0), ("quadrature", "tol", -1e-8),
     ("quadrature", "tol", 1e-15), ("quadrature", "tol", 1.0),
-    ("mesh", "subsample", 0), ("mesh", "subsample", 65),
+    ("mesh", "subsample", 0), ("mesh", "subsample", 5),
+    ("mesh", "subsample", 65),
     ("mesh", "cell_size", 0),
     ("mesh", "cell_size", -0.1), ("experiment", "min_cell", 0),
     ("experiment", "min_cell", -1), ("experiment", "min_cell", 1e-300),
@@ -548,6 +604,37 @@ def test_forward_too_few_cells_per_wavelength_exits_2(config_path, capsys):
     rc = main(["forward", config_path(doc), "--output", "/dev/null"])
     assert rc == EXIT_CONFIG
     assert "cells" in capsys.readouterr().err
+
+
+def test_penetrable_cells_too_coarse_for_the_interior_wave_exit_2(
+        config_path, capsys):
+    # n = 4 shortens the wavelength inside the disk to 2 pi/(1.5 * 2) =
+    # 2.09, which cells of 1.0 resolve with 2.1: the disk would get one
+    # cell, and the largest receiver field would read 0.033 for 0.021
+    doc = dict(BASE, obstacle={"kind": "penetrable", "n": 4.0,
+                               "cell_size": 1.0,
+                               "curve": {"kind": "circle",
+                                         "center": [0.0, -1.3],
+                                         "radius": 0.5}})
+    path = config_path(doc)
+    for argv in (["forward", path, "--output", "/dev/null"],
+                 ["verify", path]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "obstacle.cell_size 1 resolves" in err
+        assert "Traceback" not in err
+
+
+def test_forward_dataset_past_physical_memory_exits_2(config_path, capsys,
+                                                      monkeypatch):
+    # the table of records, not the solver, is what outgrows memory here
+    import layered_scatter.forward as forward
+    monkeypatch.setattr(forward, "_physical_memory",
+                        lambda: 3 * forward._RECORD_BYTES - 1)
+    rc = main(["forward", config_path(BASE), "--output", "/dev/null"])
+    assert rc == EXIT_CONFIG
+    assert "dataset table (1 sources x 3 receivers)" \
+        in capsys.readouterr().err
 
 
 def test_forward_scene_too_large_for_memory_exits_2(config_path, capsys):

@@ -75,12 +75,10 @@ def test_blowup_mesh_with_no_cell_in_d_prime_is_a_configuration_error():
     ({"quad_tol": -1.0}, "quadrature.tol"),
     ({"cell_size": 0.0}, "mesh.cell_size"),
     ({"cell_size": -0.1}, "mesh.cell_size"),
-    ({"subsample": 0}, "mesh.subsample"),
-    ({"subsample": 65}, "mesh.subsample"),
     ({"obstacle": ObstacleSpec(ObstacleCurve("circle", (0.0, 0.05), 0.2),
                                "penetrable", n=1.2)}, "x2 = 0"),
 ], ids=["tol 1e-20", "tol 0.5", "tol -1", "cell_size 0", "cell_size -0.1",
-        "subsample 0", "subsample 65", "obstacle above x2 = 0"])
+        "obstacle above x2 = 0"])
 def test_scene_config_checks_every_setting(change, key):
     # a library caller meets the checks of the command line, under the
     # names of its configuration keys
@@ -154,6 +152,40 @@ def test_dataset_needs_receivers():
                          cell_size=0.25)
     with pytest.raises(ConfigurationError):
         synthesize_dataset(config, [SRC])
+
+
+class _Untouched:
+    """A solver that fails the test when anything reads it."""
+
+    def __getattr__(self, name):
+        raise AssertionError("the solver was used")
+
+
+def test_dataset_table_past_physical_memory_rejected_before_any_solve(
+        flat_config, flat_solver, monkeypatch):
+    # 10 sources x 10^7 receivers would hold about 25 GB of records, where
+    # the solver's own guard counts 0.32 GB; the table is checked against
+    # physical memory before a solver is built, read or forked
+    import layered_scatter.forward as forward
+
+    def no_solver(config):
+        raise AssertionError("a solver was built")
+
+    monkeypatch.setattr(forward, "ForwardSolver", no_solver)
+    monkeypatch.setattr(forward, "_physical_memory", lambda: 8.4e9)
+    huge = dataclasses.replace(flat_config,
+                               receivers=ReceiverLine(2.0, 3.0, 10 ** 7))
+    for solver in (None, _Untouched()):
+        with pytest.raises(ConfigurationError, match="physical memory"):
+            synthesize_dataset(huge, [SRC] * 10, threads=2, solver=solver)
+    # the bound is sources x receivers x _RECORD_BYTES
+    need = 10 * 5 * forward._RECORD_BYTES
+    monkeypatch.setattr(forward, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        synthesize_dataset(flat_config, [SRC] * 10, solver=_Untouched())
+    monkeypatch.setattr(forward, "_physical_memory", lambda: need)
+    assert len(synthesize_dataset(flat_config, [SRC] * 10,
+                                  solver=flat_solver)) == 50
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +710,21 @@ def test_incident_field_is_vectorized_for_every_source_kind(flat_solver,
         assert isinstance(one, complex) and one == many[0]
 
 
+@pytest.mark.parametrize("n,cells", [(4.0, 0.52), (3.0 + 4.0j, 0.46)],
+                         ids=["n 4", "n 3+4i"])
+def test_penetrable_cell_size_resolves_the_interior_wavelength(n, cells):
+    # inside the obstacle the wavenumber is kappa2 sqrt|n|: four cells of
+    # its wavelength pass, 0.52 and 0.46 against 0.524 and 0.468, and a
+    # cell 4 % larger fails (at 3 + 4i also one that Re n alone would pass)
+    def config(cell_size):
+        spec = ObstacleSpec(CIRCLE, "penetrable", n=n, cell_size=cell_size)
+        return SceneConfig(medium=MediumParams(1.0, 1.5), cell_size=0.2,
+                           obstacle=spec)
+    ForwardSolver(config(cells))
+    with pytest.raises(ConfigurationError, match="obstacle.cell_size"):
+        ForwardSolver(config(1.04 * cells))
+
+
 def test_too_few_cells_per_wavelength_rejected():
     # kappa2 = 30 at cell 0.2: about one cell per wavelength
     config = SceneConfig(medium=MediumParams(20.0, 30.0),
@@ -850,25 +897,23 @@ def test_workers_fork_past_a_lock_held_by_another_thread(
 CIRCLE = ObstacleCurve("circle", (0.0, -1.3), 0.5)
 
 
-# a subsample past its range is rejected by SceneConfig before the guard
-@pytest.mark.parametrize("change,message", [
-    ({"cell_size": 1e-4}, "physical memory"),
-    ({"subsample": 10 ** 5}, "mesh.subsample must lie in"),
-    ({"obstacle": ObstacleSpec(curve=CIRCLE, condition="sound_soft",
-                               boundary_M=10 ** 6)}, "physical memory"),
-    ({"obstacle": ObstacleSpec(curve=CIRCLE, condition="penetrable", n=1.5,
-                               cell_size=1e-5)}, "physical memory"),
-], ids=["cell_size", "subsample", "boundary_M", "penetrable cell_size"])
+@pytest.mark.parametrize("change", [
+    {"cell_size": 1e-4},
+    {"obstacle": ObstacleSpec(curve=CIRCLE, condition="sound_soft",
+                              boundary_M=10 ** 6)},
+    {"obstacle": ObstacleSpec(curve=CIRCLE, condition="penetrable", n=1.5,
+                              cell_size=1e-5)},
+], ids=["cell_size", "boundary_M", "penetrable cell_size"])
 def test_scene_too_large_for_memory_rejected_before_meshing(bump_config,
                                                             monkeypatch,
-                                                            change, message):
+                                                            change):
     import layered_scatter.forward as forward
 
     def no_mesh(*args, **kwargs):
         raise AssertionError("a mesh was built")
 
     monkeypatch.setattr(forward, "build_region_mesh", no_mesh)
-    with pytest.raises(ConfigurationError, match=message):
+    with pytest.raises(ConfigurationError, match="physical memory"):
         ForwardSolver(dataclasses.replace(bump_config, **change))
 
 
@@ -924,7 +969,7 @@ def test_size_guard_estimate_bounds_the_arrays_a_solver_holds(
         # cells on both sides of x2 = 0, in one operator
         assert solver.mesh_B1.n > 0 and solver.mesh_B2.n > 0
         assert solver.b2.n == solver.mesh_B1.n + solver.mesh_B2.n
-    need = forward._dense_bytes_estimate(solver.config, solver.scene)
+    need = forward._dense_bytes_estimate(solver.config)
     assert need >= _held_bytes(solver, set()) > 0
 
 
@@ -958,8 +1003,8 @@ def test_building_the_solver_factorizes_one_volume_operator(
     cells = solver.mesh_B1.n + solver.mesh_B2.n
     if obstacle == "penetrable":
         spec = config.obstacle
-        cells += build_region_mesh("D_penetrable", solver.scene,
-                                   spec.cell_size, config.subsample).n
+        cells += build_region_mesh("D_penetrable", spec.curve,
+                                   spec.cell_size).n
     assert solver.b2.n == cells
     assert len(factorized) == 1 + (obstacle == "sound_soft")
 
@@ -967,7 +1012,7 @@ def test_building_the_solver_factorizes_one_volume_operator(
 def test_size_guard_compares_the_estimate_with_physical_memory(bump_config,
                                                                monkeypatch):
     import layered_scatter.forward as forward
-    need = forward._dense_bytes_estimate(bump_config, bump_config.geometry())
+    need = forward._dense_bytes_estimate(bump_config)
     monkeypatch.setattr(forward, "_physical_memory", lambda: need - 1)
     with pytest.raises(ConfigurationError, match="physical memory"):
         ForwardSolver(bump_config)

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layered_scatter.errors import ConfigurationError
+from layered_scatter.forward import ObstacleSpec, SceneConfig
 from layered_scatter.geometry import (
     InterfaceProfile,
     ObstacleCurve,
     ReceiverLine,
-    SceneGeometry,
     build_region_mesh,
+    inside_fraction,
     obstacle_nodes,
 )
+from layered_scatter.layered_green import MediumParams
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +152,18 @@ def test_receiver_line_points():
 
 
 def test_scene_rejects_obstacle_above_interface(bump_profile):
-    with pytest.raises(ConfigurationError):
-        SceneGeometry(bump_profile,
-                      obstacle=ObstacleCurve("circle", (0.0, 0.5), 0.3))
+    spec = ObstacleSpec(ObstacleCurve("circle", (0.0, 0.5), 0.3),
+                        "sound_soft")
+    with pytest.raises(ConfigurationError, match="obstacle must lie "
+                       "strictly below the interface and the line x2 = 0"):
+        SceneConfig(MediumParams(1.0, 1.5), bump_profile, obstacle=spec)
 
 
 def test_scene_rejects_receivers_below_interface(bump_profile):
-    with pytest.raises(ConfigurationError):
-        SceneGeometry(bump_profile,
-                      receivers=ReceiverLine(0.1, 3.0, 5))
+    with pytest.raises(ConfigurationError,
+                       match="receivers.b must lie above the interface"):
+        SceneConfig(MediumParams(1.0, 1.5), bump_profile,
+                    receivers=ReceiverLine(0.1, 3.0, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +172,6 @@ def test_scene_rejects_receivers_below_interface(bump_profile):
 def test_b1_b2_mesh_areas_converge_to_dip_and_bump_areas(
         bump_and_dip_profile):
     prof = bump_and_dip_profile
-    scene = SceneGeometry(prof)
     x = np.linspace(-2.0, 2.0, 400001)
     f = prof(x)
     # the kept cells (center rule) err at first order in the cell size,
@@ -175,28 +179,26 @@ def test_b1_b2_mesh_areas_converge_to_dip_and_bump_areas(
     for tag, depth in (("B1", np.maximum(-f, 0.0)),
                        ("B2", np.maximum(f, 0.0))):
         exact = np.trapezoid(depth, x)
-        errs = [abs(build_region_mesh(tag, scene, h).weights.sum() - exact)
+        errs = [abs(build_region_mesh(tag, prof, h).weights.sum() - exact)
                 / exact for h in (0.2, 0.05, 0.0125)]
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1.5e-2
 
 
 def test_b2_mesh_extends_above_zero_with_bump(bump_profile):
-    scene = SceneGeometry(bump_profile)
-    mesh = build_region_mesh("B2", scene, 0.1)
+    mesh = build_region_mesh("B2", bump_profile, 0.1)
     assert np.min(mesh.centers[:, 1]) > 0.0
     # a bump has no dip: B1 is empty, and the flat scene has no cell
-    assert build_region_mesh("B1", scene, 0.1).n == 0
-    flat = SceneGeometry(InterfaceProfile(()))
+    assert build_region_mesh("B1", bump_profile, 0.1).n == 0
+    flat = InterfaceProfile(())
     assert build_region_mesh("B1", flat, 0.1).n == 0
     assert build_region_mesh("B2", flat, 0.1).n == 0
 
 
 def test_mesh_centers_stay_off_the_flat_line(bump_and_dip_profile):
-    scene = SceneGeometry(bump_and_dip_profile)
     h = 0.1
     for tag, side in (("B1", -1.0), ("B2", 1.0)):
-        mesh = build_region_mesh(tag, scene, h)
+        mesh = build_region_mesh(tag, bump_and_dip_profile, h)
         assert mesh.n > 0
         assert np.min(side * mesh.centers[:, 1]) > 1e-12
         assert np.all(mesh.weights > 0.0)
@@ -206,27 +208,52 @@ def test_mesh_centers_stay_off_the_flat_line(bump_and_dip_profile):
                            atol=1e-9)
     # a B1 cell whose center lies in the dip keeps its whole area, one
     # whose center lies under f only its part over f
-    mesh = build_region_mesh("B1", scene, h)
+    mesh = build_region_mesh("B1", bump_and_dip_profile, h)
     over = bump_and_dip_profile(mesh.centers[:, 0]) < mesh.centers[:, 1]
     assert np.any(over) and np.any(~over)
     assert np.all(mesh.weights[over] == h * h)
     assert np.all(mesh.weights[~over] < h * h)
 
 
-def test_penetrable_mesh_area(bump_profile):
+def test_inside_fraction_samples_a_cell_centred_4_by_4_grid():
+    # every midpoint mesh weighs its cells on the same sub-grid: offsets
+    # (k + 1/2)/4 - 1/2 of the cell side on each axis, around the center
+    seen = []
+
+    def below_diagonal(pts):
+        seen.append(pts)
+        return pts[..., 0] - pts[..., 1] < 0.0
+
+    centers = np.array([[0.0, 0.0], [1.0, 1.0]])
+    sizes = np.array([1.0, 0.5])
+    frac = inside_fraction(centers, sizes, below_diagonal)
+    off = (seen[0] - centers[:, None, :]) / sizes[:, None, None]
+    grid = np.array([-0.375, -0.125, 0.125, 0.375])
+    for cell in off:
+        assert sorted(map(tuple, cell)) == [(a, b) for a in grid for b in grid]
+    # 6 of the 16 points lie strictly below the diagonal through the centers
+    assert list(frac) == [6 / 16, 6 / 16]
+    # one size for all cells is the same as that size for each
+    assert np.array_equal(inside_fraction(centers, 0.5, below_diagonal),
+                          inside_fraction(centers, np.full(2, 0.5),
+                                          below_diagonal))
+
+
+def test_penetrable_mesh_area():
     curve = ObstacleCurve("circle", (0.0, -1.3), 0.5)
-    scene = SceneGeometry(bump_profile, obstacle=curve)
-    mesh = build_region_mesh("D_penetrable", scene, 0.025)
+    mesh = build_region_mesh("D_penetrable", curve, 0.025)
     assert abs(mesh.weights.sum() - np.pi * 0.25) / (np.pi * 0.25) < 1e-2
 
 
-def test_mesh_rejects_bad_inputs(flat_scene):
+def test_mesh_rejects_bad_inputs(flat_profile):
     with pytest.raises(ConfigurationError):
-        build_region_mesh("B1", flat_scene, 0.0)
+        build_region_mesh("B1", flat_profile, 0.0)
     with pytest.raises(ConfigurationError):
-        build_region_mesh("nowhere", flat_scene, 0.1)
-    with pytest.raises(ConfigurationError):
-        build_region_mesh("D_penetrable", flat_scene, 0.1)
+        build_region_mesh("nowhere", flat_profile, 0.1)
+    # at cell size 10 the disk's box is one cell, centered off the disk
+    with pytest.raises(ConfigurationError, match="empty"):
+        build_region_mesh("D_penetrable",
+                          ObstacleCurve("circle", (0.0, -1.3), 0.5), 10.0)
 
 
 @settings(max_examples=25, deadline=None)

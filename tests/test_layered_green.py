@@ -401,13 +401,12 @@ def bump_point_sets(bump_and_dip_profile):
     from layered_scatter.geometry import (
         ObstacleCurve,
         ReceiverLine,
-        SceneGeometry,
         build_region_mesh,
         obstacle_nodes,
     )
-    scene = SceneGeometry(bump_and_dip_profile)
     return {
-        "mesh": np.concatenate([build_region_mesh(tag, scene, 0.2).centers
+        "mesh": np.concatenate([build_region_mesh(tag, bump_and_dip_profile,
+                                                  0.2).centers
                                 for tag in ("B1", "B2")]),
         "receivers": ReceiverLine(2.0, 3.0, 11).points(),
         "nodes": obstacle_nodes(ObstacleCurve("circle", (0.0, -1.3), 0.5),

@@ -15,7 +15,6 @@ from layered_scatter.geometry import (
     InterfaceProfile,
     ObstacleCurve,
     ReceiverLine,
-    SceneGeometry,
     build_region_mesh,
 )
 from layered_scatter.layered_green import MediumParams, PlanarGreen, SourceSpec
@@ -181,9 +180,8 @@ def test_normal_dipole_columns_combine_the_coordinate_dipoles(
     # planar_field_column (the dipole sources) evaluate one kernel: at
     # nu = (cos t, sin t) the first is cos t times the horizontal plus
     # sin t times the vertical dipole's column
-    scene = SceneGeometry(bump_and_dip_profile)
     green = PlanarGreen(medium, 1e-8)
-    u = CellUnion(medium, *(build_region_mesh(tag, scene, 0.1)
+    u = CellUnion(medium, *(build_region_mesh(tag, bump_and_dip_profile, 0.1)
                             for tag in ("B1", "B2")))
     rx = ReceiverLine(b=2.0, a=3.0, count=11).points()
     sources = np.array([[0.3, 1.1], [-1.2, 0.6], [0.4, -0.7],
@@ -322,10 +320,10 @@ def test_zero_contrast_operators_are_identity(bump_and_dip_profile,
     # cells of zero contrast stay out of U: at eta = 0 and with an obstacle
     # of index 1 U is empty, and so are the operators and every row
     degenerate = MediumParams(1.5, 1.5)
-    scene = SceneGeometry(bump_and_dip_profile,
-                          obstacle=ObstacleCurve("circle", (0.0, -1.3), 0.5))
-    meshes = [build_region_mesh(tag, scene, 0.25)
-              for tag in ("B1", "B2", "D_penetrable")]
+    circle = ObstacleCurve("circle", (0.0, -1.3), 0.5)
+    meshes = [build_region_mesh("B1", bump_and_dip_profile, 0.25),
+              build_region_mesh("B2", bump_and_dip_profile, 0.25),
+              build_region_mesh("D_penetrable", circle, 0.25)]
     assert all(mesh.n > 0 for mesh in meshes)
     green = PlanarGreen(degenerate, 1e-8)
     union = CellUnion(degenerate, *meshes, n=1.0)
