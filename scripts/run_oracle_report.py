@@ -4,10 +4,9 @@ small report: series-solution agreement for a circle in free space
 (sound-soft, Neumann, impedance and penetrable, with the interior field
 of the last),
 the flat-scene composition identity (a flat interface builds no cell, so
-the solver must return the planar kernel), and reciprocity at three
-levels: the planar kernel, the stage-1 kernel of a dip scene (where no
-bump cell exists, so the rough kernel is the stage-1 kernel) and the rough
-kernel of the shipped bump.
+the solver must return the planar kernel), and reciprocity of the planar
+kernel and of the rough-interface kernel over a dip (whose cells all lie
+under x2 = 0) and over the shipped bump (whose cells all lie over it).
 
 All comparisons here are also enforced (with tolerances) by the test
 suite; this script exists to eyeball the actual numbers.
@@ -75,7 +74,8 @@ def reciprocity() -> None:
 
     from layered_scatter.geometry import InterfaceProfile
     p, q = np.array([[0.43, 1.07]]), np.array([[-0.81, 0.63]])
-    for level, height in (("stage-1 (dip)", -0.3), ("rough-interface", 0.3)):
+    for level, height in (("rough-interface (dip)", -0.3),
+                          ("rough-interface (bump)", 0.3)):
         config = SceneConfig(medium=medium,
                              profile=InterfaceProfile(((0.0, 1.0, height),)),
                              cell_size=0.2)

@@ -316,6 +316,16 @@ class ForwardSolver:
                                          config.cell_size)
         self.mesh_B2 = build_region_mesh("B2", config.profile,
                                          config.cell_size)
+        # a bump (c, w, height) with no cell over |x1 - c| < w would be
+        # solved as if it were absent
+        x1 = np.concatenate([self.mesh_B1.centers, self.mesh_B2.centers])[:, 0]
+        for bump in config.profile.bumps:
+            c, w = bump[:2]
+            if np.any(config.profile(np.linspace(c - w, c + w, 401))) and not \
+                    np.any(np.abs(x1 - c) < w + 0.5 * config.cell_size):
+                raise ConfigurationError("mesh.cell_size %g gives no cell to "
+                                         "the bump (%g, %g, %g); refine it"
+                                         % ((config.cell_size,) + bump))
         mesh_D = build_region_mesh("D_penetrable", spec.curve,
                                    spec.cell_size) if penetrable else None
         # the flat kernel on the cells of every mesh, evaluated once and
@@ -690,6 +700,8 @@ def blowup_mesh(profile: InterfaceProfile,
         r = np.hypot(pts[..., 0] - z[0], pts[..., 1] - z[1])
         return (r < cfg.eps0) & (pts[..., 1] < profile(pts[..., 0]))
 
+    # only cells centered in D' count, unlike in build_region_mesh: the
+    # integrand |d_nu Phi(x - z_n)|^2 is singular just outside D'
     keep = inside(centers)
     centers, sizes = centers[keep], sizes[keep]
     weights = sizes ** 2 * inside_fraction(centers, sizes, inside)

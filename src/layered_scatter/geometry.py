@@ -5,7 +5,8 @@ The volume equation lives on D_f, the bounded region between the flat
 line x2 = 0 and the graph of f.  The auxiliary interface min(f, 0) cuts
 it into the dips B1 = {f < x2 < 0} and the bumps B2 = {0 < x2 < f}, whose
 meshes are cut from one lattice with cell edges on x1 = 0 and x2 = 0.
-Every midpoint mesh weighs its cells by one rule (inside_fraction).
+The dips, the bumps and a penetrable obstacle share one rule: a cell
+weighs its area times the part of it inside the region (inside_fraction).
 
 All objects are immutable after construction and all operations are pure,
 so everything here is safe for concurrent use.
@@ -98,6 +99,12 @@ class InterfaceProfile:
             return 0.0
         x = np.linspace(-rho, rho, 4001)
         return float(np.max(self(x)))
+
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Whether each point lies strictly inside D_f, between x2 = 0 and
+        the graph: min(f, 0) < x2 < max(f, 0), in a dip or under a bump."""
+        x2, f = points[..., 1], self(points[..., 0])
+        return (np.minimum(f, 0.0) < x2) & (x2 < np.maximum(f, 0.0))
 
     def upward_normal(self, x1: float) -> Tuple[float, float]:
         """Unit normal on the graph of f pointing into the upper medium."""
@@ -271,9 +278,9 @@ Region = Union[InterfaceProfile, ObstacleCurve]
 class RegionMesh:
     """Midpoint mesh of a bounded region.
 
-    The weight of a kept cell is its area times its inside fraction
-    (inside_fraction); build_region_mesh and forward.blowup_mesh say which
-    cells are kept.
+    The weight of a cell is its area times its inside fraction
+    (inside_fraction).  build_region_mesh keeps every cell of positive
+    weight, forward.blowup_mesh only those whose center lies inside.
     """
 
     cell_size: float
@@ -295,18 +302,6 @@ def inside_fraction(centers: np.ndarray, sizes, inside) -> np.ndarray:
     sub = centers[:, None, :] + np.multiply.outer(
         sizes, np.stack([OX.ravel(), OY.ravel()], axis=-1))
     return np.mean(inside(sub), axis=1)
-
-
-def _region_indicator(tag: str, region: Region):
-    if tag == "D_penetrable":
-        return region.contains
-
-    def inside(pts):
-        x2, f = pts[..., 1], region(pts[..., 0])
-        return ((f < x2) & (x2 < 0.0)) if tag == "B1" else \
-            ((0.0 < x2) & (x2 < f))
-
-    return inside
 
 
 def _scan_grid(tag: str, region: Region, h: float):
@@ -352,31 +347,22 @@ def build_region_mesh(region_tag: str, region: Region,
     bounded by region: the interface profile for B1 and B2, the obstacle
     curve for D_penetrable.
 
-    B2 holds the cells under the bumps, {0 < x2 < f}, and the penetrable
-    mesh the cells of the obstacle: a cell is kept when its center lies
-    inside.  B1 holds the cells over the dips, {f < x2 < 0}: a cell whose
-    center lies in the dip keeps its whole area, one whose center lies
-    under f keeps its part over f.  Cells of zero weight are dropped.  B1
-    or B2 may be empty (a flat f has no cell); the penetrable mesh may
-    not.
+    Every cell of the scanned lattice (_scan_grid) weighs h^2 times the
+    part of it inside the region (inside_fraction): D_f for B1 and B2,
+    whose lattices lie under and over x2 = 0, and the obstacle for
+    D_penetrable.  Cells of zero weight are dropped.  B1 or B2 may be
+    empty (a flat f has no cell); the penetrable mesh may not.
     """
     h = cell_size
     origin, *axes = _scan_grid(region_tag, region, h)
     cx, cy = (o + (first + np.arange(n) + 0.5) * h
               for o, (first, n) in zip(origin, axes))
-    inside = _region_indicator(region_tag, region)
     X, Y = np.meshgrid(cx, cy, indexing="ij")
     centers = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    at_center = inside(centers)
-    if region_tag != "B1":
-        # cell centers must stay strictly off the flat line x2 = 0
-        centers = centers[at_center
-                          & (np.abs(centers[:, 1]) > _COINCIDENT)]
-    if region_tag == "D_penetrable" and len(centers) == 0:
-        raise ConfigurationError(f"region {region_tag} mesh is empty at cell_size {h}")
-    frac = inside_fraction(centers, h, inside)
-    if region_tag == "B1":
-        frac[at_center] = 1.0
-    weights = h * h * frac
+    # cell centers must stay strictly off the flat line x2 = 0
+    centers = centers[np.abs(centers[:, 1]) > _COINCIDENT]
+    weights = h * h * inside_fraction(centers, h, region.contains)
     pos = weights > 0.0
+    if region_tag == "D_penetrable" and not np.any(pos):
+        raise ConfigurationError(f"region {region_tag} mesh is empty at cell_size {h}")
     return RegionMesh(cell_size=h, centers=centers[pos], weights=weights[pos])

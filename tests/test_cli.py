@@ -625,6 +625,21 @@ def test_penetrable_cells_too_coarse_for_the_interior_wave_exit_2(
         assert "Traceback" not in err
 
 
+def test_bump_without_a_cell_exits_2(config_path, capsys):
+    # a bump 0.02 high reaches no sub-grid point of a 0.2 cell (the lowest
+    # lie at 0.025): solved, its field would be the flat scene's, 2 % off
+    doc = dict(BASE, interface={"bumps": [[0.0, 1.0, 0.02]]},
+               mesh={"cell_size": 0.2})
+    path = config_path(doc)
+    for argv in (["forward", path, "--output", "/dev/null"],
+                 ["verify", path]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "mesh.cell_size 0.2 gives no cell to the bump (0, 1, 0.02)" \
+            in err
+        assert "Traceback" not in err
+
+
 def test_forward_dataset_past_physical_memory_exits_2(config_path, capsys,
                                                       monkeypatch):
     # the table of records, not the solver, is what outgrows memory here

@@ -5,6 +5,7 @@ identity."""
 import dataclasses
 import errno
 import os
+import re
 import threading
 import time
 
@@ -723,6 +724,31 @@ def test_penetrable_cell_size_resolves_the_interior_wavelength(n, cells):
     ForwardSolver(config(cells))
     with pytest.raises(ConfigurationError, match="obstacle.cell_size"):
         ForwardSolver(config(1.04 * cells))
+
+
+@pytest.mark.parametrize("bumps,named", [
+    (((0.0, 1.0, 0.02),), "(0, 1, 0.02)"),
+    (((0.0, 1.0, 0.3), (2.5, 0.05, 0.01)), "(2.5, 0.05, 0.01)"),
+], ids=["lone bump", "beside a meshed bump"])
+def test_bump_without_a_cell_rejected(bumps, named):
+    # each bump must get a cell, or its scatter is silently left out
+    config = SceneConfig(MediumParams(1.0, 1.5), InterfaceProfile(bumps),
+                         cell_size=0.2)
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("no cell to the bump " + named)):
+        ForwardSolver(config)
+    # at a finer cell each gets one
+    solver = ForwardSolver(dataclasses.replace(config, cell_size=0.02))
+    assert solver.mesh_B2.n > 0
+
+
+def test_bumps_that_cancel_solve_as_the_flat_scene(flat_solver):
+    config = SceneConfig(MediumParams(1.0, 1.5), InterfaceProfile(
+        ((0.0, 1.0, 0.3), (0.0, 1.0, -0.3))), cell_size=0.2,
+        receivers=ReceiverLine(2.0, 3.0, 5))
+    rx = config.receivers.points()
+    got = ForwardSolver(config).solve(SRC).scattered(rx)
+    assert np.array_equal(got, flat_solver.solve(SRC).scattered(rx))
 
 
 def test_too_few_cells_per_wavelength_rejected():

@@ -1,10 +1,15 @@
 """Scene geometry: profiles, obstacle curves and region meshes."""
 
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layered_scatter.cli import parse_config
 from layered_scatter.errors import ConfigurationError
 from layered_scatter.forward import ObstacleSpec, SceneConfig
 from layered_scatter.geometry import (
@@ -174,15 +179,16 @@ def test_b1_b2_mesh_areas_converge_to_dip_and_bump_areas(
     prof = bump_and_dip_profile
     x = np.linspace(-2.0, 2.0, 400001)
     f = prof(x)
-    # the kept cells (center rule) err at first order in the cell size,
-    # not monotonically: each quartering of the cell must shrink the error
+    # every cell weighs its inside fraction: the areas miss by 5.7e-3,
+    # 1.7e-3 and 2.0e-4 on both sides, and each quartering of the cell
+    # must shrink the error (the center rule missed by up to 1.5e-1)
     for tag, depth in (("B1", np.maximum(-f, 0.0)),
                        ("B2", np.maximum(f, 0.0))):
         exact = np.trapezoid(depth, x)
         errs = [abs(build_region_mesh(tag, prof, h).weights.sum() - exact)
                 / exact for h in (0.2, 0.05, 0.0125)]
         assert errs[2] < errs[1] < errs[0]
-        assert errs[2] < 1.5e-2
+        assert errs[2] < 1e-3
 
 
 def test_b2_mesh_extends_above_zero_with_bump(bump_profile):
@@ -206,13 +212,35 @@ def test_mesh_centers_stay_off_the_flat_line(bump_and_dip_profile):
         assert np.allclose(mesh.centers / h - 0.5,
                            np.rint(mesh.centers / h - 0.5), rtol=0,
                            atol=1e-9)
-    # a B1 cell whose center lies in the dip keeps its whole area, one
-    # whose center lies under f only its part over f
-    mesh = build_region_mesh("B1", bump_and_dip_profile, h)
-    over = bump_and_dip_profile(mesh.centers[:, 0]) < mesh.centers[:, 1]
-    assert np.any(over) and np.any(~over)
-    assert np.all(mesh.weights[over] == h * h)
-    assert np.all(mesh.weights[~over] < h * h)
+    # every cell weighs h^2 times its inside fraction, on both sides: a
+    # cell counts whether or not its center lies in D_f
+    for tag in ("B1", "B2"):
+        mesh = build_region_mesh(tag, bump_and_dip_profile, h)
+        frac = inside_fraction(mesh.centers, h,
+                               bump_and_dip_profile.contains)
+        assert np.array_equal(mesh.weights, h * h * frac)
+        centered = bump_and_dip_profile.contains(mesh.centers)
+        assert np.any(centered) and np.any(~centered)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.05])
+def test_b1_of_the_mirrored_profile_is_the_mirrored_b2(bump_and_dip_profile,
+                                                       h):
+    # x2 -> -x2 takes f to -f and the bumps to the dips: the cells and
+    # weights must follow byte for byte
+    def cells(mesh, sign):
+        c = mesh.centers * (1.0, sign)
+        order = np.lexsort((c[:, 1], c[:, 0]))
+        return c[order], mesh.weights[order]
+
+    mirrored = InterfaceProfile(tuple((c, w, -a) for c, w, a in
+                                      bump_and_dip_profile.bumps))
+    for tag, other in (("B1", "B2"), ("B2", "B1")):
+        got = cells(build_region_mesh(tag, mirrored, h), 1.0)
+        want = cells(build_region_mesh(other, bump_and_dip_profile, h), -1.0)
+        assert len(got[0]) > 0
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_inside_fraction_samples_a_cell_centred_4_by_4_grid():
@@ -237,6 +265,31 @@ def test_inside_fraction_samples_a_cell_centred_4_by_4_grid():
     assert np.array_equal(inside_fraction(centers, 0.5, below_diagonal),
                           inside_fraction(centers, np.full(2, 0.5),
                                           below_diagonal))
+
+
+def test_readme_cell_counts_match_the_shipped_configs():
+    # the README quotes the B1 and B2 cells of the shipped bump, at its
+    # cell size and at the fine-bump scene's; both must be what the mesh
+    # builder gives on configs/*.json
+    root = Path(__file__).resolve().parents[1]
+    text = " ".join((root / "README.md").read_text(encoding="utf-8").split())
+    quoted = re.search(
+        r"The shipped bump \((.*?) and the benchmark scenes at cell "
+        r"([\d.]+)\) has (\d+) B1 and (\d+) B2 cells; the fine-bump "
+        r"benchmark scene at cell ([\d.]+) has (\d+) B1 and (\d+) B2 cells",
+        text)
+    assert quoted, "the README no longer quotes the shipped cell counts"
+    names = re.findall(r"`(configs/[^`]+)`", quoted.group(1))
+    assert sorted(names) == sorted(
+        "configs/" + p.name for p in (root / "configs").glob("*.json"))
+    cell, n1, n2, fine, f1, f2 = (float(g) for g in quoted.groups()[1:])
+    for name in names:
+        scene = parse_config(json.loads(
+            (root / name).read_text(encoding="utf-8"))).scene
+        assert scene.cell_size == cell
+        for h, counts in ((cell, (n1, n2)), (fine, (f1, f2))):
+            assert tuple(build_region_mesh(tag, scene.profile, h).n
+                         for tag in ("B1", "B2")) == counts, (name, h)
 
 
 def test_penetrable_mesh_area():
